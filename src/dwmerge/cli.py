@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 load or validation failure, 3 stars unmergeable or
-merge aborted by policy, 4 internal invariant violation, 5 bad usage.
+Exit codes: 0 success, 2 load or validation failure, 3 stars unmergeable, a
+numeric column matched with a text one, or merge aborted by policy, 4 internal
+invariant violation, 5 bad usage.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ are completed using the other dimension as donor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import ConflictError, MergeError
@@ -85,34 +85,48 @@ def _uniquify(base: str, taken: set[str]) -> str:
     return name
 
 
-def _right_name_map(d1: Dimension, d2: Dimension, r2l: Mapping[str, str]
-                    ) -> tuple[dict[str, str], list[str]]:
-    """Unified name for every right attribute: matched ones take the left name,
-    the rest keep theirs unless that collides with a left attribute."""
-    taken = set(d1.attributes)
-    mapping: dict[str, str] = {}
-    new_attrs: list[str] = []
-    for b in d2.attributes:
-        if b in r2l:
-            mapping[b] = r2l[b]
-        else:
-            name = b if b not in taken else _uniquify(f"{d2.name}_{b}", taken)
-            taken.add(name)
-            mapping[b] = name
-            new_attrs.append(name)
-    return mapping, new_attrs
-
-
-def _gained_names(native: Sequence[str], foreign: Iterable[str], foreign_dim: str
+def _gained_names(native: Sequence[str], foreign: Iterable[str], foreign_table: str
                   ) -> dict[str, str]:
-    """Names under which foreign attributes join a dimension during enrichment."""
+    """Names under which foreign columns join a table.
+
+    Each keeps its name unless a native or earlier gained column took it;
+    then it becomes ``<foreign_table>_<name>``, uniquified.
+    """
     taken = set(native)
     mapping: dict[str, str] = {}
     for b in foreign:
-        name = b if b not in taken else _uniquify(f"{foreign_dim}_{b}", taken)
+        name = b if b not in taken else _uniquify(f"{foreign_table}_{b}", taken)
         taken.add(name)
         mapping[b] = name
     return mapping
+
+
+def _right_name_map(native: Sequence[str], foreign: Sequence[str], foreign_table: str,
+                    matched: Mapping[str, str]) -> tuple[dict[str, str], list[str]]:
+    """Unified name for every right column, plus the new names in order.
+
+    Matched columns take their left partner's name (``matched`` maps right
+    to left); the rest are named by :func:`_gained_names`.
+    """
+    gained = _gained_names(native, [b for b in foreign if b not in matched], foreign_table)
+    return {b: matched[b] if b in matched else gained[b] for b in foreign}, list(gained.values())
+
+
+def check_column_kinds(corrs: Iterable[Correspondence], numeric1: Collection[str],
+                       numeric2: Collection[str]) -> None:
+    """Refuse correspondences that pair a numeric column with a text one.
+
+    Fusing them would compare numbers with text, so equal-looking values
+    never match and the output repeats them.
+    """
+    for c in corrs:
+        left_numeric = c.left[1] in numeric1
+        if left_numeric != (c.right[1] in numeric2):
+            kinds = ("numeric", "text") if left_numeric else ("text", "numeric")
+            raise MergeError(
+                f"cannot merge {c.left[0]}.{c.left[1]} ({kinds[0]}) with "
+                f"{c.right[0]}.{c.right[1]} ({kinds[1]}): matched columns must "
+                "both be numeric or both be text")
 
 
 def _dedupe_hierarchies(hierarchies: Iterable[Hierarchy]) -> tuple[Hierarchy, ...]:
@@ -139,6 +153,31 @@ def _merged_chain_hierarchies(pair_chains: list[tuple[str, str, list[tuple[str, 
 # instance fusion
 # ---------------------------------------------------------------------------
 
+def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
+             ) -> list[tuple[str, Cell, Cell, Cell]]:
+    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
+
+    ``names`` pairs each incoming column with its name in ``row``. A null in
+    ``row`` takes the incoming value; where both hold different values the
+    right one wins only under policy ``right``. Each clash is returned as
+    ``(name, left, right, chosen)``; under policy ``error`` the caller
+    raises on the first one.
+    """
+    clashes = []
+    for source, name in names:
+        v2 = incoming.get(source)
+        if v2 is None:
+            continue
+        v1 = row.get(name)
+        if v1 is None:
+            row[name] = v2
+        elif not cells_equal(v1, v2):
+            chosen = v2 if conflict == "right" else v1
+            row[name] = chosen
+            clashes.append((name, v1, v2, chosen))
+    return clashes
+
+
 def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, str],
                     attributes: Sequence[str], conflict: str = "left"
                     ) -> tuple[dict[Cell, Row], list[ValueConflict]]:
@@ -149,6 +188,7 @@ def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, s
     and the clash is logged; under policy ``error`` it raises.
     """
     conflicts: list[ValueConflict] = []
+    names = [(b, right_name_map[b]) for b in d2.attributes]
     keys = sorted(set(d1.rows) | set(d2.rows), key=cell_sort_key)
     rows: dict[Cell, Row] = {}
     for key in keys:
@@ -159,22 +199,12 @@ def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, s
             for a in d1.attributes:
                 row[a] = r1.get(a)
         if r2 is not None:
-            for b in d2.attributes:
-                v2 = r2.get(b)
-                if v2 is None:
-                    continue
-                name = right_name_map[b]
-                v1 = row.get(name)
-                if v1 is None:
-                    row[name] = v2
-                elif not cells_equal(v1, v2):
-                    if conflict == "error":
-                        raise ConflictError(
-                            f"conflicting values for {d1.name}[{cell_to_text(key)}].{name}: "
-                            f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
-                    chosen = v1 if conflict == "left" else v2
-                    row[name] = chosen
-                    conflicts.append(ValueConflict(key, name, v1, v2, chosen))
+            for name, v1, v2, chosen in fuse_row(row, r2, names, conflict):
+                if conflict == "error":
+                    raise ConflictError(
+                        f"conflicting values for {d1.name}[{cell_to_text(key)}].{name}: "
+                        f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
+                conflicts.append(ValueConflict(key, name, v1, v2, chosen))
         rows[key] = row
     return rows, conflicts
 
@@ -255,25 +285,6 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
             return fills
 
 
-def complete_empty(target: Dimension, donor: Dimension,
-                   merged: Sequence[Hierarchy]) -> tuple[Dimension, list[CompletionFill]]:
-    """Fill completable nulls of ``target`` from ``donor`` along merged hierarchies.
-
-    Donor columns are looked up under the same attribute names; attributes
-    the donor lacks simply never match or donate. Returns a completed copy
-    of the target plus the fill log; the inputs are left untouched.
-    """
-    rows = {k: dict(r) for k, r in target.rows.items()}
-    same = donor is target
-    donor_rows = rows if same else donor.rows
-    donor_attrs = set(target.attributes) if same else set(donor.attributes)
-    col_map = {a: (a if a in donor_attrs else None) for a in target.attributes}
-    log = _complete_rows(rows, merged, donor_rows, col_map, donor_is_target=same)
-    completed = Dimension(target.name, target.root, target.attributes,
-                          target.hierarchies, rows, target.numeric)
-    return completed, log
-
-
 # ---------------------------------------------------------------------------
 # dimension merge
 # ---------------------------------------------------------------------------
@@ -295,6 +306,7 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
     if not corrs:
         raise MergeError(f"dimensions {d1.name!r} and {d2.name!r} are unrelated: "
                          "no attribute correspondences")
+    check_column_kinds(corrs, d1.numeric, d2.numeric)
     l2r = corr_attr_map(corrs)
     r2l = {v: k for k, v in l2r.items()}
     roots_matched = l2r.get(d1.root) == d2.root
@@ -303,7 +315,7 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
 
     results: list[tuple[Hierarchy, Hierarchy, HierarchyMergeResult]] = []
     for h1, h2 in _hierarchy_pairs(d1, d2):
-        res = merge_hierarchies(h1, h2, rows1, rows2, l2r, roots_matched, settings)
+        res = merge_hierarchies(h1, h2, rows1, rows2, l2r, settings)
         results.append((h1, h2, res))
 
     if roots_matched:
@@ -313,7 +325,7 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
 
 def _merge_matched(d1: Dimension, d2: Dimension, l2r, r2l, results,
                    settings: MergeSettings) -> DimensionMergeResult:
-    right_names, new_attrs = _right_name_map(d1, d2, r2l)
+    right_names, new_attrs = _right_name_map(d1.attributes, d2.attributes, d2.name, r2l)
     attributes = d1.attributes + tuple(new_attrs)
     numeric = set(d1.numeric)
     for b in d2.numeric:
@@ -327,7 +339,7 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, r2l, results,
                                    tuple(right_names[p] for p in h.parameters)))
     pair_chains = []
     for h1, h2, res in results:
-        chains = [render_tokens(c, "l", right_map=right_names) for c in res.merged]
+        chains = [render_tokens(c, "l", right_map=right_names) for c in res.merged_left]
         pair_chains.append((h1.name, h2.name, chains))
     merged_named = _merged_chain_hierarchies(pair_chains, used_names)
 

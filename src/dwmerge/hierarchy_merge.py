@@ -1,9 +1,10 @@
 """Merging two hierarchies from different dimensions.
 
-The merge runs in four steps: record the matched parameter pairs, slice both
-hierarchies into sub-hierarchy pairs between consecutive matches, merge each
-pair (by containment, or by discovering functional dependencies over the
-joined instances), and assemble the final chains with ``extend``.
+:func:`merge_hierarchies` runs the merge in four steps: record the matched
+parameter pairs, slice both hierarchies into sub-hierarchy pairs between
+consecutive matches, merge each pair (by containment, or by discovering
+functional dependencies over the joined instances), and assemble the final
+chains with ``extend``.
 
 Internally every parameter is a token so that matched attributes from the
 two dimensions unify without committing to either side's spelling:
@@ -24,7 +25,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import MergeError
-from .model import Cell, Hierarchy, Row, SubHierarchy, cells_equal
+from .model import Cell, Hierarchy, Row, cells_equal
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +74,7 @@ def render_tokens(seq: Iterable[Token], pair_side: str,
 
 
 # ---------------------------------------------------------------------------
-# step 1: matched parameter pairs
+# matched parameter pairs
 # ---------------------------------------------------------------------------
 
 def _matched_tokens(tok1: TokenSeq, tok2: TokenSeq) -> list[Token]:
@@ -88,44 +89,6 @@ def _matched_tokens(tok1: TokenSeq, tok2: TokenSeq) -> list[Token]:
             "matched parameters cross between the two hierarchies: "
             + ", ".join(f"{a[1]}~{a[2]} vs {b[1]}~{b[2]}" for a, b in crossing))
     return matched
-
-
-def record_matched_parameters(h1: Hierarchy, h2: Hierarchy,
-                              pairs: Mapping[str, str]) -> list[tuple[str, str]]:
-    """Ordered matched-parameter pairs, with the last-parameter pair appended.
-
-    ``pairs`` maps attributes of the first dimension to their matched
-    attributes of the second. The result lists pairs in first-hierarchy
-    order; when the two last parameters are not matched to each other the
-    pair of last parameters is appended so the tails stay reachable.
-    Crossing matches raise :class:`MergeError`.
-    """
-    tok1 = tokenize(h1.parameters, "l", pairs)
-    inverse = {v: k for k, v in pairs.items()}
-    tok2 = tokenize(h2.parameters, "r", inverse)
-    matched = _matched_tokens(tok1, tok2)
-    if not matched:
-        return []
-    out = [(t[1], t[2]) for t in matched]
-    last = (h1.parameters[-1], h2.parameters[-1])
-    if out[-1] != last:
-        out.append(last)
-    return out
-
-
-def generate_subhierarchy_pairs(h1: Hierarchy, h2: Hierarchy,
-                                matched: Sequence[tuple[str, str]]
-                                ) -> list[tuple[SubHierarchy, SubHierarchy]]:
-    """Contiguous slices of both hierarchies between consecutive matched pairs."""
-    if not matched:
-        raise ValueError("no matched parameters, nothing to slice")
-    out = []
-    for (a1, a2), (b1, b2) in zip(matched, matched[1:]):
-        i1, j1 = h1.parameters.index(a1), h1.parameters.index(b1)
-        i2, j2 = h2.parameters.index(a2), h2.parameters.index(b2)
-        out.append((SubHierarchy(h1.parameters[i1:j1 + 1], h1),
-                    SubHierarchy(h2.parameters[i2:j2 + 1], h2)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +242,7 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# step 3: merging one sub-hierarchy pair
+# merging one sub-hierarchy pair
 # ---------------------------------------------------------------------------
 
 def _project(rows: Iterable[Row], columns: list[tuple[Token, str]]) -> list[tuple[Cell, ...]]:
@@ -331,26 +294,14 @@ def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
     return joined
 
 
-def discover_fds(params1: Sequence[str], params2: Sequence[str],
-                 rows1: Iterable[Row], rows2: Iterable[Row],
-                 pairs: Mapping[str, str], min_support: int = 1
-                 ) -> list[tuple[str, str]]:
-    """Reduced FD edges over a sub-hierarchy pair, rendered to attribute names.
-
-    Raises :class:`FdUndiscoverable` when the instance join is empty (no
-    shared values on the first parameter), which callers treat as "keep both
-    sub-hierarchies".
-    """
-    tok1 = tokenize(params1, "l", pairs)
-    inverse = {v: k for k, v in pairs.items()}
-    tok2 = tokenize(params2, "r", inverse)
-    edges = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support)
-    return [(render_tokens([a], "l")[0], render_tokens([b], "l")[0]) for a, b in edges]
-
-
 def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
                       rows1: Iterable[Row], rows2: Iterable[Row],
                       min_support: int) -> list[tuple[Token, Token]]:
+    """Reduced FD edges over the joined instances of a sub-hierarchy pair.
+
+    Raises :class:`FdUndiscoverable` when the join is empty (no shared
+    values on the first parameter).
+    """
     joined = join_segment_rows(tok1, tok2, rows1, rows2)
     if not joined:
         raise FdUndiscoverable("no shared values on the first parameter of the pair")
@@ -394,7 +345,7 @@ def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
 
 
 # ---------------------------------------------------------------------------
-# step 4: assembling merged hierarchies
+# assembling merged hierarchies
 # ---------------------------------------------------------------------------
 
 def extend(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple:
@@ -411,35 +362,38 @@ def extend(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple:
 class HierarchyMergeResult:
     """Merge-produced chains; the caller re-adds the original hierarchies.
 
-    With matched roots all chains live in ``merged``; otherwise each side
-    gets its own extensions (``merged_left`` / ``merged_right``). Chains may
-    coincide with an original parameter sequence; schema assembly dedupes
-    them, but they still drive empty-value completion.
+    Each side gets the merged chains extended down to its own root. With
+    matched roots the first matched parameter is the root itself, so both
+    sides get the same chains. Chains may coincide with an original
+    parameter sequence; schema assembly dedupes them, but they still drive
+    empty-value completion.
     """
 
-    roots_matched: bool
-    merged: tuple[TokenSeq, ...] = ()
     merged_left: tuple[TokenSeq, ...] = ()
     merged_right: tuple[TokenSeq, ...] = ()
 
 
 def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
                       rows1: Iterable[Row], rows2: Iterable[Row],
-                      pairs: Mapping[str, str], roots_matched: bool,
+                      pairs: Mapping[str, str],
                       settings: MergeSettings = MergeSettings()) -> HierarchyMergeResult:
     """Merge two hierarchies from different dimensions.
 
     ``pairs`` maps matched attributes of the first dimension to the second.
     ``rows1``/``rows2`` are the parent dimensions' instances; they feed FD
     discovery for segments whose parameters both sides contribute to.
+    Crossing matches raise :class:`MergeError`; with no match at all the
+    result is empty.
     """
     tok1 = tokenize(h1.parameters, "l", pairs)
     inverse = {v: k for k, v in pairs.items()}
     tok2 = tokenize(h2.parameters, "r", inverse)
     matched = _matched_tokens(tok1, tok2)
     if not matched:
-        return HierarchyMergeResult(roots_matched=False)
+        return HierarchyMergeResult()
 
+    # step 1: the matched pairs, plus the pair of last parameters so that
+    # both tails stay reachable
     entries: list[tuple[Token, Token]] = [(t, t) for t in matched]
     if (tok1[-1], tok2[-1]) != entries[-1]:
         entries.append((tok1[-1], tok2[-1]))
@@ -449,6 +403,7 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     rows1 = list(rows1)
     rows2 = list(rows2)
 
+    # steps 2 and 3: slice between consecutive entries and merge each slice
     acc: list[TokenSeq] = []
     for (s1, s2), (e1, e2) in zip(entries, entries[1:]):
         seg1 = tok1[pos1[s1]:pos1[e1] + 1]
@@ -459,19 +414,15 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
         else:
             acc = [extend(a, p) for a in acc for p in pieces]
 
-    def dedupe(seqs: Iterable[TokenSeq]) -> tuple[TokenSeq, ...]:
+    def extended(prefix: TokenSeq) -> tuple[TokenSeq, ...]:
         out: list[TokenSeq] = []
-        for s in seqs:
+        for c in acc:
+            s = extend(prefix, c)
             if s not in out:
                 out.append(s)
         return tuple(out)
 
-    if roots_matched:
-        return HierarchyMergeResult(True, merged=dedupe(acc))
-
+    # step 4: prefix each side's parameters up to its first matched one
     first = entries[0][0]
-    prefix1 = tok1[:pos1[first] + 1]
-    prefix2 = tok2[:pos2[first] + 1]
-    left = dedupe(extend(prefix1, c) for c in acc)
-    right = dedupe(extend(prefix2, c) for c in acc)
-    return HierarchyMergeResult(False, merged_left=left, merged_right=right)
+    return HierarchyMergeResult(merged_left=extended(tok1[:pos1[first] + 1]),
+                                merged_right=extended(tok2[:pos2[first] + 1]))

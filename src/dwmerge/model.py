@@ -66,32 +66,6 @@ class Hierarchy:
         if len(set(self.parameters)) != len(self.parameters):
             raise ValueError(f"hierarchy {self.name!r} repeats a parameter")
 
-    def adjacent_pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.parameters, self.parameters[1:]))
-
-
-@dataclass(frozen=True)
-class SubHierarchy:
-    """A contiguous slice of a parent hierarchy, same order."""
-
-    parameters: tuple[str, ...]
-    parent: Hierarchy
-
-    def __post_init__(self):
-        params = self.parent.parameters
-        if not self.parameters:
-            raise ValueError("empty sub-hierarchy")
-        try:
-            start = params.index(self.parameters[0])
-        except ValueError:
-            raise ValueError(
-                f"{self.parameters[0]!r} is not a parameter of {self.parent.name!r}"
-            ) from None
-        if params[start:start + len(self.parameters)] != self.parameters:
-            raise ValueError(
-                f"parameters {self.parameters!r} are not a contiguous run of {self.parent.name!r}"
-            )
-
 
 @dataclass
 class Dimension:

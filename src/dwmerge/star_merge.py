@@ -15,13 +15,14 @@ from typing import Mapping, Sequence
 from . import __version__
 from .config import MergeSettings
 from .dimension_merge import (CompletionFill, DimensionMergeResult, ValueConflict,
-                              _uniquify, merge_dimensions)
+                              _right_name_map, _uniquify, check_column_kinds, fuse_row,
+                              merge_dimensions)
 from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_sort_key, cell_to_text, cells_equal, conforms, validate)
+                    cell_sort_key, cell_to_text, conforms, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -34,7 +35,6 @@ REASON_SUBSUMED = "subsumedByMerged"
 class StarMergeResult:
     schema: StarSchema | Constellation
     report: MergeReport
-    pruned: list[PrunedHierarchy] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ class StarMergeResult:
 # ---------------------------------------------------------------------------
 
 def prune_hierarchies(dim: Dimension, original_seqs: set[tuple[str, ...]],
-                      merged_seqs: set[tuple[str, ...]] | None = None
+                      merged_seqs: set[tuple[str, ...]]
                       ) -> tuple[Dimension, list[tuple[Hierarchy, str]]]:
     """Delete hierarchies no instance conforms to, and originals whose
     conforming instances all conform to a merged superset hierarchy.
@@ -54,8 +54,6 @@ def prune_hierarchies(dim: Dimension, original_seqs: set[tuple[str, ...]],
     incoming hierarchy set and applied in one batch, so the outcome does not
     depend on iteration order.
     """
-    if merged_seqs is None:
-        merged_seqs = {h.parameters for h in dim.hierarchies} - original_seqs
     rows = list(dim.rows.values())
     conformers = {h.name: [i for i, r in enumerate(rows) if conforms(r, h)]
                   for h in dim.hierarchies}
@@ -117,19 +115,11 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
                  if dim_pairing.get(d) not in left_cols]
         raise MergeError(f"fact key misalignment: unpaired key columns {extra!r}")
 
-    m_l2r = {c.left[1]: c.right[1] for c in measure_corrs}
-    m_r2l = {v: k for k, v in m_l2r.items()}
-    taken = set(f1.measures) | set(f1.key_columns())
-    right_measure_names: dict[str, str] = {}
-    new_measures: list[str] = []
-    for m in f2.measures:
-        if m in m_r2l:
-            right_measure_names[m] = m_r2l[m]
-        else:
-            name = m if m not in taken else _uniquify(f"{f2.name}_{m}", taken)
-            taken.add(name)
-            right_measure_names[m] = name
-            new_measures.append(name)
+    check_column_kinds(measure_corrs, f1.numeric, f2.numeric)
+    m_r2l = {c.right[1]: c.left[1] for c in measure_corrs}
+    right_measure_names, new_measures = _right_name_map(
+        f1.measures + f1.key_columns(), f2.measures, f2.name, m_r2l)
+    names = list(right_measure_names.items())
     measures = f1.measures + tuple(new_measures)
     numeric = set(f1.numeric)
     for m in f2.measures:
@@ -158,22 +148,12 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
             rows[key] = row
         else:
             n_common += 1
-        for m in f2.measures:
-            v2 = r.get(m)
-            if v2 is None:
-                continue
-            name = right_measure_names[m]
-            v1 = row.get(name)
-            if v1 is None:
-                row[name] = v2
-            elif not cells_equal(v1, v2):
-                if settings.conflict == "error":
-                    raise ConflictError(
-                        f"conflicting measure {name!r} for fact key {key!r}")
-                chosen = v1 if settings.conflict == "left" else v2
-                row[name] = chosen
-                key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
-                conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
+        for name, v1, v2, chosen in fuse_row(row, r, names, settings.conflict):
+            if settings.conflict == "error":
+                raise ConflictError(
+                    f"conflicting measure {name!r} for fact key {key!r}")
+            key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
+            conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
     ordered = [rows[k] for k in sorted(rows, key=lambda t: tuple(cell_sort_key(c) for c in t))]
     merged = Fact(f1.name, measures, f1.dimension_keys, ordered, frozenset(numeric))
@@ -188,44 +168,100 @@ def _non_null_count(rows, attr: str) -> int:
     return sum(1 for r in rows if r.get(attr) is not None)
 
 
+@dataclass
+class OutputDimension:
+    """One dimension of the merged schema and what the report and pruning need.
+
+    ``sources`` are the input dimensions as loaded, ``None`` for a side that
+    contributed nothing; a leftover dimension is a merged one whose other
+    side is absent. ``attr_sources`` maps each attribute to its raw name on
+    each side; attributes missing from it keep their name on both sides.
+    ``originals`` and ``produced`` are the parameter sequences of the input
+    hierarchies and of the merge-produced ones, and ``fills`` pairs every
+    completion fill with the attribute it landed on, all in output names.
+    """
+
+    dimension: Dimension
+    sources: tuple[Dimension | None, Dimension | None]
+    attr_sources: Mapping[str, tuple[str | None, str | None]] = field(default_factory=dict)
+    originals: set[tuple[str, ...]] = field(default_factory=set)
+    produced: set[tuple[str, ...]] = field(default_factory=set)
+    fills: list[tuple[str, CompletionFill]] = field(default_factory=list)
+    conflicts: list[ValueConflict] = field(default_factory=list)
+    shared: int = 0
+
+    def count(self) -> TableCount:
+        left, right = self.sources
+        return TableCount(self.dimension.name, "dimension",
+                          len(left.rows) if left else None,
+                          len(right.rows) if right else None,
+                          self.shared, len(self.dimension.rows))
+
+
+def _input_record(dim: Dimension, sources: tuple[Dimension | None, Dimension | None]
+                  ) -> OutputDimension:
+    return OutputDimension(dim, sources, originals={h.parameters for h in dim.hierarchies})
+
+
+def _enrich(rec: OutputDimension, dim: Dimension, produced: Sequence[Hierarchy],
+            fills: Sequence[CompletionFill]) -> None:
+    rec.dimension = dim
+    rec.produced.update(h.parameters for h in produced)
+    rec.fills.extend((f.attribute, f) for f in fills)
+
+
+def _merged_record(r1: OutputDimension, r2: OutputDimension,
+                   res: DimensionMergeResult) -> OutputDimension:
+    """Fold two input records into the record of their merged dimension."""
+    to_unified = {src[1]: a for a, src in res.attr_sources.items() if src[1] is not None}
+
+    def unified(seq: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(to_unified.get(p, p) for p in seq)
+
+    return OutputDimension(
+        res.dimension, (r1.sources[0], r2.sources[1]), res.attr_sources,
+        originals=r1.originals | {unified(s) for s in r2.originals},
+        produced=({h.parameters for h in res.merged_only} | r1.produced
+                  | {unified(s) for s in r2.produced}),
+        fills=(r1.fills + [(to_unified.get(a, a), f) for a, f in r2.fills]
+               + [(f.attribute, f) for f in res.completion_log]),
+        conflicts=res.conflict_log, shared=res.shared_keys)
+
+
 def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
-                         settings: MergeSettings = MergeSettings()):
+                         settings: MergeSettings = MergeSettings()
+                         ) -> tuple[list[OutputDimension], list[Correspondence]]:
     """Enrich unmatched-root pairs, then merge every matched-root pair.
 
-    Returns a working structure consumed by :func:`merge_stars`; use that
-    entry point unless you need the intermediate pieces.
+    Returns one record per output dimension (merged pairs by left name, then
+    left and right leftovers by name, right ones renamed on a clash) and
+    every correspondence used.
     """
-    dims1 = {d.name: d for d in s1.dimensions}
-    dims2 = {d.name: d for d in s2.dimensions}
-    enrich_fills_1: dict[str, list[CompletionFill]] = {n: [] for n in dims1}
-    enrich_fills_2: dict[str, list[CompletionFill]] = {n: [] for n in dims2}
-    enrich_merged_1: dict[str, list[Hierarchy]] = {n: [] for n in dims1}
-    enrich_merged_2: dict[str, list[Hierarchy]] = {n: [] for n in dims2}
+    recs1 = {d.name: _input_record(d, (d, None)) for d in s1.dimensions}
+    recs2 = {d.name: _input_record(d, (None, d)) for d in s2.dimensions}
     all_corrs: list[Correspondence] = []
 
     # Phase 1: cross-enrichment of pairs whose roots do not match.
-    for n1 in sorted(dims1):
-        for n2 in sorted(dims2):
-            corrs = match_attributes(dims1[n1], dims2[n2], matcher)
-            if not corrs or matched_root_parameters(dims1[n1], dims2[n2], corrs):
+    for n1 in sorted(recs1):
+        for n2 in sorted(recs2):
+            r1, r2 = recs1[n1], recs2[n2]
+            corrs = match_attributes(r1.dimension, r2.dimension, matcher)
+            if not corrs or matched_root_parameters(r1.dimension, r2.dimension, corrs):
                 continue
-            res = merge_dimensions(dims1[n1], dims2[n2], corrs, settings)
-            dims1[n1] = res.left
-            dims2[n2] = res.right
-            enrich_fills_1[n1].extend(res.completion_log_left)
-            enrich_fills_2[n2].extend(res.completion_log_right)
-            enrich_merged_1[n1].extend(res.merged_only_left)
-            enrich_merged_2[n2].extend(res.merged_only_right)
+            res = merge_dimensions(r1.dimension, r2.dimension, corrs, settings)
+            _enrich(r1, res.left, res.merged_only_left, res.completion_log_left)
+            _enrich(r2, res.right, res.merged_only_right, res.completion_log_right)
             all_corrs.extend(corrs)
 
     # Phase 2: pair matched-root dimensions (most correspondences first).
     candidates = []
     pair_corrs: dict[tuple[str, str], list[Correspondence]] = {}
-    for n1 in sorted(dims1):
-        for n2 in sorted(dims2):
-            corrs = match_attributes(dims1[n1], dims2[n2], matcher)
+    for n1 in sorted(recs1):
+        for n2 in sorted(recs2):
+            d1, d2 = recs1[n1].dimension, recs2[n2].dimension
+            corrs = match_attributes(d1, d2, matcher)
             pair_corrs[(n1, n2)] = corrs
-            if corrs and matched_root_parameters(dims1[n1], dims2[n2], corrs):
+            if corrs and matched_root_parameters(d1, d2, corrs):
                 candidates.append((-len(corrs), n1, n2))
     used1: set[str] = set()
     used2: set[str] = set()
@@ -241,139 +277,77 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
             f"stars {s1.name!r} and {s2.name!r} share no dimensions with matched "
             "root parameters")
 
-    merged: list[tuple[str, str, DimensionMergeResult]] = []
+    out: list[OutputDimension] = []
     for n1, n2 in sorted(pairing):
-        res = merge_dimensions(dims1[n1], dims2[n2], pair_corrs[(n1, n2)], settings)
-        merged.append((n1, n2, res))
+        r1, r2 = recs1.pop(n1), recs2.pop(n2)
+        res = merge_dimensions(r1.dimension, r2.dimension, pair_corrs[(n1, n2)], settings)
+        out.append(_merged_record(r1, r2, res))
         all_corrs.extend(pair_corrs[(n1, n2)])
 
-    leftovers_1 = [dims1[n] for n in sorted(dims1) if n not in used1]
-    leftovers_2 = [dims2[n] for n in sorted(dims2) if n not in used2]
-    return (merged, leftovers_1, leftovers_2, enrich_fills_1, enrich_fills_2,
-            enrich_merged_1, enrich_merged_2, all_corrs)
+    out.extend(recs1[n] for n in sorted(recs1))
+    taken = {rec.dimension.name for rec in out}
+    for n in sorted(recs2):
+        rec = recs2[n]
+        if n in taken:
+            d = rec.dimension
+            rec.dimension = Dimension(_uniquify(f"{n}_2", taken), d.root, d.attributes,
+                                      d.hierarchies, d.rows, d.numeric)
+        taken.add(rec.dimension.name)
+        out.append(rec)
+    return out, all_corrs
 
 
 def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = MatcherConfig(),
                 settings: MergeSettings = MergeSettings(),
                 config_echo: dict | None = None) -> StarMergeResult:
     """Merge two star schemas into a star or a constellation, with report."""
-    (merged, leftovers_1, leftovers_2, enrich_fills_1, enrich_fills_2,
-     enrich_merged_1, enrich_merged_2, all_corrs) = merge_all_dimensions(
-        s1, s2, matcher, settings)
+    records, all_corrs = merge_all_dimensions(s1, s2, matcher, settings)
 
     report = MergeReport(result_kind="", schema_name="", tool_version=__version__,
                          config=dict(config_echo or {}))
     out_name = f"{s1.name}_{s2.name}"
+    paired = [rec for rec in records if None not in rec.sources]
 
-    # Final dimension set; rename clashes among unpaired right-side dimensions.
-    final_dims: list[Dimension] = []
-    merged_names: dict[str, str] = {}  # right dim -> final merged name
-    originals_for: dict[str, set[tuple[str, ...]]] = {}
-    merged_for: dict[str, set[tuple[str, ...]]] = {}
-    fills_for: dict[str, list[tuple[str, CompletionFill]]] = {}
-    n_counts: dict[str, TableCount] = {}
-
-    for n1, n2, res in merged:
-        dim = res.dimension
-        final_dims.append(dim)
-        merged_names[n2] = dim.name
-        report.dimension_pairs.append(DimensionPairEcho(n1, n2, dim.name))
-        orig1 = s1.dimension(n1)
-        orig2 = s2.dimension(n2)
-        right_raw_to_unified = {src[1]: a for a, src in res.attr_sources.items()
-                                if src[1] is not None}
-        seqs = {h.parameters for h in orig1.hierarchies}
-        for h in orig2.hierarchies:
-            seqs.add(tuple(right_raw_to_unified.get(p, p) for p in h.parameters))
-        originals_for[dim.name] = seqs
-        produced = {h.parameters for h in res.merged_only}
-        produced.update(h.parameters for h in enrich_merged_1[n1])
-        for h in enrich_merged_2[n2]:
-            produced.add(tuple(right_raw_to_unified.get(p, p) for p in h.parameters))
-        merged_for[dim.name] = produced
-        fills: list[tuple[str, CompletionFill]] = []
-        for f in enrich_fills_1[n1]:
-            fills.append((f.attribute, f))
-        for f in enrich_fills_2[n2]:
-            fills.append((right_raw_to_unified.get(f.attribute, f.attribute), f))
-        for f in res.completion_log:
-            fills.append((f.attribute, f))
-        fills_for[dim.name] = fills
-        n_counts[("dimension", dim.name)] = TableCount(
-            dim.name, "dimension", len(orig1.rows), len(orig2.rows),
-            res.shared_keys, len(dim.rows))
-        for c in res.conflict_log:
-            report.conflicts.append(ConflictEcho(dim.name, cell_to_text(c.row_key),
-                                                 c.attribute, cell_to_text(c.left),
-                                                 cell_to_text(c.right), cell_to_text(c.chosen)))
-        _echo_completions(report, dim, orig1, orig2, res.attr_sources, fills)
-
-    rename_2: dict[str, str] = {}
-    taken_names = {d.name for d in final_dims} | {d.name for d in leftovers_1}
-    for d in leftovers_2:
-        new = d.name if d.name not in taken_names else _uniquify(f"{d.name}_2", taken_names)
-        taken_names.add(new)
-        rename_2[d.name] = new
-
-    for side, leftovers, enrich_fills, enrich_merged, orig_star in (
-            ("left", leftovers_1, enrich_fills_1, enrich_merged_1, s1),
-            ("right", leftovers_2, enrich_fills_2, enrich_merged_2, s2)):
-        for d in leftovers:
-            name = rename_2.get(d.name, d.name) if side == "right" else d.name
-            dim = Dimension(name, d.root, d.attributes, d.hierarchies, d.rows, d.numeric)
-            final_dims.append(dim)
-            orig = orig_star.dimension(d.name)
-            originals_for[name] = {h.parameters for h in orig.hierarchies}
-            merged_for[name] = {h.parameters for h in enrich_merged[d.name]}
-            fills = [(f.attribute, f) for f in enrich_fills[d.name]]
-            fills_for[name] = fills
-            n_counts[("dimension", name)] = TableCount(
-                name, "dimension",
-                len(orig.rows) if side == "left" else None,
-                len(orig.rows) if side == "right" else None,
-                0, len(dim.rows))
-            _echo_leftover_completions(report, dim, orig, side, fills)
+    for rec in records:
+        name = rec.dimension.name
+        left, right = rec.sources
+        if left and right:
+            report.dimension_pairs.append(DimensionPairEcho(left.name, right.name, name))
+        report.conflicts.extend(_conflict_echo(name, c) for c in rec.conflicts)
+        _echo_completions(report, rec)
 
     # Phase 3: pruning.
-    pruned_records: list[PrunedHierarchy] = []
+    final_dims = [rec.dimension for rec in records]
     if settings.prune:
-        pruned_dims = []
-        for dim in final_dims:
-            pdim, removed = prune_hierarchies(dim, originals_for[dim.name],
-                                              merged_for[dim.name])
-            pruned_dims.append(pdim)
+        final_dims = []
+        for rec in records:
+            pdim, removed = prune_hierarchies(rec.dimension, rec.originals, rec.produced)
+            final_dims.append(pdim)
             for h, reason in removed:
-                pruned_records.append(PrunedHierarchy(dim.name, h.name, reason))
-        final_dims = pruned_dims
-    report.pruned = pruned_records
+                report.pruned.append(PrunedHierarchy(pdim.name, h.name, reason))
 
     # Ambiguous fills and correspondences echo.
-    for table, fills in sorted(fills_for.items()):
-        for attr, f in fills:
+    for rec in sorted(records, key=lambda rec: rec.dimension.name):
+        for attr, f in rec.fills:
             if f.ambiguous:
                 report.ambiguous_fills.append(AmbiguousFill(
-                    table, cell_to_text(f.row_key), attr, cell_to_text(f.donor_key)))
-    for c in sorted(all_corrs, key=lambda c: (c.left, c.right)):
-        report.correspondences.append(CorrespondenceEcho(
-            f"{c.left[0]}.{c.left[1]}", f"{c.right[0]}.{c.right[1]}",
-            c.left[1], c.score, c.source))
+                    rec.dimension.name, cell_to_text(f.row_key), attr,
+                    cell_to_text(f.donor_key)))
+    report.correspondences.extend(_corr_echo(c) for c in sorted(
+        all_corrs, key=lambda c: (c.left, c.right)))
 
     # Phase 4: facts.
+    n_counts = {("dimension", rec.dimension.name): rec.count() for rec in records}
     star_case = (len(s1.dimensions) == len(s2.dimensions)
-                 and not leftovers_1 and not leftovers_2)
+                 and len(paired) == len(records))
     if star_case:
         measure_corrs = match_measures(s1.fact, s2.fact, matcher)
-        dim_pairing = {n2: n1 for n1, n2, _ in merged}
+        dim_pairing = {rec.sources[1].name: rec.sources[0].name for rec in paired}
         fact, fact_conflicts, n_common = merge_facts(
             s1.fact, s2.fact, measure_corrs, dim_pairing, settings)
-        for c in sorted(measure_corrs, key=lambda c: (c.left, c.right)):
-            report.correspondences.append(CorrespondenceEcho(
-                f"{c.left[0]}.{c.left[1]}", f"{c.right[0]}.{c.right[1]}",
-                c.left[1], c.score, c.source))
-        for c in fact_conflicts:
-            report.conflicts.append(ConflictEcho(fact.name, cell_to_text(c.row_key),
-                                                 c.attribute, cell_to_text(c.left),
-                                                 cell_to_text(c.right), cell_to_text(c.chosen)))
+        report.correspondences.extend(_corr_echo(c) for c in sorted(
+            measure_corrs, key=lambda c: (c.left, c.right)))
+        report.conflicts.extend(_conflict_echo(fact.name, c) for c in fact_conflicts)
         n_counts[("fact", fact.name)] = TableCount(
             fact.name, "fact", len(s1.fact.rows), len(s2.fact.rows),
             n_common, len(fact.rows))
@@ -382,8 +356,7 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
     else:
         fact_names: set[str] = set()
         f1 = _retarget_fact(s1.fact, {}, fact_names)
-        remap2 = dict(merged_names)
-        remap2.update(rename_2)
+        remap2 = {rec.sources[1].name: rec.dimension.name for rec in records if rec.sources[1]}
         f2 = _retarget_fact(s2.fact, remap2, fact_names)
         star_map = {
             f1.name: tuple(dim for dim, _ in f1.dimension_keys),
@@ -404,7 +377,7 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
     if violations:
         raise InternalInvariantError(
             "merged schema failed validation: " + "; ".join(str(v) for v in violations[:5]))
-    return StarMergeResult(schema=schema, report=report, pruned=pruned_records)
+    return StarMergeResult(schema=schema, report=report)
 
 
 def _retarget_fact(fact: Fact, dim_rename: Mapping[str, str], taken: set[str]) -> Fact:
@@ -415,46 +388,39 @@ def _retarget_fact(fact: Fact, dim_rename: Mapping[str, str], taken: set[str]) -
     return Fact(name, fact.measures, keys, fact.rows, fact.numeric)
 
 
-def _echo_completions(report: MergeReport, dim: Dimension, orig1: Dimension,
-                      orig2: Dimension,
-                      attr_sources: Mapping[str, tuple[str | None, str | None]],
-                      fills: list[tuple[str, CompletionFill]]) -> None:
-    """Completion count entries for a merged dimension.
+def _corr_echo(c: Correspondence) -> CorrespondenceEcho:
+    return CorrespondenceEcho(f"{c.left[0]}.{c.left[1]}", f"{c.right[0]}.{c.right[1]}",
+                              c.left[1], c.score, c.source)
+
+
+def _conflict_echo(table: str, c: ValueConflict) -> ConflictEcho:
+    return ConflictEcho(table, cell_to_text(c.row_key), c.attribute, cell_to_text(c.left),
+                        cell_to_text(c.right), cell_to_text(c.chosen))
+
+
+def _echo_completions(report: MergeReport, rec: OutputDimension) -> None:
+    """Completion count entries for one output dimension.
 
     Entries are emitted for attributes absent from at least one input, the
     only case where the completion law is well defined; fills on attributes
     both inputs carried stay visible through the ambiguous/conflict logs.
     """
+    dim = rec.dimension
+    left, right = rec.sources
     filled: dict[str, int] = {}
-    for attr, _ in fills:
+    for attr, _ in rec.fills:
         filled[attr] = filled.get(attr, 0) + 1
     for attr in dim.attributes:
         n_fill = filled.get(attr, 0)
         if n_fill == 0:
             continue
-        left_raw, right_raw = attr_sources.get(attr, (None, None))
-        in1 = left_raw is not None and left_raw in orig1.attributes
-        in2 = right_raw is not None and right_raw in orig2.attributes
+        left_raw, right_raw = rec.attr_sources.get(attr, (attr, attr))
+        in1 = left is not None and left_raw in left.attributes
+        in2 = right is not None and right_raw in right.attributes
         if in1 and in2:
             continue
-        n1 = _non_null_count(orig1.rows.values(), left_raw) if in1 else None
-        n2 = _non_null_count(orig2.rows.values(), right_raw) if in2 else None
-        report.completions.append(CompletedAttribute(
-            dim.name, attr, n1, n2, n_fill,
-            _non_null_count(dim.rows.values(), attr)))
-
-
-def _echo_leftover_completions(report: MergeReport, dim: Dimension, orig: Dimension,
-                               side: str, fills: list[tuple[str, CompletionFill]]) -> None:
-    filled: dict[str, int] = {}
-    for attr, _ in fills:
-        filled[attr] = filled.get(attr, 0) + 1
-    for attr in dim.attributes:
-        n_fill = filled.get(attr, 0)
-        if n_fill == 0:
-            continue
-        n_own = _non_null_count(orig.rows.values(), attr) if attr in orig.attributes else None
-        n1, n2 = (n_own, None) if side == "left" else (None, n_own)
+        n1 = _non_null_count(left.rows.values(), left_raw) if in1 else None
+        n2 = _non_null_count(right.rows.values(), right_raw) if in2 else None
         report.completions.append(CompletedAttribute(
             dim.name, attr, n1, n2, n_fill,
             _non_null_count(dim.rows.values(), attr)))

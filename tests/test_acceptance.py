@@ -54,8 +54,9 @@ def test_accept_hierarchy_merge_matched_roots():
     d1, d2 = customer_left(), customer_right()
     res = merge_hierarchies(H1, H2, d1.rows.values(), d2.rows.values(),
                             {"Code": "Code", "Department": "Department",
-                             "Continent": "Continent"}, roots_matched=True)
-    merged = {render_tokens(c, "l") for c in res.merged}
+                             "Continent": "Continent"})
+    assert res.merged_left == res.merged_right
+    merged = {render_tokens(c, "l") for c in res.merged_left}
     assert merged == {HM}
     assert merged | {H1.parameters, H2.parameters} == {
         HM, H1.parameters, H2.parameters}
@@ -70,8 +71,7 @@ def test_accept_hierarchy_merge_unmatched_roots():
     d1, loc = customer_left(), location_dim()
     h3 = loc.hierarchy("H3")
     res = merge_hierarchies(H1, h3, d1.rows.values(), loc.rows.values(),
-                            {"Department": "Department", "Continent": "Continent"},
-                            roots_matched=False)
+                            {"Department": "Department", "Continent": "Continent"})
     left = {render_tokens(c, "l") for c in res.merged_left} | {H1.parameters}
     right = {render_tokens(c, "r") for c in res.merged_right} | {h3.parameters}
     assert left == {("Code", "Department", "Region", "Country", "Continent"),
@@ -359,16 +359,14 @@ def test_accept_partial_order_preservation():
         for r in rows2:
             r[h2.parameters[0]] = f"k{rng.randint(0, 12)}"
         try:
-            res = merge_hierarchies(h1, h2, rows1, rows2, pairs, roots_matched)
+            res = merge_hierarchies(h1, h2, rows1, rows2, pairs)
         except MergeError:
             continue
         checked += 1
-        if res.roots_matched:
-            left = {render_tokens(c, "l") for c in res.merged} | {h1.parameters}
-            right = {render_tokens(c, "r") for c in res.merged} | {h2.parameters}
-        else:
-            left = {render_tokens(c, "l") for c in res.merged_left} | {h1.parameters}
-            right = {render_tokens(c, "r") for c in res.merged_right} | {h2.parameters}
+        if roots_matched:
+            assert res.merged_left == res.merged_right
+        left = {render_tokens(c, "l") for c in res.merged_left} | {h1.parameters}
+        right = {render_tokens(c, "r") for c in res.merged_right} | {h2.parameters}
         for series, h in ((left, h1), (right, h2)):
             for a, b in zip(h.parameters, h.parameters[1:]):
                 assert any(a in seq and b in seq and seq.index(a) < seq.index(b)

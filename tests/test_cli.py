@@ -1,12 +1,13 @@
 import filecmp
 import json
+from decimal import Decimal
 
 import pytest
 
 from dwmerge import io
 from dwmerge.cli import main
-from dwmerge.generator import generate_pair, preset_basic
-from dwmerge.model import Constellation, StarSchema
+from dwmerge.generator import GenFact, GenSpec, generate_pair, preset_basic
+from dwmerge.model import Constellation, Dimension, Fact, Hierarchy, StarSchema
 
 
 def gen(tmp_path, *extra):
@@ -168,3 +169,58 @@ def test_no_prune_and_report_flags(tmp_path):
     assert report["config"]["conflict"] == "right"
     assert report["config"]["minSupport"] == 2
     assert report["prunedHierarchies"] == []
+
+
+def test_fact_conflicts_reported_and_fatal_under_error(tmp_path, capsys):
+    spec = preset_basic(seed=8, rows=60, fact_rows=200)
+    fact = spec.facts[0]
+    conflicted = GenSpec(spec.name, spec.seed, spec.dimensions,
+                         (GenFact(fact.name, fact.rows, fact.dims, fact.measures,
+                                  conflict_measure="price", conflict_fraction=0.3),),
+                         spec.overlap)
+    dw1, dw2, _ = generate_pair(conflicted)
+    io.write_dw(dw1, tmp_path / "dw1")
+    io.write_dw(dw2, tmp_path / "dw2")
+    left = {(r["customer_id"], r["product_id"]): r["price"] for r in dw1.fact.rows}
+    expected = [
+        {"table": "sales", "key": f"({r['customer_id']}, {r['product_id']})",
+         "attribute": "price", "left": str(left[k]), "right": str(r["price"]),
+         "chosen": str(left[k])}
+        for r in dw2.fact.rows
+        for k in [(r["customer_id"], r["product_id"])]
+        if k in left and left[k] != r["price"]]
+    assert expected
+
+    out = tmp_path / "merged"
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"), str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["conflicts"], key=lambda c: c["key"]) == \
+        sorted(expected, key=lambda c: c["key"])
+
+    capsys.readouterr()
+    failed = tmp_path / "failed"
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"), str(failed),
+                 "--conflict", "error"]) == 3
+    assert "price" in capsys.readouterr().err
+    assert not failed.exists()
+
+
+def _two_row_warehouse(path, numeric_id):
+    ids = [Decimal(1), Decimal(2)] if numeric_id else ["1", "2"]
+    numeric = frozenset({"cust_id"}) if numeric_id else frozenset()
+    cust = Dimension("cust", "cust_id", ("cust_id",), (Hierarchy("h", ("cust_id",)),),
+                     {k: {"cust_id": k} for k in ids}, numeric)
+    fact = Fact("sales", ("qty",), (("cust", "cust_id"),),
+                [{"cust_id": k, "qty": Decimal(5)} for k in ids],
+                frozenset({"qty"}) | numeric)
+    io.write_dw(StarSchema(path.name, fact, (cust,)), path)
+
+
+def test_numeric_matched_with_text_is_exit_3(tmp_path, capsys):
+    _two_row_warehouse(tmp_path / "dw1", numeric_id=True)
+    _two_row_warehouse(tmp_path / "dw2", numeric_id=False)
+    out = tmp_path / "out"
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"), str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("cust.cust_id") == 2 and "numeric" in err
+    assert not out.exists()

@@ -1,11 +1,13 @@
+from decimal import Decimal
+
 import pytest
 
 from dwmerge.config import MergeSettings
-from dwmerge.dimension_merge import (complete_empty, merge_dimensions,
-                                     merge_instances)
+from dwmerge.dimension_merge import _complete_rows, merge_dimensions, merge_instances
 from dwmerge.errors import ConflictError, MergeError
-from dwmerge.matching import MatcherConfig, match_attributes
-from dwmerge.model import Dimension, Hierarchy
+from dwmerge.matching import MatcherConfig, match_attributes, match_measures
+from dwmerge.model import Dimension, Fact, Hierarchy
+from dwmerge.star_merge import merge_facts
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
                       make_dimension)
@@ -121,6 +123,15 @@ def conflict_pair():
     return a, b
 
 
+def merge_conflicting_facts(policy):
+    keys = (("c", "cid"), ("p", "pid"))
+    f1, f2 = (Fact("sales", ("price",), keys,
+                   [{"cid": "c1", "pid": "p1", "price": Decimal(price)}], frozenset({"price"}))
+              for price in (1, 2))
+    return merge_facts(f1, f2, match_measures(f1, f2, MatcherConfig()),
+                       {"c": "c", "p": "p"}, MergeSettings(conflict=policy))
+
+
 @pytest.mark.parametrize("policy,expected", [("left", "left"), ("right", "right")])
 def test_conflict_policy(policy, expected):
     a, b = conflict_pair()
@@ -129,11 +140,20 @@ def test_conflict_policy(policy, expected):
     assert [(c.row_key, c.attribute, c.left, c.right, c.chosen) for c in conflicts] == [
         ("k1", "X", "left", "right", expected)]
 
+    fact, conflicts, n_common = merge_conflicting_facts(policy)
+    price = Decimal(1) if policy == "left" else Decimal(2)
+    assert n_common == 1
+    assert fact.rows == [{"cid": "c1", "pid": "p1", "price": price}]
+    assert [(c.row_key, c.attribute, c.left, c.right, c.chosen) for c in conflicts] == [
+        ("(c1, p1)", "price", Decimal(1), Decimal(2), price)]
+
 
 def test_conflict_policy_error():
     a, b = conflict_pair()
     with pytest.raises(ConflictError):
         merge_instances(a, b, {"K": "K", "X": "X"}, ("K", "X"), "error")
+    with pytest.raises(ConflictError, match="price"):
+        merge_conflicting_facts("error")
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +203,25 @@ def test_completion_never_overwrites(d_left, d_right):
         assert left_val is None and right_val is None
 
 
+def complete_in_place(dim, merged):
+    """Complete ``dim`` from its own rows, as a matched-root merge does."""
+    return _complete_rows(dim.rows, merged, dim.rows, {a: a for a in dim.attributes},
+                          donor_is_target=True)
+
+
 def test_completion_fixpoint():
     res = merged_customer()
     dim = res.dimension
-    merged_hiers = [h for h in res.merged_only]
-    again, log = complete_empty(dim, dim, merged_hiers)
-    assert log == []
-    assert again.rows == dim.rows
+    before = {k: dict(r) for k, r in dim.rows.items()}
+    assert complete_in_place(dim, res.merged_only) == []
+    assert dim.rows == before
 
 
 def test_no_nulls_no_fills():
     a = make_dimension("d", "K", ("K", "X"), [("H", ("K", "X"))], [("k1", "x")])
-    done, log = complete_empty(a, a, [Hierarchy("m", ("K", "X"))])
-    assert log == [] and done.rows == a.rows
+    before = {k: dict(r) for k, r in a.rows.items()}
+    assert complete_in_place(a, [Hierarchy("m", ("K", "X"))]) == []
+    assert a.rows == before
 
 
 def test_ambiguous_donor_first_key_wins():
@@ -206,7 +232,6 @@ def test_ambiguous_donor_first_key_wins():
     }
     dim = Dimension("d", "K", ("K", "A", "B"),
                     (Hierarchy("H", ("K", "A")),), rows)
-    merged = [Hierarchy("m", ("K", "A", "B"))]
-    done, log = complete_empty(dim, dim, merged)
-    assert done.rows["k1"]["B"] == "b2"
+    log = complete_in_place(dim, [Hierarchy("m", ("K", "A", "B"))])
+    assert dim.rows["k1"]["B"] == "b2"
     assert log[0].donor_key == "k2" and log[0].ambiguous

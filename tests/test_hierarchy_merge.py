@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from dwmerge import hierarchy_merge
 from dwmerge.config import MergeSettings
 from dwmerge.errors import MergeError
-from dwmerge.hierarchy_merge import (FdUndiscoverable, discover_fds, enumerate_fds,
-                                     extend, generate_subhierarchy_pairs,
-                                     merge_hierarchies, record_matched_parameters,
-                                     render_tokens, transitive_reduction)
+from dwmerge.hierarchy_merge import (FdUndiscoverable, _segment_fd_edges, enumerate_fds,
+                                     extend, merge_hierarchies, render_tokens, tokenize,
+                                     transitive_reduction)
 from dwmerge.model import Hierarchy
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
@@ -24,55 +24,75 @@ def rendered(result_seqs, side="l"):
 # matched parameter recording and slicing
 # ---------------------------------------------------------------------------
 
-def test_record_matched_parameters_full():
-    assert record_matched_parameters(H1, H2, PAIRS_FULL) == [
+@pytest.fixture
+def segments(monkeypatch):
+    """The sub-hierarchy pairs merge_hierarchies hands to merge_subhierarchy_pair."""
+    seen = []
+    real = hierarchy_merge.merge_subhierarchy_pair
+
+    def record(seg1, seg2, *args):
+        seen.append((render_tokens(seg1, "l"), render_tokens(seg2, "r")))
+        return real(seg1, seg2, *args)
+
+    monkeypatch.setattr(hierarchy_merge, "merge_subhierarchy_pair", record)
+    return seen
+
+
+def boundaries(segments):
+    """Matched parameter pairs: each slice's first pair plus the last slice's end."""
+    return [(a[0], b[0]) for a, b in segments] + [(segments[-1][0][-1], segments[-1][1][-1])]
+
+
+def test_record_matched_parameters_full(segments):
+    merge_hierarchies(H1, H2, [], [], PAIRS_FULL)
+    assert boundaries(segments) == [
         ("Code", "Code"), ("Department", "Department"), ("Continent", "Continent")]
 
 
-def test_record_appends_last_pair():
+def test_record_appends_last_pair(segments):
     h3 = Hierarchy("H3", ("City", "Department", "Country"))
     pairs = {"Department": "Department", "Continent": "Continent"}
-    assert record_matched_parameters(H1, h3, pairs) == [
+    merge_hierarchies(H1, h3, [], [], pairs)
+    assert boundaries(segments) == [
         ("Department", "Department"), ("Continent", "Country")]
 
 
-def test_record_disjoint_is_empty():
+def test_record_disjoint_is_empty(segments):
     h = Hierarchy("x", ("A", "B"))
-    assert record_matched_parameters(H1, h, {}) == []
+    res = merge_hierarchies(H1, h, [], [], {})
+    assert segments == []
+    assert res.merged_left == res.merged_right == ()
 
 
 def test_record_rejects_crossing_matches():
     ha = Hierarchy("ha", ("A", "B"))
     hb = Hierarchy("hb", ("B2", "A2"))
     with pytest.raises(MergeError, match="cross"):
-        record_matched_parameters(ha, hb, {"A": "A2", "B": "B2"})
+        merge_hierarchies(ha, hb, [], [], {"A": "A2", "B": "B2"})
 
 
-def test_generate_subhierarchy_pairs():
-    matched = record_matched_parameters(H1, H2, PAIRS_FULL)
-    segs = generate_subhierarchy_pairs(H1, H2, matched)
-    assert [(a.parameters, b.parameters) for a, b in segs] == [
+def test_generate_subhierarchy_pairs(segments):
+    merge_hierarchies(H1, H2, [], [], PAIRS_FULL)
+    assert segments == [
         (("Code", "Department"), ("Code", "City", "Department")),
         (("Department", "Region", "Continent"),
          ("Department", "Country", "Continent"))]
 
 
-def test_generate_subhierarchy_pairs_appended_tail():
+def test_generate_subhierarchy_pairs_appended_tail(segments):
     h3 = Hierarchy("H3", ("City", "Department", "Country"))
-    matched = record_matched_parameters(H1, h3, {"Department": "Department"})
-    segs = generate_subhierarchy_pairs(H1, h3, matched)
-    assert (segs[-1][0].parameters, segs[-1][1].parameters) == (
+    merge_hierarchies(H1, h3, [], [], {"Department": "Department"})
+    assert segments[-1] == (
         ("Department", "Region", "Continent"), ("Department", "Country"))
-    with pytest.raises(ValueError):
-        generate_subhierarchy_pairs(H1, h3, [])
+    segments.clear()
+    merge_hierarchies(H1, h3, [], [], {})
+    assert segments == []
 
 
-def test_identical_hierarchies_single_pair():
+def test_identical_hierarchies_single_pair(segments):
     h = Hierarchy("h", ("Code", "Dept"))
-    matched = record_matched_parameters(h, h, {"Code": "Code", "Dept": "Dept"})
-    segs = generate_subhierarchy_pairs(h, h, matched)
-    assert len(segs) == 1
-    assert segs[0][0].parameters == segs[0][1].parameters == ("Code", "Dept")
+    merge_hierarchies(h, h, [], [], {"Code": "Code", "Dept": "Dept"})
+    assert segments == [(("Code", "Dept"), ("Code", "Dept"))]
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +120,19 @@ def test_enumerate_fds_against_brute_force():
         assert enumerate_fds(rows, attrs) == brute_force_fds(rows, attrs)
 
 
+def fd_edges(params1, params2, rows1, rows2, pairs, min_support=1):
+    """Reduced FD edges over one sub-hierarchy pair, as attribute names."""
+    tok1 = tokenize(params1, "l", pairs)
+    tok2 = tokenize(params2, "r", {v: k for k, v in pairs.items()})
+    edges = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support)
+    return [(render_tokens([a], "l")[0], render_tokens([b], "l")[0]) for a, b in edges]
+
+
 def test_discover_fds_region_country(d_left, d_location):
-    edges = discover_fds(("Department", "Region", "Continent"),
-                         ("Department", "Country", "Continent"),
-                         d_left.rows.values(), d_location.rows.values(),
-                         {"Department": "Department", "Continent": "Continent"})
+    edges = fd_edges(("Department", "Region", "Continent"),
+                     ("Department", "Country", "Continent"),
+                     d_left.rows.values(), d_location.rows.values(),
+                     {"Department": "Department", "Continent": "Continent"})
     assert ("Region", "Country") in edges
     assert set(edges) == {("Department", "Region"), ("Region", "Country"),
                           ("Country", "Continent")}
@@ -113,7 +141,7 @@ def test_discover_fds_region_country(d_left, d_location):
 def test_discover_fds_single_row_leaves_chain():
     rows1 = [{"A": "a", "B": "b"}]
     rows2 = [{"A": "a", "C": "c"}]
-    edges = discover_fds(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
+    edges = fd_edges(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
     # every pair holds on one row; reduction plus tie-breaking leaves a chain
     nodes = {n for e in edges for n in e}
     assert len(edges) == len(nodes) - 1
@@ -125,15 +153,15 @@ def test_discover_fds_empty_join_signals():
     rows1 = [{"A": "a1", "B": "b"}]
     rows2 = [{"A": "zz", "C": "c"}]
     with pytest.raises(FdUndiscoverable):
-        discover_fds(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
+        fd_edges(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
 
 
 def test_fd_soundness_re_scan(d_left, d_right):
     # every reduced edge must hold with zero counterexamples on a re-scan
-    edges = discover_fds(("Department", "Region", "Continent"),
-                         ("Department", "Country", "Continent"),
-                         d_left.rows.values(), d_right.rows.values(),
-                         {"Department": "Department", "Continent": "Continent"})
+    edges = fd_edges(("Department", "Region", "Continent"),
+                     ("Department", "Country", "Continent"),
+                     d_left.rows.values(), d_right.rows.values(),
+                     {"Department": "Department", "Continent": "Continent"})
     merged_rows = []
     for r1 in d_left.rows.values():
         for r2 in d_right.rows.values():
@@ -179,9 +207,9 @@ def test_merge_matched_roots_worked_example(d_left, d_right):
     h3 = d_right.hierarchy("H3")
     res = merge_hierarchies(h1, h3, d_left.rows.values(), d_right.rows.values(),
                             {"Code": "Code", "Department": "Department",
-                             "Continent": "Continent"}, roots_matched=True)
-    assert res.roots_matched
-    assert rendered(res.merged) == {
+                             "Continent": "Continent"})
+    assert res.merged_left == res.merged_right
+    assert rendered(res.merged_left) == {
         ("Code", "City", "Department", "Region", "Country", "Continent")}
 
 
@@ -189,9 +217,7 @@ def test_merge_unmatched_roots_worked_example(d_left, d_location):
     h1 = d_left.hierarchy("H1")
     h3 = d_location.hierarchy("H3")
     res = merge_hierarchies(h1, h3, d_left.rows.values(), d_location.rows.values(),
-                            {"Department": "Department", "Continent": "Continent"},
-                            roots_matched=False)
-    assert not res.roots_matched
+                            {"Department": "Department", "Continent": "Continent"})
     assert rendered(res.merged_left, "l") == {
         ("Code", "Department", "Region", "Country", "Continent")}
     assert rendered(res.merged_right, "r") == {
@@ -201,7 +227,7 @@ def test_merge_unmatched_roots_worked_example(d_left, d_location):
 def test_merge_disjoint_keeps_sides():
     ha = Hierarchy("ha", ("A", "B"))
     hb = Hierarchy("hb", ("X", "Y"))
-    res = merge_hierarchies(ha, hb, [], [], {}, roots_matched=False)
+    res = merge_hierarchies(ha, hb, [], [], {})
     assert res.merged_left == () and res.merged_right == ()
 
 
@@ -210,9 +236,8 @@ def test_merge_containment_segment(d_left, d_right):
     h1 = Hierarchy("a", ("Code", "Department"))
     h3 = Hierarchy("b", ("Code", "City", "Department"))
     res = merge_hierarchies(h1, h3, d_left.rows.values(), d_right.rows.values(),
-                            {"Code": "Code", "Department": "Department"},
-                            roots_matched=True)
-    assert rendered(res.merged) == {("Code", "City", "Department")}
+                            {"Code": "Code", "Department": "Department"})
+    assert rendered(res.merged_left) == {("Code", "City", "Department")}
 
 
 def test_merge_undiscoverable_keeps_both():
@@ -220,8 +245,8 @@ def test_merge_undiscoverable_keeps_both():
     h2 = Hierarchy("b", ("K", "Q"))
     rows1 = [{"K": "k1", "P": "p"}]
     rows2 = [{"K": "k9", "Q": "q"}]
-    res = merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, roots_matched=True)
-    assert rendered(res.merged) == {("K", "P"), ("K", "Q")}
+    res = merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"})
+    assert rendered(res.merged_left) == {("K", "P"), ("K", "Q")}
 
 
 def test_chain_cap_enforced():
@@ -236,7 +261,7 @@ def test_chain_cap_enforced():
              for i in range(40)]
     settings = MergeSettings(chain_cap=1)
     with pytest.raises(MergeError, match="cap"):
-        merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, True, settings)
+        merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, settings)
 
 
 def random_hierarchy_pair(rng):
@@ -282,16 +307,14 @@ def test_partial_order_preservation_random():
         for r in rows2:
             r[h2.parameters[0]] = f"k{rng.randint(0, 20)}"
         try:
-            res = merge_hierarchies(h1, h2, rows1, rows2, pairs, roots_matched)
+            res = merge_hierarchies(h1, h2, rows1, rows2, pairs)
         except MergeError:
             continue
         checked += 1
-        if res.roots_matched:
-            sets = {"l": rendered(res.merged, "l") | {h1.parameters},
-                    "r": rendered(res.merged, "r") | {h2.parameters}}
-        else:
-            sets = {"l": rendered(res.merged_left, "l") | {h1.parameters},
-                    "r": rendered(res.merged_right, "r") | {h2.parameters}}
+        if roots_matched:
+            assert res.merged_left == res.merged_right
+        sets = {"l": rendered(res.merged_left, "l") | {h1.parameters},
+                "r": rendered(res.merged_right, "r") | {h2.parameters}}
         for side, h in (("l", h1), ("r", h2)):
             for a, b in zip(h.parameters, h.parameters[1:]):
                 assert any(a in seq and b in seq and seq.index(a) < seq.index(b)

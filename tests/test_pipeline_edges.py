@@ -9,7 +9,7 @@ import pytest
 from dwmerge.config import MergeSettings
 from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec,
                                generate_pair)
-from dwmerge.hierarchy_merge import discover_fds
+from dwmerge.hierarchy_merge import _segment_fd_edges, tokenize
 from dwmerge.matching import MatcherConfig
 from dwmerge.model import Dimension, Fact, Hierarchy, StarSchema, validate
 from dwmerge.star_merge import merge_stars
@@ -68,11 +68,11 @@ def test_fact_key_order_alignment():
 def test_min_support_filters_thin_evidence():
     rows1 = [{"K": "k1", "A": "a1"}, {"K": "k2", "A": "a2"}]
     rows2 = [{"K": "k1", "B": "b1"}, {"K": "k2", "B": "b2"}]
-    edges1 = discover_fds(("K", "A"), ("K", "B"), rows1, rows2, {"K": "K"},
-                          min_support=1)
+    tok1 = tokenize(("K", "A"), "l", {"K": "K"})
+    tok2 = tokenize(("K", "B"), "r", {"K": "K"})
+    edges1 = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support=1)
     assert edges1  # two joined rows support something
-    edges3 = discover_fds(("K", "A"), ("K", "B"), rows1, rows2, {"K": "K"},
-                          min_support=3)
+    edges3 = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support=3)
     assert edges3 == []
 
 

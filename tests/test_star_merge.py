@@ -179,7 +179,7 @@ def test_unmergeable_stars():
 def test_star4_prunes_like_expected():
     dw1, dw2, _ = generate_pair(preset_star4(seed=11))
     res = merge_stars(dw1, dw2)
-    pruned = {(p.dimension, p.hierarchy) for p in res.pruned}
+    pruned = {(p.dimension, p.hierarchy) for p in res.report.pruned}
     # the plain month-year chain dies: every row on it is on the semester chain
     assert ("orderdate", "d_plain") in pruned
     od = res.schema.dimension("orderdate")
@@ -190,7 +190,7 @@ def test_star4_prunes_like_expected():
 def test_no_prune_flag_keeps_everything():
     dw1, dw2, _ = generate_pair(preset_star4(seed=11))
     res = merge_stars(dw1, dw2, settings=MergeSettings(prune=False))
-    assert res.pruned == []
+    assert res.report.pruned == []
     od = res.schema.dimension("orderdate")
     assert ("date_id", "month", "year") in {h.parameters for h in od.hierarchies}
 
