@@ -30,7 +30,9 @@ constellation.
 
 CSV rules
 ---------
-UTF-8, comma separated, RFC 4180 quoting, first line is the header. An
+UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
+header names every declared column, each once; undeclared columns are
+allowed and dropped, and rows come back in declared-column order. An
 empty field is null; whitespace-only fields trim to empty and are therefore
 null too; the literal text ``NULL`` is ordinary data. Values in columns
 tagged numeric (``numericAttributes``; measures unless listed in
@@ -68,42 +70,46 @@ DESCRIPTOR_NAME = "schema.json"
 FORMAT_VERSION = 1
 
 
-def parse_cell(text: str, numeric: bool, *, path: str, line: int) -> Cell:
-    value = text.strip()
-    if not value:
-        return None
-    if not numeric:
-        return value
-    try:
-        return Decimal(value)
-    except InvalidOperation:
-        raise LoadError(f"{value!r} is not a number", path=path, line=line) from None
-
-
 def _read_csv(path: Path, columns: list[str], numeric: set[str]) -> list[Row]:
+    """Rows of one table keyed and ordered as ``columns``; other columns are dropped."""
+    where = str(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise LoadError(f"cannot read table: {exc}", path=str(path)) from exc
+        raise LoadError(f"cannot read table: {exc}", path=where) from exc
     with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise LoadError("table file is empty, header expected", path=str(path), line=1)
+            raise LoadError("table file is empty, header expected", path=where, line=1)
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
+        if repeated:
+            raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
         missing = [c for c in columns if c not in header]
         if missing:
             raise LoadError(f"header is missing declared columns {missing!r}",
-                            path=str(path), line=1)
+                            path=where, line=1)
+        width = len(header)
+        positions = [header.index(c) for c in columns]
+        # Parse numbers in file order, so a row with two bad ones names the leftmost.
+        numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
+                            key=positions.__getitem__)
         rows: list[Row] = []
         for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise LoadError(
-                    f"row has {len(record)} fields, header has {len(header)}",
-                    path=str(path), line=lineno)
-            cells = {name: parse_cell(value, name in numeric, path=str(path), line=lineno)
-                     for name, value in zip(header, record)}
-            rows.append({c: cells.get(c) for c in columns})
+            if len(record) != width:
+                raise LoadError(f"row has {len(record)} fields, header has {width}",
+                                path=where, line=lineno)
+            values = [record[i].strip() or None for i in positions]
+            for i in numeric_at:
+                value = values[i]
+                if value is not None:
+                    try:
+                        values[i] = Decimal(value)
+                    except InvalidOperation:
+                        raise LoadError(f"{value!r} is not a number",
+                                        path=where, line=lineno) from None
+            rows.append(dict(zip(columns, values)))
         return rows
 
 
@@ -144,17 +150,17 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
         hierarchies.append(Hierarchy(hname, params))
 
     table_path = directory / table
-    raw_rows = _read_csv(table_path, list(attributes), set(numeric))
+    where = str(table_path)
     rows: dict[Cell, Row] = {}
-    for lineno, row in enumerate(raw_rows, start=2):
-        key = row.get(root)
+    for lineno, row in enumerate(_read_csv(table_path, list(attributes), set(numeric)),
+                                 start=2):
+        key = row[root]
         if key is None:
-            raise LoadError(f"dimension {name!r}: null id value", path=str(table_path),
-                            line=lineno)
+            raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
         if key in rows:
             if strict:
                 raise LoadError(f"dimension {name!r}: duplicate id {cell_to_text(key)!r}",
-                                path=str(table_path), line=lineno)
+                                path=where, line=lineno)
             logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
                            name, cell_to_text(key), table_path, lineno)
             continue
@@ -180,28 +186,29 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     for dim, col in keys:
         if dims[dim].root in dims[dim].numeric:
             numeric.add(col)
-    columns = [col for _, col in keys] + list(measures)
+    key_cols = [col for _, col in keys]
     table_path = directory / table
-    raw_rows = _read_csv(table_path, columns, numeric)
+    where = str(table_path)
+    raw_rows = _read_csv(table_path, key_cols + list(measures), numeric)
 
     fact = Fact(name, measures, tuple(keys), [], frozenset(numeric))
+    checks = [(dim, col, dims[dim].rows) for dim, col in keys]
     seen: set[tuple] = set()
     for lineno, row in enumerate(raw_rows, start=2):
-        for dim, col in keys:
-            val = row.get(col)
-            if val is None or val not in dims[dim].rows:
+        key = tuple(map(row.__getitem__, key_cols))
+        for (dim, col, dim_rows), val in zip(checks, key):
+            if val is None or val not in dim_rows:
                 raise LoadError(
                     f"fact {name!r}: key {col}={cell_to_text(val)!r} has no row in "
-                    f"dimension {dim!r}", path=str(table_path), line=lineno)
-        key_tuple = fact.key_tuple(row)
-        if key_tuple in seen:
+                    f"dimension {dim!r}", path=where, line=lineno)
+        if key in seen:
             if strict:
-                raise LoadError(f"fact {name!r}: duplicate key tuple",
-                                path=str(table_path), line=lineno)
+                raise LoadError(f"fact {name!r}: duplicate key tuple", path=where,
+                                line=lineno)
             logger.warning("fact %s: duplicate key tuple at %s:%d, keeping the first row",
                            name, table_path, lineno)
             continue
-        seen.add(key_tuple)
+        seen.add(key)
         fact.rows.append(row)
     return fact
 
@@ -288,8 +295,9 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell_to_text(row.get(c)) for c in columns])
+        # The writer renders None as "" and any other cell with str(), as
+        # cell_to_text does, so cells go to it unconverted.
+        writer.writerows(map(row.get, columns) for row in rows)
 
 
 def write_dw(schema: Schema, directory: str | Path) -> None:
@@ -329,11 +337,10 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "dimensionKeys": [{"dimension": d, "column": c}
                               for d, c in fact.dimension_keys],
         })
-        columns = list(fact.key_columns()) + list(fact.measures)
+        key_cols = fact.key_columns()
         ordered = sorted(fact.rows,
-                         key=lambda r: tuple(cell_sort_key(r.get(c))
-                                             for c in fact.key_columns()))
-        _write_csv(directory / filename, columns, ordered)
+                         key=lambda r: tuple(map(cell_sort_key, map(r.get, key_cols))))
+        _write_csv(directory / filename, list(key_cols) + list(fact.measures), ordered)
 
     doc = {
         "formatVersion": FORMAT_VERSION,

@@ -109,9 +109,6 @@ class Fact:
     def key_columns(self) -> tuple[str, ...]:
         return tuple(col for _, col in self.dimension_keys)
 
-    def key_tuple(self, row: Row) -> tuple[Cell, ...]:
-        return tuple(row[col] for col in self.key_columns())
-
 
 @dataclass
 class StarSchema:
@@ -193,15 +190,16 @@ def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
         if h.parameters and h.parameters[0] != dim.root:
             out.append(Violation(dim.name, h.name, "hierarchy-root",
                                  f"first parameter {h.parameters[0]!r} is not the root {dim.root!r}"))
+    root = dim.root
     for key, row in dim.rows.items():
         if key is None:
             out.append(Violation(dim.name, "<null>", "root-non-null",
                                  "a row has a null root value"))
-        if not cells_equal(row.get(dim.root), key) and key is not None:
+        elif not cells_equal(row.get(root), key):
             out.append(Violation(dim.name, cell_to_text(key), "root-key-consistent",
                                  "row key differs from its root attribute value"))
-        extra = set(row) - attrs
-        if extra:
+        if not row.keys() <= attrs:
+            extra = set(row) - attrs
             out.append(Violation(dim.name, cell_to_text(key), "row-columns",
                                  f"row carries undeclared columns {sorted(extra)!r}"))
 
@@ -213,22 +211,22 @@ def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str]
     if declared != linked:
         out.append(Violation(fact.name, "-", "fact-dimensions",
                              f"fact keys reference {sorted(declared)!r} but the schema links {sorted(linked)!r}"))
+    # A missing key column reads as null, so it is reported as a dangling key.
+    cols = fact.key_columns()
+    checks = [(j, col, dim_name, dims[dim_name].rows)
+              for j, (dim_name, col) in enumerate(fact.dimension_keys) if dim_name in dims]
     seen: dict[tuple, int] = {}
     for i, row in enumerate(fact.rows):
-        for dim_name, col in fact.dimension_keys:
-            dim = dims.get(dim_name)
-            if dim is None:
-                continue
-            val = row.get(col)
-            if val is None or val not in dim.rows:
+        key = tuple(map(row.get, cols))
+        for j, col, dim_name, dim_rows in checks:
+            val = key[j]
+            if val is None or val not in dim_rows:
                 out.append(Violation(fact.name, f"row {i}", "fact-key-exists",
                                      f"key {col}={cell_to_text(val)!r} has no row in dimension {dim_name!r}"))
-        key = fact.key_tuple(row)
-        if key in seen:
+        first = seen.setdefault(key, i)
+        if first != i:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
-                                 f"key tuple {key!r} already used by row {seen[key]}"))
-        else:
-            seen[key] = i
+                                 f"key tuple {key!r} already used by row {first}"))
 
 
 def validate(schema: Schema) -> list[Violation]:

@@ -240,12 +240,16 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
     recs1 = {d.name: _input_record(d, (d, None)) for d in s1.dimensions}
     recs2 = {d.name: _input_record(d, (None, d)) for d in s2.dimensions}
     all_corrs: list[Correspondence] = []
+    # Correspondences of each pair with the two dimension objects they were
+    # matched on; phase 2 re-matches a pair only if phase 1 replaced one.
+    phase1: dict[tuple[str, str], tuple[Dimension, Dimension, list[Correspondence]]] = {}
 
     # Phase 1: cross-enrichment of pairs whose roots do not match.
     for n1 in sorted(recs1):
         for n2 in sorted(recs2):
             r1, r2 = recs1[n1], recs2[n2]
             corrs = match_attributes(r1.dimension, r2.dimension, matcher)
+            phase1[(n1, n2)] = (r1.dimension, r2.dimension, corrs)
             if not corrs or matched_root_parameters(r1.dimension, r2.dimension, corrs):
                 continue
             res = merge_dimensions(r1.dimension, r2.dimension, corrs, settings)
@@ -259,7 +263,9 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
     for n1 in sorted(recs1):
         for n2 in sorted(recs2):
             d1, d2 = recs1[n1].dimension, recs2[n2].dimension
-            corrs = match_attributes(d1, d2, matcher)
+            m1, m2, corrs = phase1[(n1, n2)]
+            if d1 is not m1 or d2 is not m2:
+                corrs = match_attributes(d1, d2, matcher)
             pair_corrs[(n1, n2)] = corrs
             if corrs and matched_root_parameters(d1, d2, corrs):
                 candidates.append((-len(corrs), n1, n2))

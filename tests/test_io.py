@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from dwmerge import io
+from dwmerge.cli import main
 from dwmerge.errors import LoadError
 from dwmerge.generator import generate_pair, preset_basic, preset_divergent
 from dwmerge.model import Fact, StarSchema, validate
@@ -68,9 +69,44 @@ def test_dangling_fact_key(tmp_path):
 
 def test_bad_number(tmp_path):
     write_minimal(tmp_path)
-    (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,abc\n", encoding="utf-8")
-    with pytest.raises(LoadError, match="not a number"):
+    (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,3\nC2,abc\n", encoding="utf-8")
+    with pytest.raises(LoadError, match="'abc' is not a number") as err:
         io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "sales.csv"), 3)
+
+
+def test_repeated_header_column(tmp_path, capsys):
+    write_minimal(tmp_path, header="Code,Attr,Attr", rows="C1,WRONG,x\nC2,WRONG,y\n")
+    with pytest.raises(LoadError, match="header repeats column 'Attr'") as err:
+        io.load_dw(tmp_path)
+    assert err.value.path == str(tmp_path / "customer.csv")
+    assert err.value.line == 1
+    assert main(["validate", "--strict", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'customer.csv'}:1" in capsys.readouterr().err
+
+
+def test_header_order_and_undeclared_column(tmp_path):
+    write_minimal(tmp_path, header="Attr,Extra,Code", rows="x,e1,C1\ny,e2,C2\n")
+    schema = io.load_dw(tmp_path)
+    dim = schema.dimension("customer")
+    assert [list(row.items()) for row in dim.rows.values()] == [
+        [("Code", "C1"), ("Attr", "x")], [("Code", "C2"), ("Attr", "y")]]
+    io.write_dw(schema, tmp_path / "dw")
+    assert (tmp_path / "dw" / "customer.csv").read_text(encoding="utf-8") == \
+        "Code,Attr\nC1,x\nC2,y\n"
+
+
+def test_row_width_mismatch_reports_its_line(tmp_path):
+    write_minimal(tmp_path, rows="C1,x\nC2\n")
+    with pytest.raises(LoadError, match="row has 1 fields, header has 2") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "customer.csv"), 3)
+
+
+def test_whitespace_only_number_is_null(tmp_path):
+    write_minimal(tmp_path)
+    (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,  \n", encoding="utf-8")
+    assert io.load_dw(tmp_path).fact.rows == [{"Code": "C1", "Quantity": None}]
 
 
 def test_quoted_field_round_trip(tmp_path):

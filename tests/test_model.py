@@ -57,6 +57,14 @@ def test_validate_duplicate_root_and_dangling_key():
     assert "C99" in violations[0].message
 
 
+def test_validate_reports_missing_key_column():
+    schema = two_dim_star()
+    schema.fact.rows.append({"Code": "C01", "Quantity": Decimal(2)})
+    violations = validate(schema)
+    assert [(v.rule, v.locus) for v in violations] == [("fact-key-exists", "row 2")]
+    assert "Pid=''" in violations[0].message
+
+
 def test_validate_hierarchy_rules():
     dim = make_dimension("d", "Id", ("Id", "A"), [("H", ("Id", "A"))], [("k1", "x")])
     bad = Dimension("d", "Id", ("Id", "A"),

@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+from dwmerge import star_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import merge_dimensions
 from dwmerge.errors import MergeError, UnmergeableError
@@ -174,6 +175,49 @@ def test_unmergeable_stars():
     s2 = StarSchema("s2", Fact("f2", (), (("b", "Y"),), [{"Y": "2"}]), (b,))
     with pytest.raises(UnmergeableError):
         merge_stars(s1, s2)
+
+
+def record_match_calls(monkeypatch):
+    """Record the dimension pair of every match_attributes call merge_stars makes."""
+    calls = []
+
+    def recording(d1, d2, matcher):
+        calls.append((d1, d2))
+        return match_attributes(d1, d2, matcher)
+
+    monkeypatch.setattr(star_merge, "match_attributes", recording)
+    return calls
+
+
+def test_unenriched_pairs_are_matched_once(monkeypatch):
+    dw1, dw2, _ = generate_pair(preset_basic(seed=31))
+    calls = record_match_calls(monkeypatch)
+    merge_stars(dw1, dw2)
+    # phase 1 enriches nothing, so phase 2 reuses every correspondence
+    assert [(d1.name, d2.name) for d1, d2 in calls] == [
+        ("customer", "customer"), ("customer", "product"),
+        ("product", "customer"), ("product", "product")]
+    inputs = {id(d) for d in dw1.dimensions + dw2.dimensions}
+    assert all(id(d1) in inputs and id(d2) in inputs for d1, d2 in calls)
+
+
+def test_enriched_pairs_are_matched_again(monkeypatch):
+    dw1, dw2, _ = generate_pair(preset_star4(seed=11))
+    calls = record_match_calls(monkeypatch)
+    res = merge_stars(dw1, dw2)
+    phase1, phase2 = calls[:16], calls[16:]
+    assert len({(d1.name, d2.name) for d1, d2 in phase1}) == 16
+    # Enriching customer with supplier (4th pair) replaces left customer and
+    # right supplier; supplier with customer (13th pair) replaces left
+    # supplier and right customer. Every pair matched in phase 1 on an object
+    # replaced later is matched again, on the replacement.
+    assert [(d1.name, d2.name) for d1, d2 in phase2] == [
+        ("customer", "customer"), ("customer", "orderdate"), ("customer", "part"),
+        ("customer", "supplier"), ("orderdate", "customer"), ("part", "customer"),
+        ("supplier", "customer")]
+    inputs = {id(d) for d in dw1.dimensions + dw2.dimensions}
+    assert all(id(d1) not in inputs or id(d2) not in inputs for d1, d2 in phase2)
+    assert "region" in res.schema.dimension("customer").attributes
 
 
 def test_star4_prunes_like_expected():
