@@ -1,11 +1,19 @@
 """Merging two dimensions: schema union, instance fusion, empty-value completion.
 
-With matched root parameters the two dimensions collapse into one: every
-hierarchy pair is merged, instances are unioned with rows sharing a root
-value fused column-wise, and nulls introduced by the union are completed
-along the merged hierarchies. With unmatched roots each dimension instead
-gets enriched with the other's complementary attributes and its instances
-are completed using the other dimension as donor.
+Every hierarchy pair of the two dimensions is merged first. With matched
+root parameters the two dimensions then collapse into one: instances are
+unioned with rows sharing a root value fused column-wise, and nulls
+introduced by the union are completed along the merged hierarchies. With
+unmatched roots each dimension is instead enriched with the other's
+complementary attributes, and its instances are completed using the other
+dimension as donor.
+
+Both cases build a side's schema the same way, in :func:`_side_schema`:
+one map names the foreign columns the side takes, and from it follow the
+new attributes, the numeric set and the merged chains rendered into
+hierarchies. The matched case calls it once, for the left side taking every
+right column and hierarchy; the unmatched case calls it once per side, with
+the foreign columns that side's merged chains reach.
 """
 
 from __future__ import annotations
@@ -15,8 +23,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import ConflictError, MergeError
-from .hierarchy_merge import (HierarchyMergeResult, TokenSeq, merge_hierarchies,
-                              render_tokens)
+from .hierarchy_merge import HierarchyMergeResult, merge_hierarchies, render_tokens
 from .matching import Correspondence, corr_attr_map
 from .model import (Cell, Dimension, Hierarchy, Row, cell_sort_key, cell_to_text,
                     cells_equal)
@@ -85,31 +92,25 @@ def _uniquify(base: str, taken: set[str]) -> str:
     return name
 
 
-def _gained_names(native: Sequence[str], foreign: Iterable[str], foreign_table: str
-                  ) -> dict[str, str]:
-    """Names under which foreign columns join a table.
+def _right_name_map(native: Sequence[str], foreign: Iterable[str], foreign_table: str,
+                    matched: Mapping[str, str]) -> dict[str, str]:
+    """Name under which each foreign column joins a table of ``native`` columns.
 
-    Each keeps its name unless a native or earlier gained column took it;
-    then it becomes ``<foreign_table>_<name>``, uniquified.
+    Matched columns take their native partner's name (``matched`` maps
+    foreign to native). Every other column is gained: it keeps its name
+    unless a native or earlier gained column took it; then it becomes
+    ``<foreign_table>_<name>``, uniquified. Gained names therefore never
+    collide with native ones.
     """
     taken = set(native)
-    mapping: dict[str, str] = {}
+    names: dict[str, str] = {}
     for b in foreign:
-        name = b if b not in taken else _uniquify(f"{foreign_table}_{b}", taken)
-        taken.add(name)
-        mapping[b] = name
-    return mapping
-
-
-def _right_name_map(native: Sequence[str], foreign: Sequence[str], foreign_table: str,
-                    matched: Mapping[str, str]) -> tuple[dict[str, str], list[str]]:
-    """Unified name for every right column, plus the new names in order.
-
-    Matched columns take their left partner's name (``matched`` maps right
-    to left); the rest are named by :func:`_gained_names`.
-    """
-    gained = _gained_names(native, [b for b in foreign if b not in matched], foreign_table)
-    return {b: matched[b] if b in matched else gained[b] for b in foreign}, list(gained.values())
+        if b in matched:
+            names[b] = matched[b]
+        else:
+            names[b] = b if b not in taken else _uniquify(f"{foreign_table}_{b}", taken)
+            taken.add(names[b])
+    return names
 
 
 def check_column_kinds(corrs: Iterable[Correspondence], numeric1: Collection[str],
@@ -139,14 +140,32 @@ def _dedupe_hierarchies(hierarchies: Iterable[Hierarchy]) -> tuple[Hierarchy, ..
     return tuple(out)
 
 
-def _merged_chain_hierarchies(pair_chains: list[tuple[str, str, list[tuple[str, ...]]]],
-                              used_names: set[str]) -> list[Hierarchy]:
-    out = []
-    for n1, n2, chains in pair_chains:
-        for k, params in enumerate(chains):
-            base = f"{n1}_{n2}" if k == 0 else f"{n1}_{n2}_{k + 1}"
-            out.append(Hierarchy(_uniquify(base, used_names), params))
-    return out
+def _side_schema(dim: Dimension, other: Dimension, names: Mapping[str, str],
+                 results: Sequence[tuple[Hierarchy, Hierarchy, HierarchyMergeResult]],
+                 side: str, adopted: Sequence[Hierarchy] = ()
+                 ) -> tuple[tuple[str, ...], frozenset[str], tuple[Hierarchy, ...],
+                            list[Hierarchy]]:
+    """One side's schema after merging with ``other``.
+
+    ``names`` maps each column of ``other`` that this side takes to its
+    output name; ``adopted`` are hierarchies of ``other`` it takes whole,
+    renamed through ``names``. Returns the attributes, the numeric set, the
+    deduplicated hierarchies and the merge-produced ones, which are named
+    ``<h1>_<h2>`` (then ``_2``, ``_3``...) after the hierarchy pair.
+    """
+    attributes = dim.attributes + tuple(n for n in names.values() if n not in dim.attributes)
+    numeric = dim.numeric | {names[b] for b in other.numeric if b in names}
+    used = {h.name for h in dim.hierarchies}
+    originals = list(dim.hierarchies)
+    for h in adopted:
+        originals.append(Hierarchy(_uniquify(h.name, used),
+                                   tuple(names[p] for p in h.parameters)))
+    produced = []
+    for h1, h2, res in results:
+        for k, chain in enumerate(res.chains(side)):
+            base = f"{h1.name}_{h2.name}" if k == 0 else f"{h1.name}_{h2.name}_{k + 1}"
+            produced.append(Hierarchy(_uniquify(base, used), render_tokens(chain, side, names)))
+    return attributes, numeric, _dedupe_hierarchies(originals + produced), produced
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +327,6 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
                          "no attribute correspondences")
     check_column_kinds(corrs, d1.numeric, d2.numeric)
     l2r = corr_attr_map(corrs)
-    r2l = {v: k for k, v in l2r.items()}
     roots_matched = l2r.get(d1.root) == d2.root
     rows1 = list(d1.rows.values())
     rows2 = list(d2.rows.values())
@@ -319,110 +337,61 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
         results.append((h1, h2, res))
 
     if roots_matched:
-        return _merge_matched(d1, d2, l2r, r2l, results, settings)
-    return _merge_unmatched(d1, d2, l2r, r2l, results)
+        return _merge_matched(d1, d2, l2r, results, settings)
+    return _merge_unmatched(d1, d2, l2r, results)
 
 
-def _merge_matched(d1: Dimension, d2: Dimension, l2r, r2l, results,
+def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
                    settings: MergeSettings) -> DimensionMergeResult:
-    right_names, new_attrs = _right_name_map(d1.attributes, d2.attributes, d2.name, r2l)
-    attributes = d1.attributes + tuple(new_attrs)
-    numeric = set(d1.numeric)
-    for b in d2.numeric:
-        if right_names[b] not in d1.attributes:
-            numeric.add(right_names[b])
-
-    used_names = {h.name for h in d1.hierarchies}
-    originals = list(d1.hierarchies)
-    for h in d2.hierarchies:
-        originals.append(Hierarchy(_uniquify(h.name, used_names),
-                                   tuple(right_names[p] for p in h.parameters)))
-    pair_chains = []
-    for h1, h2, res in results:
-        chains = [render_tokens(c, "l", right_map=right_names) for c in res.merged_left]
-        pair_chains.append((h1.name, h2.name, chains))
-    merged_named = _merged_chain_hierarchies(pair_chains, used_names)
-
-    rows, conflicts = merge_instances(d1, d2, right_names, attributes, settings.conflict)
+    r2l = {v: k for k, v in l2r.items()}
+    names = _right_name_map(d1.attributes, d2.attributes, d2.name, r2l)
+    attributes, numeric, hierarchies, produced = _side_schema(
+        d1, d2, names, results, "l", adopted=d2.hierarchies)
+    rows, conflicts = merge_instances(d1, d2, names, attributes, settings.conflict)
     col_map = {a: a for a in attributes}
-    fills = _complete_rows(rows, merged_named, rows, col_map, donor_is_target=True)
+    fills = _complete_rows(rows, produced, rows, col_map, donor_is_target=True)
 
-    dim = Dimension(d1.name, d1.root, attributes,
-                    _dedupe_hierarchies(originals + merged_named), rows,
-                    frozenset(numeric))
+    dim = Dimension(d1.name, d1.root, attributes, hierarchies, rows, numeric)
     sources: dict[str, tuple[str | None, str | None]] = {}
     for a in d1.attributes:
         sources[a] = (a, l2r.get(a))
     for b in d2.attributes:
         if b not in r2l:
-            sources[right_names[b]] = (None, b)
+            sources[names[b]] = (None, b)
     return DimensionMergeResult(
-        matched=True, dimension=dim, merged_only=tuple(merged_named),
+        matched=True, dimension=dim, merged_only=tuple(produced),
         completion_log=fills, conflict_log=conflicts,
         shared_keys=len(set(d1.rows) & set(d2.rows)), attr_sources=sources)
 
 
-def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, r2l, results
-                     ) -> DimensionMergeResult:
-    left_chains: list[tuple[str, str, list[TokenSeq]]] = []
-    right_chains: list[tuple[str, str, list[TokenSeq]]] = []
-    for h1, h2, res in results:
-        left_chains.append((h1.name, h2.name, list(res.merged_left)))
-        right_chains.append((h1.name, h2.name, list(res.merged_right)))
+def _reached(results, side: str) -> list[str]:
+    """Columns of the other side that ``side``'s merged chains reach, sorted."""
+    return sorted({t[1] for _, _, res in results for chain in res.chains(side)
+                   for t in chain if t[0] not in ("p", side)})
 
-    foreign_into_1 = sorted({t[1] for _, _, chains in left_chains
-                             for c in chains for t in c if t[0] == "r"})
-    foreign_into_2 = sorted({t[1] for _, _, chains in right_chains
-                             for c in chains for t in c if t[0] == "l"})
-    gained_1 = _gained_names(d1.attributes, foreign_into_1, d2.name)
-    gained_2 = _gained_names(d2.attributes, foreign_into_2, d1.name)
 
-    used_1 = {h.name for h in d1.hierarchies}
-    used_2 = {h.name for h in d2.hierarchies}
-    merged_1 = _merged_chain_hierarchies(
-        [(n1, n2, [render_tokens(c, "l", right_map=gained_1) for c in chains])
-         for n1, n2, chains in left_chains], used_1)
-    merged_2 = _merged_chain_hierarchies(
-        [(n1, n2, [render_tokens(c, "r", left_map=gained_2) for c in chains])
-         for n1, n2, chains in right_chains], used_2)
-
-    attrs_1 = d1.attributes + tuple(gained_1[b] for b in foreign_into_1)
-    attrs_2 = d2.attributes + tuple(gained_2[a] for a in foreign_into_2)
-    numeric_1 = frozenset(d1.numeric | {gained_1[b] for b in foreign_into_1
-                                        if b in d2.numeric})
-    numeric_2 = frozenset(d2.numeric | {gained_2[a] for a in foreign_into_2
-                                        if a in d1.numeric})
+def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMergeResult:
+    gained_1 = _right_name_map(d1.attributes, _reached(results, "l"), d2.name, {})
+    gained_2 = _right_name_map(d2.attributes, _reached(results, "r"), d1.name, {})
+    attrs_1, numeric_1, hierarchies_1, merged_1 = _side_schema(d1, d2, gained_1, results, "l")
+    attrs_2, numeric_2, hierarchies_2, merged_2 = _side_schema(d2, d1, gained_2, results, "r")
 
     rows_1 = {k: {**{a: None for a in attrs_1}, **r} for k, r in d1.rows.items()}
     rows_2 = {k: {**{a: None for a in attrs_2}, **r} for k, r in d2.rows.items()}
 
-    # Donor lookup: matched attributes cross via the correspondences, gained
-    # attributes map between their donor-native and target spellings. An
-    # unmatched attribute that merely shares its name with the other side is
-    # NOT used: the matcher (or the user map) decided they are distinct.
-    back_1 = {v: k for k, v in gained_1.items()}
-    back_2 = {v: k for k, v in gained_2.items()}
+    # Donor lookup maps each left name to the right name of the same data:
+    # matched attributes via the correspondences, gained ones to the column
+    # they copy. It is a bijection, since gained names never collide with
+    # native ones. An unmatched attribute that merely shares its name with
+    # the other side is NOT in it: the matcher (or the user map) decided
+    # they are distinct.
+    same = {**l2r, **{n: b for b, n in gained_1.items()}, **gained_2}
+    fills_1 = _complete_rows(rows_1, merged_1, rows_2, same, donor_is_target=False)
+    fills_2 = _complete_rows(rows_2, merged_2, rows_1, {v: k for k, v in same.items()},
+                             donor_is_target=False)
 
-    def to_donor(attr: str, cross: Mapping[str, str], back: Mapping[str, str],
-                 gained_other: Mapping[str, str]) -> str | None:
-        if attr in cross:
-            return cross[attr]
-        if attr in back:
-            return back[attr]
-        return gained_other.get(attr)
-
-    col_1to2 = {a: to_donor(a, l2r, back_1, gained_2) for a in attrs_1}
-    col_2to1 = {a: to_donor(a, r2l, back_2, gained_1) for a in attrs_2}
-
-    fills_1 = _complete_rows(rows_1, merged_1, rows_2, col_1to2, donor_is_target=False)
-    fills_2 = _complete_rows(rows_2, merged_2, rows_1, col_2to1, donor_is_target=False)
-
-    dim1 = Dimension(d1.name, d1.root, attrs_1,
-                     _dedupe_hierarchies(list(d1.hierarchies) + merged_1),
-                     rows_1, numeric_1)
-    dim2 = Dimension(d2.name, d2.root, attrs_2,
-                     _dedupe_hierarchies(list(d2.hierarchies) + merged_2),
-                     rows_2, numeric_2)
+    dim1 = Dimension(d1.name, d1.root, attrs_1, hierarchies_1, rows_1, numeric_1)
+    dim2 = Dimension(d2.name, d2.root, attrs_2, hierarchies_2, rows_2, numeric_2)
     return DimensionMergeResult(
         matched=False, left=dim1, right=dim2,
         merged_only_left=tuple(merged_1), merged_only_right=tuple(merged_2),

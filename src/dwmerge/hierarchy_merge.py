@@ -55,21 +55,22 @@ def tokenize(params: Sequence[str], side: str, partner: Mapping[str, str]) -> To
     return tuple(toks)
 
 
-def render_tokens(seq: Iterable[Token], pair_side: str,
-                  left_map: Mapping[str, str] | None = None,
-                  right_map: Mapping[str, str] | None = None) -> tuple[str, ...]:
-    """Token chain -> attribute names; ``pair_side`` picks the spelling of pairs."""
-    left_map = left_map or {}
-    right_map = right_map or {}
+def render_tokens(seq: Iterable[Token], side: str,
+                  foreign: Mapping[str, str] | None = None) -> tuple[str, ...]:
+    """Token chain -> attribute names of the dimension on ``side``.
+
+    Pairs and ``side``'s own tokens take that side's spelling; the other
+    side's tokens are renamed through ``foreign`` where it names them.
+    """
+    foreign = foreign or {}
     out = []
     for t in seq:
         if t[0] == "p":
-            name = t[1] if pair_side == "l" else t[2]
-            out.append(left_map.get(name, name) if pair_side == "l" else right_map.get(name, name))
-        elif t[0] == "l":
-            out.append(left_map.get(t[1], t[1]))
+            out.append(t[1] if side == "l" else t[2])
+        elif t[0] == side:
+            out.append(t[1])
         else:
-            out.append(right_map.get(t[1], t[1]))
+            out.append(foreign.get(t[1], t[1]))
     return tuple(out)
 
 
@@ -197,48 +198,34 @@ def _check_acyclic(seqs: Iterable[Sequence[Hashable]]) -> None:
 
 
 def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
-    """Recursively fuse orderings that overlap on all but one endpoint.
+    """Every maximal chain of the roll-up graph the orderings describe.
 
-    Two sequences fuse when one's non-first suffix equals the other's
-    non-last prefix; fused results feed the next round, unfused sequences
-    carry over, and the recursion stops when nothing fuses. On a set of
-    two-element orderings this yields exactly the maximal chains of the
-    corresponding acyclic graph.
+    Each ordering adds its consecutive pairs as roll-up edges. The result is
+    every path that starts at a parameter nothing rolls up into and ends at
+    one that rolls up into nothing. On two-element orderings, which is what
+    the pipeline passes, this equals the paper's recursive fusion of
+    orderings that overlap on all but one endpoint.
     """
-    seqs: list[tuple] = []
-    for s in ordered_sets:
-        t = tuple(s)
-        if len(t) < 2:
-            raise ValueError("orderings must have at least two elements")
-        if t not in seqs:
-            seqs.append(t)
+    seqs = [tuple(s) for s in ordered_sets]
+    if any(len(s) < 2 for s in seqs):
+        raise ValueError("orderings must have at least two elements")
     _check_acyclic(seqs)
-
-    def round_(current: list[tuple]) -> list[tuple]:
-        fused: list[tuple] = []
-        merged_flag = [False] * len(current)
-        any_merged = False
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                x, y = current[i], current[j]
-                if x[1:] == y[:-1]:
-                    fused.append(x + (y[-1],))
-                    merged_flag[i] = merged_flag[j] = any_merged = True
-                if y[1:] == x[:-1]:
-                    fused.append(y + (x[-1],))
-                    merged_flag[i] = merged_flag[j] = any_merged = True
-        if not any_merged:
-            return current
-        for m, s in enumerate(current):
-            if not merged_flag[m]:
-                fused.append(s)
-        deduped: list[tuple] = []
-        for s in fused:
-            if s not in deduped:
-                deduped.append(s)
-        return round_(deduped)
-
-    return set(round_(seqs))
+    succ: dict[Hashable, set] = {}
+    rolled_into: set[Hashable] = set()
+    for s in seqs:
+        for a, b in zip(s, s[1:]):
+            succ.setdefault(a, set()).add(b)
+            rolled_into.add(b)
+    chains: set[tuple] = set()
+    paths = [(n,) for n in succ if n not in rolled_into]
+    while paths:
+        path = paths.pop()
+        nxt = succ.get(path[-1])
+        if nxt:
+            paths.extend(path + (n,) for n in nxt)
+        else:
+            chains.add(path)
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +358,10 @@ class HierarchyMergeResult:
 
     merged_left: tuple[TokenSeq, ...] = ()
     merged_right: tuple[TokenSeq, ...] = ()
+
+    def chains(self, side: str) -> tuple[TokenSeq, ...]:
+        """The merged chains of side ``"l"`` or ``"r"``."""
+        return self.merged_left if side == "l" else self.merged_right
 
 
 def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,

@@ -22,7 +22,7 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_sort_key, cell_to_text, conforms, validate)
+                    cell_to_text, conforms, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -97,7 +97,8 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     ``dim_pairing`` maps each right dimension name to its matched left
     dimension. Key columns keep the left fact's spelling and order; matched
     measures unify under the left name, the rest join with nulls on the
-    side that lacks them.
+    side that lacks them. Rows come out as the left ones, then the right-only
+    ones; ``io.write_dw`` sorts them by key.
     """
     left_cols = {dim: col for dim, col in f1.dimension_keys}
     right_cols = {dim: col for dim, col in f2.dimension_keys}
@@ -117,16 +118,14 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
 
     check_column_kinds(measure_corrs, f1.numeric, f2.numeric)
     m_r2l = {c.right[1]: c.left[1] for c in measure_corrs}
-    right_measure_names, new_measures = _right_name_map(
-        f1.measures + f1.key_columns(), f2.measures, f2.name, m_r2l)
-    names = list(right_measure_names.items())
-    measures = f1.measures + tuple(new_measures)
-    numeric = set(f1.numeric)
-    for m in f2.measures:
-        if m in f2.numeric:
-            numeric.add(right_measure_names[m])
-
     key_cols = f1.key_columns()
+    right_measure_names = _right_name_map(f1.measures + key_cols, f2.measures, f2.name, m_r2l)
+    names = list(right_measure_names.items())
+    new_measures = [n for n in right_measure_names.values() if n not in f1.measures]
+    measures = f1.measures + tuple(new_measures)
+    numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
+                            if m in right_measure_names}
+
     rows: dict[tuple, Row] = {}
     for r in f1.rows:
         key = tuple(r[c] for c in key_cols)
@@ -155,8 +154,7 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
             key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
             conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
-    ordered = [rows[k] for k in sorted(rows, key=lambda t: tuple(cell_sort_key(c) for c in t))]
-    merged = Fact(f1.name, measures, f1.dimension_keys, ordered, frozenset(numeric))
+    merged = Fact(f1.name, measures, f1.dimension_keys, list(rows.values()), numeric)
     return merged, conflicts, n_common
 
 
@@ -240,16 +238,21 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
     recs1 = {d.name: _input_record(d, (d, None)) for d in s1.dimensions}
     recs2 = {d.name: _input_record(d, (None, d)) for d in s2.dimensions}
     all_corrs: list[Correspondence] = []
-    # Correspondences of each pair with the two dimension objects they were
-    # matched on; phase 2 re-matches a pair only if phase 1 replaced one.
-    phase1: dict[tuple[str, str], tuple[Dimension, Dimension, list[Correspondence]]] = {}
+    # Correspondences keyed on everything match_attributes reads, so phase 2
+    # re-matches a pair only if phase 1 changed the attributes of one side.
+    memo: dict[tuple, list[Correspondence]] = {}
+
+    def correspondences(d1: Dimension, d2: Dimension) -> list[Correspondence]:
+        key = (d1.name, d1.attributes, d2.name, d2.attributes)
+        if key not in memo:
+            memo[key] = match_attributes(d1, d2, matcher)
+        return memo[key]
 
     # Phase 1: cross-enrichment of pairs whose roots do not match.
     for n1 in sorted(recs1):
         for n2 in sorted(recs2):
             r1, r2 = recs1[n1], recs2[n2]
-            corrs = match_attributes(r1.dimension, r2.dimension, matcher)
-            phase1[(n1, n2)] = (r1.dimension, r2.dimension, corrs)
+            corrs = correspondences(r1.dimension, r2.dimension)
             if not corrs or matched_root_parameters(r1.dimension, r2.dimension, corrs):
                 continue
             res = merge_dimensions(r1.dimension, r2.dimension, corrs, settings)
@@ -263,9 +266,7 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
     for n1 in sorted(recs1):
         for n2 in sorted(recs2):
             d1, d2 = recs1[n1].dimension, recs2[n2].dimension
-            m1, m2, corrs = phase1[(n1, n2)]
-            if d1 is not m1 or d2 is not m2:
-                corrs = match_attributes(d1, d2, matcher)
+            corrs = correspondences(d1, d2)
             pair_corrs[(n1, n2)] = corrs
             if corrs and matched_root_parameters(d1, d2, corrs):
                 candidates.append((-len(corrs), n1, n2))

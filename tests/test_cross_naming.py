@@ -115,3 +115,33 @@ def test_cross_named_star_merge_via_user_map(tmp_path):
     assert fact.key_columns() == ("Code",)
     assert {r["Code"] for r in fact.rows} == {"C1", "C4"}
     assert validate(result.schema) == []
+
+
+def test_unpaired_same_name_attribute_never_donates_to_its_namesake():
+    # Roots differ, so each side is enriched with the other's Zone. The user
+    # map says the two Zones are different attributes: completion may copy
+    # b.Zone into a's gained b_Zone, but never into a's own Zone.
+    d1 = make_dimension("a", "Shop", ("Shop", "Town", "Zone"),
+                        [("geo", ("Shop", "Town", "Zone"))],
+                        [("s1", "t1", "lz1"), ("s2", "t2", "lz1"), ("s3", "t3", "lz2"),
+                         ("s4", "t2", None)])
+    d2 = make_dimension("b", "Depot", ("Depot", "Town", "Zone"),
+                        [("geo", ("Depot", "Town", "Zone"))],
+                        [("d1", "t1", "rz1"), ("d2", "t2", "rz2"), ("d3", "t3", "rz2"),
+                         ("d4", "t3", None)])
+    umap = parse_user_map("forbid a.Zone b.Zone\n")
+    corrs = match_attributes(d1, d2, MatcherConfig(user_map=umap))
+    assert [(c.left[1], c.right[1]) for c in corrs] == [("Town", "Town")]
+    res = merge_dimensions(d1, d2, corrs)
+    assert not res.matched
+    assert res.left.attributes == ("Shop", "Town", "Zone", "b_Zone")
+    assert res.right.attributes == ("Depot", "Town", "Zone", "a_Zone")
+    own = {("l", "Zone"): "lz", ("l", "b_Zone"): "rz",
+           ("r", "Zone"): "rz", ("r", "a_Zone"): "lz"}
+    logs = {"l": res.completion_log_left, "r": res.completion_log_right}
+    for side, log in logs.items():
+        for f in log:
+            assert f.value.startswith(own[(side, f.attribute)]), f
+    assert res.left.rows["s4"]["Zone"] is None
+    assert res.left.rows["s4"]["b_Zone"] == "rz2"
+    assert res.right.rows["d4"]["a_Zone"] == "lz2"

@@ -13,14 +13,19 @@ import hashlib
 import pytest
 
 from dwmerge import cli, io
-from dwmerge.generator import generate_pair, preset_basic, preset_divergent, preset_star4
+from dwmerge.generator import (generate_pair, preset_basic, preset_const22, preset_divergent,
+                               preset_star4)
 
 CASES = {
     "basic": (lambda: preset_basic(seed=7, rows=400, fact_rows=2000),
               "e23976409c3dde65fa0f9801e0ddea4abcdfd83d7692038810b4e3225bb20fe9"),
+    # Constellation output, a side-only dimension from each input, and an
+    # enrichment that completes a right dimension.
+    "const22": (lambda: preset_const22(seed=7),
+                "166ccae87e00168db54bcc2d3adefc288991bdc158c777bc575a8d94f42f4034"),
     "divergent": (lambda: preset_divergent(seed=7, rows=600),
                   "cb55ab695159ac83ad6e1cc1cd1381c6169614914182b9c82e3b00f86d0bfedd"),
-    # Cross-enrichment replaces dimensions, so merge_all_dimensions re-matches pairs.
+    # Cross-enrichment adds an attribute, so merge_all_dimensions re-matches pairs.
     "star4": (lambda: preset_star4(seed=7),
               "fe15f4bf916e7131620249a516a2ed0cf7a022cc8d781b60576e54e568fc504e"),
 }
