@@ -19,6 +19,7 @@ the foreign columns that side's merged chains reach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
@@ -237,71 +238,136 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
                    donor_is_target: bool) -> list[CompletionFill]:
     """Completion engine; mutates ``target_rows`` in place and returns the log.
 
-    Sweeps run until a full pass adds no fill, so repeated invocation is a
-    no-op. Rows and donors are visited in root-key order, and when several
-    qualifying donors disagree the first one wins and the fill is flagged
-    ambiguous.
+    A row with nulls on a hierarchy's parameters takes the missing values
+    (every null level) from a donor that shares its value on a reference
+    level (any non-null level below the first null) and holds all of them.
+    Sweeps visit the hierarchies by name and, under each, the rows in
+    root-key order; they repeat until one adds no fill, so repeated
+    invocation is a no-op. The first qualifying donor in root-key order
+    wins, and the fill is flagged ambiguous when the qualifying donors of
+    all reference levels together hold more than one value tuple.
+
+    The work scales with the rows that still have nulls:
+
+    * one pass before the sweeps skips the rows without a null. Each
+      hierarchy keeps a worklist of the other rows in root-key order; a
+      visit that finds no null on its parameters drops the row, and a row
+      that is blocked (null second level, or no qualifying donor) stays.
+    * a donor index, keyed on (donor reference column, donor columns of the
+      missing attributes), maps a reference value to the root-key rank of
+      its first qualifying donor, that donor's values, and whether its
+      qualifying donors hold several value tuples. Entries fill in lazily,
+      one reference value at a time. The chosen donor has the lowest rank
+      over the row's reference levels; the union of the levels' tuples has
+      more than one element exactly when some level holds several or two
+      levels' first donors disagree.
+    * when the target is its own donor, a fill adds the filled row to every
+      index entry that reads a column it gained. Cells only go from null to
+      a value, so entries only grow. The root level is then no reference:
+      the only row that shares a root value is the row itself, which lacks
+      the missing values.
     """
+    ordered = [h for h in sorted(hierarchies, key=lambda h: h.name) if len(h.parameters) >= 2]
+    columns = {p for h in ordered for p in h.parameters}
+    pending = sorted((k for k, r in target_rows.items() if None in map(r.get, columns)),
+                     key=cell_sort_key)
     fills: list[CompletionFill] = []
-    index: dict[str, dict[Cell, list[Cell]]] = {}
+    if not pending:
+        return fills
+    work = [(h, list(pending)) for h in ordered]
 
-    def donor_index(col: str) -> dict[Cell, list[Cell]]:
-        if col not in index:
-            m: dict[Cell, list[Cell]] = {}
-            for k in sorted(donor_rows, key=cell_sort_key):
-                v = donor_rows[k].get(col)
+    donor_keys = sorted(donor_rows, key=cell_sort_key)
+    ranked = [donor_rows[k] for k in donor_keys]
+    rank = {k: i for i, k in enumerate(donor_keys)}
+    groups: dict[str, dict[Cell, list[int]]] = {}  # donor column -> value -> donor ranks
+    # (reference column, missing columns) -> reference value -> (rank, values, several)
+    index: dict[tuple[str, tuple[str, ...]], dict[Cell, tuple | None]] = {}
+    readers: dict[str, list[tuple[str, tuple[str, ...], dict]]] = {}  # column -> entries
+
+    def donors(dcol: str, mcols: tuple[str, ...], value: Cell) -> tuple | None:
+        entry = index.get((dcol, mcols))
+        if entry is None:
+            entry = index[(dcol, mcols)] = {}
+            for c in {dcol, *mcols}:
+                readers.setdefault(c, []).append((dcol, mcols, entry))
+        if value in entry:
+            return entry[value]
+        group = groups.get(dcol)
+        if group is None:
+            group = groups[dcol] = {}
+            for k, r in rank.items():
+                v = donor_rows[k].get(dcol)
                 if v is not None:
-                    m.setdefault(v, []).append(k)
-            index[col] = m
-        return index[col]
+                    group.setdefault(v, []).append(r)
+        hit = None
+        for r in group.get(value, ()):
+            vals = tuple(map(ranked[r].get, mcols))
+            if None not in vals:
+                hit = _add_donor(hit, r, vals)
+        entry[value] = hit
+        return hit
 
-    target_keys = sorted(target_rows, key=cell_sort_key)
-    ordered = sorted(hierarchies, key=lambda h: h.name)
+    def gained(key: Cell, row: Row, cols: Sequence[str]) -> None:
+        for c in cols:
+            if c in groups:
+                groups[c].setdefault(row[c], []).append(rank[key])
+            for dcol, mcols, entry in readers.get(c, ()):
+                v = row.get(dcol)
+                if v is not None and v in entry:
+                    vals = tuple(map(row.get, mcols))
+                    if None not in vals:
+                        entry[v] = _add_donor(entry[v], rank[key], vals)
+
+    first_reference = 1 if donor_is_target else 0
     while True:
-        filled_this_sweep = 0
-        for h in ordered:
+        filled_before = len(fills)
+        for h, keys in work:
             params = h.parameters
-            if len(params) < 2:
-                continue
-            for key in target_keys:
+            blocked = []
+            for key in keys:
                 row = target_rows[key]
-                if row.get(params[1]) is None:
-                    continue  # the second-lowest level can never be completed
-                null_positions = [i for i, p in enumerate(params) if row.get(p) is None]
-                if not null_positions:
+                if row.get(params[1]) is None:  # never completed under this hierarchy
+                    blocked.append(key)
                     continue
-                missing = [params[i] for i in null_positions]
-                reference = params[:null_positions[0]]
-                candidates: set[Cell] = set()
-                for p in reference:
-                    dcol = col_map.get(p)
-                    if dcol is None:
-                        continue
-                    candidates.update(donor_index(dcol).get(row[p], ()))
-                qualifying: list[tuple[Cell, tuple[Cell, ...]]] = []
-                for dk in sorted(candidates, key=cell_sort_key):
-                    drow = donor_rows[dk]
-                    values = []
-                    for q in missing:
-                        dcol = col_map.get(q)
-                        v = drow.get(dcol) if dcol is not None else None
-                        if v is None:
-                            break
-                        values.append(v)
-                    else:
-                        qualifying.append((dk, tuple(values)))
-                if not qualifying:
+                nulls = [i for i, p in enumerate(params) if row.get(p) is None]
+                if not nulls:
                     continue
-                donor_key, values = qualifying[0]
-                ambiguous = len({vals for _, vals in qualifying}) > 1
+                missing = [params[i] for i in nulls]
+                mcols = tuple(map(col_map.get, missing))
+                hits = []
+                if None not in mcols:
+                    for p in params[first_reference:nulls[0]]:
+                        dcol = col_map.get(p)
+                        if dcol is not None:
+                            hit = donors(dcol, mcols, row[p])
+                            if hit is not None:
+                                hits.append(hit)
+                if not hits:
+                    blocked.append(key)
+                    continue
+                best, values, _ = min(hits, key=itemgetter(0))
+                ambiguous = any(several or other != values for _, other, several in hits)
                 for q, v in zip(missing, values):
                     row[q] = v
-                    fills.append(CompletionFill(key, q, v, donor_key, h.name, ambiguous))
-                    filled_this_sweep += 1
-                    if donor_is_target:
-                        index.pop(q, None)  # the filled row can now donate on q
-        if not filled_this_sweep:
+                    fills.append(CompletionFill(key, q, v, donor_keys[best], h.name, ambiguous))
+                if donor_is_target:
+                    gained(key, row, missing)
+            keys[:] = blocked
+        if len(fills) == filled_before:
             return fills
+
+
+def _add_donor(hit: tuple | None, rank: int, values: tuple) -> tuple:
+    """Fold one qualifying donor into an index value ``(rank, values, several)``.
+
+    ``rank`` and ``values`` are the first donor's; ``several`` says whether
+    the qualifying donors hold more than one value tuple.
+    """
+    if hit is None:
+        return rank, values, False
+    best, first, several = hit
+    several = several or values != first
+    return (rank, values, several) if rank < best else (best, first, several)
 
 
 # ---------------------------------------------------------------------------

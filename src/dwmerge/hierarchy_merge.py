@@ -164,7 +164,7 @@ def transitive_reduction(edges: Sequence[tuple]) -> list[tuple]:
 
     def descendants(n) -> set:
         if n not in desc:
-            desc[n] = set()  # guard against cycles; caller guarantes a DAG
+            desc[n] = set()  # guard against cycles; caller guarantees a DAG
             acc = set()
             for m in succ.get(n, ()):
                 acc.add(m)
@@ -233,10 +233,15 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
 # ---------------------------------------------------------------------------
 
 def _project(rows: Iterable[Row], columns: list[tuple[Token, str]]) -> list[tuple[Cell, ...]]:
+    """Distinct projections of ``rows`` on ``columns`` in first-seen order.
+
+    A column that a row lacks reads as null.
+    """
+    names = [name for _, name in columns]
     seen = set()
     out = []
     for row in rows:
-        t = tuple(row.get(name) for _, name in columns)
+        t = tuple(map(row.get, names))
         if t not in seen:
             seen.add(t)
             out.append(t)

@@ -126,24 +126,22 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
                             if m in right_measure_names}
 
+    columns = key_cols + f1.measures
+    new_nulls = dict.fromkeys(new_measures)
+    all_nulls = dict.fromkeys(measures)
     rows: dict[tuple, Row] = {}
     for r in f1.rows:
-        key = tuple(r[c] for c in key_cols)
-        row: Row = {c: v for c, v in zip(key_cols, key)}
-        for m in f1.measures:
-            row[m] = r.get(m)
-        for m in new_measures:
-            row[m] = None
-        rows[key] = row
+        row = dict(zip(columns, map(r.get, columns)))
+        row.update(new_nulls)
+        rows[tuple(map(row.__getitem__, key_cols))] = row
     conflicts: list[ValueConflict] = []
     n_common = 0
     for r in f2.rows:
-        key = tuple(r[c] for c in aligned_right_cols)
+        key = tuple(map(r.__getitem__, aligned_right_cols))
         row = rows.get(key)
         if row is None:
-            row = {c: v for c, v in zip(key_cols, key)}
-            for m in measures:
-                row[m] = None
+            row = dict(zip(key_cols, key))
+            row.update(all_nulls)
             rows[key] = row
         else:
             n_common += 1

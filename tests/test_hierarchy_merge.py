@@ -7,8 +7,8 @@ from dwmerge import hierarchy_merge
 from dwmerge.config import MergeSettings
 from dwmerge.errors import MergeError
 from dwmerge.hierarchy_merge import (FdUndiscoverable, _segment_fd_edges, enumerate_fds,
-                                     extend, merge_hierarchies, render_tokens, tokenize,
-                                     transitive_reduction)
+                                     extend, join_segment_rows, merge_hierarchies,
+                                     render_tokens, tokenize, transitive_reduction)
 from dwmerge.model import Hierarchy
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
@@ -154,6 +154,16 @@ def test_discover_fds_empty_join_signals():
     rows2 = [{"A": "zz", "C": "c"}]
     with pytest.raises(FdUndiscoverable):
         fd_edges(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
+
+
+def test_join_reads_a_missing_projected_column_as_null():
+    tok1 = tokenize(("A", "B"), "l", {"A": "A"})
+    tok2 = tokenize(("A", "C"), "r", {"A": "A"})
+    rows1 = [{"A": "a", "B": "b"}, {"A": "a2"}]  # the second row has no B
+    rows2 = [{"A": "a", "C": "c"}, {"A": "a2", "C": "c2"}]
+    joined = join_segment_rows(tok1, tok2, rows1, rows2)
+    assert joined == [{("p", "A", "A"): "a", ("l", "B"): "b", ("r", "C"): "c"},
+                      {("p", "A", "A"): "a2", ("l", "B"): None, ("r", "C"): "c2"}]
 
 
 def test_fd_soundness_re_scan(d_left, d_right):
