@@ -8,6 +8,7 @@ invariant violation, 5 bad usage.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -38,13 +39,13 @@ class _Parser(argparse.ArgumentParser):
 def _matcher_config(spec: str, user_map_path: str | None) -> MatcherConfig:
     user_map = load_user_map(user_map_path) if user_map_path else None
     if spec == "exact":
-        return MatcherConfig("exact", 0, user_map)
+        return MatcherConfig(0, user_map)
     if spec.startswith("edit:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad matcher {spec!r}") from None
-        return MatcherConfig("edit-distance", k, user_map)
+        return MatcherConfig(k, user_map)
     raise argparse.ArgumentTypeError(f"matcher must be 'exact' or 'edit:<k>', got {spec!r}")
 
 
@@ -91,13 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a seeded warehouse pair")
     p_gen.add_argument("out1")
     p_gen.add_argument("out2")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--preset", choices=sorted(PRESETS), default="basic")
-    p_gen.add_argument("--spec", metavar="FILE", help="generator spec JSON (overrides --preset)")
-    p_gen.add_argument("--rows", type=int, metavar="N", help="world rows per dimension")
+    # Preset knobs: unset ones take the preset's defaults, and one the
+    # preset (or --spec) does not take is refused.
+    p_gen.add_argument("--seed", type=int, help="preset seed (default: 0)")
+    p_gen.add_argument("--preset", choices=sorted(PRESETS), help="preset pair (default: basic)")
+    p_gen.add_argument("--spec", metavar="FILE",
+                       help="generator spec JSON, in place of a preset and its flags")
+    p_gen.add_argument("--rows", type=int, metavar="N",
+                       help="world rows per dimension (basic, divergent)")
     p_gen.add_argument("--overlap", type=float, metavar="F",
                        help="sampled fraction per side (default 0.75)")
-    p_gen.add_argument("--fact-rows", type=int, metavar="N")
+    p_gen.add_argument("--fact-rows", type=int, metavar="N",
+                       help="world fact rows (basic, divergent, star4)")
     p_gen.add_argument("--manifest", metavar="FILE",
                        help="manifest path (default: <out1>.manifest.json)")
     return parser
@@ -171,17 +177,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    knobs = {"preset": args.preset, "seed": args.seed, "rows": args.rows,
+             "overlap": args.overlap, "fact_rows": args.fact_rows}
+    given = {name: value for name, value in knobs.items() if value is not None}
     if args.spec:
-        spec = load_spec(args.spec)
+        make, target = None, "--spec"
     else:
-        kwargs = {"seed": args.seed}
-        if args.overlap is not None:
-            kwargs["overlap"] = args.overlap
-        if args.rows is not None and args.preset in ("basic", "divergent"):
-            kwargs["rows"] = args.rows
-        if args.fact_rows is not None and args.preset != "const22":
-            kwargs["fact_rows"] = args.fact_rows
-        spec = PRESETS[args.preset](**kwargs)
+        preset = given.pop("preset", "basic")
+        make, target = PRESETS[preset], f"preset {preset}"
+    taken = inspect.signature(make).parameters if make else ()
+    for name in given:
+        if name not in taken:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {target}")
+    spec = make(**{"seed": 0, **given}) if make else load_spec(args.spec)
     dw1, dw2, manifest = generate_pair(spec)
     io.write_dw(dw1, args.out1)
     io.write_dw(dw2, args.out2)

@@ -7,7 +7,7 @@ divide each other every level functionally determines the next by
 construction. Each warehouse side then samples ``round(overlap * rows)``
 world rows independently (same seed, same output, always), which yields
 both common and side-only instances: overlap 1.0 gives identical key sets,
-overlap 0.0 disjoint (empty) ones.
+overlap 0.0 samples no rows, so every table of both sides is empty.
 
 Facts are generated as unique key-index tuples over the participating
 dimensions with seeded integer measures; a side's fact keeps the world rows
@@ -22,10 +22,13 @@ shapes make it predictable) the number of completable cells per attribute.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress
 from pathlib import Path
+from typing import Iterable
 
 from .model import Dimension, Fact, Hierarchy, Row, StarSchema
 
@@ -48,16 +51,16 @@ class GenChain:
 class GenDimension:
     """One world dimension plus the view each warehouse side gets of it.
 
-    ``view1``/``view2`` list chain names; ``None`` means the side does not
-    carry this dimension at all. Attribute sets per side follow from the
-    chains.
+    ``view1``/``view2`` list chain names. With both ``None``, both sides
+    carry every chain; with only one ``None``, that side does not carry this
+    dimension at all. Attribute sets per side follow from the chains.
     """
 
     name: str
     rows: int
     attrs: tuple[GenAttr, ...]
     chains: tuple[GenChain, ...]
-    view1: tuple[str, ...] | None = None  # None here means "all chains"
+    view1: tuple[str, ...] | None = None
     view2: tuple[str, ...] | None = None
     overlap: float | None = None
 
@@ -126,32 +129,36 @@ def _check_spec(spec: GenSpec) -> None:
                         f"{d.name}.{c.name}: divisor of {b!r} must be a strict "
                         f"multiple of {a!r}'s so the level rolls up")
         for view in (d.view1, d.view2):
-            if view is not None:
-                for cn in view:
-                    if cn not in chain_names:
-                        raise ValueError(f"{d.name}: view references unknown chain {cn!r}")
+            if view is not None and not view:
+                raise ValueError(f"{d.name}: a view must name at least one chain")
+            for cn in view or ():
+                if cn not in chain_names:
+                    raise ValueError(f"{d.name}: view references unknown chain {cn!r}")
     by_name = {d.name: d for d in spec.dimensions}
     for side in (1, 2):
         carried = [f for f in spec.facts if (f.view1 if side == 1 else f.view2)]
         if len(carried) != 1:
             raise ValueError(f"side {side} must carry exactly one fact")
     for f in spec.facts:
+        for field, names in (("dims", f.dims), ("measures", f.measures)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"fact {f.name}: {field} repeat")
         for dn in f.dims:
             if dn not in by_name:
                 raise ValueError(f"fact {f.name}: unknown dimension {dn!r}")
-            d = by_name[dn]
-            if f.view1 and _view_chains(d, 1) is None:
-                raise ValueError(f"fact {f.name}: side 1 lacks dimension {dn!r}")
-            if f.view2 and _view_chains(d, 2) is None:
-                raise ValueError(f"fact {f.name}: side 2 lacks dimension {dn!r}")
-        space = 1
-        for dn in f.dims:
-            space *= by_name[dn].rows
+            for side, carried in ((1, f.view1), (2, f.view2)):
+                if carried and _view_chains(by_name[dn], side) is None:
+                    raise ValueError(f"fact {f.name}: side {side} lacks dimension {dn!r}")
+        space = math.prod(by_name[dn].rows for dn in f.dims)
         if f.rows > space:
             raise ValueError(f"fact {f.name}: {f.rows} rows exceed the key space {space}")
-        for m in (f.conflict_measure,) if f.conflict_measure else ():
-            if m not in f.measures:
-                raise ValueError(f"fact {f.name}: conflict measure {m!r} unknown")
+        named = {"view1Measures": f.view1_measures or (),
+                 "view2Measures": f.view2_measures or (),
+                 "conflictMeasure": (f.conflict_measure,) if f.conflict_measure else ()}
+        for field, names in named.items():
+            for m in names:
+                if m not in f.measures:
+                    raise ValueError(f"fact {f.name}: {field} names unknown measure {m!r}")
 
 
 def _view_chains(d: GenDimension, side: int) -> tuple[str, ...] | None:
@@ -169,66 +176,52 @@ def _value(attr: str, divisor: int, idx: int) -> str:
     return f"{attr}_{idx // divisor:05d}"
 
 
-def _sample(rng: random.Random, n: int, fraction: float) -> list[int]:
-    count = round(fraction * n)
-    return sorted(rng.sample(range(n), count))
+def _view_attrs(d: GenDimension, chains: tuple[str, ...]) -> list[str]:
+    """The attributes the chains carry, in first-seen order."""
+    by_name = {c.name: c for c in d.chains}
+    return list(dict.fromkeys(p for cn in chains for p in by_name[cn].parameters))
 
 
 def _view_dimension(d: GenDimension, chains: tuple[str, ...], indices: list[int]
                     ) -> Dimension:
-    by_name = {c.name: c for c in d.chains}
-    attrs: list[str] = []
-    for cn in chains:
-        for p in by_name[cn].parameters:
-            if p not in attrs:
-                attrs.append(p)
+    attrs = _view_attrs(d, chains)
     divisors = {a.name: a.divisor for a in d.attrs}
     root = d.attrs[0].name
+    by_name = {c.name: c for c in d.chains}
     hierarchies = tuple(Hierarchy(cn, by_name[cn].parameters) for cn in chains)
-    rows: dict = {}
-    for i in indices:
-        row: Row = {a: _value(a, divisors[a], i) for a in attrs}
-        rows[row[root]] = row
-    return Dimension(d.name, root, tuple(attrs), hierarchies, rows)
+    rows = ({a: _value(a, divisors[a], i) for a in attrs} for i in indices)
+    return Dimension(d.name, root, tuple(attrs), hierarchies, {r[root]: r for r in rows})
 
 
-def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]) -> list[dict]:
+def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]) -> list[tuple]:
+    """World fact rows in key order: (index per dimension, measures, divergent)."""
     rng = random.Random(f"{spec.seed}:{spec.name}:fact:{f.name}")
-    space = 1
-    for dn in f.dims:
-        space *= sizes[dn]
-    picks = rng.sample(range(space), f.rows)
+    space = math.prod(sizes[dn] for dn in f.dims)
     world = []
-    for v in sorted(picks):
-        key = {}
-        rest = v
+    for v in sorted(rng.sample(range(space), f.rows)):
+        key = []
         for dn in f.dims:
-            key[dn] = rest % sizes[dn]
-            rest //= sizes[dn]
-        measures = {m: Decimal(rng.randrange(1, 100000)) for m in f.measures}
+            v, k = divmod(v, sizes[dn])
+            key.append(k)
+        measures = tuple(Decimal(rng.randrange(1, 100000)) for _ in f.measures)
         divergent = f.conflict_measure is not None and rng.random() < f.conflict_fraction
-        world.append({"key": key, "measures": measures, "divergent": divergent})
+        world.append((tuple(key), measures, divergent))
     return world
 
 
-def _view_fact(f: GenFact, world: list[dict], dims: dict[str, GenDimension],
-               sampled: dict[str, set[int]], side: int) -> Fact:
+def _view_fact(f: GenFact, world: Iterable[tuple], roots: tuple[str, ...],
+               side: int) -> Fact:
     view_measures = (f.view1_measures if side == 1 else f.view2_measures) or f.measures
-    keys = tuple((dn, dims[dn].attrs[0].name) for dn in f.dims)
+    picks = [(m, f.measures.index(m)) for m in view_measures]
+    bumped = f.conflict_measure if side == 2 else None
     rows: list[Row] = []
-    for entry in world:
-        if any(entry["key"][dn] not in sampled[dn] for dn in f.dims):
-            continue
-        row: Row = {}
-        for dn, col in keys:
-            row[col] = _value(col, 1, entry["key"][dn])
-        for m in view_measures:
-            v = entry["measures"][m]
-            if side == 2 and entry["divergent"] and m == f.conflict_measure:
-                v = v + 1
-            row[m] = v
+    for key, measures, divergent in world:
+        row: Row = {col: _value(col, 1, k) for col, k in zip(roots, key)}
+        for m, pos in picks:
+            v = measures[pos]
+            row[m] = v + 1 if divergent and m == bumped else v
         rows.append(row)
-    return Fact(f.name, tuple(view_measures), keys, rows,
+    return Fact(f.name, tuple(view_measures), tuple(zip(f.dims, roots)), rows,
                 frozenset(view_measures))
 
 
@@ -240,52 +233,49 @@ def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
     """
     _check_spec(spec)
     sizes = {d.name: d.rows for d in spec.dimensions}
+    # side -> dimension -> sampled world row indices; a side that lacks the
+    # dimension has no entry
     sampled: dict[int, dict[str, set[int]]] = {1: {}, 2: {}}
     dims_by_side: dict[int, list[Dimension]] = {1: [], 2: []}
     manifest_dims: dict[str, dict] = {}
 
     for d in spec.dimensions:
         fraction = d.overlap if d.overlap is not None else spec.overlap
-        per_side_indices: dict[int, list[int]] = {}
         for side in (1, 2):
             chains = _view_chains(d, side)
             if chains is None:
                 continue
             rng = random.Random(f"{spec.seed}:{spec.name}:dim:{d.name}:{side}")
-            indices = _sample(rng, d.rows, fraction)
-            per_side_indices[side] = indices
+            indices = sorted(rng.sample(range(d.rows), round(fraction * d.rows)))
             sampled[side][d.name] = set(indices)
             dims_by_side[side].append(_view_dimension(d, chains, indices))
-        shared = (set(per_side_indices.get(1, ())) & set(per_side_indices.get(2, ())))
+        kept = [sampled[side].get(d.name) for side in (1, 2)]
         manifest_dims[d.name] = {
             "worldRows": d.rows,
-            "dw1Rows": len(per_side_indices.get(1, [])) if 1 in per_side_indices else None,
-            "dw2Rows": len(per_side_indices.get(2, [])) if 2 in per_side_indices else None,
-            "sharedKeys": len(shared),
+            "dw1Rows": None if kept[0] is None else len(kept[0]),
+            "dw2Rows": None if kept[1] is None else len(kept[1]),
+            "sharedKeys": len((kept[0] or set()) & (kept[1] or set())),
         }
 
     manifest_facts: dict[str, dict] = {}
     facts_by_side: dict[int, Fact] = {}
+    roots = {d.name: d.attrs[0].name for d in spec.dimensions}
     for f in spec.facts:
         world = _fact_world(spec, f, sizes)
-        side_rows = {}
+        member: dict[int, list[bool]] = {}
         for side in (1, 2):
             if not (f.view1 if side == 1 else f.view2):
                 continue
-            fact = _view_fact(f, world, {d.name: d for d in spec.dimensions},
-                              sampled[side], side)
-            facts_by_side[side] = fact
-            side_rows[side] = len(fact.rows)
-        shared = 0
-        if f.view1 and f.view2:
-            shared = sum(1 for e in world
-                         if all(e["key"][dn] in sampled[1][dn] for dn in f.dims)
-                         and all(e["key"][dn] in sampled[2][dn] for dn in f.dims))
+            samples = [sampled[side][dn] for dn in f.dims]
+            member[side] = [all(map(set.__contains__, samples, key)) for key, _, _ in world]
+            facts_by_side[side] = _view_fact(f, compress(world, member[side]),
+                                             tuple(roots[dn] for dn in f.dims), side)
         manifest_facts[f.name] = {
             "worldRows": f.rows,
-            "dw1Rows": side_rows.get(1),
-            "dw2Rows": side_rows.get(2),
-            "sharedKeyTuples": shared,
+            "dw1Rows": sum(member[1]) if 1 in member else None,
+            "dw2Rows": sum(member[2]) if 2 in member else None,
+            # rows both sides keep
+            "sharedKeyTuples": sum(map(all, zip(member.get(1, ()), member.get(2, ())))),
         }
 
     dw1 = StarSchema(f"{spec.name}1", facts_by_side[1], tuple(dims_by_side[1]))
@@ -307,23 +297,6 @@ def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
 # ground truth
 # ---------------------------------------------------------------------------
 
-def _both_view_attrs(d: GenDimension) -> tuple[list[str], list[str]] | None:
-    c1, c2 = _view_chains(d, 1), _view_chains(d, 2)
-    if c1 is None or c2 is None:
-        return None
-    by_name = {c.name: c for c in d.chains}
-
-    def attrs_of(view):
-        out = []
-        for cn in view:
-            for p in by_name[cn].parameters:
-                if p not in out:
-                    out.append(p)
-        return out
-
-    return attrs_of(c1), attrs_of(c2)
-
-
 def _fd_ground_truth(spec: GenSpec) -> dict[str, list[list[str]]]:
     """Edges a -> b guaranteed by construction: divisor(a) divides divisor(b).
 
@@ -334,17 +307,13 @@ def _fd_ground_truth(spec: GenSpec) -> dict[str, list[list[str]]]:
     """
     out: dict[str, list[list[str]]] = {}
     for d in spec.dimensions:
-        views = _both_view_attrs(d)
-        if views is None:
+        c1, c2 = _view_chains(d, 1), _view_chains(d, 2)
+        if c1 is None or c2 is None:
             continue
-        union: list[str] = []
-        for a in views[0] + views[1]:
-            if a not in union:
-                union.append(a)
+        union = _view_attrs(d, c1 + c2)
         div = {a.name: a.divisor for a in d.attrs}
-        edges = [[a, b] for a in union for b in union
-                 if a != b and div[b] % div[a] == 0]
-        out[d.name] = edges
+        out[d.name] = [[a, b] for a in union for b in union
+                       if a != b and div[b] % div[a] == 0]
     return out
 
 
@@ -358,60 +327,27 @@ def _expected_completions(spec: GenSpec, sampled) -> dict[str, dict[str, int]] |
     those bounds, or larger than a few thousand rows, are simply omitted.
     """
     SIM_ROW_CAP = 2000
-    all_names: dict[str, set[str]] = {}
-    for d in spec.dimensions:
-        all_names[d.name] = {a.name for a in d.attrs}
+    all_names = {d.name: {a.name for a in d.attrs} for d in spec.dimensions}
     out: dict[str, dict[str, int]] = {}
     for d in spec.dimensions:
-        views = _both_view_attrs(d)
-        if views is None:
+        c1, c2 = _view_chains(d, 1), _view_chains(d, 2)
+        if c1 is None or c2 is None:
             continue
         if any(all_names[d.name] & names for other, names in all_names.items()
                if other != d.name):
             continue
-        by_name = {c.name: c for c in d.chains}
-        div = {a.name: a.divisor for a in d.attrs}
-        root = d.attrs[0].name
-        virtual: list[tuple[str, ...]] = []
-        predictable = True
-        for cn1 in _view_chains(d, 1):
-            for cn2 in _view_chains(d, 2):
-                p1, p2 = by_name[cn1].parameters, by_name[cn2].parameters
-                shared = set(p1) & set(p2)
-                if shared == {root}:
-                    cross = [(a, b) for a in p1[1:] for b in p2[1:]
-                             if div[b] % div[a] == 0 or div[a] % div[b] == 0]
-                    if cross:
-                        predictable = False
-                        break
-                    for c in (p1, p2):
-                        if c not in virtual:
-                            virtual.append(c)
-                else:
-                    union = sorted(set(p1) | set(p2), key=lambda a: div[a])
-                    if any(div[b] % div[a] != 0 or div[a] == div[b]
-                           for a, b in zip(union, union[1:])):
-                        predictable = False
-                        break
-                    u = tuple(union)
-                    if u not in virtual:
-                        virtual.append(u)
-            if not predictable:
-                break
-        if not predictable:
+        virtual = _virtual_chains(d, c1, c2)
+        if virtual is None:
             continue
-        attrs1, attrs2 = views
+        div = {a.name: a.divisor for a in d.attrs}
+        attrs1, attrs2 = _view_attrs(d, c1), _view_attrs(d, c2)
         idx1, idx2 = sampled[1][d.name], sampled[2][d.name]
         if len(idx1 | idx2) > SIM_ROW_CAP:
             continue
-        present: dict[int, set[str]] = {}
-        for i in idx1 | idx2:
-            s = set()
-            if i in idx1:
-                s |= set(attrs1)
-            if i in idx2:
-                s |= set(attrs2)
-            present[i] = s
+        # Row indices never change, only the attribute sets grow.
+        order = sorted(idx1 | idx2)
+        present = {i: {*(attrs1 if i in idx1 else ()), *(attrs2 if i in idx2 else ())}
+                   for i in order}
         fills: dict[str, int] = {}
         changed = True
         while changed:
@@ -419,32 +355,49 @@ def _expected_completions(spec: GenSpec, sampled) -> dict[str, dict[str, int]] |
             for chain in virtual:
                 if len(chain) < 2:
                     continue
-                for i in sorted(present):
+                for i in order:
                     s = present[i]
                     if chain[1] not in s:
                         continue
                     missing = [p for p in chain if p not in s]
                     if not missing:
                         continue
-                    first = chain.index(missing[0])
-                    refs = [p for p in chain[:first]]
-                    donor = None
-                    for j in sorted(present):
-                        if j == i:
-                            continue
-                        sj = present[j]
-                        if not all(m in sj for m in missing):
-                            continue
-                        if any(p in sj and j // div[p] == i // div[p] for p in refs):
-                            donor = j
-                            break
-                    if donor is not None:
+                    # A donor holds every missing level and agrees with row i
+                    # on a level above the first missing one.
+                    refs = chain[:chain.index(missing[0])]
+                    if any(j != i and all(m in present[j] for m in missing)
+                           and any(p in present[j] and j // div[p] == i // div[p]
+                                   for p in refs)
+                           for j in order):
                         for m in missing:
                             s.add(m)
                             fills[m] = fills.get(m, 0) + 1
                         changed = True
         out[d.name] = dict(sorted(fills.items()))
     return out
+
+
+def _virtual_chains(d: GenDimension, c1: tuple[str, ...], c2: tuple[str, ...]
+                    ) -> list[tuple[str, ...]] | None:
+    """The chains of the merged dimension, or None when the merge is unpredictable."""
+    by_name = {c.name: c for c in d.chains}
+    div = {a.name: a.divisor for a in d.attrs}
+    virtual: dict[tuple[str, ...], None] = {}
+    for cn1 in c1:
+        for cn2 in c2:
+            p1, p2 = by_name[cn1].parameters, by_name[cn2].parameters
+            if set(p1) & set(p2) == {d.attrs[0].name}:
+                if any(div[b] % div[a] == 0 or div[a] % div[b] == 0
+                       for a in p1[1:] for b in p2[1:]):
+                    return None
+                virtual.update(dict.fromkeys((p1, p2)))
+            else:
+                union = sorted(set(p1) | set(p2), key=lambda a: div[a])
+                if any(div[b] % div[a] != 0 or div[a] == div[b]
+                       for a, b in zip(union, union[1:])):
+                    return None
+                virtual[tuple(union)] = None
+    return list(virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +431,36 @@ def spec_to_dict(spec: GenSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> GenSpec:
-    dims = tuple(GenDimension(
-        name=d["name"], rows=d["rows"],
-        attrs=tuple(GenAttr(a["name"], a.get("divisor", 1)) for a in d["attrs"]),
-        chains=tuple(GenChain(c["name"], tuple(c["parameters"])) for c in d["chains"]),
-        view1=tuple(d["view1"]) if d.get("view1") is not None else None,
-        view2=tuple(d["view2"]) if d.get("view2") is not None else None,
-        overlap=d.get("overlap"),
-    ) for d in doc["dimensions"])
-    facts = tuple(GenFact(
-        name=f["name"], rows=f["rows"], dims=tuple(f["dims"]),
-        measures=tuple(f["measures"]),
-        view1=f.get("view1", True), view2=f.get("view2", True),
-        view1_measures=tuple(f["view1Measures"]) if f.get("view1Measures") else None,
-        view2_measures=tuple(f["view2Measures"]) if f.get("view2Measures") else None,
-        conflict_measure=f.get("conflictMeasure"),
-        conflict_fraction=f.get("conflictFraction", 0.0),
-    ) for f in doc["facts"])
-    return GenSpec(doc["name"], doc["seed"], dims, facts, doc.get("overlap", 0.75))
+    """The spec a :func:`spec_to_dict` document describes; ValueError names a missing field."""
+    try:
+        dims = tuple(GenDimension(
+            name=d["name"], rows=d["rows"],
+            attrs=tuple(GenAttr(a["name"], a.get("divisor", 1)) for a in d["attrs"]),
+            chains=tuple(GenChain(c["name"], tuple(c["parameters"])) for c in d["chains"]),
+            view1=tuple(d["view1"]) if d.get("view1") is not None else None,
+            view2=tuple(d["view2"]) if d.get("view2") is not None else None,
+            overlap=d.get("overlap"),
+        ) for d in doc["dimensions"])
+        facts = tuple(GenFact(
+            name=f["name"], rows=f["rows"], dims=tuple(f["dims"]),
+            measures=tuple(f["measures"]),
+            view1=f.get("view1", True), view2=f.get("view2", True),
+            view1_measures=tuple(f["view1Measures"]) if f.get("view1Measures") else None,
+            view2_measures=tuple(f["view2Measures"]) if f.get("view2Measures") else None,
+            conflict_measure=f.get("conflictMeasure"),
+            conflict_fraction=f.get("conflictFraction", 0.0),
+        ) for f in doc["facts"])
+        return GenSpec(doc["name"], doc["seed"], dims, facts, doc.get("overlap", 0.75))
+    except KeyError as exc:
+        raise ValueError(f"generator spec lacks the required field {exc.args[0]!r}") from None
 
 
 def load_spec(path: str | Path) -> GenSpec:
-    return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read generator spec: {exc}") from exc
+    return spec_from_dict(json.loads(text))
 
 
 def preset_basic(seed: int, rows: int = 400, overlap: float = 0.75,

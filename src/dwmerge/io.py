@@ -58,6 +58,7 @@ import logging
 import re
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import Sequence
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
@@ -70,8 +71,13 @@ DESCRIPTOR_NAME = "schema.json"
 FORMAT_VERSION = 1
 
 
-def _read_csv(path: Path, columns: list[str], numeric: set[str]) -> list[Row]:
-    """Rows of one table keyed and ordered as ``columns``; other columns are dropped."""
+def _read_csv(path: Path, columns: list[str], numeric: set[str]
+              ) -> tuple[list[Row], Sequence[int]]:
+    """Rows of one table keyed and ordered as ``columns``, and the lines they start on.
+
+    Other columns are dropped. Line numbers count the newlines inside quoted
+    fields; only a table that has such a field is read twice to find them.
+    """
     where = str(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
@@ -96,10 +102,10 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]) -> list[Row]:
         numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
                             key=positions.__getitem__)
         rows: list[Row] = []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
             if len(record) != width:
                 raise LoadError(f"row has {len(record)} fields, header has {width}",
-                                path=where, line=lineno)
+                                path=where, line=_record_lines(path)[len(rows)])
             values = [record[i].strip() or None for i in positions]
             for i in numeric_at:
                 value = values[i]
@@ -107,10 +113,20 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]) -> list[Row]:
                     try:
                         values[i] = Decimal(value)
                     except InvalidOperation:
-                        raise LoadError(f"{value!r} is not a number",
-                                        path=where, line=lineno) from None
+                        raise LoadError(f"{value!r} is not a number", path=where,
+                                        line=_record_lines(path)[len(rows)]) from None
             rows.append(dict(zip(columns, values)))
-        return rows
+        if reader.line_num == len(rows) + 1:
+            return rows, range(2, len(rows) + 2)
+        return rows, _record_lines(path)
+
+
+def _record_lines(path: Path) -> list[int]:
+    """The physical line each data record of a CSV table starts on."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        # After each record, the header first, the next record starts one line on.
+        return [reader.line_num + 1 for _ in reader][:-1]
 
 
 def _descriptor_field(obj: dict, key: str, kind, *, path: str, where: str):
@@ -152,8 +168,8 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
     table_path = directory / table
     where = str(table_path)
     rows: dict[Cell, Row] = {}
-    for lineno, row in enumerate(_read_csv(table_path, list(attributes), set(numeric)),
-                                 start=2):
+    table_rows, lines = _read_csv(table_path, list(attributes), set(numeric))
+    for lineno, row in zip(lines, table_rows):
         key = row[root]
         if key is None:
             raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
@@ -189,12 +205,12 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     key_cols = [col for _, col in keys]
     table_path = directory / table
     where = str(table_path)
-    raw_rows = _read_csv(table_path, key_cols + list(measures), numeric)
+    raw_rows, lines = _read_csv(table_path, key_cols + list(measures), numeric)
 
     fact = Fact(name, measures, tuple(keys), [], frozenset(numeric))
     checks = [(dim, col, dims[dim].rows) for dim, col in keys]
     seen: set[tuple] = set()
-    for lineno, row in enumerate(raw_rows, start=2):
+    for lineno, row in zip(lines, raw_rows):
         key = tuple(map(row.__getitem__, key_cols))
         for (dim, col, dim_rows), val in zip(checks, key):
             if val is None or val not in dim_rows:

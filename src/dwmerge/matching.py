@@ -1,8 +1,8 @@
 """Correspondences between attributes and between measures.
 
-The matchers are deterministic and purely syntactic: exact matching pairs
-attributes whose normalized names are equal, edit-distance matching pairs
-names within a configured Levenshtein distance. A user correspondence file
+The matchers are deterministic and purely syntactic: they pair names whose
+normalized forms lie within a configured Levenshtein distance, so distance 0
+(the default) pairs equal normalized names only. A user correspondence file
 can force extra pairs or forbid unwanted ones; its line grammar is described
 in the io module documentation.
 """
@@ -50,15 +50,10 @@ class UserMap:
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    mode: str = "exact"  # "exact" | "edit-distance"
     max_edit_distance: int = 0
     user_map: UserMap | None = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "edit-distance"):
-            raise ValueError(f"unknown matcher mode {self.mode!r}")
-        if self.mode == "exact" and self.max_edit_distance != 0:
-            raise ValueError("max_edit_distance must be 0 in exact mode")
         if self.max_edit_distance < 0:
             raise ValueError("max_edit_distance must be >= 0")
 
@@ -153,7 +148,7 @@ def _match_names(left_table: str, right_table: str,
         used_right.add(r)
         out.append(Correspondence((left_table, l), (right_table, r), 1.0, SOURCE_USER))
 
-    max_d = 0 if cfg.mode == "exact" else cfg.max_edit_distance
+    max_d = cfg.max_edit_distance
     candidates = []
     for l in left_names:
         nl = normalize_name(l)

@@ -6,7 +6,8 @@ import pytest
 
 from dwmerge import io
 from dwmerge.cli import main
-from dwmerge.generator import GenFact, GenSpec, generate_pair, preset_basic
+from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, preset_star4,
+                               spec_to_dict)
 from dwmerge.model import Constellation, Dimension, Fact, Hierarchy, StarSchema
 
 
@@ -224,3 +225,46 @@ def test_numeric_matched_with_text_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("cust.cust_id") == 2 and "numeric" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--preset", "star4", "--rows", "50"],
+    ["--preset", "const22", "--rows", "50"],
+    ["--preset", "const22", "--fact-rows", "50"],
+    ["--spec", "spec.json", "--rows", "50"],
+    ["--spec", "spec.json", "--overlap", "0.5"],
+    ["--spec", "spec.json", "--fact-rows", "50"],
+    ["--spec", "spec.json", "--seed", "3"],
+    ["--spec", "spec.json", "--preset", "star4"],
+], ids=" ".join)
+def test_gen_refuses_flags_it_would_ignore(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec_to_dict(preset_star4(seed=1))))
+    assert main(["gen", "dw1", "dw2", *flags]) == 5
+    assert f"{flags[-2]} does not apply" in capsys.readouterr().err
+    assert not (tmp_path / "dw1").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["dimensions"][0].pop("rows"), "lacks the required field 'rows'"),
+    (lambda doc: doc["facts"][0].pop("measures"), "lacks the required field 'measures'"),
+    (lambda doc: doc.pop("seed"), "lacks the required field 'seed'"),
+    (lambda doc: doc["facts"][0].update(view2Measures=["quantity", "discount"]),
+     "view2Measures names unknown measure 'discount'"),
+    (lambda doc: doc["dimensions"][0].update(view1=[]), "a view must name at least one chain"),
+    (lambda doc: doc["facts"][0].update(dims=["customer", "customer"]), "dims repeat"),
+], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
+        "empty-view", "repeated-fact-dimension"])
+def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = spec_to_dict(preset_star4(seed=1))
+    edit(doc)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert main(["gen", "dw1", "dw2", "--spec", "spec.json"]) == 5
+    assert named in capsys.readouterr().err
+
+
+def test_gen_unreadable_spec_is_exit_5(tmp_path, capsys):
+    assert main(["gen", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
+                 "--spec", str(tmp_path / "missing.json")]) == 5
+    assert "cannot read generator spec" in capsys.readouterr().err

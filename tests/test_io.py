@@ -103,6 +103,27 @@ def test_row_width_mismatch_reports_its_line(tmp_path):
     assert (err.value.path, err.value.line) == (str(tmp_path / "customer.csv"), 3)
 
 
+def test_errors_report_physical_lines_after_a_multiline_field(tmp_path, caplog):
+    # Lines: 1 header, 2-3 the C1 record with a quoted newline, 4 C2, 5 C1 again.
+    write_minimal(tmp_path, rows='C1,"two\nlines"\nC2,y\nC1,z\n')
+    customer = str(tmp_path / "customer.csv")
+    with pytest.raises(LoadError, match="duplicate id 'C1'") as err:
+        io.load_dw(tmp_path, strict=True)
+    assert (err.value.path, err.value.line) == (customer, 5)
+    io.load_dw(tmp_path)
+    assert f"{customer}:5, keeping the first row" in caplog.text
+    # The fact loader numbers lines the same way: "C1\n" trims to C1.
+    (tmp_path / "sales.csv").write_text('Code,Quantity\n"C1\n",3\nC9,1\n', encoding="utf-8")
+    with pytest.raises(LoadError, match="C9") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "sales.csv"), 4)
+    # A record that spans lines reports the line it starts on.
+    write_minimal(tmp_path, rows='C1,x\nC2,"a\nb",extra\n')
+    with pytest.raises(LoadError, match="row has 3 fields") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (customer, 3)
+
+
 def test_whitespace_only_number_is_null(tmp_path):
     write_minimal(tmp_path)
     (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,  \n", encoding="utf-8")

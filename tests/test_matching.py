@@ -50,7 +50,7 @@ def test_edit_distance_matching():
     d1 = make_dimension("a", "Regionn", ("Regionn",), [("H", ("Regionn",))], [("1",)])
     d2 = make_dimension("b", "Region", ("Region",), [("H", ("Region",))], [("2",)])
     assert match_attributes(d1, d2, MatcherConfig()) == []
-    corrs = match_attributes(d1, d2, MatcherConfig("edit-distance", 1))
+    corrs = match_attributes(d1, d2, MatcherConfig(1))
     assert [(c.left[1], c.right[1], c.source) for c in corrs] == [
         ("Regionn", "Region", "edit-distance")]
 
@@ -62,7 +62,7 @@ def test_edit_distance_against_oracle(a, b):
 
 def test_matching_symmetry_and_determinism():
     d1, d2 = customer_left(), customer_right()
-    cfg = MatcherConfig("edit-distance", 2)
+    cfg = MatcherConfig(2)
     forward = match_attributes(d1, d2, cfg)
     backward = match_attributes(d2, d1, cfg)
     assert {(c.left[1], c.right[1]) for c in forward} == \
@@ -120,5 +120,5 @@ def test_matched_root_parameters():
 
 
 def test_matcher_config_invariant():
-    with pytest.raises(ValueError):
-        MatcherConfig("exact", 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        MatcherConfig(-1)

@@ -1,20 +1,22 @@
-"""Byte-identity guard: merge output must not change across refactors.
+"""Byte-identity guard: merge and gen output must not change across refactors.
 
-Each case generates a small seeded pair in-process, runs ``dwmerge merge``
+Each merge case generates a small seeded pair in-process, runs ``dwmerge merge``
 and ``dwmerge validate --strict`` through :func:`dwmerge.cli.main` with
 relative paths (so the config echo in ``report.json`` is the same on every
 machine), and compares the SHA-256 of the output directory with a recorded
 digest. A change that is meant to alter the output bytes must update the
-digest here and say why.
+digest here and say why. The gen cases run ``dwmerge gen`` the same way
+and digest both written warehouses plus the manifest.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from dwmerge import cli, io
-from dwmerge.generator import (generate_pair, preset_basic, preset_const22, preset_divergent,
-                               preset_star4)
+from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, preset_const22,
+                               preset_divergent, preset_star4, spec_to_dict)
 
 CASES = {
     "basic": (lambda: preset_basic(seed=7, rows=400, fact_rows=2000),
@@ -52,4 +54,43 @@ def test_merge_output_digest(case, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["validate", "--strict", "out"]) == cli.EXIT_OK
     assert capsys.readouterr().out == "out: OK\n"
+    assert tree_digest(tmp_path / "out") == want
+
+
+def conflict_spec() -> GenSpec:
+    spec = preset_basic(seed=8, rows=200, fact_rows=600)
+    f = spec.facts[0]
+    return GenSpec(spec.name, spec.seed, spec.dimensions,
+                   (GenFact(f.name, f.rows, f.dims, f.measures,
+                            conflict_measure="price", conflict_fraction=0.5),),
+                   spec.overlap)
+
+
+GEN_CASES = {
+    "basic": (["--preset", "basic", "--seed", "1", "--rows", "200", "--fact-rows", "600"],
+              "9088ba724ff245c92a030cbde67ef40c980f473975bb9b1e0b95f195f6291bd2"),
+    # round(0 * rows) = 0 sampled rows: both warehouses are empty.
+    "basic-overlap-0": (["--preset", "basic", "--seed", "2", "--overlap", "0"],
+                        "9fcb8ca9182af795c0fd43d91c7ca46071766372d8a4b23bee9a29ce1c1ea765"),
+    "const22": (["--preset", "const22", "--seed", "3"],
+                "501a5a4d2035d169e73234ae1c050ec1c165ba74fd158650d6867332da88abaa"),
+    "divergent": (["--preset", "divergent", "--seed", "4", "--rows", "500",
+                   "--fact-rows", "800", "--overlap", "0.3"],
+                  "175aa9d002869254ffe5f0ff09f79f32d8b2f4e4c51fce20c66de4121aa0817f"),
+    "star4": (["--preset", "star4", "--seed", "5", "--fact-rows", "1000"],
+              "96dfc3a088fcfc15fc04e4a6beaecef1824cc79f3679df9bd89d43032654d807"),
+    # Side 2 adds 1 to the price of about half the shared fact tuples.
+    "conflict-plan": (["--spec", "spec.json"],
+                      "5c47ad022270f68b0ba91a128bfe041dd4efa3905e4df2912e7b74aa39871ff3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_CASES))
+def test_gen_output_digest(case, tmp_path, monkeypatch, capsys):
+    flags, want = GEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec_to_dict(conflict_spec())))
+    assert cli.main(["gen", "out/dw1", "out/dw2", "--manifest", "out/manifest.json",
+                     *flags]) == cli.EXIT_OK
+    capsys.readouterr()
     assert tree_digest(tmp_path / "out") == want
