@@ -128,9 +128,11 @@ def _check_spec(spec: GenSpec) -> None:
                     raise ValueError(
                         f"{d.name}.{c.name}: divisor of {b!r} must be a strict "
                         f"multiple of {a!r}'s so the level rolls up")
-        for view in (d.view1, d.view2):
+        for side in (1, 2):
+            view = _view_chains(d, side)
             if view is not None and not view:
-                raise ValueError(f"{d.name}: a view must name at least one chain")
+                raise ValueError(
+                    f"{d.name}: side {side}'s view must name at least one chain")
             for cn in view or ():
                 if cn not in chain_names:
                     raise ValueError(f"{d.name}: view references unknown chain {cn!r}")
@@ -140,7 +142,9 @@ def _check_spec(spec: GenSpec) -> None:
         if len(carried) != 1:
             raise ValueError(f"side {side} must carry exactly one fact")
     for f in spec.facts:
-        for field, names in (("dims", f.dims), ("measures", f.measures)):
+        for field, names in (("dims", f.dims), ("measures", f.measures),
+                             ("view1Measures", f.view1_measures or ()),
+                             ("view2Measures", f.view2_measures or ())):
             if len(set(names)) != len(names):
                 raise ValueError(f"fact {f.name}: {field} repeat")
         for dn in f.dims:

@@ -58,7 +58,6 @@ import logging
 import re
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Sequence
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
@@ -72,11 +71,11 @@ FORMAT_VERSION = 1
 
 
 def _read_csv(path: Path, columns: list[str], numeric: set[str]
-              ) -> tuple[list[Row], Sequence[int]]:
+              ) -> tuple[list[Row], list[int]]:
     """Rows of one table keyed and ordered as ``columns``, and the lines they start on.
 
     Other columns are dropped. Line numbers count the newlines inside quoted
-    fields; only a table that has such a field is read twice to find them.
+    fields.
     """
     where = str(path)
     try:
@@ -102,10 +101,13 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
         numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
                             key=positions.__getitem__)
         rows: list[Row] = []
+        lines: list[int] = []
+        # A record starts one line after the previous one (the header first) ends.
+        start = reader.line_num + 1
         for record in reader:
             if len(record) != width:
                 raise LoadError(f"row has {len(record)} fields, header has {width}",
-                                path=where, line=_record_lines(path)[len(rows)])
+                                path=where, line=start)
             values = [record[i].strip() or None for i in positions]
             for i in numeric_at:
                 value = values[i]
@@ -113,20 +115,12 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
                     try:
                         values[i] = Decimal(value)
                     except InvalidOperation:
-                        raise LoadError(f"{value!r} is not a number", path=where,
-                                        line=_record_lines(path)[len(rows)]) from None
+                        raise LoadError(f"{value!r} is not a number",
+                                        path=where, line=start) from None
             rows.append(dict(zip(columns, values)))
-        if reader.line_num == len(rows) + 1:
-            return rows, range(2, len(rows) + 2)
-        return rows, _record_lines(path)
-
-
-def _record_lines(path: Path) -> list[int]:
-    """The physical line each data record of a CSV table starts on."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        # After each record, the header first, the next record starts one line on.
-        return [reader.line_num + 1 for _ in reader][:-1]
+            lines.append(start)
+            start = reader.line_num + 1
+        return rows, lines
 
 
 def _descriptor_field(obj: dict, key: str, kind, *, path: str, where: str):

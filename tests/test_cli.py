@@ -251,10 +251,15 @@ def test_gen_refuses_flags_it_would_ignore(flags, tmp_path, monkeypatch, capsys)
     (lambda doc: doc.pop("seed"), "lacks the required field 'seed'"),
     (lambda doc: doc["facts"][0].update(view2Measures=["quantity", "discount"]),
      "view2Measures names unknown measure 'discount'"),
-    (lambda doc: doc["dimensions"][0].update(view1=[]), "a view must name at least one chain"),
+    (lambda doc: doc["dimensions"][0].update(view1=[]),
+     "side 1's view must name at least one chain"),
+    (lambda doc: doc["dimensions"][2].update(chains=[]),
+     "side 1's view must name at least one chain"),
     (lambda doc: doc["facts"][0].update(dims=["customer", "customer"]), "dims repeat"),
+    (lambda doc: doc["facts"][0].update(view1Measures=["quantity", "quantity"]),
+     "view1Measures repeat"),
 ], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
-        "empty-view", "repeated-fact-dimension"])
+        "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure"])
 def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = spec_to_dict(preset_star4(seed=1))

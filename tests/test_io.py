@@ -117,6 +117,10 @@ def test_errors_report_physical_lines_after_a_multiline_field(tmp_path, caplog):
     with pytest.raises(LoadError, match="C9") as err:
         io.load_dw(tmp_path)
     assert (err.value.path, err.value.line) == (str(tmp_path / "sales.csv"), 4)
+    (tmp_path / "sales.csv").write_text('Code,Quantity\n"C1\n",3\nC2,abc\n', encoding="utf-8")
+    with pytest.raises(LoadError, match="'abc' is not a number") as err:
+        io.load_dw(tmp_path)
+    assert err.value.line == 4
     # A record that spans lines reports the line it starts on.
     write_minimal(tmp_path, rows='C1,x\nC2,"a\nb",extra\n')
     with pytest.raises(LoadError, match="row has 3 fields") as err:
