@@ -434,29 +434,67 @@ def spec_to_dict(spec: GenSpec) -> dict:
     }
 
 
+# The JSON value kinds a spec field may take, by the name an error gives them.
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "true or false": lambda v: type(v) is bool,
+    "a list": lambda v: type(v) is list,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+}
+_REQUIRED = object()
+
+
+def _field(obj, key: str, kind: str, default=_REQUIRED):
+    """``obj[key]`` checked to be of ``kind``; ``default`` when absent or null.
+
+    A list of strings comes back as a tuple. ValueError names a field that
+    is missing or of the wrong kind, and an entry that is not an object.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"generator spec entry {obj!r} is not a JSON object")
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"generator spec lacks the required field {key!r}")
+        return default
+    if not _KINDS[kind](value):
+        raise ValueError(f"generator spec field {key!r} must be {kind}, not {value!r}")
+    return tuple(value) if kind == "a list of strings" else value
+
+
 def spec_from_dict(doc: dict) -> GenSpec:
-    """The spec a :func:`spec_to_dict` document describes; ValueError names a missing field."""
-    try:
-        dims = tuple(GenDimension(
-            name=d["name"], rows=d["rows"],
-            attrs=tuple(GenAttr(a["name"], a.get("divisor", 1)) for a in d["attrs"]),
-            chains=tuple(GenChain(c["name"], tuple(c["parameters"])) for c in d["chains"]),
-            view1=tuple(d["view1"]) if d.get("view1") is not None else None,
-            view2=tuple(d["view2"]) if d.get("view2") is not None else None,
-            overlap=d.get("overlap"),
-        ) for d in doc["dimensions"])
-        facts = tuple(GenFact(
-            name=f["name"], rows=f["rows"], dims=tuple(f["dims"]),
-            measures=tuple(f["measures"]),
-            view1=f.get("view1", True), view2=f.get("view2", True),
-            view1_measures=tuple(f["view1Measures"]) if f.get("view1Measures") else None,
-            view2_measures=tuple(f["view2Measures"]) if f.get("view2Measures") else None,
-            conflict_measure=f.get("conflictMeasure"),
-            conflict_fraction=f.get("conflictFraction", 0.0),
-        ) for f in doc["facts"])
-        return GenSpec(doc["name"], doc["seed"], dims, facts, doc.get("overlap", 0.75))
-    except KeyError as exc:
-        raise ValueError(f"generator spec lacks the required field {exc.args[0]!r}") from None
+    """The spec a :func:`spec_to_dict` document describes.
+
+    ValueError names a field that is missing or of the wrong JSON kind.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("generator spec must be a JSON object")
+    dims = tuple(GenDimension(
+        name=_field(d, "name", "a string"), rows=_field(d, "rows", "an integer"),
+        attrs=tuple(GenAttr(_field(a, "name", "a string"), _field(a, "divisor", "an integer", 1))
+                    for a in _field(d, "attrs", "a list")),
+        chains=tuple(GenChain(_field(c, "name", "a string"),
+                              _field(c, "parameters", "a list of strings"))
+                     for c in _field(d, "chains", "a list")),
+        view1=_field(d, "view1", "a list of strings", None),
+        view2=_field(d, "view2", "a list of strings", None),
+        overlap=_field(d, "overlap", "a number", None),
+    ) for d in _field(doc, "dimensions", "a list"))
+    facts = tuple(GenFact(
+        name=_field(f, "name", "a string"), rows=_field(f, "rows", "an integer"),
+        dims=_field(f, "dims", "a list of strings"),
+        measures=_field(f, "measures", "a list of strings"),
+        view1=_field(f, "view1", "true or false", True),
+        view2=_field(f, "view2", "true or false", True),
+        view1_measures=_field(f, "view1Measures", "a list of strings", None) or None,
+        view2_measures=_field(f, "view2Measures", "a list of strings", None) or None,
+        conflict_measure=_field(f, "conflictMeasure", "a string", None),
+        conflict_fraction=_field(f, "conflictFraction", "a number", 0.0),
+    ) for f in _field(doc, "facts", "a list"))
+    return GenSpec(_field(doc, "name", "a string"), _field(doc, "seed", "an integer"),
+                   dims, facts, _field(doc, "overlap", "a number", 0.75))
 
 
 def load_spec(path: str | Path) -> GenSpec:

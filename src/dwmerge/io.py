@@ -61,7 +61,7 @@ from pathlib import Path
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, cell_sort_key, cell_to_text)
+                    StarSchema, cell_sort_key, cell_to_text, column, fact_keys_hold)
 from .report import MergeReport, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -75,51 +75,60 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     """Rows of one table keyed and ordered as ``columns``, and the lines they start on.
 
     Other columns are dropped. Line numbers count the newlines inside quoted
-    fields.
+    fields. A record the csv module cannot parse, such as one with a field
+    over its size limit, is a load error on the line the record starts on,
+    and so is a NaN in a numeric column.
     """
     where = str(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read table: {exc}", path=where) from exc
+    start = 1  # the line the record being read starts on
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("table file is empty, header expected", path=where, line=1)
-        repeated = [c for i, c in enumerate(header) if c in header[:i]]
-        if repeated:
-            raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise LoadError(f"header is missing declared columns {missing!r}",
-                            path=where, line=1)
-        width = len(header)
-        positions = [header.index(c) for c in columns]
-        # Parse numbers in file order, so a row with two bad ones names the leftmost.
-        numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
-                            key=positions.__getitem__)
-        rows: list[Row] = []
-        lines: list[int] = []
-        # A record starts one line after the previous one (the header first) ends.
-        start = reader.line_num + 1
-        for record in reader:
-            if len(record) != width:
-                raise LoadError(f"row has {len(record)} fields, header has {width}",
-                                path=where, line=start)
-            values = [record[i].strip() or None for i in positions]
-            for i in numeric_at:
-                value = values[i]
-                if value is not None:
-                    try:
-                        values[i] = Decimal(value)
-                    except InvalidOperation:
-                        raise LoadError(f"{value!r} is not a number",
-                                        path=where, line=start) from None
-            rows.append(dict(zip(columns, values)))
-            lines.append(start)
+            header = next(reader, None)
+            if header is None:
+                raise LoadError("table file is empty, header expected", path=where, line=1)
+            repeated = [c for i, c in enumerate(header) if c in header[:i]]
+            if repeated:
+                raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise LoadError(f"header is missing declared columns {missing!r}",
+                                path=where, line=1)
+            width = len(header)
+            positions = [header.index(c) for c in columns]
+            # Parse numbers in file order, so a row with two bad ones names the leftmost.
+            numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
+                                key=positions.__getitem__)
+            rows: list[Row] = []
+            lines: list[int] = []
+            # A record starts one line after the previous one (the header first) ends.
             start = reader.line_num + 1
+            for record in reader:
+                if len(record) != width:
+                    raise LoadError(f"row has {len(record)} fields, header has {width}",
+                                    path=where, line=start)
+                values = [record[i].strip() or None for i in positions]
+                for i in numeric_at:
+                    value = values[i]
+                    if value is not None:
+                        try:
+                            number = Decimal(value)
+                        except InvalidOperation:
+                            number = None
+                        # NaN differs from itself, so it could never match or fuse.
+                        if number is None or number.is_nan():
+                            raise LoadError(f"{value!r} is not a number",
+                                            path=where, line=start)
+                        values[i] = number
+                rows.append(dict(zip(columns, values)))
+                lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
         return rows, lines
 
 
@@ -202,6 +211,10 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     raw_rows, lines = _read_csv(table_path, key_cols + list(measures), numeric)
 
     fact = Fact(name, measures, tuple(keys), [], frozenset(numeric))
+    if fact_keys_hold(raw_rows, keys, dims):
+        fact.rows = raw_rows
+        return fact
+    # Walk the rows only to name the first offending line and log each repeat.
     checks = [(dim, col, dims[dim].rows) for dim, col in keys]
     seen: set[tuple] = set()
     for lineno, row in zip(lines, raw_rows):
@@ -229,6 +242,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     Returns a :class:`StarSchema` for a single-fact descriptor, otherwise a
     :class:`Constellation`. ``strict`` turns duplicate dimension ids and
     duplicate fact key tuples into errors instead of keep-first-and-log.
+    Fact keys are checked in bulk, a column at a time; the rows are walked
+    one by one only when that check fails, to name the offending line.
     """
     directory = Path(directory)
     desc_path = directory / DESCRIPTOR_NAME
@@ -310,6 +325,22 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
         writer.writerows(map(row.get, columns) for row in rows)
 
 
+def _key_order(rows: list[Row], key_cols: tuple[str, ...]) -> list[int]:
+    """Indices of ``rows`` sorted by their key cells' :func:`cell_sort_key`, stably.
+
+    One stable sort per key column, last column first. A column whose cells
+    are all text or all numbers sorts on the cells themselves, which order
+    as their sort keys do.
+    """
+    order = list(range(len(rows)))
+    for col in reversed(key_cols):
+        cells = column(rows, col)
+        if set(map(type, cells)) not in ({str}, {Decimal}):
+            cells = list(map(cell_sort_key, cells))
+        order.sort(key=cells.__getitem__)
+    return order
+
+
 def write_dw(schema: Schema, directory: str | Path) -> None:
     """Emit a warehouse directory: descriptor plus one CSV per table.
 
@@ -348,8 +379,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
                               for d, c in fact.dimension_keys],
         })
         key_cols = fact.key_columns()
-        ordered = sorted(fact.rows,
-                         key=lambda r: tuple(map(cell_sort_key, map(r.get, key_cols))))
+        ordered = map(fact.rows.__getitem__, _key_order(fact.rows, key_cols))
         _write_csv(directory / filename, list(key_cols) + list(fact.measures), ordered)
 
     doc = {

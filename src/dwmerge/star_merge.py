@@ -10,6 +10,8 @@ checked against the count laws before anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -22,7 +24,7 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_to_text, conforms, validate)
+                    cell_to_text, column, conforms, records, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -126,25 +128,30 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
                             if m in right_measure_names}
 
-    columns = key_cols + f1.measures
-    new_nulls = dict.fromkeys(new_measures)
+    # The left rows are built a column at a time; the measures only the right
+    # fact has start null.
+    n1 = len(f1.rows)
+    cells = [column(f1.rows, c) for c in key_cols + f1.measures]
+    cells += [[None] * n1] * len(new_measures)
+    left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
+    rows: dict[tuple, Row] = dict(zip(records(cells[:len(key_cols)], n1), left_rows))
+    right_keys = records([list(map(itemgetter(c), f2.rows)) for c in aligned_right_cols],
+                         len(f2.rows))
+    sources, targets = [s for s, _ in names], [t for _, t in names]
     all_nulls = dict.fromkeys(measures)
-    rows: dict[tuple, Row] = {}
-    for r in f1.rows:
-        row = dict(zip(columns, map(r.get, columns)))
-        row.update(new_nulls)
-        rows[tuple(map(row.__getitem__, key_cols))] = row
     conflicts: list[ValueConflict] = []
     n_common = 0
-    for r in f2.rows:
-        key = tuple(map(r.__getitem__, aligned_right_cols))
+    for key, r in zip(right_keys, f2.rows):
         row = rows.get(key)
         if row is None:
+            # Every measure of a new row is null and the right measures land
+            # on distinct names, so fusing could copy cells but never clash.
             row = dict(zip(key_cols, key))
             row.update(all_nulls)
+            row.update(zip(targets, map(r.get, sources)))
             rows[key] = row
-        else:
-            n_common += 1
+            continue
+        n_common += 1
         for name, v1, v2, chosen in fuse_row(row, r, names, settings.conflict):
             if settings.conflict == "error":
                 raise ConflictError(

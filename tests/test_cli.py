@@ -245,10 +245,15 @@ def test_gen_refuses_flags_it_would_ignore(flags, tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "dw1").exists()
 
 
+def without(obj: dict, key: str) -> None:
+    del obj[key]
+
+
+# An edit changes the document in place or returns the one to write instead.
 @pytest.mark.parametrize("edit, named", [
-    (lambda doc: doc["dimensions"][0].pop("rows"), "lacks the required field 'rows'"),
-    (lambda doc: doc["facts"][0].pop("measures"), "lacks the required field 'measures'"),
-    (lambda doc: doc.pop("seed"), "lacks the required field 'seed'"),
+    (lambda doc: without(doc["dimensions"][0], "rows"), "lacks the required field 'rows'"),
+    (lambda doc: without(doc["facts"][0], "measures"), "lacks the required field 'measures'"),
+    (lambda doc: without(doc, "seed"), "lacks the required field 'seed'"),
     (lambda doc: doc["facts"][0].update(view2Measures=["quantity", "discount"]),
      "view2Measures names unknown measure 'discount'"),
     (lambda doc: doc["dimensions"][0].update(view1=[]),
@@ -258,12 +263,15 @@ def test_gen_refuses_flags_it_would_ignore(flags, tmp_path, monkeypatch, capsys)
     (lambda doc: doc["facts"][0].update(dims=["customer", "customer"]), "dims repeat"),
     (lambda doc: doc["facts"][0].update(view1Measures=["quantity", "quantity"]),
      "view1Measures repeat"),
+    (lambda doc: [doc], "generator spec must be a JSON object"),
+    (lambda doc: doc["dimensions"][0].update(rows="400"), "'rows' must be an integer"),
 ], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
-        "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure"])
+        "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure",
+        "top-level-list", "text-rows"])
 def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = spec_to_dict(preset_star4(seed=1))
-    edit(doc)
+    doc = edit(doc) or doc
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     assert main(["gen", "dw1", "dw2", "--spec", "spec.json"]) == 5
     assert named in capsys.readouterr().err

@@ -7,7 +7,7 @@ from dwmerge import io
 from dwmerge.cli import main
 from dwmerge.errors import LoadError
 from dwmerge.generator import generate_pair, preset_basic, preset_divergent
-from dwmerge.model import Fact, StarSchema, validate
+from dwmerge.model import Fact, StarSchema, cell_sort_key, cell_to_text, validate
 
 from conftest import make_dimension
 
@@ -204,3 +204,52 @@ def test_unsupported_format_version(tmp_path):
 def test_missing_descriptor(tmp_path):
     with pytest.raises(LoadError, match="descriptor"):
         io.load_dw(tmp_path / "nowhere")
+
+
+def test_oversized_field_is_a_load_error(tmp_path, capsys):
+    # The csv module refuses fields over 131072 characters.
+    write_minimal(tmp_path, rows=f"C1,x\nC2,{'y' * 200_000}\n")
+    with pytest.raises(LoadError, match="field larger than field limit") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "customer.csv"), 3)
+    assert main(["validate", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'customer.csv'}:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "-nan", "sNaN", "NaN12"])
+def test_nan_in_a_numeric_column_is_a_load_error(spelling, tmp_path, capsys):
+    # A numeric dimension id: a signaling NaN cannot even be hashed.
+    write_minimal(tmp_path, rows=f"1,x\n{spelling},y\n")
+    doc = json.loads((tmp_path / "schema.json").read_text())
+    doc["dimensions"][0]["numericAttributes"] = ["Code"]
+    (tmp_path / "schema.json").write_text(json.dumps(doc))
+    (tmp_path / "sales.csv").write_text("Code,Quantity\n1,3\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"{spelling!r} is not a number") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "customer.csv"), 3)
+    assert main(["validate", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'customer.csv'}:3" in capsys.readouterr().err
+    # A measure: NaN would differ from itself and conflict when merged with itself.
+    write_minimal(tmp_path)
+    (tmp_path / "sales.csv").write_text(f"Code,Quantity\nC1,{spelling}\n", encoding="utf-8")
+    assert main(["merge", "--conflict", "error", str(tmp_path), str(tmp_path),
+                 str(tmp_path / "out")]) == 2
+    assert f"{tmp_path / 'sales.csv'}:2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
+    # K mixes null, numbers and text; equal numbers spelt differently tie
+    # on K and L, so they must keep their input order.
+    cells = [None, Decimal("2"), "b", Decimal("1.0"), "a", None, Decimal("1"), "10",
+             Decimal("-3"), "B"]
+    rows = [{"K": k, "L": "x" if i % 3 else Decimal(i), "q": Decimal(i)}
+            for i, k in enumerate(cells * 2)]
+    fact = Fact("sales", ("q",), (("d", "K"), ("e", "L")), rows, frozenset({"q"}))
+    dim = make_dimension("d", "K", ("K",), [("H", ("K",))], [])
+    io.write_dw(StarSchema("mixed", fact, (dim,)), tmp_path)
+    expected = sorted(rows, key=lambda r: (cell_sort_key(r["K"]), cell_sort_key(r["L"])))
+    lines = (tmp_path / "sales.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [",".join(map(cell_to_text, (r["K"], r["L"], r["q"])))
+                         for r in expected]
+    assert [line.split(",")[2] for line in lines[1:5]] == ["0", "15", "5", "10"]

@@ -18,18 +18,34 @@ from dwmerge import cli, io
 from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4, spec_to_dict)
 
+
+def conflict_spec() -> GenSpec:
+    spec = preset_basic(seed=8, rows=200, fact_rows=600)
+    f = spec.facts[0]
+    return GenSpec(spec.name, spec.seed, spec.dimensions,
+                   (GenFact(f.name, f.rows, f.dims, f.measures,
+                            conflict_measure="price", conflict_fraction=0.5),),
+                   spec.overlap)
+
+
 CASES = {
-    "basic": (lambda: preset_basic(seed=7, rows=400, fact_rows=2000),
+    "basic": (lambda: preset_basic(seed=7, rows=400, fact_rows=2000), [],
               "e23976409c3dde65fa0f9801e0ddea4abcdfd83d7692038810b4e3225bb20fe9"),
     # Constellation output, a side-only dimension from each input, and an
     # enrichment that completes a right dimension.
-    "const22": (lambda: preset_const22(seed=7),
+    "const22": (lambda: preset_const22(seed=7), [],
                 "166ccae87e00168db54bcc2d3adefc288991bdc158c777bc575a8d94f42f4034"),
-    "divergent": (lambda: preset_divergent(seed=7, rows=600),
+    "divergent": (lambda: preset_divergent(seed=7, rows=600), [],
                   "cb55ab695159ac83ad6e1cc1cd1381c6169614914182b9c82e3b00f86d0bfedd"),
     # Cross-enrichment adds an attribute, so merge_all_dimensions re-matches pairs.
-    "star4": (lambda: preset_star4(seed=7),
+    "star4": (lambda: preset_star4(seed=7), [],
               "fe15f4bf916e7131620249a516a2ed0cf7a022cc8d781b60576e54e568fc504e"),
+    # 184 shared fact tuples, 99 of them with a conflicting price: the
+    # policy decides which price each fused row keeps.
+    "conflict-left": (conflict_spec, ["--conflict", "left"],
+                      "1c09c6e1980d48db06e69b1d85f7f73e0ad45beffac6c4741c1a8f8f5aa6e048"),
+    "conflict-right": (conflict_spec, ["--conflict", "right"],
+                       "af75c3ba6ab0377ce438a7cab7ec0f52bc2dd5504e2f2037e76b653809fb5921"),
 }
 
 
@@ -45,25 +61,16 @@ def tree_digest(directory) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_merge_output_digest(case, tmp_path, monkeypatch, capsys):
-    spec, want = CASES[case]
+    spec, flags, want = CASES[case]
     dw1, dw2, _ = generate_pair(spec())
     monkeypatch.chdir(tmp_path)
     io.write_dw(dw1, "dw1")
     io.write_dw(dw2, "dw2")
-    assert cli.main(["merge", "dw1", "dw2", "out"]) == cli.EXIT_OK
+    assert cli.main(["merge", *flags, "dw1", "dw2", "out"]) == cli.EXIT_OK
     capsys.readouterr()
     assert cli.main(["validate", "--strict", "out"]) == cli.EXIT_OK
     assert capsys.readouterr().out == "out: OK\n"
     assert tree_digest(tmp_path / "out") == want
-
-
-def conflict_spec() -> GenSpec:
-    spec = preset_basic(seed=8, rows=200, fact_rows=600)
-    f = spec.facts[0]
-    return GenSpec(spec.name, spec.seed, spec.dimensions,
-                   (GenFact(f.name, f.rows, f.dims, f.measures,
-                            conflict_measure="price", conflict_fraction=0.5),),
-                   spec.overlap)
 
 
 GEN_CASES = {
