@@ -27,7 +27,7 @@ from .errors import ConflictError, MergeError
 from .hierarchy_merge import HierarchyMergeResult, merge_hierarchies, render_tokens
 from .matching import Correspondence, corr_attr_map
 from .model import (Cell, Dimension, Hierarchy, Row, cell_sort_key, cell_to_text,
-                    cells_equal)
+                    cells_equal, uniquify)
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,6 @@ class DimensionMergeResult:
 # naming
 # ---------------------------------------------------------------------------
 
-def _uniquify(base: str, taken: set[str]) -> str:
-    name = base
-    k = 2
-    while name in taken:
-        name = f"{base}_{k}"
-        k += 1
-    taken.add(name)
-    return name
-
-
 def _right_name_map(native: Sequence[str], foreign: Iterable[str], foreign_table: str,
                     matched: Mapping[str, str]) -> dict[str, str]:
     """Name under which each foreign column joins a table of ``native`` columns.
@@ -109,7 +99,7 @@ def _right_name_map(native: Sequence[str], foreign: Iterable[str], foreign_table
         if b in matched:
             names[b] = matched[b]
         else:
-            names[b] = b if b not in taken else _uniquify(f"{foreign_table}_{b}", taken)
+            names[b] = b if b not in taken else uniquify(f"{foreign_table}_{b}", taken)
             taken.add(names[b])
     return names
 
@@ -159,13 +149,13 @@ def _side_schema(dim: Dimension, other: Dimension, names: Mapping[str, str],
     used = {h.name for h in dim.hierarchies}
     originals = list(dim.hierarchies)
     for h in adopted:
-        originals.append(Hierarchy(_uniquify(h.name, used),
+        originals.append(Hierarchy(uniquify(h.name, used),
                                    tuple(names[p] for p in h.parameters)))
     produced = []
     for h1, h2, res in results:
         for k, chain in enumerate(res.chains(side)):
             base = f"{h1.name}_{h2.name}" if k == 0 else f"{h1.name}_{h2.name}_{k + 1}"
-            produced.append(Hierarchy(_uniquify(base, used), render_tokens(chain, side, names)))
+            produced.append(Hierarchy(uniquify(base, used), render_tokens(chain, side, names)))
     return attributes, numeric, _dedupe_hierarchies(originals + produced), produced
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
@@ -176,27 +177,6 @@ def transitive_reduction(edges: Sequence[tuple]) -> list[tuple]:
             if not any(b in descendants(c) for c in succ[a] if c != b)]
 
 
-def _check_acyclic(seqs: Iterable[Sequence[Hashable]]) -> None:
-    succ: dict[Hashable, set] = {}
-    for s in seqs:
-        for a, b in zip(s, s[1:]):
-            succ.setdefault(a, set()).add(b)
-    state: dict[Hashable, int] = {}
-
-    def visit(n) -> bool:
-        state[n] = 1
-        for m in succ.get(n, ()):
-            st = state.get(m, 0)
-            if st == 1 or (st == 0 and visit(m)):
-                return True
-        state[n] = 2
-        return False
-
-    for n in list(succ):
-        if state.get(n, 0) == 0 and visit(n):
-            raise MergeError("cannot merge parameter orderings: the roll-up graph is cyclic")
-
-
 def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
     """Every maximal chain of the roll-up graph the orderings describe.
 
@@ -209,13 +189,16 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
     seqs = [tuple(s) for s in ordered_sets]
     if any(len(s) < 2 for s in seqs):
         raise ValueError("orderings must have at least two elements")
-    _check_acyclic(seqs)
     succ: dict[Hashable, set] = {}
     rolled_into: set[Hashable] = set()
     for s in seqs:
         for a, b in zip(s, s[1:]):
             succ.setdefault(a, set()).add(b)
             rolled_into.add(b)
+    try:  # the sorter reads succ as predecessor sets; a cycle is one either way
+        TopologicalSorter(succ).prepare()
+    except CycleError:
+        raise MergeError("cannot merge parameter orderings: the roll-up graph is cyclic") from None
     chains: set[tuple] = set()
     paths = [(n,) for n in succ if n not in rolled_into]
     while paths:

@@ -61,7 +61,8 @@ from pathlib import Path
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, cell_sort_key, cell_to_text, column, fact_keys_hold)
+                    StarSchema, cell_sort_key, cell_to_text, column, fact_key_faults,
+                    uniquify)
 from .report import MergeReport, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -77,7 +78,8 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     Other columns are dropped. Line numbers count the newlines inside quoted
     fields. A record the csv module cannot parse, such as one with a field
     over its size limit, is a load error on the line the record starts on,
-    and so is a NaN in a numeric column.
+    and so is a NaN in a numeric column. A byte that is not UTF-8 is a load
+    error on the physical line that holds it.
     """
     where = str(path)
     try:
@@ -129,6 +131,15 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
+        except UnicodeDecodeError:
+            # The reader decodes ahead in blocks, so place the bad byte in the file's bytes.
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"cannot read table: {exc}", path=where,
+                                line=data.count(b"\n", 0, exc.start) + 1) from None
+            raise
         return rows, lines
 
 
@@ -210,30 +221,20 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     where = str(table_path)
     raw_rows, lines = _read_csv(table_path, key_cols + list(measures), numeric)
 
-    fact = Fact(name, measures, tuple(keys), [], frozenset(numeric))
-    if fact_keys_hold(raw_rows, keys, dims):
-        fact.rows = raw_rows
-        return fact
-    # Walk the rows only to name the first offending line and log each repeat.
-    checks = [(dim, col, dims[dim].rows) for dim, col in keys]
-    seen: set[tuple] = set()
-    for lineno, row in zip(lines, raw_rows):
-        key = tuple(map(row.__getitem__, key_cols))
-        for (dim, col, dim_rows), val in zip(checks, key):
-            if val is None or val not in dim_rows:
-                raise LoadError(
-                    f"fact {name!r}: key {col}={cell_to_text(val)!r} has no row in "
-                    f"dimension {dim!r}", path=where, line=lineno)
-        if key in seen:
-            if strict:
-                raise LoadError(f"fact {name!r}: duplicate key tuple", path=where,
-                                line=lineno)
-            logger.warning("fact %s: duplicate key tuple at %s:%d, keeping the first row",
-                           name, table_path, lineno)
-            continue
-        seen.add(key)
-        fact.rows.append(row)
-    return fact
+    dropped: set[int] = set()
+    for i, key, value, _ in fact_key_faults(raw_rows, keys, dims):
+        if key is not None:
+            dim, col = key
+            raise LoadError(f"fact {name!r}: key {col}={cell_to_text(value)!r} has no "
+                            f"row in dimension {dim!r}", path=where, line=lines[i])
+        if strict:
+            raise LoadError(f"fact {name!r}: duplicate key tuple", path=where, line=lines[i])
+        logger.warning("fact %s: duplicate key tuple at %s:%d, keeping the first row",
+                       name, table_path, lines[i])
+        dropped.add(i)
+    if dropped:
+        raw_rows = [row for i, row in enumerate(raw_rows) if i not in dropped]
+    return Fact(name, measures, tuple(keys), raw_rows, frozenset(numeric))
 
 
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
@@ -242,14 +243,13 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     Returns a :class:`StarSchema` for a single-fact descriptor, otherwise a
     :class:`Constellation`. ``strict`` turns duplicate dimension ids and
     duplicate fact key tuples into errors instead of keep-first-and-log.
-    Fact keys are checked in bulk, a column at a time; the rows are walked
-    one by one only when that check fails, to name the offending line.
+    Fact keys are checked a column at a time, by :func:`model.fact_key_faults`.
     """
     directory = Path(directory)
     desc_path = directory / DESCRIPTOR_NAME
     try:
         text = desc_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read descriptor: {exc}", path=str(desc_path)) from exc
     try:
         doc = json.loads(text)
@@ -306,14 +306,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
 # ---------------------------------------------------------------------------
 
 def _table_filename(name: str, used: set[str]) -> str:
-    base = re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "table"
-    candidate = f"{base}.csv"
-    k = 2
-    while candidate in used:
-        candidate = f"{base}_{k}.csv"
-        k += 1
-    used.add(candidate)
-    return candidate
+    """A CSV name for table ``name`` whose stem is not in ``used``; the stem is marked used."""
+    return uniquify(re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "table", used) + ".csv"
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:
@@ -349,12 +343,12 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    used_files: set[str] = set()
+    used_stems: set[str] = set()
 
     facts = [schema.fact] if isinstance(schema, StarSchema) else list(schema.facts)
     dim_entries = []
     for dim in schema.dimensions:
-        filename = _table_filename(dim.name, used_files)
+        filename = _table_filename(dim.name, used_stems)
         dim_entries.append({
             "name": dim.name,
             "table": filename,
@@ -369,7 +363,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
 
     fact_entries = []
     for fact in facts:
-        filename = _table_filename(fact.name, used_files)
+        filename = _table_filename(fact.name, used_stems)
         fact_entries.append({
             "name": fact.name,
             "table": filename,

@@ -90,7 +90,7 @@ def load_user_map(path: str | Path) -> UserMap:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserMapError(f"cannot read user map {p}: {exc}") from exc
     return parse_user_map(text, source=str(p))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SchemaMismatchError
@@ -27,6 +28,17 @@ Row = dict[str, Cell]
 def normalize_name(raw: str) -> str:
     """Canonical form used for all name comparisons: case-folded, only alphanumerics kept."""
     return "".join(ch for ch in raw.casefold() if ch.isalnum())
+
+
+def uniquify(base: str, taken: set[str]) -> str:
+    """``base``, or the first of ``base_2``, ``base_3``, ... not in ``taken``; marked taken."""
+    name = base
+    k = 2
+    while name in taken:
+        name = f"{base}_{k}"
+        k += 1
+    taken.add(name)
+    return name
 
 
 def cells_equal(a: Cell, b: Cell) -> bool:
@@ -215,26 +227,43 @@ def records(columns: Sequence[Sequence[Cell]], n: int) -> Iterator[tuple]:
     return zip(*columns) if columns else repeat((), n)
 
 
-def fact_keys_hold(rows: Sequence[Row], dimension_keys: Iterable[tuple[str, str]],
-                   dims: Mapping[str, Dimension]) -> bool:
-    """True iff every key cell names a row of its dimension and no key tuple repeats.
+def fact_key_faults(rows: Sequence[Row], dimension_keys: Sequence[tuple[str, str]],
+                    dims: Mapping[str, Dimension]) -> list[tuple]:
+    """Every dangling key cell and repeated key tuple of a fact's rows.
+
+    Each fault is a tuple ``(row, key, value, first)``. A dangling fault
+    names the ``key`` (dimension, column) whose ``value`` has no row in that
+    dimension, with ``first`` None. A repeat has ``key`` None, the row's key
+    tuple as ``value`` and the row that used it first as ``first``. Faults
+    come by row, then by key column, with a row's repeat after its dangling
+    keys.
 
     Each key column is read whole and checked with set operations, so a
-    clean table costs no Python work per row; callers walk the rows only
-    when this is False, to name what is wrong. A missing key column reads
-    as null. A column whose dimension is not in ``dims`` takes part in the
-    repeat check only.
+    clean table costs no Python work per row; a column is walked only when
+    it holds a dangling value, and the key tuples only when one repeats. A
+    missing key column reads as null, which dangles. A column whose
+    dimension is not in ``dims`` takes part in the repeat check only.
     """
-    columns = []
-    for dim_name, col in dimension_keys:
-        cells = column(rows, col)
-        dim = dims.get(dim_name)
-        if dim is not None:
-            values = set(cells)
-            if None in values or not dim.rows.keys() >= values:
-                return False
-        columns.append(cells)
-    return len(set(records(columns, len(rows)))) == len(rows)
+    faults: list[tuple] = []
+    columns = [column(rows, col) for _, col in dimension_keys]
+    for key, cells in zip(dimension_keys, columns):
+        dim = dims.get(key[0])
+        if dim is None:
+            continue
+        values = set(cells)
+        if None in values or not dim.rows.keys() >= values:
+            faults.extend((i, key, v, None) for i, v in enumerate(cells)
+                          if v is None or v not in dim.rows)
+    n = len(rows)
+    if len(set(records(columns, n))) != n:
+        seen: dict[tuple, int] = {}
+        for i, tup in enumerate(records(columns, n)):
+            first = seen.setdefault(tup, i)
+            if first != i:
+                faults.append((i, None, tup, first))
+    # Stable, so each row keeps its faults in key-column order, its repeat last.
+    faults.sort(key=itemgetter(0))
+    return faults
 
 
 def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str],
@@ -244,24 +273,14 @@ def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str]
     if declared != linked:
         out.append(Violation(fact.name, "-", "fact-dimensions",
                              f"fact keys reference {sorted(declared)!r} but the schema links {sorted(linked)!r}"))
-    if fact_keys_hold(fact.rows, fact.dimension_keys, dims):
-        return
-    # A missing key column reads as null, so it is reported as a dangling key.
-    cols = fact.key_columns()
-    checks = [(j, col, dim_name, dims[dim_name].rows)
-              for j, (dim_name, col) in enumerate(fact.dimension_keys) if dim_name in dims]
-    seen: dict[tuple, int] = {}
-    for i, row in enumerate(fact.rows):
-        key = tuple(map(row.get, cols))
-        for j, col, dim_name, dim_rows in checks:
-            val = key[j]
-            if val is None or val not in dim_rows:
-                out.append(Violation(fact.name, f"row {i}", "fact-key-exists",
-                                     f"key {col}={cell_to_text(val)!r} has no row in dimension {dim_name!r}"))
-        first = seen.setdefault(key, i)
-        if first != i:
+    for i, key, value, first in fact_key_faults(fact.rows, fact.dimension_keys, dims):
+        if key is None:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
-                                 f"key tuple {key!r} already used by row {first}"))
+                                 f"key tuple {value!r} already used by row {first}"))
+        else:
+            dim_name, col = key
+            out.append(Violation(fact.name, f"row {i}", "fact-key-exists",
+                                 f"key {col}={cell_to_text(value)!r} has no row in dimension {dim_name!r}"))
 
 
 def validate(schema: Schema) -> list[Violation]:
@@ -269,9 +288,8 @@ def validate(schema: Schema) -> list[Violation]:
 
     Deterministic and order-independent: shuffling row order never changes
     the outcome (only the textual row locus of fact violations). Fact keys
-    are checked in bulk, a column at a time (:func:`fact_keys_hold`); the
-    rows are walked one by one only when that check fails, to list each
-    violation in row order.
+    are checked a column at a time (:func:`fact_key_faults`), and their
+    violations are listed in row order.
     """
     out: list[Violation] = []
     if isinstance(schema, StarSchema):

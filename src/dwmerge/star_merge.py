@@ -17,14 +17,14 @@ from typing import Mapping, Sequence
 from . import __version__
 from .config import MergeSettings
 from .dimension_merge import (CompletionFill, DimensionMergeResult, ValueConflict,
-                              _right_name_map, _uniquify, check_column_kinds, fuse_row,
+                              _right_name_map, check_column_kinds, fuse_row,
                               merge_dimensions)
 from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_to_text, column, conforms, records, validate)
+                    cell_to_text, column, conforms, records, uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -302,7 +302,7 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
         rec = recs2[n]
         if n in taken:
             d = rec.dimension
-            rec.dimension = Dimension(_uniquify(f"{n}_2", taken), d.root, d.attributes,
+            rec.dimension = Dimension(uniquify(f"{n}_2", taken), d.root, d.attributes,
                                       d.hierarchies, d.rows, d.numeric)
         taken.add(rec.dimension.name)
         out.append(rec)
@@ -394,8 +394,7 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
 
 def _retarget_fact(fact: Fact, dim_rename: Mapping[str, str], taken: set[str]) -> Fact:
     """Point an untouched fact at the merged dimension names; rows stay as-is."""
-    name = _uniquify(fact.name, taken) if fact.name in taken else fact.name
-    taken.add(name)
+    name = uniquify(fact.name, taken)
     keys = tuple((dim_rename.get(d, d), c) for d, c in fact.dimension_keys)
     return Fact(name, fact.measures, keys, fact.rows, fact.numeric)
 

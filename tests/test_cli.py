@@ -157,6 +157,34 @@ def test_user_map_via_flag(tmp_path, capsys):
     assert main(["match", str(dw1), str(dw2), "--map", str(umap)]) == 2
 
 
+@pytest.mark.parametrize("target", ["table", "descriptor", "map"])
+def test_non_utf8_input_is_exit_2(target, tmp_path, capsys):
+    dw1, dw2 = gen(tmp_path)
+    umap = tmp_path / "map.txt"
+    umap.write_text("# no entries\n", encoding="utf-8")
+    if target == "table":
+        # Line 250 lies past the text reader's first decoded block.
+        bad = dw1 / "customer.csv"
+        lines = bad.read_text(encoding="utf-8").split("\n")
+        lines[249] += "\xe9"  # appended to the row's last field
+        bad.write_bytes("\n".join(lines).encode("latin-1"))
+        where = f"{bad}:250"
+    elif target == "descriptor":
+        bad = dw1 / "schema.json"
+        bad.write_bytes(bad.read_bytes().replace(b'"name": "', b'"name": "\xe9', 1))
+        where = str(bad)
+    else:
+        bad = umap
+        bad.write_bytes("forbid customer.r\xe9gion customer.region\n".encode("latin-1"))
+        where = str(bad)
+    assert main(["merge", str(dw1), str(dw2), str(tmp_path / "out"), "--map", str(umap)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "can't decode byte 0xe9" in err
+    if target != "map":
+        assert main(["validate", str(dw1)]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_no_prune_and_report_flags(tmp_path):
     dw1, dw2 = gen(tmp_path)
     out = tmp_path / "np"

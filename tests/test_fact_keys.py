@@ -1,9 +1,12 @@
-"""The bulk fact-key check against the row loops it stands in front of.
+"""The column-wise fact-key rules against the row loops they replaced.
 
-``model._validate_fact`` and ``io._load_fact`` check a fact's key columns
-whole and walk the rows only when that check fails. The reference functions
-below are verbatim copies of the row loops both ran on every table before;
-over seeded random facts the two must report, raise and log the same things.
+``model._validate_fact`` and ``io._load_fact`` both take their fact-key
+faults from ``model.fact_key_faults``, which reads each key column whole.
+The reference functions below are verbatim copies of the row loops both
+once ran on every table; over seeded random facts the two must report,
+raise and log the same things, in the same order. The cases include rows
+with dangling keys in two columns and rows whose dangling key also repeats
+an earlier tuple, so the order of faults within one row is pinned too.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from collections import Counter
 from decimal import Decimal
 
 from dwmerge import io
@@ -113,7 +117,8 @@ def random_fact_rows(rng: random.Random, keys, dims) -> list[dict]:
 def test_validate_fact_matches_reference_loop():
     rng = random.Random(31415)
     seen = {"clean": 0, "null": 0, "dangling": 0, "missing-column": 0, "duplicate": 0,
-            "no-key-columns": 0, "unknown-dimension": 0}
+            "no-key-columns": 0, "unknown-dimension": 0, "two-dangling": 0,
+            "dangling-repeat": 0}
     for case in range(400):
         dims = random_dims(rng, least=0)
         names = list(dims) + ["ghost"]  # a key may point at a dimension not in the schema
@@ -138,6 +143,11 @@ def test_validate_fact_matches_reference_loop():
         seen["duplicate"] += "fact-key-duplicate" in rules
         seen["no-key-columns"] += not keys and len(rows) > 1
         seen["unknown-dimension"] += any(dim not in dims for dim, _ in keys)
+        per_row = Counter((v.locus, v.rule) for v in got)
+        seen["two-dangling"] += any(n > 1 for (_, rule), n in per_row.items()
+                                    if rule == "fact-key-exists")
+        seen["dangling-repeat"] += any((locus, "fact-key-exists") in per_row
+                                       for locus, rule in per_row if rule == "fact-key-duplicate")
     assert all(seen.values()), seen
 
 

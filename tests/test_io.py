@@ -206,6 +206,27 @@ def test_missing_descriptor(tmp_path):
         io.load_dw(tmp_path / "nowhere")
 
 
+def test_non_utf8_table_is_a_load_error_on_its_line(tmp_path):
+    # The bad byte lies past the text reader's first decoded block and after
+    # a quoted field that spans two lines.
+    write_minimal(tmp_path)
+    rows = '"C0","two\nlines"\n' + "".join(f"C{i},x\n" for i in range(1, 3000))
+    table = tmp_path / "customer.csv"
+    table.write_bytes(f"Code,Attr\n{rows}C3000,caf\xe9\n".encode("latin-1"))
+    with pytest.raises(LoadError, match="can't decode byte 0xe9") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(table), 3003)
+
+
+def test_non_utf8_descriptor_is_a_load_error(tmp_path):
+    write_minimal(tmp_path)
+    descriptor = tmp_path / "schema.json"
+    descriptor.write_bytes(descriptor.read_bytes().replace(b'"mini"', b'"caf\xe9"'))
+    with pytest.raises(LoadError, match="can't decode byte 0xe9") as err:
+        io.load_dw(tmp_path)
+    assert err.value.path == str(descriptor)
+
+
 def test_oversized_field_is_a_load_error(tmp_path, capsys):
     # The csv module refuses fields over 131072 characters.
     write_minimal(tmp_path, rows=f"C1,x\nC2,{'y' * 200_000}\n")
@@ -236,6 +257,23 @@ def test_nan_in_a_numeric_column_is_a_load_error(spelling, tmp_path, capsys):
                  str(tmp_path / "out")]) == 2
     assert f"{tmp_path / 'sales.csv'}:2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_table_names_that_sanitise_alike_get_distinct_files(tmp_path):
+    # "a b" and "a_b" both sanitise to the stem a_b, and so does the fact.
+    dims = (make_dimension("a b", "K", ("K",), [("H", ("K",))], [("k1",)]),
+            make_dimension("a_b", "J", ("J",), [("H", ("J",))], [("j1",)]))
+    fact = Fact("a b", ("q",), (("a b", "K"), ("a_b", "J")),
+                [{"K": "k1", "J": "j1", "q": Decimal(1)}], frozenset({"q"}))
+    io.write_dw(StarSchema("collide", fact, dims), tmp_path)
+    doc = json.loads((tmp_path / "schema.json").read_text(encoding="utf-8"))
+    assert [d["table"] for d in doc["dimensions"]] == ["a_b.csv", "a_b_2.csv"]
+    assert doc["facts"][0]["table"] == "a_b_3.csv"
+    back = io.load_dw(tmp_path, strict=True)
+    assert validate(back) == []
+    assert back.dimension("a b").rows == {"k1": {"K": "k1"}}
+    assert back.dimension("a_b").rows == {"j1": {"J": "j1"}}
+    assert back.fact.rows == fact.rows
 
 
 def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):

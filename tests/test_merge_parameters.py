@@ -110,6 +110,8 @@ def _subsequence(small, big):
 def test_cyclic_input_rejected():
     with pytest.raises(MergeError):
         merge_parameters([("A", "B"), ("B", "A")])
+    with pytest.raises(MergeError):
+        merge_parameters([("A", "A")])
     with pytest.raises(ValueError):
         merge_parameters([("A",)])
 
