@@ -143,8 +143,21 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
         return rows, lines
 
 
-def _descriptor_field(obj: dict, key: str, kind, *, path: str, where: str):
+_REQUIRED = object()
+
+
+def _descriptor_field(obj: dict, key: str, kind, *, path: str, where: str,
+                      default=_REQUIRED):
+    """``obj[key]`` checked to be a ``kind``; ``default`` when the key is absent.
+
+    A descriptor part that is not a JSON object, a required key that is
+    missing and a value of another type are load errors naming ``where``.
+    """
+    if not isinstance(obj, dict):
+        raise LoadError(f"{where}: expected a JSON object", path=path)
     if key not in obj:
+        if default is not _REQUIRED:
+            return default
         raise LoadError(f"{where}: missing field {key!r}", path=path)
     value = obj[key]
     if not isinstance(value, kind):
@@ -152,13 +165,23 @@ def _descriptor_field(obj: dict, key: str, kind, *, path: str, where: str):
     return value
 
 
+def _names(obj: dict, key: str, *, path: str, where: str, default=_REQUIRED
+           ) -> tuple[str, ...]:
+    """A descriptor field that lists names, as a tuple; ``default`` when absent."""
+    value = _descriptor_field(obj, key, list, path=path, where=where, default=default)
+    if not all(isinstance(v, str) for v in value):
+        raise LoadError(f"{where}: field {key!r} must list strings", path=path)
+    return tuple(value)
+
+
 def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Dimension:
     name = _descriptor_field(entry, "name", str, path=path, where="dimension")
     where = f"dimension {name!r}"
     table = _descriptor_field(entry, "table", str, path=path, where=where)
     root = _descriptor_field(entry, "id", str, path=path, where=where)
-    attributes = tuple(_descriptor_field(entry, "attributes", list, path=path, where=where))
-    numeric = frozenset(entry.get("numericAttributes", []))
+    attributes = _names(entry, "attributes", path=path, where=where)
+    numeric = frozenset(_names(entry, "numericAttributes", path=path, where=where,
+                               default=()))
     if root not in attributes:
         raise LoadError(f"{where}: id {root!r} is not in its attributes", path=path)
     unknown_numeric = numeric - set(attributes)
@@ -166,10 +189,14 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
         raise LoadError(f"{where}: numericAttributes {sorted(unknown_numeric)!r} "
                         "are not declared attributes", path=path)
     hierarchies = []
-    for h in entry.get("hierarchies", []):
+    for h in _descriptor_field(entry, "hierarchies", list, path=path, where=where,
+                               default=()):
         hname = _descriptor_field(h, "name", str, path=path, where=f"{where} hierarchy")
-        params = tuple(_descriptor_field(h, "parameters", list, path=path,
-                                         where=f"{where} hierarchy {hname!r}"))
+        params = _names(h, "parameters", path=path, where=f"{where} hierarchy {hname!r}")
+        try:
+            hierarchy = Hierarchy(hname, params)
+        except ValueError as exc:  # no parameters, or a repeated one
+            raise LoadError(f"{where}: {exc}", path=path) from None
         bad = [p for p in params if p not in attributes]
         if bad:
             raise LoadError(f"{where} hierarchy {hname!r}: parameters {bad!r} "
@@ -177,7 +204,7 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
         if params[0] != root:
             raise LoadError(f"{where} hierarchy {hname!r}: first parameter must be "
                             f"the id {root!r}", path=path)
-        hierarchies.append(Hierarchy(hname, params))
+        hierarchies.append(hierarchy)
 
     table_path = directory / table
     where = str(table_path)
@@ -203,8 +230,8 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     name = _descriptor_field(entry, "name", str, path=path, where="fact")
     where = f"fact {name!r}"
     table = _descriptor_field(entry, "table", str, path=path, where=where)
-    measures = tuple(_descriptor_field(entry, "measures", list, path=path, where=where))
-    text_measures = set(entry.get("textMeasures", []))
+    measures = _names(entry, "measures", path=path, where=where)
+    text_measures = set(_names(entry, "textMeasures", path=path, where=where, default=()))
     keys = []
     for k in _descriptor_field(entry, "dimensionKeys", list, path=path, where=where):
         dim = _descriptor_field(k, "dimension", str, path=path, where=f"{where} key")
@@ -256,7 +283,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     except json.JSONDecodeError as exc:
         raise LoadError(f"descriptor is not valid JSON: {exc.msg}",
                         path=str(desc_path), line=exc.lineno) from exc
-    version = doc.get("formatVersion")
+    version = _descriptor_field(doc, "formatVersion", object, path=str(desc_path),
+                                where="descriptor", default=None)
     if version != FORMAT_VERSION:
         raise LoadError(f"unsupported formatVersion {version!r}, expected {FORMAT_VERSION}",
                         path=str(desc_path))
@@ -281,23 +309,25 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
             raise LoadError(f"duplicate fact name {fact.name!r}", path=str(desc_path))
         facts.append(fact)
 
-    star_doc = doc.get("star")
-    if len(facts) == 1:
-        linked = star_doc.get(facts[0].name) if isinstance(star_doc, dict) else None
-        if linked is None or set(linked) == set(dims):
-            return StarSchema(name, facts[0], tuple(dims.values()))
-        # one fact linked to a dimension subset is a degenerate constellation
-    if not isinstance(star_doc, dict):
-        raise LoadError("a multi-fact descriptor needs a 'star' map", path=str(desc_path))
+    star_doc = _descriptor_field(doc, "star", dict, path=str(desc_path),
+                                 where="descriptor", default=None)
     star = {}
-    for fname, dim_names in star_doc.items():
+    for fname in star_doc or {}:
+        dim_names = _names(star_doc, fname, path=str(desc_path), where="star map")
         if fname not in {f.name for f in facts}:
             raise LoadError(f"star map references unknown fact {fname!r}", path=str(desc_path))
         for dn in dim_names:
             if dn not in dims:
                 raise LoadError(f"star map references unknown dimension {dn!r}",
                                 path=str(desc_path))
-        star[fname] = tuple(dim_names)
+        star[fname] = dim_names
+    if len(facts) == 1:
+        linked = star.get(facts[0].name)
+        if linked is None or set(linked) == set(dims):
+            return StarSchema(name, facts[0], tuple(dims.values()))
+        # one fact linked to a dimension subset is a degenerate constellation
+    if star_doc is None:
+        raise LoadError("a multi-fact descriptor needs a 'star' map", path=str(desc_path))
     return Constellation(name, tuple(facts), tuple(dims.values()), star)
 
 

@@ -8,7 +8,10 @@ than ``==`` when comparing cells.
 
 All model values are treated as immutable after construction. Merge
 operations build new instances instead of mutating loaded ones, so any
-function in this package may be called concurrently.
+function in this package may be called concurrently. A merged schema may
+share row dicts with its inputs (a fact that passes through unchanged, or a
+fact row that fusion leaves as it is), so no function mutates a row once it
+is in a schema; a row that must change is copied first.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_to_text, column, conforms, records, uniquify, validate)
+                    cell_to_text, cells_equal, column, conforms, records, uniquify,
+                    validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -101,6 +102,12 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     measures unify under the left name, the rest join with nulls on the
     side that lacks them. Rows come out as the left ones, then the right-only
     ones; ``io.write_dw`` sorts them by key.
+
+    The inputs are never mutated, and the merged fact shares with them every
+    row that needs no change: a left row when the right fact brings no new
+    measure, a right-only row that already carries exactly the merged
+    columns, and a left row that fusing its right partner would leave as it
+    is. A row that does change is a new dict.
     """
     left_cols = {dim: col for dim, col in f1.dimension_keys}
     right_cols = {dim: col for dim, col in f2.dimension_keys}
@@ -128,21 +135,31 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
                             if m in right_measure_names}
 
-    # The left rows are built a column at a time; the measures only the right
-    # fact has start null.
+    # A left row is shared unless the right fact brings new measures; then the
+    # left rows are built a column at a time, the new measures null.
     n1 = len(f1.rows)
-    cells = [column(f1.rows, c) for c in key_cols + f1.measures]
-    cells += [[None] * n1] * len(new_measures)
-    left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
-    rows: dict[tuple, Row] = dict(zip(records(cells[:len(key_cols)], n1), left_rows))
+    key_cells = [column(f1.rows, c) for c in key_cols]
+    left_rows = f1.rows
+    if new_measures:
+        cells = key_cells + [column(f1.rows, c) for c in f1.measures]
+        cells += [[None] * n1] * len(new_measures)
+        left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
+    rows: dict[tuple, Row] = dict(zip(records(key_cells, n1), left_rows))
     right_keys = records([list(map(itemgetter(c), f2.rows)) for c in aligned_right_cols],
                          len(f2.rows))
     sources, targets = [s for s, _ in names], [t for _, t in names]
+    # A right-only row is shared when it carries exactly the merged columns
+    # under their merged names.
+    share_right = (tuple(aligned_right_cols) == key_cols and sources == targets
+                   and set(sources) == set(measures))
     all_nulls = dict.fromkeys(measures)
     conflicts: list[ValueConflict] = []
     n_common = 0
     for key, r in zip(right_keys, f2.rows):
         row = rows.get(key)
+        if row is None and share_right:
+            rows[key] = r
+            continue
         if row is None:
             # Every measure of a new row is null and the right measures land
             # on distinct names, so fusing could copy cells but never clash.
@@ -152,6 +169,13 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
             rows[key] = row
             continue
         n_common += 1
+        # fuse_row writes a cell exactly when the incoming one is non-null and
+        # not cells_equal to the current one (null included), so a row it
+        # would leave as it is stays shared; one it changes is copied first.
+        if all(v is None or cells_equal(row.get(t), v)
+               for t, v in zip(targets, map(r.get, sources))):
+            continue
+        row = rows[key] = dict(row)
         for name, v1, v2, chosen in fuse_row(row, r, names, settings.conflict):
             if settings.conflict == "error":
                 raise ConflictError(

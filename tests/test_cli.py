@@ -1,10 +1,14 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from dwmerge import io
+from dwmerge import __version__, io
 from dwmerge.cli import main
 from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, preset_star4,
                                spec_to_dict)
@@ -309,3 +313,11 @@ def test_gen_unreadable_spec_is_exit_5(tmp_path, capsys):
     assert main(["gen", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
                  "--spec", str(tmp_path / "missing.json")]) == 5
     assert "cannot read generator spec" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli_from_a_source_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "dwmerge", "--version"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"dwmerge {__version__}\n", "")

@@ -291,3 +291,44 @@ def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
     assert lines[1:] == [",".join(map(cell_to_text, (r["K"], r["L"], r["q"])))
                          for r in expected]
     assert [line.split(",")[2] for line in lines[1:5]] == ["0", "15", "5", "10"]
+
+
+def _set_parameters(params):
+    def edit(doc):
+        doc["dimensions"][0]["hierarchies"][0]["parameters"] = params
+        return doc
+    return edit
+
+
+def _set_field(section, key, value):
+    def edit(doc):
+        doc[section][0][key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_parameters([]), "dimension 'customer': hierarchy 'H' has no parameters"),
+    (_set_parameters(["Code", "Attr", "Code"]),
+     "dimension 'customer': hierarchy 'H' repeats a parameter"),
+    (_set_field("dimensions", "numericAttributes", 1),
+     "field 'numericAttributes' has the wrong type"),
+    (_set_field("facts", "textMeasures", {"Quantity": True}),
+     "field 'textMeasures' has the wrong type"),
+    (lambda doc: {**doc, "star": {"sales": "customer"}},
+     "star map: field 'sales' has the wrong type"),
+    (lambda doc: [doc], "descriptor: expected a JSON object"),
+], ids=["no-parameters", "repeated-parameter", "numeric-not-list", "text-not-list",
+        "star-entry-not-list", "top-level-list"])
+def test_malformed_descriptor_is_a_load_error(edit, message, tmp_path, capsys):
+    write_minimal(tmp_path)
+    descriptor = tmp_path / "schema.json"
+    descriptor.write_text(json.dumps(edit(json.loads(descriptor.read_text()))))
+    with pytest.raises(LoadError, match=message) as err:
+        io.load_dw(tmp_path)
+    assert err.value.path == str(descriptor)
+    assert main(["validate", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["merge", str(tmp_path), str(tmp_path), str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,20 +1,28 @@
+import contextlib
 import copy
+import random
 from decimal import Decimal
+from itertools import repeat
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 import pytest
 
 from dwmerge import star_merge
 from dwmerge.config import MergeSettings
-from dwmerge.dimension_merge import merge_dimensions
-from dwmerge.errors import MergeError, UnmergeableError
+from dwmerge.dimension_merge import (ValueConflict, _right_name_map, check_column_kinds,
+                                     fuse_row, merge_dimensions)
+from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
-from dwmerge.matching import MatcherConfig, match_attributes
-from dwmerge.model import Constellation, Fact, StarSchema
+from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
+from dwmerge.model import (Constellation, Fact, StarSchema, cell_to_text, column,
+                           records)
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
                       make_dimension)
+from test_output_digests import conflict_spec
 
 
 def merged_customer_dim(include_stub=False):
@@ -126,6 +134,252 @@ def test_merge_facts_misalignment_error():
     f2 = Fact("sales", ("Quantity",), (("supplier", "Sid"),), [], frozenset())
     with pytest.raises(MergeError, match="misalignment"):
         merge_facts(f1, f2, [], {})
+
+
+# ---------------------------------------------------------------------------
+# merge_facts against the version that built every row anew
+# ---------------------------------------------------------------------------
+
+# merge_facts as it was before it shared unchanged rows with its inputs: every
+# output row built anew, every shared row fused. Kept verbatim as the reference.
+def reference_merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
+                          dim_pairing: Mapping[str, str], settings: MergeSettings = MergeSettings()
+                          ) -> tuple[Fact, list[ValueConflict], int]:
+    """Fuse two facts row-wise on their aligned dimension-key tuples.
+
+    ``dim_pairing`` maps each right dimension name to its matched left
+    dimension. Key columns keep the left fact's spelling and order; matched
+    measures unify under the left name, the rest join with nulls on the
+    side that lacks them. Rows come out as the left ones, then the right-only
+    ones; ``io.write_dw`` sorts them by key.
+    """
+    left_cols = {dim: col for dim, col in f1.dimension_keys}
+    right_cols = {dim: col for dim, col in f2.dimension_keys}
+    right_dim_for_left = {l: r for r, l in dim_pairing.items()}
+    aligned_right_cols = []
+    for dim, col in f1.dimension_keys:
+        rdim = right_dim_for_left.get(dim)
+        if rdim is None or rdim not in right_cols:
+            raise MergeError(
+                f"fact key misalignment: no key column of {f2.name!r} pairs with "
+                f"{f1.name!r} column {col!r} (dimension {dim!r})")
+        aligned_right_cols.append(right_cols[rdim])
+    if len(f2.dimension_keys) != len(f1.dimension_keys):
+        extra = [c for d, c in f2.dimension_keys
+                 if dim_pairing.get(d) not in left_cols]
+        raise MergeError(f"fact key misalignment: unpaired key columns {extra!r}")
+
+    check_column_kinds(measure_corrs, f1.numeric, f2.numeric)
+    m_r2l = {c.right[1]: c.left[1] for c in measure_corrs}
+    key_cols = f1.key_columns()
+    right_measure_names = _right_name_map(f1.measures + key_cols, f2.measures, f2.name, m_r2l)
+    names = list(right_measure_names.items())
+    new_measures = [n for n in right_measure_names.values() if n not in f1.measures]
+    measures = f1.measures + tuple(new_measures)
+    numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
+                            if m in right_measure_names}
+
+    # The left rows are built a column at a time; the measures only the right
+    # fact has start null.
+    n1 = len(f1.rows)
+    cells = [column(f1.rows, c) for c in key_cols + f1.measures]
+    cells += [[None] * n1] * len(new_measures)
+    left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
+    rows: dict[tuple, Row] = dict(zip(records(cells[:len(key_cols)], n1), left_rows))
+    right_keys = records([list(map(itemgetter(c), f2.rows)) for c in aligned_right_cols],
+                         len(f2.rows))
+    sources, targets = [s for s, _ in names], [t for _, t in names]
+    all_nulls = dict.fromkeys(measures)
+    conflicts: list[ValueConflict] = []
+    n_common = 0
+    for key, r in zip(right_keys, f2.rows):
+        row = rows.get(key)
+        if row is None:
+            # Every measure of a new row is null and the right measures land
+            # on distinct names, so fusing could copy cells but never clash.
+            row = dict(zip(key_cols, key))
+            row.update(all_nulls)
+            row.update(zip(targets, map(r.get, sources)))
+            rows[key] = row
+            continue
+        n_common += 1
+        for name, v1, v2, chosen in fuse_row(row, r, names, settings.conflict):
+            if settings.conflict == "error":
+                raise ConflictError(
+                    f"conflicting measure {name!r} for fact key {key!r}")
+            key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
+            conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
+
+    merged = Fact(f1.name, measures, f1.dimension_keys, list(rows.values()), numeric)
+    return merged, conflicts, n_common
+
+
+NUMBERS = [None, None, Decimal("1"), Decimal("1.0"), Decimal("1.00"), Decimal("2"),
+           Decimal("2.5"), Decimal("2.50")]
+TEXTS = [None, None, "x", "y", "X", "1"]
+
+
+def random_fact_pair(rng):
+    """Two random facts on 1-3 paired dimensions, with measure correspondences.
+
+    Key columns may be renamed and reordered on the right, dimensions renamed;
+    measures are shared, left-only or right-only, text or numeric, and a right
+    measure may carry the name of a left key column. Cells mix nulls, text
+    and equal Decimals spelt differently; a few rows lack a measure cell or
+    repeat a key tuple.
+    """
+    n_dims = rng.randint(1, 3)
+    dims = [f"d{i}" for i in range(n_dims)]
+    numeric_keys = rng.random() < 0.5
+    key_pool = ([Decimal(v) for v in ("1", "2", "3")] if numeric_keys else ["a", "b", "c"])
+    left_keys = tuple((d, f"k{i}") for i, d in enumerate(dims))
+    rename_cols = rng.random() < 0.4
+    right_dim = {d: (f"r{d}" if rng.random() < 0.3 else d) for d in dims}
+    right_keys = [(right_dim[d], f"rk{i}" if rename_cols else c)
+                  for i, (d, c) in enumerate(left_keys)]
+    rng.shuffle(right_keys)
+    pairing = {right_dim[d]: d for d in dims}
+
+    pool = ["m0", "m1", "m2", "m3"]
+    text = {m for m in pool + [c for _, c in left_keys] if rng.random() < 0.3}
+    left_measures = rng.sample(pool, rng.randint(0, 3))
+    right_measures = rng.sample(pool, rng.randint(0, 3))
+    if rename_cols and rng.random() < 0.4:
+        right_measures.append(rng.choice(left_keys)[1])
+    corrs = []
+    if rng.random() < 0.1:
+        # the same measures on both sides, each kind matched crosswise
+        right_measures = list(left_measures)
+        for is_text in (True, False):
+            group = [m for m in left_measures if (m in text) == is_text]
+            corrs += [Correspondence(("f1", l), ("f2", r), 1.0, "test")
+                      for l, r in zip(group, group[1:] + group[:1])]
+    free_left = list(left_measures)
+    for m in right_measures if not corrs else ():
+        partners = [l for l in free_left if (l in text) == (m in text)]
+        if partners and rng.random() < 0.7:
+            partner = m if m in partners and rng.random() < 0.7 else rng.choice(partners)
+            free_left.remove(partner)
+            corrs.append(Correspondence(("f1", partner), ("f2", m), 1.0, "test"))
+
+    def numeric(measures, keys):
+        cols = [m for m in measures if m not in text]
+        return frozenset(cols + ([c for _, c in keys] if numeric_keys else []))
+
+    def rows(keys, measures):
+        tuples = [tuple(rng.choice(key_pool) for _ in keys) for _ in range(rng.randint(0, 9))]
+        if tuples and rng.random() < 0.1:
+            tuples.append(rng.choice(tuples))
+        out = []
+        for tup in tuples:
+            row = dict(zip((c for _, c in keys), tup))
+            for m in measures:
+                if rng.random() < 0.05:
+                    continue
+                row[m] = rng.choice(TEXTS if m in text else NUMBERS)
+            out.append(row)
+        return out
+
+    f1 = Fact("f1", tuple(left_measures), left_keys, rows(left_keys, left_measures),
+              numeric(left_measures, left_keys))
+    f2 = Fact("f2", tuple(right_measures), tuple(right_keys),
+              rows(right_keys, right_measures), numeric(right_measures, right_keys))
+    return f1, f2, corrs, pairing
+
+
+def cells_by_column(fact):
+    cols = fact.key_columns() + fact.measures
+    return repr([[row.get(c) for c in cols] for row in fact.rows])
+
+
+def test_merge_facts_matches_reference():
+    rng = random.Random(90210)
+    seen = dict.fromkeys(["conflict", "fill", "right_null", "equal_spellings", "left_only",
+                          "right_only", "renamed_key", "key_named_measure", "text",
+                          "crossed", "left_kept", "right_kept", "new", "raised"], 0)
+    for case in range(400):
+        f1, f2, corrs, pairing = random_fact_pair(rng)
+        before = repr((f1.rows, f2.rows))
+        for policy in ("left", "right", "error"):
+            settings = MergeSettings(conflict=policy)
+            try:
+                expected = reference_merge_facts(f1, f2, corrs, pairing, settings)
+            except ConflictError as exc:
+                with pytest.raises(ConflictError) as err:
+                    merge_facts(f1, f2, corrs, pairing, settings)
+                assert str(err.value) == str(exc), f"case {case}"
+                seen["raised"] += 1
+                continue
+            merged, conflicts, n_common = merge_facts(f1, f2, corrs, pairing, settings)
+            want, want_conflicts, want_common = expected
+            assert (merged.name, merged.measures, merged.dimension_keys, merged.numeric) == \
+                (want.name, want.measures, want.dimension_keys, want.numeric), f"case {case}"
+            assert cells_by_column(merged) == cells_by_column(want), f"case {case} {policy}"
+            assert repr(conflicts) == repr(want_conflicts), f"case {case} {policy}"
+            assert n_common == want_common, f"case {case} {policy}"
+            assert repr((f1.rows, f2.rows)) == before, f"case {case} {policy}"
+            inputs = {id(r): side for side, f in (("left", f1), ("right", f2)) for r in f.rows}
+            sides = [inputs.get(id(r), "new") for r in merged.rows]
+            for side in ("left", "right", "new"):
+                seen[side if side == "new" else f"{side}_kept"] += sides.count(side)
+            seen["conflict"] += len(conflicts)
+        matched = {c.right[1] for c in corrs}
+        seen["left_only"] += len(set(f1.measures) - {c.left[1] for c in corrs}) > 0
+        seen["right_only"] += len(set(f2.measures) - matched) > 0
+        seen["renamed_key"] += f1.key_columns() != f2.key_columns()
+        seen["key_named_measure"] += bool(set(f2.measures) & set(f1.key_columns()))
+        seen["text"] += any(m not in f1.numeric for m in f1.measures + f2.measures)
+        seen["crossed"] += (set(f1.measures) == set(f2.measures)
+                            and any(c.left[1] != c.right[1] for c in corrs))
+        aligned = [c for d, _ in f1.dimension_keys for rd, c in f2.dimension_keys
+                   if pairing[rd] == d]
+        for r1 in f1.rows:
+            for r2 in f2.rows:
+                if [r1[c] for c in f1.key_columns()] != [r2[c] for c in aligned]:
+                    continue
+                for c in corrs:
+                    v1, v2 = r1.get(c.left[1]), r2.get(c.right[1])
+                    seen["fill"] += v1 is None and v2 is not None
+                    seen["right_null"] += v1 is not None and v2 is None
+                    seen["equal_spellings"] += (isinstance(v1, Decimal) and v1 == v2
+                                                and str(v1) != str(v2))
+    # the cases reach every rule the sharing and fusion depend on
+    assert all(seen.values()), seen
+
+
+def input_rows(*stars):
+    """Every fact and dimension row of ``stars``, as text that shows Decimal spellings."""
+    return repr([(s.fact.rows, [d.rows for d in s.dimensions]) for s in stars])
+
+
+@pytest.mark.parametrize("policy", ["left", "right", "error"])
+def test_merge_never_mutates_its_inputs(policy):
+    # About half of the 184 shared fact tuples carry a conflicting price.
+    dw1, dw2, _ = generate_pair(conflict_spec())
+    before = copy.deepcopy((dw1, dw2))
+    settings = MergeSettings(conflict=policy)
+    mcorrs = match_measures(dw1.fact, dw2.fact, MatcherConfig())
+    pairing = {"customer": "customer", "product": "product"}
+    def raises():
+        return pytest.raises(ConflictError) if policy == "error" else contextlib.nullcontext()
+
+    with raises():
+        merge_facts(dw1.fact, dw2.fact, mcorrs, pairing, settings)
+    with raises():
+        merge_stars(dw1, dw2, settings=settings)
+    assert input_rows(dw1, dw2) == input_rows(*before)
+
+
+def test_unchanged_fact_rows_are_shared_with_the_inputs():
+    dw1, dw2, _ = generate_pair(preset_basic(seed=7, rows=400, fact_rows=2000))
+    result = merge_stars(dw1, dw2)
+    assert result.report.conflicts == []
+    rows = result.schema.fact.rows
+    n1 = len(dw1.fact.rows)
+    assert all(m is r for m, r in zip(rows, dw1.fact.rows))
+    # the right-only rows carry the merged columns already, so they are shared too
+    right = {id(r) for r in dw2.fact.rows}
+    assert len(rows) > n1 and all(id(r) in right for r in rows[n1:])
 
 
 # ---------------------------------------------------------------------------
