@@ -114,9 +114,6 @@ def _load_star(path: str, strict: bool) -> StarSchema:
     if not isinstance(schema, StarSchema):
         raise LoadError("expected a star schema (single fact); constellation "
                         "inputs are not supported", path=path)
-    violations = validate(schema)
-    if violations:
-        raise LoadError(f"{path}: schema failed validation: {violations[0]}", path=path)
     return schema
 
 

@@ -61,8 +61,9 @@ from pathlib import Path
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, cell_sort_key, cell_to_text, column, fact_key_faults,
-                    uniquify)
+                    StarSchema, Violation, cell_sort_key, cell_to_text, column,
+                    dimension_faults, fact_faults, fact_key_faults, fact_links,
+                    star_map_faults, uniquify)
 from .report import MergeReport, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -174,6 +175,12 @@ def _names(obj: dict, key: str, *, path: str, where: str, default=_REQUIRED
     return tuple(value)
 
 
+def _refuse(faults: list[Violation], path: str) -> None:
+    """Raise the first of ``faults``, if any, as a load error on the descriptor."""
+    if faults:
+        raise LoadError(str(faults[0]), path=path)
+
+
 def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Dimension:
     name = _descriptor_field(entry, "name", str, path=path, where="dimension")
     where = f"dimension {name!r}"
@@ -182,8 +189,6 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
     attributes = _names(entry, "attributes", path=path, where=where)
     numeric = frozenset(_names(entry, "numericAttributes", path=path, where=where,
                                default=()))
-    if root not in attributes:
-        raise LoadError(f"{where}: id {root!r} is not in its attributes", path=path)
     unknown_numeric = numeric - set(attributes)
     if unknown_numeric:
         raise LoadError(f"{where}: numericAttributes {sorted(unknown_numeric)!r} "
@@ -194,21 +199,15 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
         hname = _descriptor_field(h, "name", str, path=path, where=f"{where} hierarchy")
         params = _names(h, "parameters", path=path, where=f"{where} hierarchy {hname!r}")
         try:
-            hierarchy = Hierarchy(hname, params)
+            hierarchies.append(Hierarchy(hname, params))
         except ValueError as exc:  # no parameters, or a repeated one
             raise LoadError(f"{where}: {exc}", path=path) from None
-        bad = [p for p in params if p not in attributes]
-        if bad:
-            raise LoadError(f"{where} hierarchy {hname!r}: parameters {bad!r} "
-                            "are not declared attributes", path=path)
-        if params[0] != root:
-            raise LoadError(f"{where} hierarchy {hname!r}: first parameter must be "
-                            f"the id {root!r}", path=path)
-        hierarchies.append(hierarchy)
+    rows: dict[Cell, Row] = {}
+    dimension = Dimension(name, root, attributes, tuple(hierarchies), rows, numeric)
+    _refuse(dimension_faults(dimension), path)
 
     table_path = directory / table
     where = str(table_path)
-    rows: dict[Cell, Row] = {}
     table_rows, lines = _read_csv(table_path, list(attributes), set(numeric))
     for lineno, row in zip(lines, table_rows):
         key = row[root]
@@ -222,7 +221,7 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
                            name, cell_to_text(key), table_path, lineno)
             continue
         rows[key] = row
-    return Dimension(name, root, attributes, tuple(hierarchies), rows, numeric)
+    return dimension
 
 
 def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
@@ -232,6 +231,10 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     table = _descriptor_field(entry, "table", str, path=path, where=where)
     measures = _names(entry, "measures", path=path, where=where)
     text_measures = set(_names(entry, "textMeasures", path=path, where=where, default=()))
+    unknown_text = text_measures - set(measures)
+    if unknown_text:
+        raise LoadError(f"{where}: textMeasures {sorted(unknown_text)!r} "
+                        "are not declared measures", path=path)
     keys = []
     for k in _descriptor_field(entry, "dimensionKeys", list, path=path, where=where):
         dim = _descriptor_field(k, "dimension", str, path=path, where=f"{where} key")
@@ -243,6 +246,8 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     for dim, col in keys:
         if dims[dim].root in dims[dim].numeric:
             numeric.add(col)
+    # The star map is read later, so load_dw checks the linked dimensions.
+    _refuse(fact_faults(Fact(name, measures, tuple(keys)), {dim for dim, _ in keys}), path)
     key_cols = [col for _, col in keys]
     table_path = directory / table
     where = str(table_path)
@@ -265,12 +270,14 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
 
 
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
-    """Load and validate a warehouse directory.
+    """Load a warehouse directory, refusing input that breaks a model rule.
 
     Returns a :class:`StarSchema` for a single-fact descriptor, otherwise a
-    :class:`Constellation`. ``strict`` turns duplicate dimension ids and
-    duplicate fact key tuples into errors instead of keep-first-and-log.
-    Fact keys are checked a column at a time, by :func:`model.fact_key_faults`.
+    :class:`Constellation`; ``model.validate`` of either is empty. A broken
+    declaration rule is a load error on the descriptor. ``strict`` turns
+    duplicate dimension ids and duplicate fact key tuples into errors
+    instead of keep-first-and-log. Fact keys are checked a column at a time,
+    by :func:`model.fact_key_faults`.
     """
     directory = Path(directory)
     desc_path = directory / DESCRIPTOR_NAME
@@ -316,19 +323,18 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
         dim_names = _names(star_doc, fname, path=str(desc_path), where="star map")
         if fname not in {f.name for f in facts}:
             raise LoadError(f"star map references unknown fact {fname!r}", path=str(desc_path))
-        for dn in dim_names:
-            if dn not in dims:
-                raise LoadError(f"star map references unknown dimension {dn!r}",
-                                path=str(desc_path))
         star[fname] = dim_names
-    if len(facts) == 1:
-        linked = star.get(facts[0].name)
-        if linked is None or set(linked) == set(dims):
-            return StarSchema(name, facts[0], tuple(dims.values()))
-        # one fact linked to a dimension subset is a degenerate constellation
-    if star_doc is None:
+    # One fact linked to a dimension subset is a degenerate constellation.
+    if len(facts) == 1 and set(star.get(facts[0].name, dims)) == set(dims):
+        schema: Schema = StarSchema(name, facts[0], tuple(dims.values()))
+    elif star_doc is None:
         raise LoadError("a multi-fact descriptor needs a 'star' map", path=str(desc_path))
-    return Constellation(name, tuple(facts), tuple(dims.values()), star)
+    else:
+        schema = Constellation(name, tuple(facts), tuple(dims.values()), star)
+    _refuse(star_map_faults(schema), str(desc_path))
+    for fact, linked in fact_links(schema):
+        _refuse(fact_faults(fact, linked), str(desc_path))
+    return schema
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ is in a schema; a row that must change is copied first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
@@ -88,8 +89,8 @@ class Dimension:
     """An analysis axis: attributes, a root identifier, hierarchies, keyed rows.
 
     ``rows`` maps each root value to its row (attribute name -> cell). Root
-    values are unique and non-null; the loader enforces that and ``validate``
-    re-checks it.
+    values are unique and non-null; the loader enforces that and the rules
+    of :func:`dimension_faults`, and ``validate`` re-checks both.
     """
 
     name: str
@@ -190,22 +191,38 @@ def conforms(row: Mapping[str, Cell], hierarchy: Hierarchy) -> bool:
     return True
 
 
-def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+def _repeated(names: Iterable[str]) -> list[str]:
+    """The names listed more than once, each once, in order of first use."""
+    return [n for n, k in Counter(names).items() if k > 1]
+
+
+def dimension_faults(dim: Dimension) -> list[Violation]:
+    """The rules on a dimension's declaration, which read none of its rows."""
+    out: list[Violation] = []
     attrs = dim.attribute_set()
     if dim.root not in attrs:
         out.append(Violation(dim.name, dim.root, "root-in-attributes",
                              f"root parameter {dim.root!r} is not a declared attribute"))
-    if len(attrs) != len(dim.attributes):
-        out.append(Violation(dim.name, "-", "attribute-unique",
-                             "attribute list contains duplicates"))
+    for a in _repeated(dim.attributes):
+        out.append(Violation(dim.name, a, "attribute-unique",
+                             f"attribute {a!r} is declared more than once"))
+    for name in _repeated([h.name for h in dim.hierarchies]):
+        out.append(Violation(dim.name, name, "hierarchy-name-unique",
+                             f"hierarchy name {name!r} is used more than once"))
     for h in dim.hierarchies:
         missing = [p for p in h.parameters if p not in attrs]
         if missing:
             out.append(Violation(dim.name, h.name, "hierarchy-attributes",
                                  f"parameters {missing!r} are not attributes of the dimension"))
-        if h.parameters and h.parameters[0] != dim.root:
+        if h.parameters[0] != dim.root:
             out.append(Violation(dim.name, h.name, "hierarchy-root",
                                  f"first parameter {h.parameters[0]!r} is not the root {dim.root!r}"))
+    return out
+
+
+def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+    out.extend(dimension_faults(dim))
+    attrs = dim.attribute_set()
     root = dim.root
     for key, row in dim.rows.items():
         if key is None:
@@ -269,13 +286,28 @@ def fact_key_faults(rows: Sequence[Row], dimension_keys: Sequence[tuple[str, str
     return faults
 
 
-def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str],
-                   out: list[Violation]) -> None:
+def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
+    """The rules on a fact's declaration, which read none of its rows.
+
+    The fact is keyed on exactly the ``linked`` dimensions, and its key
+    columns and measures are distinct; two key columns may name one dimension.
+    """
+    out: list[Violation] = []
     linked = set(linked)
     declared = {d for d, _ in fact.dimension_keys}
     if declared != linked:
         out.append(Violation(fact.name, "-", "fact-dimensions",
                              f"fact keys reference {sorted(declared)!r} but the schema links {sorted(linked)!r}"))
+    for c in _repeated(fact.key_columns() + fact.measures):
+        out.append(Violation(fact.name, c, "fact-columns-unique",
+                             f"column {c!r} is named more than once among the key "
+                             "columns and measures"))
+    return out
+
+
+def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str],
+                   out: list[Violation]) -> None:
+    out.extend(fact_faults(fact, linked))
     for i, key, value, first in fact_key_faults(fact.rows, fact.dimension_keys, dims):
         if key is None:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
@@ -286,30 +318,36 @@ def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str]
                                  f"key {col}={cell_to_text(value)!r} has no row in dimension {dim_name!r}"))
 
 
+def star_map_faults(schema: Schema) -> list[Violation]:
+    """Every name in a constellation's star map that is not one of its dimensions."""
+    if isinstance(schema, StarSchema):
+        return []
+    known = {d.name for d in schema.dimensions}
+    return [Violation(fname, dn, "star-map", f"star map references unknown dimension {dn!r}")
+            for fname, dim_names in schema.star.items() for dn in dim_names if dn not in known]
+
+
+def fact_links(schema: Schema) -> list[tuple[Fact, tuple[str, ...]]]:
+    """Each fact of ``schema`` with the names of the dimensions it links the fact to."""
+    if isinstance(schema, StarSchema):
+        return [(schema.fact, tuple(d.name for d in schema.dimensions))]
+    return [(f, schema.star.get(f.name, ())) for f in schema.facts]
+
+
 def validate(schema: Schema) -> list[Violation]:
     """Check every structural invariant; empty list means the schema is well formed.
 
+    The loader refuses input that breaks one, so this serves schemas built
+    in memory, ``merge``'s output and the ``validate`` command.
     Deterministic and order-independent: shuffling row order never changes
     the outcome (only the textual row locus of fact violations). Fact keys
     are checked a column at a time (:func:`fact_key_faults`), and their
     violations are listed in row order.
     """
-    out: list[Violation] = []
-    if isinstance(schema, StarSchema):
-        facts = [(schema.fact, tuple(d.name for d in schema.dimensions))]
-        dimensions = schema.dimensions
-    else:
-        facts = [(f, schema.star.get(f.name, ())) for f in schema.facts]
-        dimensions = schema.dimensions
-        for fname, dim_names in schema.star.items():
-            known = {d.name for d in dimensions}
-            for dn in dim_names:
-                if dn not in known:
-                    out.append(Violation(fname, dn, "star-map",
-                                         f"star map references unknown dimension {dn!r}"))
-    dims = {d.name: d for d in dimensions}
-    for dim in dimensions:
+    out = star_map_faults(schema)
+    dims = {d.name: d for d in schema.dimensions}
+    for dim in schema.dimensions:
         _validate_dimension(dim, out)
-    for fact, linked in facts:
+    for fact, linked in fact_links(schema):
         _validate_fact(fact, dims, linked, out)
     return out

@@ -1,4 +1,7 @@
+import copy
 import json
+import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -307,6 +310,24 @@ def _set_field(section, key, value):
     return edit
 
 
+def _add_hierarchy(name, params):
+    def edit(doc):
+        doc["dimensions"][0]["hierarchies"].append({"name": name, "parameters": params})
+        return doc
+    return edit
+
+
+def _add_key_on_code(doc):
+    doc["facts"][0]["dimensionKeys"].append({"dimension": "customer", "column": "Code"})
+    return doc
+
+
+def _add_unkeyed_dimension(doc):
+    doc["dimensions"].append({"name": "region", "table": "customer.csv", "id": "Code",
+                              "attributes": ["Code"]})
+    return doc
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_parameters([]), "dimension 'customer': hierarchy 'H' has no parameters"),
     (_set_parameters(["Code", "Attr", "Code"]),
@@ -318,13 +339,43 @@ def _set_field(section, key, value):
     (lambda doc: {**doc, "star": {"sales": "customer"}},
      "star map: field 'sales' has the wrong type"),
     (lambda doc: [doc], "descriptor: expected a JSON object"),
+    (_set_field("dimensions", "id", "Zone"),
+     "customer [Zone] root-in-attributes: root parameter 'Zone' is not a declared attribute"),
+    (_set_field("dimensions", "attributes", ["Code", "Attr", "Attr"]),
+     "customer [Attr] attribute-unique: attribute 'Attr' is declared more than once"),
+    (_set_parameters(["Code", "Zone"]),
+     "customer [H] hierarchy-attributes: parameters ['Zone'] are not attributes of the "
+     "dimension"),
+    (_set_parameters(["Attr", "Code"]),
+     "customer [H] hierarchy-root: first parameter 'Attr' is not the root 'Code'"),
+    (_add_hierarchy("H", ["Code", "Attr"]),
+     "customer [H] hierarchy-name-unique: hierarchy name 'H' is used more than once"),
+    (_set_field("facts", "measures", ["Quantity", "Quantity"]),
+     "sales [Quantity] fact-columns-unique: column 'Quantity' is named more than once "
+     "among the key columns and measures"),
+    (_add_key_on_code,
+     "sales [Code] fact-columns-unique: column 'Code' is named more than once"),
+    (lambda doc: _set_field("facts", "textMeasures", ["Code"])(
+        _set_field("facts", "measures", ["Quantity", "Code"])(doc)),
+     "sales [Code] fact-columns-unique: column 'Code' is named more than once"),
+    (_add_unkeyed_dimension,
+     "sales [-] fact-dimensions: fact keys reference ['customer'] but the schema links "
+     "['customer', 'region']"),
+    (_set_field("facts", "textMeasures", ["Quantty"]),
+     "fact 'sales': textMeasures ['Quantty'] are not declared measures"),
+    (lambda doc: {**doc, "star": {"sales": ["customer", "ghost"]}},
+     "sales [ghost] star-map: star map references unknown dimension 'ghost'"),
 ], ids=["no-parameters", "repeated-parameter", "numeric-not-list", "text-not-list",
-        "star-entry-not-list", "top-level-list"])
+        "star-entry-not-list", "top-level-list", "root-not-attribute",
+        "repeated-attribute", "parameter-not-attribute", "hierarchy-not-from-id",
+        "repeated-hierarchy-name", "repeated-measure", "repeated-key-column",
+        "text-measure-is-key-column", "fact-not-keyed-on-linked", "text-measure-typo",
+        "star-map-unknown-dimension"])
 def test_malformed_descriptor_is_a_load_error(edit, message, tmp_path, capsys):
     write_minimal(tmp_path)
     descriptor = tmp_path / "schema.json"
     descriptor.write_text(json.dumps(edit(json.loads(descriptor.read_text()))))
-    with pytest.raises(LoadError, match=message) as err:
+    with pytest.raises(LoadError, match=re.escape(message)) as err:
         io.load_dw(tmp_path)
     assert err.value.path == str(descriptor)
     assert main(["validate", str(tmp_path)]) == 2
@@ -332,3 +383,59 @@ def test_malformed_descriptor_is_a_load_error(edit, message, tmp_path, capsys):
     assert main(["merge", str(tmp_path), str(tmp_path), str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# What a load error names for each rule the mutations below can break.
+RULES = ("root-in-attributes", "attribute-unique", "hierarchy-attributes", "hierarchy-root",
+         "hierarchy-name-unique", "fact-columns-unique", "fact-dimensions",
+         "are not declared measures")
+
+
+def _mutate(doc, rng) -> None:
+    """One random edit touching a rule the loader enforces; some keep the warehouse valid."""
+    dim = rng.choice(doc["dimensions"])
+    fact = doc["facts"][0]
+    attrs, hierarchies, keys = dim["attributes"], dim["hierarchies"], fact["dimensionKeys"]
+    edit = rng.randrange(8)
+    if edit == 0:
+        dim["id"] = rng.choice([dim["id"], *attrs, "ghost"])
+    elif edit == 1:
+        attrs.append(rng.choice(attrs))
+    elif edit == 2:
+        h = rng.choice(hierarchies)
+        h["parameters"] = [rng.choice([dim["id"], *attrs])] + rng.sample(
+            attrs + ["ghost"], rng.randint(0, 2))
+    elif edit == 3:
+        rng.choice(hierarchies)["name"] = rng.choice([h["name"] for h in hierarchies] + ["fresh"])
+    elif edit == 4:
+        fact["measures"].append(rng.choice(fact["measures"] + [k["column"] for k in keys]))
+    elif edit == 5:
+        keys.append(dict(rng.choice(keys)))
+    elif edit == 6:
+        keys.remove(rng.choice(keys))
+    else:
+        fact["textMeasures"] = rng.sample(fact["measures"] + ["ghost"], rng.randint(0, 2))
+
+
+def test_loaded_warehouses_always_validate(tmp_path):
+    """A descriptor either fails to load or loads into a schema ``validate`` accepts."""
+    base, _, _ = generate_pair(preset_basic(seed=3, rows=100, fact_rows=100))
+    io.write_dw(base, tmp_path)
+    descriptor = tmp_path / "schema.json"
+    good = json.loads(descriptor.read_text(encoding="utf-8"))
+    rng = random.Random(2718)
+    loaded, refused = 0, set()
+    for case in range(200):
+        doc = copy.deepcopy(good)
+        for _ in range(rng.randint(1, 2)):
+            _mutate(doc, rng)
+        descriptor.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            schema = io.load_dw(tmp_path)
+        except LoadError as exc:
+            refused.update(rule for rule in RULES if rule in str(exc))
+            continue
+        assert validate(schema) == [], f"case {case}"
+        loaded += 1
+    assert loaded >= 20
+    assert refused == set(RULES), refused

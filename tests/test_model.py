@@ -72,6 +72,11 @@ def test_validate_hierarchy_rules():
     star = StarSchema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (bad,))
     rules = {v.rule for v in validate(star)}
     assert "hierarchy-root" in rules
+    # Pruning keys hierarchies by name, so a repeated name would drop a live one.
+    twice = Dimension("d", "Id", ("Id", "A", "B"),
+                      (Hierarchy("H", ("Id", "A")), Hierarchy("H", ("Id", "B"))), dim.rows)
+    star = StarSchema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (twice,))
+    assert [v.rule for v in validate(star)] == ["hierarchy-name-unique"]
 
 
 def test_validate_order_independent():
