@@ -114,6 +114,11 @@ def _load_star(path: str, strict: bool) -> StarSchema:
     if not isinstance(schema, StarSchema):
         raise LoadError("expected a star schema (single fact); constellation "
                         "inputs are not supported", path=path)
+    # The loader has refused every schema fault already; this holds each
+    # input to the whole of validate as well, as merge does its output.
+    violations = validate(schema)
+    if violations:
+        raise LoadError(f"{path}: schema failed validation: {violations[0]}", path=path)
     return schema
 
 
