@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import compress
 from pathlib import Path
-from typing import Iterable
 
-from .model import Dimension, Fact, Hierarchy, Row, StarSchema
+from .model import Dimension, Fact, Hierarchy, StarSchema
 
 MANIFEST_VERSION = 1
 
@@ -213,20 +212,17 @@ def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]) -> list[tuple]
     return world
 
 
-def _view_fact(f: GenFact, world: Iterable[tuple], roots: tuple[str, ...],
+def _view_fact(f: GenFact, world: list[tuple], roots: tuple[str, ...],
                side: int) -> Fact:
     view_measures = (f.view1_measures if side == 1 else f.view2_measures) or f.measures
-    picks = [(m, f.measures.index(m)) for m in view_measures]
     bumped = f.conflict_measure if side == 2 else None
-    rows: list[Row] = []
-    for key, measures, divergent in world:
-        row: Row = {col: _value(col, 1, k) for col, k in zip(roots, key)}
-        for m, pos in picks:
-            v = measures[pos]
-            row[m] = v + 1 if divergent and m == bumped else v
-        rows.append(row)
-    return Fact(f.name, tuple(view_measures), tuple(zip(f.dims, roots)), rows,
-                frozenset(view_measures))
+    columns = [[_value(col, 1, key[p]) for key, _, _ in world] for p, col in enumerate(roots)]
+    for m in view_measures:
+        pos = f.measures.index(m)
+        columns.append([ms[pos] + 1 if divergent and m == bumped else ms[pos]
+                        for _, ms, divergent in world])
+    return Fact.from_columns(f.name, tuple(view_measures), tuple(zip(f.dims, roots)),
+                             columns, frozenset(view_measures))
 
 
 def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
@@ -272,7 +268,7 @@ def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
                 continue
             samples = [sampled[side][dn] for dn in f.dims]
             member[side] = [all(map(set.__contains__, samples, key)) for key, _, _ in world]
-            facts_by_side[side] = _view_fact(f, compress(world, member[side]),
+            facts_by_side[side] = _view_fact(f, list(compress(world, member[side])),
                                              tuple(roots[dn] for dn in f.dims), side)
         manifest_facts[f.name] = {
             "worldRows": f.rows,

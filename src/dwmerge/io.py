@@ -32,7 +32,9 @@ CSV rules
 ---------
 UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
 header names every declared column, each once; undeclared columns are
-allowed and dropped, and rows come back in declared-column order. An
+allowed and dropped. Tables are read a column at a time: a fact keeps
+one list per declared column, and a text key cell that names a dimension
+row is that row's id object; dimension rows are dicts. An
 empty field is null; whitespace-only fields trim to empty and are therefore
 null too; the literal text ``NULL`` is ordinary data. Values in columns
 tagged numeric (``numericAttributes``; measures unless listed in
@@ -57,12 +59,14 @@ import json
 import logging
 import re
 from decimal import Decimal, InvalidOperation
+from itertools import compress
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, Violation, cell_sort_key, cell_to_text, column,
-                    dimension_faults, fact_faults, fact_key_faults, fact_links,
+                    StarSchema, Violation, cell_sort_key, cell_to_text, dimension_faults,
+                    fact_faults, fact_key_faults, fact_links, name_faults, numeric_faults,
                     star_map_faults, uniquify)
 from .report import MergeReport, report_to_dict
 
@@ -73,20 +77,30 @@ FORMAT_VERSION = 1
 
 
 def _read_csv(path: Path, columns: list[str], numeric: set[str]
-              ) -> tuple[list[Row], list[int]]:
-    """Rows of one table keyed and ordered as ``columns``, and the lines they start on.
+              ) -> tuple[list[list[Cell]], list[int]]:
+    """The cells of one table as one list per name in ``columns``, and the lines rows start on.
 
     Other columns are dropped. Line numbers count the newlines inside quoted
     fields. A record the csv module cannot parse, such as one with a field
     over its size limit, is a load error on the line the record starts on,
     and so is a NaN in a numeric column. A byte that is not UTF-8 is a load
     error on the physical line that holds it.
+
+    Cells are appended as records arrive, and numbers are parsed a column
+    at a time once reading stops. The error raised is the one that checking
+    each record as it arrives would meet first: a bad number before any
+    failure in a later record, and of two bad numbers in a record the
+    leftmost in the file.
     """
     where = str(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read table: {exc}", path=where) from exc
+    cells: list[list[Cell]] = [[] for _ in columns]
+    lines: list[int] = []
+    positions: list[int] = []
+    failure: Exception | None = None
     start = 1  # the line the record being read starts on
     with handle:
         reader = csv.reader(handle)
@@ -103,45 +117,53 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
                                 path=where, line=1)
             width = len(header)
             positions = [header.index(c) for c in columns]
-            # Parse numbers in file order, so a row with two bad ones names the leftmost.
-            numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
-                                key=positions.__getitem__)
-            rows: list[Row] = []
-            lines: list[int] = []
+            takes = [(col.append, i) for col, i in zip(cells, positions)]
             # A record starts one line after the previous one (the header first) ends.
             start = reader.line_num + 1
             for record in reader:
                 if len(record) != width:
-                    raise LoadError(f"row has {len(record)} fields, header has {width}",
-                                    path=where, line=start)
-                values = [record[i].strip() or None for i in positions]
-                for i in numeric_at:
-                    value = values[i]
-                    if value is not None:
-                        try:
-                            number = Decimal(value)
-                        except InvalidOperation:
-                            number = None
-                        # NaN differs from itself, so it could never match or fuse.
-                        if number is None or number.is_nan():
-                            raise LoadError(f"{value!r} is not a number",
-                                            path=where, line=start)
-                        values[i] = number
-                rows.append(dict(zip(columns, values)))
+                    failure = LoadError(f"row has {len(record)} fields, header has {width}",
+                                        path=where, line=start)
+                    break
+                for append, i in takes:
+                    append(record[i].strip() or None)
                 lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
-            raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
-        except UnicodeDecodeError:
+            failure = LoadError(f"malformed CSV: {exc}", path=where, line=start)
+        except UnicodeDecodeError as exc:
+            failure = exc
             # The reader decodes ahead in blocks, so place the bad byte in the file's bytes.
             data = path.read_bytes()
             try:
                 data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise LoadError(f"cannot read table: {exc}", path=where,
-                                line=data.count(b"\n", 0, exc.start) + 1) from None
-            raise
-        return rows, lines
+            except UnicodeDecodeError as err:
+                failure = LoadError(f"cannot read table: {err}", path=where,
+                                    line=data.count(b"\n", 0, err.start) + 1)
+    bad = [(row, positions[j], cells[j][row]) for j, c in enumerate(columns) if c in numeric
+           for row in [_parse_numbers(cells[j])] if row is not None]
+    if bad:
+        row, _, value = min(bad)
+        raise LoadError(f"{value!r} is not a number", path=where, line=lines[row])
+    if failure is not None:
+        raise failure
+    return cells, lines
+
+
+def _parse_numbers(cells: list[Cell]) -> int | None:
+    """Parse the texts of ``cells`` as decimals in place, up to the first that is
+    not a number; that one's index, or None."""
+    for i, text in enumerate(cells):
+        if text is not None:
+            try:
+                number = Decimal(text)
+            except InvalidOperation:
+                return i
+            # NaN differs from itself, so it could never match or fuse.
+            if number.is_nan():
+                return i
+            cells[i] = number
+    return None
 
 
 _REQUIRED = object()
@@ -175,10 +197,15 @@ def _names(obj: dict, key: str, *, path: str, where: str, default=_REQUIRED
     return tuple(value)
 
 
-def _refuse(faults: list[Violation], path: str) -> None:
-    """Raise the first of ``faults``, if any, as a load error on the descriptor."""
+def _refuse(faults: list[Violation], path: str, prefix: str | None = None) -> None:
+    """Raise the first of ``faults``, if any, as a load error on the descriptor.
+
+    The error reads as ``validate`` prints the fault, or, given a ``prefix``,
+    as the prefix followed by the fault's message.
+    """
     if faults:
-        raise LoadError(str(faults[0]), path=path)
+        text = str(faults[0]) if prefix is None else prefix + faults[0].message
+        raise LoadError(text, path=path)
 
 
 def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Dimension:
@@ -189,10 +216,7 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
     attributes = _names(entry, "attributes", path=path, where=where)
     numeric = frozenset(_names(entry, "numericAttributes", path=path, where=where,
                                default=()))
-    unknown_numeric = numeric - set(attributes)
-    if unknown_numeric:
-        raise LoadError(f"{where}: numericAttributes {sorted(unknown_numeric)!r} "
-                        "are not declared attributes", path=path)
+    _refuse(numeric_faults(name, numeric, attributes), path, f"{where}: ")
     hierarchies = []
     for h in _descriptor_field(entry, "hierarchies", list, path=path, where=where,
                                default=()):
@@ -208,8 +232,9 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
 
     table_path = directory / table
     where = str(table_path)
-    table_rows, lines = _read_csv(table_path, list(attributes), set(numeric))
-    for lineno, row in zip(lines, table_rows):
+    columns, lines = _read_csv(table_path, list(attributes), set(numeric))
+    for lineno, cells in zip(lines, zip(*columns)):
+        row = dict(zip(attributes, cells))
         key = row[root]
         if key is None:
             raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
@@ -246,15 +271,24 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     for dim, col in keys:
         if dims[dim].root in dims[dim].numeric:
             numeric.add(col)
+    fact = Fact(name, measures, tuple(keys), (), frozenset(numeric))
     # The star map is read later, so load_dw checks the linked dimensions.
-    _refuse(fact_faults(Fact(name, measures, tuple(keys)), {dim for dim, _ in keys}), path)
-    key_cols = [col for _, col in keys]
+    _refuse(fact_faults(fact, {dim for dim, _ in keys}), path)
     table_path = directory / table
     where = str(table_path)
-    raw_rows, lines = _read_csv(table_path, key_cols + list(measures), numeric)
+    columns, lines = _read_csv(table_path, list(fact.column_names()), numeric)
+    # A text key cell that names a dimension row becomes that row's id object,
+    # so the fact keeps no copy of it; a numeric one keeps its own spelling.
+    for j, (dim, col) in enumerate(keys):
+        if col not in numeric:
+            ids = dict(zip(dims[dim].rows, dims[dim].rows))
+            shared = list(map(ids.get, columns[j]))
+            if None not in shared:
+                columns[j] = shared
+    fact.columns = tuple(columns)
 
     dropped: set[int] = set()
-    for i, key, value, _ in fact_key_faults(raw_rows, keys, dims):
+    for i, key, value, _ in fact_key_faults(fact, dims):
         if key is not None:
             dim, col = key
             raise LoadError(f"fact {name!r}: key {col}={cell_to_text(value)!r} has no "
@@ -265,8 +299,9 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
                        name, table_path, lines[i])
         dropped.add(i)
     if dropped:
-        raw_rows = [row for i, row in enumerate(raw_rows) if i not in dropped]
-    return Fact(name, measures, tuple(keys), raw_rows, frozenset(numeric))
+        kept = [i not in dropped for i in range(len(lines))]
+        fact.columns = tuple(list(compress(col, kept)) for col in columns)
+    return fact
 
 
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
@@ -301,8 +336,7 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     for entry in _descriptor_field(doc, "dimensions", list, path=str(desc_path),
                                    where="descriptor"):
         dim = _load_dimension(entry, directory, strict, str(desc_path))
-        if dim.name in dims:
-            raise LoadError(f"duplicate dimension name {dim.name!r}", path=str(desc_path))
+        _refuse(name_faults("dimension", [*dims, dim.name]), str(desc_path), "")
         dims[dim.name] = dim
 
     fact_entries = _descriptor_field(doc, "facts", list, path=str(desc_path),
@@ -312,8 +346,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     facts = []
     for entry in fact_entries:
         fact = _load_fact(entry, directory, dims, strict, str(desc_path))
-        if any(f.name == fact.name for f in facts):
-            raise LoadError(f"duplicate fact name {fact.name!r}", path=str(desc_path))
+        _refuse(name_faults("fact", [f.name for f in facts] + [fact.name]),
+                str(desc_path), "")
         facts.append(fact)
 
     star_doc = _descriptor_field(doc, "star", dict, path=str(desc_path),
@@ -346,25 +380,24 @@ def _table_filename(name: str, used: set[str]) -> str:
     return uniquify(re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "table", used) + ".csv"
 
 
-def _write_csv(path: Path, columns: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], records: Iterable[Iterable[Cell]]) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(header)
         # The writer renders None as "" and any other cell with str(), as
         # cell_to_text does, so cells go to it unconverted.
-        writer.writerows(map(row.get, columns) for row in rows)
+        writer.writerows(records)
 
 
-def _key_order(rows: list[Row], key_cols: tuple[str, ...]) -> list[int]:
-    """Indices of ``rows`` sorted by their key cells' :func:`cell_sort_key`, stably.
+def _key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
+    """Indices of the ``n`` rows sorted by their key cells' :func:`cell_sort_key`, stably.
 
     One stable sort per key column, last column first. A column whose cells
     are all text or all numbers sorts on the cells themselves, which order
     as their sort keys do.
     """
-    order = list(range(len(rows)))
-    for col in reversed(key_cols):
-        cells = column(rows, col)
+    order = list(range(n))
+    for cells in reversed(key_columns):
         if set(map(type, cells)) not in ({str}, {Decimal}):
             cells = list(map(cell_sort_key, cells))
         order.sort(key=cells.__getitem__)
@@ -395,7 +428,8 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
                             for h in dim.hierarchies],
         })
         ordered = (dim.rows[k] for k in dim.sorted_keys())
-        _write_csv(directory / filename, list(dim.attributes), ordered)
+        _write_csv(directory / filename, list(dim.attributes),
+                   (map(row.get, dim.attributes) for row in ordered))
 
     fact_entries = []
     for fact in facts:
@@ -408,9 +442,9 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "dimensionKeys": [{"dimension": d, "column": c}
                               for d, c in fact.dimension_keys],
         })
-        key_cols = fact.key_columns()
-        ordered = map(fact.rows.__getitem__, _key_order(fact.rows, key_cols))
-        _write_csv(directory / filename, list(key_cols) + list(fact.measures), ordered)
+        order = _key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows))
+        _write_csv(directory / filename, list(fact.column_names()),
+                   zip(*(map(col.__getitem__, order) for col in fact.columns)))
 
     doc = {
         "formatVersion": FORMAT_VERSION,

@@ -6,22 +6,26 @@ to nothing, including another null; that rule is what functional-dependency
 checks and empty-value completion rely on, so use :func:`cells_equal` rather
 than ``==`` when comparing cells.
 
+A fact holds its cells as one list per column (:class:`Fact`); a dimension
+holds a dict per row, keyed by its id.
+
 All model values are treated as immutable after construction. Merge
 operations build new instances instead of mutating loaded ones, so any
-function in this package may be called concurrently. A merged schema may
-share row dicts with its inputs (a fact that passes through unchanged, or a
-fact row that fusion leaves as it is), so no function mutates a row once it
-is in a schema; a row that must change is copied first.
+function in this package may be called concurrently. A merged schema shares
+cells and whole fact columns with its inputs (a fact that passes through
+unchanged, or a column that fusion leaves as it is), so no function mutates
+a column or a row once it is in a schema.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import SchemaMismatchError
 
@@ -113,18 +117,90 @@ class Dimension:
         return sorted(self.rows, key=cell_sort_key)
 
 
-@dataclass
+@dataclass(init=False)
 class Fact:
-    """The analysis subject: measures plus the keys linking rows to dimensions."""
+    """The analysis subject: measures plus the keys linking rows to dimensions.
+
+    The cells are stored one list per column, in :meth:`column_names` order
+    (key columns, then measures), as ``columns``. ``Fact(...)`` takes row
+    dicts and converts them, a cell a row lacks becoming null;
+    :meth:`from_columns` takes the lists as they are. :attr:`rows` reads the
+    columns back as row dicts.
+    """
 
     name: str
     measures: tuple[str, ...]
     dimension_keys: tuple[tuple[str, str], ...]  # (dimension name, key column)
-    rows: list[Row] = field(default_factory=list)
-    numeric: frozenset[str] = frozenset()
+    columns: tuple[list[Cell], ...]
+    numeric: frozenset[str]
+
+    def __init__(self, name: str, measures: tuple[str, ...],
+                 dimension_keys: tuple[tuple[str, str], ...], rows: Iterable[Row] = (),
+                 numeric: frozenset[str] = frozenset()):
+        self.name = name
+        self.measures = measures
+        self.dimension_keys = dimension_keys
+        rows = list(rows)
+        self.columns = tuple([row.get(c) for row in rows] for c in self.column_names())
+        self.numeric = numeric
+
+    @classmethod
+    def from_columns(cls, name: str, measures: tuple[str, ...],
+                     dimension_keys: tuple[tuple[str, str], ...],
+                     columns: Iterable[list[Cell]], numeric: frozenset[str] = frozenset()
+                     ) -> Fact:
+        """A fact over ``columns``, one equal-length list per column name, not copied."""
+        fact = cls(name, measures, dimension_keys, (), numeric)
+        fact.columns = tuple(columns)
+        return fact
 
     def key_columns(self) -> tuple[str, ...]:
         return tuple(col for _, col in self.dimension_keys)
+
+    def column_names(self) -> tuple[str, ...]:
+        return self.key_columns() + self.measures
+
+    def cells(self, name: str) -> list[Cell]:
+        """The cells of column ``name``."""
+        return self.columns[self.column_names().index(name)]
+
+    @property
+    def rows(self) -> FactRows:
+        """The rows as dicts (column name -> cell): a read-only view, built as read."""
+        return FactRows(self.column_names(), self.columns)
+
+
+class FactRows(Sequence):
+    """A read-only sequence of row dicts over a fact's columns.
+
+    Each row dict is built when read, so changing one changes no fact. The
+    length is the columns' length, the view equals a list of the same row
+    dicts, and its repr is that list's.
+    """
+
+    def __init__(self, names: Sequence[str], columns: Sequence[list[Cell]]):
+        self._names = names
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0]) if self._columns else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return dict(zip(self._names, [col[i] for col in self._columns]))
+
+    def __iter__(self) -> Iterator[Row]:
+        names = self._names
+        return (dict(zip(names, cells)) for cells in zip(*self._columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, FactRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -196,9 +272,25 @@ def _repeated(names: Iterable[str]) -> list[str]:
     return [n for n, k in Counter(names).items() if k > 1]
 
 
+def name_faults(kind: str, names: Iterable[str]) -> list[Violation]:
+    """One violation per name that more than one ``kind`` table ("dimension", "fact") uses."""
+    return [Violation(n, "-", f"{kind}-name-unique", f"duplicate {kind} name {n!r}")
+            for n in _repeated(names)]
+
+
+def numeric_faults(table: str, numeric: Iterable[str], attributes: Iterable[str]
+                   ) -> list[Violation]:
+    """A violation listing the ``numeric`` names that are not ``attributes``, if any."""
+    extra = sorted(set(numeric) - set(attributes))
+    if not extra:
+        return []
+    return [Violation(table, "-", "numeric-attributes",
+                      f"numericAttributes {extra!r} are not declared attributes")]
+
+
 def dimension_faults(dim: Dimension) -> list[Violation]:
     """The rules on a dimension's declaration, which read none of its rows."""
-    out: list[Violation] = []
+    out = numeric_faults(dim.name, dim.numeric, dim.attributes)
     attrs = dim.attribute_set()
     if dim.root not in attrs:
         out.append(Violation(dim.name, dim.root, "root-in-attributes",
@@ -221,9 +313,20 @@ def dimension_faults(dim: Dimension) -> list[Violation]:
 
 
 def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+    """The declaration rules, then every row's key, root and columns.
+
+    The ids, the root cells and the row columns are checked whole first; the
+    rows are walked, in order, only when one of those checks fails.
+    """
     out.extend(dimension_faults(dim))
     attrs = dim.attribute_set()
     root = dim.root
+    keys = list(dim.rows)
+    roots = list(map(dict.get, dim.rows.values(), repeat(root)))
+    # Equal cells that are all text or numbers are cells_equal, and none is null.
+    if (keys == roots and set(map(type, keys + roots)) <= {str, Decimal}
+            and attrs.issuperset(chain.from_iterable(dim.rows.values()))):
+        return
     for key, row in dim.rows.items():
         if key is None:
             out.append(Violation(dim.name, "<null>", "root-non-null",
@@ -237,19 +340,8 @@ def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
                                  f"row carries undeclared columns {sorted(extra)!r}"))
 
 
-def column(rows: Iterable[Row], name: str) -> list[Cell]:
-    """The ``name`` cell of every row; null where a row lacks the column."""
-    return list(map(dict.get, rows, repeat(name)))
-
-
-def records(columns: Sequence[Sequence[Cell]], n: int) -> Iterator[tuple]:
-    """The ``n`` tuples of ``columns`` read side by side, empty ones if there are no columns."""
-    return zip(*columns) if columns else repeat((), n)
-
-
-def fact_key_faults(rows: Sequence[Row], dimension_keys: Sequence[tuple[str, str]],
-                    dims: Mapping[str, Dimension]) -> list[tuple]:
-    """Every dangling key cell and repeated key tuple of a fact's rows.
+def fact_key_faults(fact: Fact, dims: Mapping[str, Dimension]) -> list[tuple]:
+    """Every dangling key cell and repeated key tuple of a fact.
 
     Each fault is a tuple ``(row, key, value, first)``. A dangling fault
     names the ``key`` (dimension, column) whose ``value`` has no row in that
@@ -258,15 +350,15 @@ def fact_key_faults(rows: Sequence[Row], dimension_keys: Sequence[tuple[str, str
     come by row, then by key column, with a row's repeat after its dangling
     keys.
 
-    Each key column is read whole and checked with set operations, so a
-    clean table costs no Python work per row; a column is walked only when
-    it holds a dangling value, and the key tuples only when one repeats. A
-    missing key column reads as null, which dangles. A column whose
-    dimension is not in ``dims`` takes part in the repeat check only.
+    Each key column is checked whole with set operations, so a clean table
+    costs no Python work per row; a column is walked only when it holds a
+    dangling value, and the key tuples only when one repeats. A null key
+    cell dangles. A column whose dimension is not in ``dims`` takes part in
+    the repeat check only.
     """
     faults: list[tuple] = []
-    columns = [column(rows, col) for _, col in dimension_keys]
-    for key, cells in zip(dimension_keys, columns):
+    columns = fact.columns[:len(fact.dimension_keys)]
+    for key, cells in zip(fact.dimension_keys, columns):
         dim = dims.get(key[0])
         if dim is None:
             continue
@@ -274,10 +366,14 @@ def fact_key_faults(rows: Sequence[Row], dimension_keys: Sequence[tuple[str, str
         if None in values or not dim.rows.keys() >= values:
             faults.extend((i, key, v, None) for i, v in enumerate(cells)
                           if v is None or v not in dim.rows)
-    n = len(rows)
-    if len(set(records(columns, n))) != n:
+    n = len(fact.rows)
+
+    def tuples() -> Iterator[tuple]:
+        return zip(*columns) if columns else repeat((), n)
+
+    if len(set(tuples())) != n:
         seen: dict[tuple, int] = {}
-        for i, tup in enumerate(records(columns, n)):
+        for i, tup in enumerate(tuples()):
             first = seen.setdefault(tup, i)
             if first != i:
                 faults.append((i, None, tup, first))
@@ -298,7 +394,7 @@ def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
     if declared != linked:
         out.append(Violation(fact.name, "-", "fact-dimensions",
                              f"fact keys reference {sorted(declared)!r} but the schema links {sorted(linked)!r}"))
-    for c in _repeated(fact.key_columns() + fact.measures):
+    for c in _repeated(fact.column_names()):
         out.append(Violation(fact.name, c, "fact-columns-unique",
                              f"column {c!r} is named more than once among the key "
                              "columns and measures"))
@@ -308,7 +404,7 @@ def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
 def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str],
                    out: list[Violation]) -> None:
     out.extend(fact_faults(fact, linked))
-    for i, key, value, first in fact_key_faults(fact.rows, fact.dimension_keys, dims):
+    for i, key, value, first in fact_key_faults(fact, dims):
         if key is None:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
                                  f"key tuple {value!r} already used by row {first}"))
@@ -345,6 +441,8 @@ def validate(schema: Schema) -> list[Violation]:
     violations are listed in row order.
     """
     out = star_map_faults(schema)
+    out += name_faults("dimension", [d.name for d in schema.dimensions])
+    out += name_faults("fact", [f.name for f, _ in fact_links(schema)])
     dims = {d.name: d for d in schema.dimensions}
     for dim in schema.dimensions:
         _validate_dimension(dim, out)

@@ -10,22 +10,18 @@ checked against the count laws before anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import __version__
 from .config import MergeSettings
 from .dimension_merge import (CompletionFill, DimensionMergeResult, ValueConflict,
-                              _right_name_map, check_column_kinds, fuse_row,
-                              merge_dimensions)
+                              _right_name_map, check_column_kinds, merge_dimensions)
 from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
-from .model import (Constellation, Dimension, Fact, Hierarchy, Row, StarSchema,
-                    cell_to_text, cells_equal, column, conforms, records, uniquify,
-                    validate)
+from .model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, cell_to_text,
+                    cells_equal, conforms, uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -101,13 +97,13 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     dimension. Key columns keep the left fact's spelling and order; matched
     measures unify under the left name, the rest join with nulls on the
     side that lacks them. Rows come out as the left ones, then the right-only
-    ones; ``io.write_dw`` sorts them by key.
+    ones; ``io.write_dw`` sorts them by key. Rows that repeat a key tuple
+    fuse as they come: a left one takes the place of the first, a right one
+    fuses into the row that holds its key.
 
-    The inputs are never mutated, and the merged fact shares with them every
-    row that needs no change: a left row when the right fact brings no new
-    measure, a right-only row that already carries exactly the merged
-    columns, and a left row that fusing its right partner would leave as it
-    is. A row that does change is a new dict.
+    The work is done a column at a time. The inputs are never mutated, and
+    every output cell is an input cell object; a column that gains no rows
+    and takes no fused cells is the input's list itself.
     """
     left_cols = {dim: col for dim, col in f1.dimension_keys}
     right_cols = {dim: col for dim, col in f2.dimension_keys}
@@ -124,67 +120,77 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
         extra = [c for d, c in f2.dimension_keys
                  if dim_pairing.get(d) not in left_cols]
         raise MergeError(f"fact key misalignment: unpaired key columns {extra!r}")
+    if not f1.dimension_keys:
+        raise MergeError(f"facts {f1.name!r} and {f2.name!r} have no key columns to fuse on")
 
     check_column_kinds(measure_corrs, f1.numeric, f2.numeric)
     m_r2l = {c.right[1]: c.left[1] for c in measure_corrs}
     key_cols = f1.key_columns()
     right_measure_names = _right_name_map(f1.measures + key_cols, f2.measures, f2.name, m_r2l)
-    names = list(right_measure_names.items())
     new_measures = [n for n in right_measure_names.values() if n not in f1.measures]
     measures = f1.measures + tuple(new_measures)
     numeric = f1.numeric | {right_measure_names[m] for m in f2.numeric
                             if m in right_measure_names}
 
-    # A left row is shared unless the right fact brings new measures; then the
-    # left rows are built a column at a time, the new measures null.
+    # Output row of each key tuple; of left rows that repeat one, the last
+    # takes the place of the first.
     n1 = len(f1.rows)
-    key_cells = [column(f1.rows, c) for c in key_cols]
-    left_rows = f1.rows
-    if new_measures:
-        cells = key_cells + [column(f1.rows, c) for c in f1.measures]
-        cells += [[None] * n1] * len(new_measures)
-        left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
-    rows: dict[tuple, Row] = dict(zip(records(key_cells, n1), left_rows))
-    right_keys = records([list(map(itemgetter(c), f2.rows)) for c in aligned_right_cols],
-                         len(f2.rows))
-    sources, targets = [s for s, _ in names], [t for _, t in names]
-    # A right-only row is shared when it carries exactly the merged columns
-    # under their merged names.
-    share_right = (tuple(aligned_right_cols) == key_cols and sources == targets
-                   and set(sources) == set(measures))
-    all_nulls = dict.fromkeys(measures)
-    conflicts: list[ValueConflict] = []
-    n_common = 0
-    for key, r in zip(right_keys, f2.rows):
-        row = rows.get(key)
-        if row is None and share_right:
-            rows[key] = r
-            continue
-        if row is None:
-            # Every measure of a new row is null and the right measures land
-            # on distinct names, so fusing could copy cells but never clash.
-            row = dict(zip(key_cols, key))
-            row.update(all_nulls)
-            row.update(zip(targets, map(r.get, sources)))
-            rows[key] = row
-            continue
-        n_common += 1
-        # fuse_row writes a cell exactly when the incoming one is non-null and
-        # not cells_equal to the current one (null included), so a row it
-        # would leave as it is stays shared; one it changes is copied first.
-        if all(v is None or cells_equal(row.get(t), v)
-               for t, v in zip(targets, map(r.get, sources))):
-            continue
-        row = rows[key] = dict(row)
-        for name, v1, v2, chosen in fuse_row(row, r, names, settings.conflict):
-            if settings.conflict == "error":
-                raise ConflictError(
-                    f"conflicting measure {name!r} for fact key {key!r}")
-            key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
-            conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
+    left = list(f1.columns) + [[None] * n1 for _ in new_measures]
+    at = dict(zip(zip(*f1.columns[:len(key_cols)]), range(n1)))
+    if len(at) != n1:
+        left = [list(map(col.__getitem__, at.values())) for col in left]
+        at = dict(zip(at, range(len(at))))
+    # Each right row starts a row of its own or fuses into the one holding its key.
+    right_keys = [f2.cells(c) for c in aligned_right_cols]
+    added: list[int] = []
+    common: list[tuple[int, int]] = []
+    for j, key in enumerate(zip(*right_keys)):
+        n = len(at)
+        i = at.setdefault(key, n)
+        if i == n:
+            added.append(j)
+        else:
+            common.append((i, j))
 
-    merged = Fact(f1.name, measures, f1.dimension_keys, list(rows.values()), numeric)
-    return merged, conflicts, n_common
+    # The added rows take their right cells; measures the right fact lacks are null.
+    names = list(right_measure_names.items())
+    source_of = {t: f2.cells(s) for s, t in names}
+    extras = right_keys + [source_of.get(m) for m in measures]
+    fused = {t for _, t in names} if common else set()
+    columns = []
+    for name, col, extra in zip(key_cols + measures, left, extras):
+        if added:
+            col = col + ([None] * len(added) if extra is None
+                         else list(map(extra.__getitem__, added)))
+        elif name in fused:
+            col = list(col)
+        columns.append(col)
+
+    # Fusion (the rule of dimension_merge.fuse_row, a column at a time): an
+    # incoming non-null cell fills a null one; two cells that are not
+    # cells_equal clash, and the conflict policy picks the one kept.
+    conflicts: list[ValueConflict] = []
+    position = {name: k for k, name in enumerate(key_cols + measures)}
+    fuse = [(f2.cells(s), columns[position[t]], t) for s, t in names]
+    for i, j in common:
+        for src, dst, name in fuse:
+            v2 = src[j]
+            if v2 is None:
+                continue
+            v1 = dst[i]
+            if v1 is None:
+                dst[i] = v2
+            elif not cells_equal(v1, v2):
+                key = tuple(col[j] for col in right_keys)
+                if settings.conflict == "error":
+                    raise ConflictError(f"conflicting measure {name!r} for fact key {key!r}")
+                chosen = v2 if settings.conflict == "right" else v1
+                dst[i] = chosen
+                key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
+                conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
+
+    merged = Fact.from_columns(f1.name, measures, f1.dimension_keys, columns, numeric)
+    return merged, conflicts, len(common)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +423,10 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
 
 
 def _retarget_fact(fact: Fact, dim_rename: Mapping[str, str], taken: set[str]) -> Fact:
-    """Point an untouched fact at the merged dimension names; rows stay as-is."""
+    """Point an untouched fact at the merged dimension names; its columns are shared."""
     name = uniquify(fact.name, taken)
     keys = tuple((dim_rename.get(d, d), c) for d, c in fact.dimension_keys)
-    return Fact(name, fact.measures, keys, fact.rows, fact.numeric)
+    return Fact.from_columns(name, fact.measures, keys, fact.columns, fact.numeric)
 
 
 def _corr_echo(c: Correspondence) -> CorrespondenceEcho:

@@ -189,8 +189,8 @@ def test_load_fact_matches_reference_loop(tmp_path, caplog):
                 caplog)
 
             def reference():
-                raw_rows, lines = io._read_csv(
-                    table, [c for _, c in keys] + ["m"], numeric)
+                columns, lines = io._read_csv(table, [c for _, c in keys] + ["m"], numeric)
+                raw_rows = [dict(zip([c for _, c in keys] + ["m"], r)) for r in zip(*columns)]
                 return reference_load_fact_rows("f", keys, dims, raw_rows, lines, strict,
                                                 table)
 

@@ -1,8 +1,11 @@
 import copy
+import csv
 import json
 import random
 import re
-from decimal import Decimal
+import tracemalloc
+from decimal import Decimal, InvalidOperation
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,130 @@ def test_errors_report_physical_lines_after_a_multiline_field(tmp_path, caplog):
     with pytest.raises(LoadError, match="row has 3 fields") as err:
         io.load_dw(tmp_path)
     assert (err.value.path, err.value.line) == (customer, 3)
+
+
+# io._read_csv as it was when it built a dict per record, checking each
+# record as it arrived: kept verbatim as the reference.
+def reference_read_csv(path: Path, columns: list[str], numeric: set[str]):
+    where = str(path)
+    try:
+        handle = path.open("r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise LoadError(f"cannot read table: {exc}", path=where) from exc
+    start = 1  # the line the record being read starts on
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise LoadError("table file is empty, header expected", path=where, line=1)
+            repeated = [c for i, c in enumerate(header) if c in header[:i]]
+            if repeated:
+                raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise LoadError(f"header is missing declared columns {missing!r}",
+                                path=where, line=1)
+            width = len(header)
+            positions = [header.index(c) for c in columns]
+            # Parse numbers in file order, so a row with two bad ones names the leftmost.
+            numeric_at = sorted((i for i, c in enumerate(columns) if c in numeric),
+                                key=positions.__getitem__)
+            rows = []
+            lines: list[int] = []
+            # A record starts one line after the previous one (the header first) ends.
+            start = reader.line_num + 1
+            for record in reader:
+                if len(record) != width:
+                    raise LoadError(f"row has {len(record)} fields, header has {width}",
+                                    path=where, line=start)
+                values = [record[i].strip() or None for i in positions]
+                for i in numeric_at:
+                    value = values[i]
+                    if value is not None:
+                        try:
+                            number = Decimal(value)
+                        except InvalidOperation:
+                            number = None
+                        # NaN differs from itself, so it could never match or fuse.
+                        if number is None or number.is_nan():
+                            raise LoadError(f"{value!r} is not a number",
+                                            path=where, line=start)
+                        values[i] = number
+                rows.append(dict(zip(columns, values)))
+                lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
+        except UnicodeDecodeError:
+            # The reader decodes ahead in blocks, so place the bad byte in the file's bytes.
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"cannot read table: {exc}", path=where,
+                                line=data.count(b"\n", 0, exc.start) + 1) from None
+            raise
+        return rows, lines
+
+
+def random_table(rng: random.Random) -> bytes:
+    """A CSV table over columns a-d whose records may hold bad numbers, NaNs,
+    blanks, quoted newlines, a wrong width, an over-long field or a bad byte."""
+    header = rng.sample(["a", "b", "c", "d", "x"], 5)
+    cells = ["1", "2.50", "-3", " 4 ", "", "   ", "abc", "NaN", "sNaN", "1e3", "Inf",
+             '"x\ny"', "z", "1_0"]
+    records = []
+    for _ in range(rng.randint(0, 8)):
+        width = 5 if rng.random() < 0.9 else rng.choice([4, 6])
+        records.append(",".join(rng.choice(cells[:6] if rng.random() < 0.7 else cells)
+                                for _ in range(width)))
+    if records and rng.random() < 0.05:
+        records.insert(rng.randrange(len(records)), "1," + "9" * 131073 + ",1,1,1")
+    data = "\n".join([",".join(header)] + records).encode() + b"\n"
+    if rng.random() < 0.05:
+        at = rng.randrange(len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_as_rows(path: Path, columns: list[str], numeric: set[str]):
+    cells, lines = io._read_csv(path, columns, numeric)
+    return [dict(zip(columns, record)) for record in zip(*cells)], lines
+
+
+def read_outcome(read, table: Path, columns: list[str], numeric: set[str]):
+    try:
+        return read(table, columns, numeric)
+    except LoadError as exc:
+        return ("LoadError", str(exc), exc.line)
+
+
+def test_read_csv_matches_reference_reader(tmp_path):
+    rng = random.Random(8080)
+    table = tmp_path / "t.csv"
+    seen = dict.fromkeys(["rows", "not a number", "fields, header", "malformed CSV",
+                          "cannot read table"], 0)
+    for case in range(400):
+        table.write_bytes(random_table(rng))
+        columns = rng.sample(["a", "b", "c", "d"], rng.randint(1, 4))
+        numeric = set(rng.sample(columns, rng.randint(0, len(columns))))
+        got = read_outcome(read_as_rows, table, columns, numeric)
+        assert repr(got) == repr(read_outcome(reference_read_csv, table, columns, numeric)), \
+            f"case {case}"
+        seen["rows"] += got[0] != "LoadError" and got[1] != []
+        for kind in list(seen)[1:]:
+            seen[kind] += got[0] == "LoadError" and kind in got[1]
+    assert all(seen.values()), seen
+    # The first failure in file order wins, and of two bad numbers in one
+    # record the leftmost, whatever the order of the declared columns.
+    for text, line, message in [("a,b\n1,x\n1,2,3\n", 2, "'x' is not a number"),
+                                ("a,b\n1,2,3\n1,x\n", 2, "row has 3 fields"),
+                                ("a,b\n1,2\ny,x\n", 3, "'y' is not a number")]:
+        table.write_text(text, encoding="utf-8")
+        got = read_outcome(read_as_rows, table, ["b", "a"], {"a", "b"})
+        assert got == read_outcome(reference_read_csv, table, ["b", "a"], {"a", "b"})
+        assert message in got[1] and got[2] == line, got
 
 
 def test_whitespace_only_number_is_null(tmp_path):
@@ -277,6 +404,47 @@ def test_table_names_that_sanitise_alike_get_distinct_files(tmp_path):
     assert back.dimension("a b").rows == {"k1": {"K": "k1"}}
     assert back.dimension("a_b").rows == {"j1": {"J": "j1"}}
     assert back.fact.rows == fact.rows
+
+
+def test_loaded_text_key_cells_are_the_dimension_ids(tmp_path):
+    dw1, _, _ = generate_pair(preset_basic(seed=3))
+    io.write_dw(dw1, tmp_path)
+    schema = io.load_dw(tmp_path)
+    assert len(schema.fact.rows) > 0
+    for dim_name, col in schema.fact.dimension_keys:
+        ids = {k: k for k in schema.dimension(dim_name).rows}
+        assert all(c is ids[c] for c in schema.fact.cells(col))
+
+
+def test_numeric_fact_key_keeps_its_spelling(tmp_path):
+    write_minimal(tmp_path, rows="1,x\n2,y\n")
+    doc = json.loads((tmp_path / "schema.json").read_text(encoding="utf-8"))
+    doc["dimensions"][0]["numericAttributes"] = ["Code"]
+    (tmp_path / "schema.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "sales.csv").write_text("Code,Quantity\n1.0,3\n", encoding="utf-8")
+    schema = io.load_dw(tmp_path, strict=True)
+    assert str(schema.fact.cells("Code")[0]) == "1.0"
+    io.write_dw(schema, tmp_path / "out")
+    assert (tmp_path / "out" / "sales.csv").read_bytes() == (tmp_path / "sales.csv").read_bytes()
+
+
+def test_loaded_fact_keeps_few_bytes_per_row(tmp_path):
+    # Columns of shared key cells and one Decimal per measure; a dict per row,
+    # with its own copy of each key, cost about 550 bytes.
+    dw1, _, _ = generate_pair(preset_basic(seed=1, fact_rows=20000))
+    io.write_dw(dw1, tmp_path)
+    del dw1
+    tracemalloc.start()
+    try:
+        schema = io.load_dw(tmp_path)
+        n = len(schema.fact.rows)
+        with_fact = tracemalloc.get_traced_memory()[0]
+        schema.fact = None
+        retained = with_fact - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 10000
+    assert retained / n < 320, retained / n
 
 
 def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):

@@ -1,12 +1,16 @@
 import random
+import re
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dwmerge.errors import SchemaMismatchError
-from dwmerge.model import (Dimension, Fact, Hierarchy, StarSchema, cells_equal,
-                           conforms, normalize_name, validate)
+from dwmerge import io
+from dwmerge.errors import LoadError
+from dwmerge.model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, Violation,
+                           _validate_dimension, cell_to_text, cells_equal, conforms,
+                           dimension_faults, normalize_name, validate)
 
 from conftest import customer_left, make_dimension
 
@@ -23,6 +27,14 @@ def two_dim_star():
                  {"Code": "C05", "Pid": "P2", "Quantity": Decimal(1)}],
                 frozenset({"Quantity"}))
     return StarSchema("shop", fact, (customer, product))
+
+
+def with_fact_rows(schema, rows, keep=True):
+    """``schema`` with its fact's rows followed by ``rows``, or ``rows`` alone."""
+    f = schema.fact
+    schema.fact = Fact(f.name, f.measures, f.dimension_keys,
+                       [*f.rows, *rows] if keep else rows, f.numeric)
+    return schema
 
 
 def test_normalize_name():
@@ -50,16 +62,15 @@ def test_validate_duplicate_root_and_dangling_key():
     violations = validate(schema)
     assert any(v.rule == "root-key-consistent" for v in violations)
 
-    schema2 = two_dim_star()
-    schema2.fact.rows.append({"Code": "C99", "Pid": "P1", "Quantity": Decimal(2)})
+    schema2 = with_fact_rows(two_dim_star(),
+                             [{"Code": "C99", "Pid": "P1", "Quantity": Decimal(2)}])
     violations = validate(schema2)
     assert [v.rule for v in violations] == ["fact-key-exists"]
     assert "C99" in violations[0].message
 
 
 def test_validate_reports_missing_key_column():
-    schema = two_dim_star()
-    schema.fact.rows.append({"Code": "C01", "Quantity": Decimal(2)})
+    schema = with_fact_rows(two_dim_star(), [{"Code": "C01", "Quantity": Decimal(2)}])
     violations = validate(schema)
     assert [(v.rule, v.locus) for v in violations] == [("fact-key-exists", "row 2")]
     assert "Pid=''" in violations[0].message
@@ -85,8 +96,125 @@ def test_validate_order_independent():
     rng = random.Random(5)
     rows = list(schema.fact.rows)
     rng.shuffle(rows)
-    schema.fact.rows[:] = rows
+    schema = with_fact_rows(schema, rows, keep=False)
     assert {(v.table, v.rule) for v in validate(schema)} == base
+
+
+def test_fact_rows_is_a_read_only_view_of_the_columns():
+    rows = [{"Code": "C01", "Pid": "P1", "Quantity": Decimal(3)},
+            {"Code": "C05", "Pid": "P2", "Quantity": None}]
+    fact = Fact("sales", ("Quantity",), (("customer", "Code"), ("product", "Pid")), rows,
+                frozenset({"Quantity"}))
+    assert fact.columns == (["C01", "C05"], ["P1", "P2"], [Decimal(3), None])
+    view = fact.rows
+    assert view == rows and rows == view and view == fact.rows and view != rows[:1]
+    assert len(view) == 2 and repr(view) == repr(rows)
+    assert view[1] == rows[1] and view[-1] == rows[-1] and view[:1] == rows[:1]
+    with pytest.raises(AttributeError):
+        view.append(rows[0])
+    with pytest.raises(TypeError):
+        view[0] = rows[0]
+    with pytest.raises(TypeError):
+        del view[0]
+    view[0]["Code"] = "C99"  # a row dict is built as it is read
+    assert fact.rows == rows
+    # a cell a row lacks reads as null
+    assert Fact("f", ("q",), (("d", "K"),), [{"K": "k"}]).rows == [{"K": "k", "q": None}]
+
+
+def test_validate_names_the_rules_the_loader_applies(tmp_path):
+    def dim(name, numeric=frozenset()):
+        d = make_dimension(name, "Id", ("Id",), [("H", ("Id",))], [("k1",)])
+        return Dimension(d.name, d.root, d.attributes, d.hierarchies, d.rows, numeric)
+
+    def fact(name):
+        return Fact(name, (), (("d", "Id"),), [{"Id": "k1"}])
+
+    cases = [
+        (StarSchema("s", fact("f"), (dim("d"), dim("d"))),
+         Violation("d", "-", "dimension-name-unique", "duplicate dimension name 'd'"),
+         "duplicate dimension name 'd'"),
+        (StarSchema("s", fact("f"), (dim("d", frozenset({"ghost"})),)),
+         Violation("d", "-", "numeric-attributes",
+                   "numericAttributes ['ghost'] are not declared attributes"),
+         "dimension 'd': numericAttributes ['ghost'] are not declared attributes"),
+        (Constellation("c", (fact("f"), fact("f")), (dim("d"),), {"f": ("d",)}),
+         Violation("f", "-", "fact-name-unique", "duplicate fact name 'f'"),
+         "duplicate fact name 'f'"),
+    ]
+    for k, (schema, violation, load_error) in enumerate(cases):
+        assert validate(schema) == [violation]
+        # The warehouse written from such a schema is the one the loader refuses.
+        io.write_dw(schema, tmp_path / str(k))
+        with pytest.raises(LoadError, match=re.escape(load_error)):
+            io.load_dw(tmp_path / str(k))
+
+
+# _validate_dimension as it was before it checked whole columns first: kept
+# verbatim as the reference.
+def reference_validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+    out.extend(dimension_faults(dim))
+    attrs = dim.attribute_set()
+    root = dim.root
+    for key, row in dim.rows.items():
+        if key is None:
+            out.append(Violation(dim.name, "<null>", "root-non-null",
+                                 "a row has a null root value"))
+        elif not cells_equal(row.get(root), key):
+            out.append(Violation(dim.name, cell_to_text(key), "root-key-consistent",
+                                 "row key differs from its root attribute value"))
+        if not row.keys() <= attrs:
+            extra = set(row) - attrs
+            out.append(Violation(dim.name, cell_to_text(key), "row-columns",
+                                 f"row carries undeclared columns {sorted(extra)!r}"))
+
+
+def random_dimension(rng: random.Random) -> Dimension:
+    """Up to six rows with text or numeric ids, some broken: a null key, a root
+    cell that differs, is null, is missing or is text for a number, an
+    undeclared column; ``1`` and ``1.0`` are equal ids spelt differently."""
+    numeric = rng.random() < 0.5
+    pool = ([Decimal("1"), Decimal("1.0"), Decimal("2"), Decimal("2.50")] if numeric
+            else ["a", "b", "c", "1"])
+    rows = {}
+    for _ in range(rng.randint(0, 6)):
+        key = None if rng.random() < 0.05 else rng.choice(pool)
+        root = key
+        roll = rng.random()
+        if roll < 0.05:
+            root = None
+        elif roll < 0.15:
+            root = rng.choice(pool)
+        elif roll < 0.2 and key is not None:
+            root = str(key) if numeric else Decimal(1)
+        row = {"Id": root, "A": rng.choice(["x", None])}
+        if rng.random() < 0.05:
+            del row["Id"]
+        if rng.random() < 0.08:
+            row[rng.choice(["Z", "Y"])] = "z"
+        rows[key] = row
+    return Dimension("d", "Id", ("Id", "A"), (Hierarchy("h", ("Id", "A")),), rows,
+                     frozenset({"Id"}) if numeric else frozenset())
+
+
+def test_validate_dimension_matches_reference_loop():
+    rng = random.Random(4242)
+    seen = dict.fromkeys(["clean", "root-non-null", "root-key-consistent", "row-columns",
+                          "equal-spellings", "missing-root"], 0)
+    for case in range(400):
+        dim = random_dimension(rng)
+        got, expected = [], []
+        _validate_dimension(dim, got)
+        reference_validate_dimension(dim, expected)
+        assert got == expected, f"case {case}"
+        seen["clean"] += not got and bool(dim.rows)
+        for v in got:
+            seen[v.rule] += 1
+        seen["equal-spellings"] += any(
+            isinstance(k, Decimal) and cells_equal(r.get("Id"), k) and str(r["Id"]) != str(k)
+            for k, r in dim.rows.items())
+        seen["missing-root"] += any("Id" not in r for r in dim.rows.values())
+    assert all(seen.values()), seen
 
 
 def test_conforms_basic():

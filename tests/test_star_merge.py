@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import operator
 import random
 from decimal import Decimal
 from itertools import repeat
@@ -16,8 +17,7 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Constellation, Fact, StarSchema, cell_to_text, column,
-                           records)
+from dwmerge.model import Cell, Constellation, Fact, Row, StarSchema, cell_to_text
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
@@ -134,14 +134,30 @@ def test_merge_facts_misalignment_error():
     f2 = Fact("sales", ("Quantity",), (("supplier", "Sid"),), [], frozenset())
     with pytest.raises(MergeError, match="misalignment"):
         merge_facts(f1, f2, [], {})
+    # Every row of a fact with no key column has the empty key tuple.
+    keyless = Fact("sales", ("Quantity",), (), [{"Quantity": Decimal(1)}] * 2,
+                   frozenset({"Quantity"}))
+    with pytest.raises(MergeError, match="no key columns"):
+        merge_facts(keyless, keyless, [], {})
 
 
 # ---------------------------------------------------------------------------
 # merge_facts against the version that built every row anew
 # ---------------------------------------------------------------------------
 
+def column(rows, name: str) -> list[Cell]:
+    """The ``name`` cell of every row; null where a row lacks the column."""
+    return list(map(dict.get, rows, repeat(name)))
+
+
+def records(columns, n: int):
+    """The ``n`` tuples of ``columns`` read side by side, empty ones if there are no columns."""
+    return zip(*columns) if columns else repeat((), n)
+
+
 # merge_facts as it was before it shared unchanged rows with its inputs: every
-# output row built anew, every shared row fused. Kept verbatim as the reference.
+# output row built anew, every shared row fused. Kept verbatim as the reference,
+# with the two row helpers above, which the model no longer has.
 def reference_merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
                           dim_pairing: Mapping[str, str], settings: MergeSettings = MergeSettings()
                           ) -> tuple[Fact, list[ValueConflict], int]:
@@ -318,10 +334,15 @@ def test_merge_facts_matches_reference():
             assert repr(conflicts) == repr(want_conflicts), f"case {case} {policy}"
             assert n_common == want_common, f"case {case} {policy}"
             assert repr((f1.rows, f2.rows)) == before, f"case {case} {policy}"
-            inputs = {id(r): side for side, f in (("left", f1), ("right", f2)) for r in f.rows}
-            sides = [inputs.get(id(r), "new") for r in merged.rows]
-            for side in ("left", "right", "new"):
-                seen[side if side == "new" else f"{side}_kept"] += sides.count(side)
+            # Every non-null merged cell is an input cell object, a left one
+            # where both sides hold it; the nulls count as new.
+            left_ids = {id(c) for col in f1.columns for c in col}
+            right_ids = {id(c) for col in f2.columns for c in col}
+            for c in (c for col in merged.columns for c in col):
+                side = ("new" if c is None else "left_kept" if id(c) in left_ids
+                        else "right_kept" if id(c) in right_ids else None)
+                assert side is not None, f"case {case} {policy}"
+                seen[side] += 1
             seen["conflict"] += len(conflicts)
         matched = {c.right[1] for c in corrs}
         seen["left_only"] += len(set(f1.measures) - {c.left[1] for c in corrs}) > 0
@@ -374,12 +395,15 @@ def test_unchanged_fact_rows_are_shared_with_the_inputs():
     dw1, dw2, _ = generate_pair(preset_basic(seed=7, rows=400, fact_rows=2000))
     result = merge_stars(dw1, dw2)
     assert result.report.conflicts == []
-    rows = result.schema.fact.rows
+    merged = result.schema.fact
     n1 = len(dw1.fact.rows)
-    assert all(m is r for m, r in zip(rows, dw1.fact.rows))
-    # the right-only rows carry the merged columns already, so they are shared too
-    right = {id(r) for r in dw2.fact.rows}
-    assert len(rows) > n1 and all(id(r) in right for r in rows[n1:])
+    assert merged.column_names() == dw1.fact.column_names()
+    for name in merged.column_names():
+        assert all(map(operator.is_, merged.cells(name)[:n1], dw1.fact.cells(name)))
+    # the right-only rows take the right fact's key and measure cells
+    right = {id(c) for col in dw2.fact.columns for c in col}
+    assert len(merged.rows) > n1
+    assert all(id(c) in right for col in merged.columns for c in col[n1:])
 
 
 # ---------------------------------------------------------------------------
