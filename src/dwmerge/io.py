@@ -32,14 +32,18 @@ CSV rules
 ---------
 UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
 header names every declared column, each once; undeclared columns are
-allowed and dropped. Tables are read a column at a time: a fact keeps
-one list per declared column, and a text key cell that names a dimension
-row is that row's id object; dimension rows are dicts. An
-empty field is null; whitespace-only fields trim to empty and are therefore
-null too; the literal text ``NULL`` is ordinary data. Values in columns
-tagged numeric (``numericAttributes``; measures unless listed in
-``textMeasures``; fact key columns follow the referenced dimension id) are
-parsed as exact decimals, everything else stays text.
+allowed and dropped. A table is split at its newlines and commas, or if
+that finds it irregular read record by record by the csv module, with the
+same cells and errors. Rows are joined, or if they need quotes written by
+``csv.writer``, with the same bytes; a row holding a carriage return has
+every cell quoted, as a reader ends a line there. Tables are read a column
+at a time: a fact keeps one list per declared column, and a text key cell
+that names a dimension row is that row's id object; dimension rows are
+dicts. An empty field is null; whitespace-only fields trim to empty and
+are therefore null too; the literal text ``NULL`` is ordinary data. Values
+in columns tagged numeric (``numericAttributes``; measures unless listed
+in ``textMeasures``; fact key columns follow the referenced dimension id)
+are parsed as exact decimals, everything else stays text.
 
 User correspondence files
 -------------------------
@@ -59,7 +63,7 @@ import json
 import logging
 import re
 from decimal import Decimal, InvalidOperation
-from itertools import compress
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,15 +80,23 @@ DESCRIPTOR_NAME = "schema.json"
 FORMAT_VERSION = 1
 
 
+# Characters read at a time, cells parsed by one map(Decimal), rows written at a time.
+_CHUNK_CHARS = 1 << 15
+_NUMBER_BLOCK = 4096
+_WRITE_ROWS = 256
+
+
 def _read_csv(path: Path, columns: list[str], numeric: set[str]
               ) -> tuple[list[list[Cell]], list[int]]:
     """The cells of one table as one list per name in ``columns``, and the lines rows start on.
 
-    Other columns are dropped. Line numbers count the newlines inside quoted
-    fields. A record the csv module cannot parse, such as one with a field
-    over its size limit, is a load error on the line the record starts on,
-    and so is a NaN in a numeric column. A byte that is not UTF-8 is a load
-    error on the physical line that holds it.
+    Other columns are dropped. A table that :func:`_split_csv` reads has its
+    rows on lines 2 to n+1; any other is read again, a record at a time, and
+    there line numbers count the newlines inside quoted fields. A record the
+    csv module cannot parse, such as one with a field over its size limit, is
+    a load error on the line the record starts on, and so is a NaN in a
+    numeric column. A byte that is not UTF-8 is a load error on the physical
+    line that holds it.
 
     Cells are appended as records arrive, and numbers are parsed a column
     at a time once reading stops. The error raised is the one that checking
@@ -103,6 +115,14 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     failure: Exception | None = None
     start = 1  # the line the record being read starts on
     with handle:
+        if handle.seekable():  # a pipe could not be read again
+            try:
+                split = _split_csv(handle, columns, numeric)
+            except UnicodeDecodeError:
+                split = None
+            if split is not None:
+                return split[0], list(range(2, split[1] + 2))
+            handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -150,19 +170,80 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     return cells, lines
 
 
+def _split_csv(handle, columns: list[str], numeric: set[str]
+               ) -> tuple[list[list[Cell]], int] | None:
+    """The cells of a table and its row count, split from whole lines of text.
+
+    None, before any error, if the text holds a quote, a carriage return or
+    a NUL, repeats a header name or lacks a declared one, or has a blank
+    line, a line with another field count than the header or longer than
+    ``csv.field_size_limit()``, or a number that does not parse. On any
+    other table the csv module would just split each line at its commas.
+    """
+    cells: list[list[Cell]] = [[] for _ in columns]
+    width = n = 0
+    pending: list[str] = []  # a line that no chunk read so far ends
+    while True:
+        chunk = handle.read(_CHUNK_CHARS)
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:
+            pending.append(chunk)
+            continue
+        # Whole lines only; the last line of the file may lack its newline.
+        text = "".join(pending) + chunk[:cut]
+        pending = [chunk[cut:]]
+        if text:
+            # The csv module before Python 3.11 refuses a NUL.
+            if '"' in text or "\r" in text or "\0" in text:
+                return None
+            lines = text.split("\n")[:-1] if chunk else [text]
+            if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+                return None
+            if not width:
+                header = lines.pop(0).split(",")
+                if len(set(header)) < len(header) or not set(columns) <= set(header):
+                    return None
+                width = len(header)
+                positions = list(map(header.index, columns))
+            if lines:
+                if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                    return None
+                fields = ",".join(lines).split(",")
+                for j, i in enumerate(positions):
+                    col: list[Cell] = list(map(str.strip, fields[i::width]))
+                    if "" in col:
+                        col = [c or None for c in col]
+                    if columns[j] in numeric and _parse_numbers(col) is not None:
+                        return None
+                    cells[j] += col
+                n += len(lines)
+        if not chunk:
+            return (cells, n) if width else None
+
+
 def _parse_numbers(cells: list[Cell]) -> int | None:
     """Parse the texts of ``cells`` as decimals in place, up to the first that is
-    not a number; that one's index, or None."""
-    for i, text in enumerate(cells):
-        if text is not None:
-            try:
-                number = Decimal(text)
-            except InvalidOperation:
-                return i
-            # NaN differs from itself, so it could never match or fuse.
-            if number.is_nan():
-                return i
-            cells[i] = number
+    not a number; that one's index, or None. A block that holds a null, a bad
+    number or a NaN is parsed cell by cell."""
+    for at in range(0, len(cells), _NUMBER_BLOCK):
+        block = cells[at:at + _NUMBER_BLOCK]
+        try:
+            numbers = list(map(Decimal, block))
+        except (InvalidOperation, TypeError):  # TypeError: a null
+            numbers = None
+        if numbers is not None and not any(map(Decimal.is_nan, numbers)):
+            cells[at:at + _NUMBER_BLOCK] = numbers
+            continue
+        for i, text in enumerate(block, at):
+            if text is not None:
+                try:
+                    number = Decimal(text)
+                except InvalidOperation:
+                    return i
+                # NaN differs from itself, so it could never match or fuse.
+                if number.is_nan():
+                    return i
+                cells[i] = number
     return None
 
 
@@ -380,13 +461,36 @@ def _table_filename(name: str, used: set[str]) -> str:
     return uniquify(re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "table", used) + ".csv"
 
 
+def _texts(cells: Sequence[Cell]) -> list[str]:
+    """``cells`` as the CSV writer renders them, which is as :func:`cell_to_text` does."""
+    texts = list(map(str, cells))
+    # str(None) is "None", so only a column holding that text can hold a null.
+    return texts if "None" not in texts else list(map(cell_to_text, cells))
+
+
 def _write_csv(path: Path, header: list[str], records: Iterable[Iterable[Cell]]) -> None:
+    """Write the rows as ``csv.writer(lineterminator="\\n")`` does, but quote every
+    cell of a row that holds a ``\\r``: that writer leaves it bare, and a reader
+    ends a line there. A block of rows none of whose texts needs quoting is
+    joined as it stands; any other goes to the writer."""
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        # The writer renders None as "" and any other cell with str(), as
-        # cell_to_text does, so cells go to it unconverted.
-        writer.writerows(records)
+        plain = csv.writer(handle, lineterminator="\n")
+        quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        records = iter(records)
+        block: list = [header]
+        while block:
+            texts = list(map(_texts, zip(*block)))
+            body = "\n".join(map(",".join, zip(*texts)))
+            # A quote, comma or line break in a cell needs quoting, and so does the
+            # lone empty cell of a one-column row. A table of no columns has no texts.
+            if ('"' in body or "\r" in body or body.count("\n") != len(block) - 1
+                    or body.count(",") != len(block) * (len(header) - 1)
+                    or len(header) == 1 and "" in texts[0]):
+                for row in zip(*texts) if texts else block:
+                    (quoted if any("\r" in t for t in row) else plain).writerow(row)
+            else:
+                handle.write(body + "\n")
+            block = list(islice(records, _WRITE_ROWS))
 
 
 def _key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:

@@ -1,10 +1,13 @@
 import copy
 import csv
 import json
+import os
 import random
 import re
+import threading
 import tracemalloc
 from decimal import Decimal, InvalidOperation
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from dwmerge import io
 from dwmerge.cli import main
 from dwmerge.errors import LoadError
-from dwmerge.generator import generate_pair, preset_basic, preset_divergent
+from dwmerge.generator import PRESETS, generate_pair, preset_basic, preset_divergent
 from dwmerge.model import Fact, StarSchema, cell_sort_key, cell_to_text, validate
 
 from conftest import make_dimension
@@ -258,6 +261,59 @@ def test_read_csv_matches_reference_reader(tmp_path):
         assert message in got[1] and got[2] == line, got
 
 
+# Tables at the edges of the split path: the csv module's reading of them
+# (cells, lines or error) is the reference.
+EDGE_TABLES = [
+    "a\nx\n\ny\n", "a\nx\n \ny", "a,b\n1,2\n\n3,4\n", "a,b\n1,2\n\n", "a,b\n1,2",
+    "\ufeffa,b\n1,2\n", "\ufeffx,a,b\n0,1,2\n", "a,b\n1,x\x00y\n", "a,b\n1,\x00\n",
+    "a,b\n", "a,b", "", "\n", "\n\na,b\n", "a,b\n1,2\u2028\n3,4\x85\n",
+    "a,b\n1," + "9" * 131073 + "\n2,3\n", "a,b\n1," + "9" * 131072 + "\n",
+    "a,b\n" + "1" * 70000 + "," + "2" * 70000 + "\n", "a,a\n1,2\n", "b\n1\n",
+    "a,b\n1,2,3\n4,5\n", "a,b\n1\n", "a,b\n1,NaN\n", "a,b\n1, 2 \n\u3000,x\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TABLES, ids=range(len(EDGE_TABLES)))
+def test_read_csv_edge_tables_match_reference_reader(text, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text(text, encoding="utf-8", newline="")
+    for columns in (["a"], ["b", "a"]):
+        for numeric in (set(), {"a"}, set(columns)):
+            got = read_outcome(read_as_rows, table, columns, numeric)
+            assert repr(got) == repr(read_outcome(reference_read_csv, table, columns, numeric))
+
+
+@pytest.mark.parametrize("chars", [1, 5, 13])
+def test_read_csv_matches_reference_reader_in_small_chunks(chars, tmp_path, monkeypatch):
+    # Chunk boundaries then fall inside lines, the header included.
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chars)
+    real_split = io._split_csv
+    split = []
+
+    def count_split(*args):
+        result = real_split(*args)
+        split.append(result is not None)
+        return result
+
+    monkeypatch.setattr(io, "_split_csv", count_split)
+    test_read_csv_matches_reference_reader(tmp_path)
+    assert sum(split) > 100, sum(split)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_csv_reads_a_pipe(tmp_path):
+    # A pipe cannot be read again, so it goes straight to the record reader.
+    pipe = tmp_path / "t.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=('a,b\n"1",2\n',))
+    writer.start()
+    try:
+        assert io._read_csv(pipe, ["a", "b"], set()) == ([["1"], ["2"]], [2])
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_whitespace_only_number_is_null(tmp_path):
     write_minimal(tmp_path)
     (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,  \n", encoding="utf-8")
@@ -283,6 +339,21 @@ def test_quoted_field_round_trip(tmp_path):
     assert "1.10" in (out / "sales.csv").read_text(encoding="utf-8")
 
 
+def test_carriage_return_cell_round_trips(tmp_path, capsys):
+    # The csv writer leaves a lone \r unquoted, and a reader ends a line there.
+    write_minimal(tmp_path, rows='C1,"a\rb"\nC2,x\n')
+    schema = io.load_dw(tmp_path, strict=True)
+    assert schema.dimension("customer").rows["C1"]["Attr"] == "a\rb"
+    io.write_dw(schema, tmp_path / "out")
+    assert (tmp_path / "out" / "customer.csv").read_bytes() == \
+        b'Code,Attr\n"C1","a\rb"\nC2,x\n'
+    back = io.load_dw(tmp_path / "out", strict=True)
+    assert back.dimension("customer").rows == schema.dimension("customer").rows
+    assert main(["merge", str(tmp_path), str(tmp_path), str(tmp_path / "merged")]) == 0
+    assert main(["validate", "--strict", str(tmp_path / "merged")]) == 0
+    assert capsys.readouterr().out.endswith("merged: OK\n")
+
+
 @pytest.mark.parametrize("preset", [preset_basic, preset_divergent])
 def test_generated_round_trip(tmp_path, preset):
     dw1, _, _ = generate_pair(preset(seed=13))
@@ -306,6 +377,61 @@ def test_write_is_byte_deterministic(tmp_path):
     io.write_dw(dw1, tmp_path / "b")
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+def random_cell(rng: random.Random):
+    return rng.choice([None, "", " ", "x", "a b", "None", "1,2", 'say "hi"', "two\nlines",
+                       "cr\rin", "\r", "\x00", "é", Decimal("1.10"), Decimal("-0"),
+                       Decimal("1E+3"), Decimal("12345678901234567890.5"), Decimal(7)])
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
+    # Blocks of 2-3 rows, so joined blocks and the writer's interleave in one
+    # file. Only rows holding a \r differ from csv.writer: they are quoted in full.
+    monkeypatch.setattr(io, "_WRITE_ROWS", rows)
+    rng = random.Random(rows)
+    path = tmp_path / "t.csv"
+    for case in range(300):
+        width = rng.choice([1, 1, 2, 4])
+        header = [f"c{i}" for i in range(width)]
+        plain = rng.random() < 0.5  # plain texts only: whole blocks get joined
+        records = [[rng.choice([None, "", "x", "y z", Decimal("2.50")]) if plain
+                    else random_cell(rng) for _ in header]
+                   for _ in range(rng.randint(0, 12))]
+        io._write_csv(path, header, iter(records))
+        expected = StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(header)
+        for record in records:
+            quoting = csv.QUOTE_ALL if "\r" in "".join(map(cell_to_text, record)) \
+                else csv.QUOTE_MINIMAL
+            csv.writer(expected, lineterminator="\n", quoting=quoting).writerow(record)
+        assert path.read_bytes() == expected.getvalue().encode(), f"case {case}"
+        if not any("\r" in cell_to_text(c) for r in records for c in r):
+            fresh = StringIO()
+            csv.writer(fresh, lineterminator="\n").writerows([header, *records])
+            assert path.read_bytes() == fresh.getvalue().encode(), f"case {case}"
+
+
+@pytest.mark.parametrize("preset", PRESETS.values(), ids=PRESETS)
+def test_generated_tables_take_the_split_and_join_paths(preset, tmp_path, monkeypatch):
+    # The record reader and csv.writer are the slow paths, kept for tables
+    # that need quoting; no generated table, input or merged, may reach them.
+    dw1, dw2, _ = generate_pair(preset(seed=5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generated table took the csv module's path")
+
+    class Refusing:
+        writerow = writerows = refuse
+
+    monkeypatch.setattr(csv, "writer", lambda *args, **kwargs: Refusing())
+    monkeypatch.setattr(csv, "reader", refuse)
+    io.write_dw(dw1, tmp_path / "dw1")
+    io.write_dw(dw2, tmp_path / "dw2")
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
+                 str(tmp_path / "out")]) == 0
+    assert main(["validate", "--strict", str(tmp_path / "out")]) == 0
 
 
 def test_numeric_dimension_attribute(tmp_path):
