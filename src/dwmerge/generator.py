@@ -24,12 +24,15 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from decimal import Decimal
 from itertools import compress
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .model import Dimension, Fact, Hierarchy, StarSchema
+from .report import json_name, to_json
 
 MANIFEST_VERSION = 1
 
@@ -152,6 +155,10 @@ def _check_spec(spec: GenSpec) -> None:
             for side, carried in ((1, f.view1), (2, f.view2)):
                 if carried and _view_chains(by_name[dn], side) is None:
                     raise ValueError(f"fact {f.name}: side {side} lacks dimension {dn!r}")
+        if f.rows < 0:
+            raise ValueError(f"fact {f.name}: rows must be >= 0, not {f.rows}")
+        if not 0.0 <= f.conflict_fraction <= 1.0:
+            raise ValueError(f"fact {f.name}: conflictFraction must be within [0, 1]")
         space = math.prod(by_name[dn].rows for dn in f.dims)
         if f.rows > space:
             raise ValueError(f"fact {f.name}: {f.rows} rows exceed the key space {space}")
@@ -405,48 +412,33 @@ def _virtual_chains(d: GenDimension, c1: tuple[str, ...], c2: tuple[str, ...]
 # ---------------------------------------------------------------------------
 
 def spec_to_dict(spec: GenSpec) -> dict:
-    return {
-        "formatVersion": MANIFEST_VERSION,
-        "name": spec.name,
-        "seed": spec.seed,
-        "overlap": spec.overlap,
-        "dimensions": [{
-            "name": d.name, "rows": d.rows,
-            "attrs": [{"name": a.name, "divisor": a.divisor} for a in d.attrs],
-            "chains": [{"name": c.name, "parameters": list(c.parameters)}
-                       for c in d.chains],
-            "view1": list(d.view1) if d.view1 is not None else None,
-            "view2": list(d.view2) if d.view2 is not None else None,
-            "overlap": d.overlap,
-        } for d in spec.dimensions],
-        "facts": [{
-            "name": f.name, "rows": f.rows, "dims": list(f.dims),
-            "measures": list(f.measures), "view1": f.view1, "view2": f.view2,
-            "view1Measures": list(f.view1_measures) if f.view1_measures else None,
-            "view2Measures": list(f.view2_measures) if f.view2_measures else None,
-            "conflictMeasure": f.conflict_measure,
-            "conflictFraction": f.conflict_fraction,
-        } for f in spec.facts],
-    }
+    """The JSON document of ``spec``: ``formatVersion``, then the spec's fields.
+
+    Each record is an object holding its fields in declaration order, each
+    under its name in camelCase (``view1_measures`` is ``view1Measures``);
+    each tuple is a list.
+    """
+    return {"formatVersion": MANIFEST_VERSION, **to_json(spec)}
 
 
-# The JSON value kinds a spec field may take, by the name an error gives them.
+# What a field of each type may hold in JSON: the kind an error names, and its test.
 _KINDS = {
-    "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
-    "a string": lambda v: type(v) is str,
-    "true or false": lambda v: type(v) is bool,
-    "a list": lambda v: type(v) is list,
-    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+    list: ("a list", lambda v: type(v) is list),
+    tuple[str, ...]: ("a list of strings",
+                      lambda v: type(v) is list and all(type(x) is str for x in v)),
 }
 _REQUIRED = object()
 
 
-def _field(obj, key: str, kind: str, default=_REQUIRED):
+def _field(obj, key: str, kind, default=_REQUIRED):
     """``obj[key]`` checked to be of ``kind``; ``default`` when absent or null.
 
-    A list of strings comes back as a tuple. ValueError names a field that
-    is missing or of the wrong kind, and an entry that is not an object.
+    A list comes back as a tuple. ValueError names a field that is missing
+    or of the wrong kind, and an entry that is not an object.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"generator spec entry {obj!r} is not a JSON object")
@@ -455,9 +447,29 @@ def _field(obj, key: str, kind: str, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"generator spec lacks the required field {key!r}")
         return default
-    if not _KINDS[kind](value):
-        raise ValueError(f"generator spec field {key!r} must be {kind}, not {value!r}")
-    return tuple(value) if kind == "a list of strings" else value
+    name, fits = _KINDS[kind]
+    if not fits(value):
+        raise ValueError(f"generator spec field {key!r} must be {name}, not {value!r}")
+    return tuple(value) if type(value) is list else value
+
+
+def _record(cls: type, obj):
+    """The ``cls`` record the JSON object ``obj`` describes, read a field at a time.
+
+    A field with no default is required. A tuple of records is a list whose
+    items are read the same way.
+    """
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if type(kind) is UnionType:  # ``T | None``: its None default makes it optional
+            kind = get_args(kind)[0]
+        item = get_args(kind)[0] if get_origin(kind) is tuple else None
+        value = _field(obj, json_name(f), list if is_dataclass(item) else kind,
+                       _REQUIRED if f.default is MISSING else f.default)
+        values[f.name] = tuple(_record(item, x) for x in value) if is_dataclass(item) else value
+    return cls(**values)
 
 
 def spec_from_dict(doc: dict) -> GenSpec:
@@ -467,30 +479,7 @@ def spec_from_dict(doc: dict) -> GenSpec:
     """
     if not isinstance(doc, dict):
         raise ValueError("generator spec must be a JSON object")
-    dims = tuple(GenDimension(
-        name=_field(d, "name", "a string"), rows=_field(d, "rows", "an integer"),
-        attrs=tuple(GenAttr(_field(a, "name", "a string"), _field(a, "divisor", "an integer", 1))
-                    for a in _field(d, "attrs", "a list")),
-        chains=tuple(GenChain(_field(c, "name", "a string"),
-                              _field(c, "parameters", "a list of strings"))
-                     for c in _field(d, "chains", "a list")),
-        view1=_field(d, "view1", "a list of strings", None),
-        view2=_field(d, "view2", "a list of strings", None),
-        overlap=_field(d, "overlap", "a number", None),
-    ) for d in _field(doc, "dimensions", "a list"))
-    facts = tuple(GenFact(
-        name=_field(f, "name", "a string"), rows=_field(f, "rows", "an integer"),
-        dims=_field(f, "dims", "a list of strings"),
-        measures=_field(f, "measures", "a list of strings"),
-        view1=_field(f, "view1", "true or false", True),
-        view2=_field(f, "view2", "true or false", True),
-        view1_measures=_field(f, "view1Measures", "a list of strings", None) or None,
-        view2_measures=_field(f, "view2Measures", "a list of strings", None) or None,
-        conflict_measure=_field(f, "conflictMeasure", "a string", None),
-        conflict_fraction=_field(f, "conflictFraction", "a number", 0.0),
-    ) for f in _field(doc, "facts", "a list"))
-    return GenSpec(_field(doc, "name", "a string"), _field(doc, "seed", "an integer"),
-                   dims, facts, _field(doc, "overlap", "a number", 0.75))
+    return _record(GenSpec, doc)
 
 
 def load_spec(path: str | Path) -> GenSpec:

@@ -385,10 +385,11 @@ def fact_key_faults(fact: Fact, dims: Mapping[str, Dimension]) -> list[tuple]:
 def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
     """The rules on a fact's declaration, which read none of its rows.
 
-    The fact is keyed on exactly the ``linked`` dimensions, and its key
-    columns and measures are distinct; two key columns may name one dimension.
+    The fact is keyed on exactly the ``linked`` dimensions, its key columns
+    and measures are distinct, and its ``numeric`` set names only them; two
+    key columns may name one dimension.
     """
-    out: list[Violation] = []
+    out = numeric_faults(fact.name, fact.numeric, fact.column_names())
     linked = set(linked)
     declared = {d for d, _ in fact.dimension_keys}
     if declared != linked:
@@ -440,12 +441,21 @@ def validate(schema: Schema) -> list[Violation]:
     are checked a column at a time (:func:`fact_key_faults`), and their
     violations are listed in row order.
     """
+    links = fact_links(schema)
     out = star_map_faults(schema)
     out += name_faults("dimension", [d.name for d in schema.dimensions])
-    out += name_faults("fact", [f.name for f, _ in fact_links(schema)])
+    out += name_faults("fact", [f.name for f, _ in links])
+    if not links:
+        out.append(Violation(schema.name, "-", "fact-present", "the schema has no fact"))
     dims = {d.name: d for d in schema.dimensions}
     for dim in schema.dimensions:
         _validate_dimension(dim, out)
-    for fact, linked in fact_links(schema):
+    for fact, linked in links:
         _validate_fact(fact, dims, linked, out)
+        # The loader gives a key column the numeric flag of its dimension's root.
+        out += [Violation(fact.name, col, "fact-key-numeric",
+                          f"key column {col!r} must be numeric exactly when the root "
+                          f"of dimension {dn!r} is")
+                for dn, col in fact.dimension_keys
+                if dn in dims and (col in fact.numeric) != (dims[dn].root in dims[dn].numeric)]
     return out

@@ -11,7 +11,7 @@ mismatch is a fatal internal error, never a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 
 from .errors import InternalInvariantError
 
@@ -23,20 +23,21 @@ TOOL_NAME = "dwmerge"
 class TableCount:
     table: str
     kind: str  # "dimension" | "fact"
-    n_left: int | None
-    n_right: int | None
-    n_shared: int
-    n_merged: int
+    n_left: int | None = field(metadata={"json": "rowsLeft"})
+    n_right: int | None = field(metadata={"json": "rowsRight"})
+    n_shared: int = field(metadata={"json": "rowsShared"})
+    n_merged: int = field(metadata={"json": "rowsMerged"})
 
 
 @dataclass(frozen=True)
 class CompletedAttribute:
     table: str
     attribute: str
-    n_left: int | None  # non-null count in the left input, None when absent
-    n_right: int | None
-    n_filled: int
-    n_merged: int
+    # non-null count in the left input, None when absent
+    n_left: int | None = field(metadata={"json": "nonNullLeft"})
+    n_right: int | None = field(metadata={"json": "nonNullRight"})
+    n_filled: int = field(metadata={"json": "filled"})
+    n_merged: int = field(metadata={"json": "nonNullMerged"})
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,24 @@ def assert_count_laws(report: MergeReport) -> None:
                 f"{c.n_left} + {c.n_right} + {c.n_filled} != {c.n_merged}")
 
 
+def json_name(f: Field) -> str:
+    """A dataclass field's JSON key: its ``"json"`` metadata, else its name in camelCase."""
+    head, *rest = f.name.split("_")
+    return f.metadata.get("json", head + "".join(map(str.title, rest)))
+
+
+def to_json(value):
+    """``value`` as JSON data: a dataclass becomes an object, a tuple or list a list.
+
+    An object holds each field, in declaration order, under its :func:`json_name`.
+    """
+    if is_dataclass(value):
+        return {json_name(f): to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return list(map(to_json, value))
+    return value
+
+
 def report_to_dict(report: MergeReport) -> dict:
     """Stable JSON-ready rendering; list order is already deterministic."""
     return {
@@ -119,29 +138,11 @@ def report_to_dict(report: MergeReport) -> dict:
         "result": report.result_kind,
         "schemaName": report.schema_name,
         "config": report.config,
-        "tables": [{
-            "table": t.table, "kind": t.kind, "rowsLeft": t.n_left,
-            "rowsRight": t.n_right, "rowsShared": t.n_shared, "rowsMerged": t.n_merged,
-        } for t in report.tables],
-        "completedAttributes": [{
-            "table": c.table, "attribute": c.attribute, "nonNullLeft": c.n_left,
-            "nonNullRight": c.n_right, "filled": c.n_filled, "nonNullMerged": c.n_merged,
-        } for c in report.completions],
-        "correspondences": [{
-            "left": c.left, "right": c.right, "unified": c.unified,
-            "score": c.score, "source": c.source,
-        } for c in report.correspondences],
-        "conflicts": [{
-            "table": c.table, "key": c.key, "attribute": c.attribute,
-            "left": c.left, "right": c.right, "chosen": c.chosen,
-        } for c in report.conflicts],
-        "ambiguousFills": [{
-            "table": a.table, "key": a.key, "attribute": a.attribute, "donor": a.donor,
-        } for a in report.ambiguous_fills],
-        "prunedHierarchies": [{
-            "dimension": p.dimension, "hierarchy": p.hierarchy, "reason": p.reason,
-        } for p in report.pruned],
-        "dimensionPairs": [{
-            "left": p.left, "right": p.right, "merged": p.merged,
-        } for p in report.dimension_pairs],
+        "tables": to_json(report.tables),
+        "completedAttributes": to_json(report.completions),
+        "correspondences": to_json(report.correspondences),
+        "conflicts": to_json(report.conflicts),
+        "ambiguousFills": to_json(report.ambiguous_fills),
+        "prunedHierarchies": to_json(report.pruned),
+        "dimensionPairs": to_json(report.dimension_pairs),
     }

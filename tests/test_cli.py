@@ -297,9 +297,12 @@ def without(obj: dict, key: str) -> None:
      "view1Measures repeat"),
     (lambda doc: [doc], "generator spec must be a JSON object"),
     (lambda doc: doc["dimensions"][0].update(rows="400"), "'rows' must be an integer"),
+    (lambda doc: doc["facts"][0].update(rows=-3), "fact lineorder: rows must be >= 0, not -3"),
+    (lambda doc: doc["facts"][0].update(conflictFraction=7),
+     "fact lineorder: conflictFraction must be within [0, 1]"),
 ], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
         "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure",
-        "top-level-list", "text-rows"])
+        "top-level-list", "text-rows", "negative-fact-rows", "conflict-fraction-above-1"])
 def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = spec_to_dict(preset_star4(seed=1))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec,
@@ -6,6 +8,8 @@ from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec
                                spec_to_dict)
 from dwmerge.hierarchy_merge import enumerate_fds
 from dwmerge.model import validate
+
+from test_output_digests import conflict_spec
 
 
 @pytest.mark.parametrize("preset", [preset_basic, preset_divergent, preset_star4,
@@ -86,9 +90,37 @@ def test_fd_ground_truth_exact_on_full_overlap():
     assert discovered == certified
 
 
-def test_spec_round_trip():
-    spec = preset_star4(seed=3)
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+# Every optional field holds a value other than its default.
+EVERY_OPTION = GenSpec("options", 4, (
+    GenDimension("d", 100, (GenAttr("id"), GenAttr("a", 5)), (GenChain("c", ("id", "a")),),
+                 view1=("c",), view2=None, overlap=0.5),
+    GenDimension("e", 50, (GenAttr("eid"),), (GenChain("c", ("eid",)),),
+                 view1=None, view2=("c",))), (
+    GenFact("f1", 20, ("d",), ("m", "n"), view2=False, view1_measures=("m",),
+            view2_measures=("n",)),
+    GenFact("f2", 20, ("e",), ("p", "q"), view1=False, conflict_measure="p",
+            conflict_fraction=0.25)), overlap=0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    *(preset(seed=3) for preset in (preset_basic, preset_divergent, preset_star4,
+                                    preset_const22)),
+    conflict_spec(), EVERY_OPTION,
+], ids=["basic", "divergent", "star4", "const22", "conflict", "every-option"])
+def test_spec_round_trip(spec):
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+
+def test_spec_json_names():
+    doc = spec_to_dict(EVERY_OPTION)
+    assert set(doc) == {"formatVersion", "name", "seed", "dimensions", "facts", "overlap"}
+    assert set(doc["dimensions"][0]) == {"name", "rows", "attrs", "chains", "view1", "view2",
+                                         "overlap"}
+    assert set(doc["dimensions"][0]["attrs"][0]) == {"name", "divisor"}
+    assert set(doc["dimensions"][0]["chains"][0]) == {"name", "parameters"}
+    assert set(doc["facts"][0]) == {"name", "rows", "dims", "measures", "view1", "view2",
+                                    "view1Measures", "view2Measures", "conflictMeasure",
+                                    "conflictFraction"}
 
 
 def test_infeasible_divisor_rejected():

@@ -141,6 +141,9 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
         (Constellation("c", (fact("f"), fact("f")), (dim("d"),), {"f": ("d",)}),
          Violation("f", "-", "fact-name-unique", "duplicate fact name 'f'"),
          "duplicate fact name 'f'"),
+        (Constellation("c", (), (dim("d"),), {}),
+         Violation("c", "-", "fact-present", "the schema has no fact"),
+         "descriptor declares no facts"),
     ]
     for k, (schema, violation, load_error) in enumerate(cases):
         assert validate(schema) == [violation]
@@ -148,6 +151,26 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
         io.write_dw(schema, tmp_path / str(k))
         with pytest.raises(LoadError, match=re.escape(load_error)):
             io.load_dw(tmp_path / str(k))
+
+
+@pytest.mark.parametrize("numeric, violation", [
+    ({"Quantity", "ghost"},
+     Violation("sales", "-", "numeric-attributes",
+               "numericAttributes ['ghost'] are not declared attributes")),
+    ({"Quantity", "Code"},
+     Violation("sales", "Code", "fact-key-numeric",
+               "key column 'Code' must be numeric exactly when the root of dimension "
+               "'customer' is")),
+], ids=["not-a-column", "key-unlike-its-root"])
+def test_validate_names_a_fact_numeric_set_the_reload_changes(numeric, violation, tmp_path):
+    schema = two_dim_star()
+    f = schema.fact
+    schema.fact = Fact.from_columns(f.name, f.measures, f.dimension_keys, f.columns,
+                                    frozenset(numeric))
+    assert validate(schema) == [violation]
+    # The loader derives the set from the descriptor, so it cannot refuse it.
+    io.write_dw(schema, tmp_path)
+    assert io.load_dw(tmp_path).fact.numeric == {"Quantity"}
 
 
 # _validate_dimension as it was before it checked whole columns first: kept
