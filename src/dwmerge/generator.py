@@ -103,6 +103,8 @@ def _check_spec(spec: GenSpec) -> None:
     if len(set(names)) != len(names):
         raise ValueError("dimension names repeat")
     for d in spec.dimensions:
+        if d.rows < 0:
+            raise ValueError(f"dimension {d.name}: rows must be >= 0, not {d.rows}")
         if d.overlap is not None and not (0.0 <= d.overlap <= 1.0):
             raise ValueError(f"{d.name}: overlap must be within [0, 1]")
         divisors = {a.name: a.divisor for a in d.attrs}
@@ -159,6 +161,9 @@ def _check_spec(spec: GenSpec) -> None:
             raise ValueError(f"fact {f.name}: rows must be >= 0, not {f.rows}")
         if not 0.0 <= f.conflict_fraction <= 1.0:
             raise ValueError(f"fact {f.name}: conflictFraction must be within [0, 1]")
+        if f.conflict_fraction > 0 and f.conflict_measure is None:
+            raise ValueError(f"fact {f.name}: conflictFraction {f.conflict_fraction} "
+                             "needs a conflictMeasure")
         space = math.prod(by_name[dn].rows for dn in f.dims)
         if f.rows > space:
             raise ValueError(f"fact {f.name}: {f.rows} rows exceed the key space {space}")
@@ -434,14 +439,12 @@ _KINDS = {
 _REQUIRED = object()
 
 
-def _field(obj, key: str, kind, default=_REQUIRED):
+def _field(obj: dict, key: str, kind, default=_REQUIRED):
     """``obj[key]`` checked to be of ``kind``; ``default`` when absent or null.
 
     A list comes back as a tuple. ValueError names a field that is missing
-    or of the wrong kind, and an entry that is not an object.
+    or of the wrong kind.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"generator spec entry {obj!r} is not a JSON object")
     value = obj.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -457,8 +460,17 @@ def _record(cls: type, obj):
     """The ``cls`` record the JSON object ``obj`` describes, read a field at a time.
 
     A field with no default is required. A tuple of records is a list whose
-    items are read the same way.
+    items are read the same way. ValueError names an entry that is not an
+    object, and a key that is not one of the record's fields.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"generator spec entry {obj!r} is not a JSON object")
+    known = {json_name(f) for f in fields(cls)}
+    for key in obj:
+        if key not in known:
+            record = "" if cls is GenSpec else cls.__name__.removeprefix("Gen").lower() + " "
+            raise ValueError(f"generator spec {record}{obj.get('name')!r} has an "
+                             f"unknown field {key!r}")
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
@@ -475,11 +487,12 @@ def _record(cls: type, obj):
 def spec_from_dict(doc: dict) -> GenSpec:
     """The spec a :func:`spec_to_dict` document describes.
 
-    ValueError names a field that is missing or of the wrong JSON kind.
+    ValueError names a field that is missing, unknown or of the wrong JSON
+    kind.
     """
     if not isinstance(doc, dict):
         raise ValueError("generator spec must be a JSON object")
-    return _record(GenSpec, doc)
+    return _record(GenSpec, {k: v for k, v in doc.items() if k != "formatVersion"})
 
 
 def load_spec(path: str | Path) -> GenSpec:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import MergeError
-from .model import Cell, Hierarchy, Row, cells_equal
+from .model import Cell, Hierarchy, Row
 
 logger = logging.getLogger(__name__)
 
@@ -97,13 +98,16 @@ def _matched_tokens(tok1: TokenSeq, tok2: TokenSeq) -> list[Token]:
 # functional dependencies
 # ---------------------------------------------------------------------------
 
-def enumerate_fds(rows: Sequence[Mapping[Hashable, Cell]], attrs: Sequence[Hashable],
+def enumerate_fds(rows: Sequence[dict[Hashable, Cell]], attrs: Sequence[Hashable],
                   min_support: int = 1) -> set[tuple[Hashable, Hashable]]:
     """All single-attribute FDs a -> b holding over the rows.
 
     Rows where either attribute is null are excluded from both support and
     violation counts; an edge needs at least ``min_support`` surviving rows.
+    Each attribute's column is read once; a scan stops at its first
+    violation. On two non-null cells ``!=`` is ``not model.cells_equal``.
     """
+    cols = {a: list(map(dict.get, rows, repeat(a))) for a in attrs}
     out = set()
     for a in attrs:
         for b in attrs:
@@ -112,15 +116,11 @@ def enumerate_fds(rows: Sequence[Mapping[Hashable, Cell]], attrs: Sequence[Hasha
             seen: dict[Cell, Cell] = {}
             support = 0
             holds = True
-            for row in rows:
-                va, vb = row.get(a), row.get(b)
+            for va, vb in zip(cols[a], cols[b]):
                 if va is None or vb is None:
                     continue
                 support += 1
-                prev = seen.get(va)
-                if prev is None:
-                    seen[va] = vb
-                elif not cells_equal(prev, vb):
+                if seen.setdefault(va, vb) != vb:
                     holds = False
                     break
             if holds and support >= min_support:
@@ -128,7 +128,7 @@ def enumerate_fds(rows: Sequence[Mapping[Hashable, Cell]], attrs: Sequence[Hasha
     return out
 
 
-def resolve_two_cycles(edges: set[tuple], rows: Sequence[Mapping]) -> list[tuple]:
+def resolve_two_cycles(edges: set[tuple], rows: Sequence[dict]) -> list[tuple]:
     """Break a<->b cycles: keep the edge from more distinct values to fewer.
 
     Ties break toward the lexicographically smaller determinant so the
@@ -140,7 +140,7 @@ def resolve_two_cycles(edges: set[tuple], rows: Sequence[Mapping]) -> list[tuple
 
     def distinct(attr) -> int:
         if attr not in counts:
-            counts[attr] = len({row.get(attr) for row in rows} - {None})
+            counts[attr] = len(set(map(dict.get, rows, repeat(attr))) - {None})
         return counts[attr]
 
     kept = []
@@ -215,62 +215,50 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
 # merging one sub-hierarchy pair
 # ---------------------------------------------------------------------------
 
-def _project(rows: Iterable[Row], columns: list[tuple[Token, str]]) -> list[tuple[Cell, ...]]:
-    """Distinct projections of ``rows`` on ``columns`` in first-seen order.
+def _project(rows: Collection[Row], names: list[str]) -> list[tuple[Cell, ...]]:
+    """Distinct projections of ``rows`` on the columns ``names`` in first-seen order.
 
-    A column that a row lacks reads as null.
+    ``rows`` is read once per column. A column that a row lacks reads as null.
     """
-    names = [name for _, name in columns]
-    seen = set()
-    out = []
-    for row in rows:
-        t = tuple(map(row.get, names))
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dict.fromkeys(zip(*(map(dict.get, rows, repeat(name)) for name in names))))
 
 
 def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Iterable[Row], rows2: Iterable[Row]
+                      rows1: Collection[Row], rows2: Collection[Row]
                       ) -> list[dict[Token, Cell]]:
     """Inner-join the two projected instance sets on the shared first parameter.
 
     Projections are deduplicated first, so FD support counts distinct
-    projected row combinations. Matched columns present on both sides take
-    the left value and fall back to the right one when the left is null.
+    projected row combinations. Each joined row holds the right side's
+    tokens, then the left side's own. Matched columns present on both sides
+    take the left value and fall back to the right one when the left is null.
     """
-    cols1 = [(t, t[1]) for t in tok1]
-    cols2 = [(t, t[2] if t[0] == "p" else t[1]) for t in tok2]
-    start = tok1[0]
-    if start != tok2[0]:
+    if tok1[0] != tok2[0]:
         raise MergeError("sub-hierarchy pair does not share its first parameter")
-    proj1 = _project(rows1, cols1)
-    proj2 = _project(rows2, cols2)
     idx2: dict[Cell, list[tuple[Cell, ...]]] = {}
-    pos2 = {t: i for i, (t, _) in enumerate(cols2)}
-    for t2 in proj2:
-        key = t2[pos2[start]]
-        if key is not None:
-            idx2.setdefault(key, []).append(t2)
+    for t2 in _project(rows2, [t[2] if t[0] == "p" else t[1] for t in tok2]):
+        if t2[0] is not None:
+            idx2.setdefault(t2[0], []).append(t2)
     joined = []
-    for t1 in proj1:
-        key = t1[0]
-        if key is None:
+    for t1 in _project(rows1, [t[1] for t in tok1]):
+        matches = idx2.get(t1[0])  # a null key is never indexed
+        if matches is None:
             continue
-        for t2 in idx2.get(key, ()):
-            row: dict[Token, Cell] = {}
-            for (tok, _), v in zip(cols2, t2):
-                row[tok] = v
-            for (tok, _), v in zip(cols1, t1):
-                if v is not None or tok not in row:
-                    row[tok] = v
+        whole = None not in t1
+        for t2 in matches:
+            row = dict(zip(tok2, t2))
+            if whole:
+                row.update(zip(tok1, t1))
+            else:
+                for tok, v in zip(tok1, t1):
+                    if v is not None or tok not in row:
+                        row[tok] = v
             joined.append(row)
     return joined
 
 
 def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Iterable[Row], rows2: Iterable[Row],
+                      rows1: Collection[Row], rows2: Collection[Row],
                       min_support: int) -> list[tuple[Token, Token]]:
     """Reduced FD edges over the joined instances of a sub-hierarchy pair.
 
@@ -287,7 +275,7 @@ def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
 
 
 def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
-                            rows1: Iterable[Row], rows2: Iterable[Row],
+                            rows1: Collection[Row], rows2: Collection[Row],
                             settings: MergeSettings) -> list[TokenSeq]:
     """Merge one sub-hierarchy pair into one or more parameter chains.
 

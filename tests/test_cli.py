@@ -300,9 +300,23 @@ def without(obj: dict, key: str) -> None:
     (lambda doc: doc["facts"][0].update(rows=-3), "fact lineorder: rows must be >= 0, not -3"),
     (lambda doc: doc["facts"][0].update(conflictFraction=7),
      "fact lineorder: conflictFraction must be within [0, 1]"),
+    (lambda doc: doc["facts"][0].update(conflictMeasures="revenue", conflictFraction=0.5),
+     "generator spec fact 'lineorder' has an unknown field 'conflictMeasures'"),
+    (lambda doc: doc.update(overlapp=0.5),
+     "generator spec 'star4' has an unknown field 'overlapp'"),
+    (lambda doc: doc["dimensions"][0]["attrs"][1].update(divsor=2),
+     "generator spec attr 'city' has an unknown field 'divsor'"),
+    (lambda doc: doc["dimensions"][0]["chains"][0].update(params=["customer_id"]),
+     "generator spec chain 'c_geo_a' has an unknown field 'params'"),
+    (lambda doc: doc["facts"][0].update(conflictFraction=0.5),
+     "fact lineorder: conflictFraction 0.5 needs a conflictMeasure"),
+    (lambda doc: doc["dimensions"][0].update(rows=-5),
+     "dimension customer: rows must be >= 0, not -5"),
 ], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
         "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure",
-        "top-level-list", "text-rows", "negative-fact-rows", "conflict-fraction-above-1"])
+        "top-level-list", "text-rows", "negative-fact-rows", "conflict-fraction-above-1",
+        "unknown-fact-key", "unknown-top-level-key", "unknown-attr-key", "unknown-chain-key",
+        "conflict-fraction-without-measure", "negative-dimension-rows"])
 def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = spec_to_dict(preset_star4(seed=1))

@@ -1,15 +1,18 @@
 import itertools
 import random
+from decimal import Decimal
+from typing import Iterable
 
 import pytest
 
 from dwmerge import hierarchy_merge
 from dwmerge.config import MergeSettings
 from dwmerge.errors import MergeError
-from dwmerge.hierarchy_merge import (FdUndiscoverable, _segment_fd_edges, enumerate_fds,
-                                     extend, join_segment_rows, merge_hierarchies,
-                                     render_tokens, tokenize, transitive_reduction)
-from dwmerge.model import Hierarchy
+from dwmerge.hierarchy_merge import (FdUndiscoverable, Token, TokenSeq, _segment_fd_edges,
+                                     enumerate_fds, extend, join_segment_rows,
+                                     merge_hierarchies, render_tokens, tokenize,
+                                     transitive_reduction)
+from dwmerge.model import Cell, Hierarchy, Row, cells_equal
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
@@ -100,24 +103,30 @@ def test_identical_hierarchies_single_pair(segments):
 # ---------------------------------------------------------------------------
 
 def brute_force_fds(rows, attrs, min_support=1):
-    """Oracle: check every ordered pair over every row pair."""
+    """Oracle: check every ordered pair over every row pair, comparing by cells_equal."""
     out = set()
     for a, b in itertools.permutations(attrs, 2):
         pairs = [(r[a], r[b]) for r in rows if r[a] is not None and r[b] is not None]
-        ok = all(x1 != x2 or y1 == y2
+        ok = all(not cells_equal(x1, x2) or cells_equal(y1, y2)
                  for (x1, y1), (x2, y2) in itertools.product(pairs, pairs))
         if ok and len(pairs) >= min_support:
             out.add((a, b))
     return out
 
 
+# Equal numbers spelt apart, and a text that looks like one of them.
+TYPED_CELLS = [None, "x", "y", "z", Decimal("1"), Decimal("1.0"), Decimal("2"), "1"]
+
+
 def test_enumerate_fds_against_brute_force():
     rng = random.Random(4242)
-    for _ in range(200):
+    for _ in range(300):
         attrs = [f"a{i}" for i in range(rng.randint(2, 6))]
-        rows = [{a: rng.choice([None, "x", "y", "z"]) for a in attrs}
+        rows = [{a: rng.choice(TYPED_CELLS) for a in attrs}
                 for _ in range(rng.randint(1, 25))]
-        assert enumerate_fds(rows, attrs) == brute_force_fds(rows, attrs)
+        min_support = rng.choice([1, 2, 3])
+        assert (enumerate_fds(rows, attrs, min_support)
+                == brute_force_fds(rows, attrs, min_support))
 
 
 def fd_edges(params1, params2, rows1, rows2, pairs, min_support=1):
@@ -164,6 +173,122 @@ def test_join_reads_a_missing_projected_column_as_null():
     joined = join_segment_rows(tok1, tok2, rows1, rows2)
     assert joined == [{("p", "A", "A"): "a", ("l", "B"): "b", ("r", "C"): "c"},
                       {("p", "A", "A"): "a2", ("l", "B"): None, ("r", "C"): "c2"}]
+
+
+# A projection and join that read a row at a time: the reference for the
+# rows, the row order and the key order that join_segment_rows returns.
+def _reference_project(rows: Iterable[Row], columns: list[tuple[Token, str]]
+                       ) -> list[tuple[Cell, ...]]:
+    """Distinct projections of ``rows`` on ``columns`` in first-seen order.
+
+    A column that a row lacks reads as null.
+    """
+    names = [name for _, name in columns]
+    seen = set()
+    out = []
+    for row in rows:
+        t = tuple(map(row.get, names))
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
+def reference_join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
+                                rows1: Iterable[Row], rows2: Iterable[Row]
+                                ) -> list[dict[Token, Cell]]:
+    """Inner-join the two projected instance sets on the shared first parameter.
+
+    Projections are deduplicated first, so FD support counts distinct
+    projected row combinations. Matched columns present on both sides take
+    the left value and fall back to the right one when the left is null.
+    """
+    cols1 = [(t, t[1]) for t in tok1]
+    cols2 = [(t, t[2] if t[0] == "p" else t[1]) for t in tok2]
+    start = tok1[0]
+    if start != tok2[0]:
+        raise MergeError("sub-hierarchy pair does not share its first parameter")
+    proj1 = _reference_project(rows1, cols1)
+    proj2 = _reference_project(rows2, cols2)
+    idx2: dict[Cell, list[tuple[Cell, ...]]] = {}
+    pos2 = {t: i for i, (t, _) in enumerate(cols2)}
+    for t2 in proj2:
+        key = t2[pos2[start]]
+        if key is not None:
+            idx2.setdefault(key, []).append(t2)
+    joined = []
+    for t1 in proj1:
+        key = t1[0]
+        if key is None:
+            continue
+        for t2 in idx2.get(key, ()):
+            row: dict[Token, Cell] = {}
+            for (tok, _), v in zip(cols2, t2):
+                row[tok] = v
+            for (tok, _), v in zip(cols1, t1):
+                if v is not None or tok not in row:
+                    row[tok] = v
+            joined.append(row)
+    return joined
+
+
+# Join keys: equal numbers spelt three ways, a look-alike text, and null.
+JOIN_KEYS = [None, "k1", "k2", Decimal("1"), Decimal("1.0"), Decimal("1.00"), "1"]
+
+
+def random_segment_rows(rng, params, n):
+    """Rows that may lack any non-first column, null-heavy, with repeats."""
+    rows = []
+    for _ in range(n):
+        row = {params[0]: rng.choice(JOIN_KEYS)}
+        for p in params[1:]:
+            if rng.random() < 0.8:
+                row[p] = rng.choice([None, None, "u", "v", Decimal("2"), Decimal("2.0")])
+        rows.append(row)
+    return rows + [dict(r) for r in rng.sample(rows, n // 3)]
+
+
+def test_join_segment_rows_matches_reference():
+    rng = random.Random(1414)
+    for case in range(400):
+        shared = ["M0", "M1"][:rng.randint(0, 2)]
+        rest1 = shared + ["L0", "L1"][:rng.randint(0, 2)]
+        rest2 = shared + ["R0", "R1"][:rng.randint(0, 2)]
+        params1 = ["K", *rng.sample(rest1, len(rest1))]
+        params2 = ["K", *rng.sample(rest2, len(rest2))]
+        spelling = {p: p + "_r" for p in shared if rng.random() < 0.5}  # right-side names
+        pairs = {p: spelling.get(p, p) for p in ["K", *shared]}
+        tok1 = tokenize(params1, "l", pairs)
+        tok2 = tokenize([spelling.get(p, p) for p in params2], "r",
+                        {v: k for k, v in pairs.items()})
+        rows1 = random_segment_rows(rng, params1, rng.randint(0, 12))
+        rows2 = [{spelling.get(k, k): v for k, v in r.items()}
+                 for r in random_segment_rows(rng, params2, rng.randint(0, 12))]
+        assert (repr(join_segment_rows(tok1, tok2, rows1, rows2))
+                == repr(reference_join_segment_rows(tok1, tok2, rows1, rows2))), case
+
+
+def test_merge_hierarchies_hands_the_joined_rows_to_fd_discovery(monkeypatch, d_left,
+                                                                 d_location):
+    # bench/spans.py counts these two calls through the module attributes
+    joins, scans = [], []
+    real_join, real_fds = hierarchy_merge.join_segment_rows, hierarchy_merge.enumerate_fds
+
+    def join(*args):
+        joins.append(real_join(*args))
+        return joins[-1]
+
+    def fds(rows, *args):
+        scans.append(rows)
+        return real_fds(rows, *args)
+
+    monkeypatch.setattr(hierarchy_merge, "join_segment_rows", join)
+    monkeypatch.setattr(hierarchy_merge, "enumerate_fds", fds)
+    merge_hierarchies(d_left.hierarchy("H1"), d_location.hierarchy("H3"),
+                      d_left.rows.values(), d_location.rows.values(),
+                      {"Department": "Department", "Continent": "Continent"})
+    assert joins and len(scans) == len(joins)
+    assert all(rows is joined and len(rows) > 0 for rows, joined in zip(scans, joins))
 
 
 def test_fd_soundness_re_scan(d_left, d_right):
