@@ -14,20 +14,25 @@ new attributes, the numeric set and the merged chains rendered into
 hierarchies. The matched case calls it once, for the left side taking every
 right column and hierarchy; the unmatched case calls it once per side, with
 the foreign columns that side's merged chains reach.
+
+Rows that share a root value fuse through :func:`fuse_cells`, the one
+fill-or-clash rule of the package; ``star_merge.merge_facts`` fuses fact
+rows that share a key tuple through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import ConflictError, MergeError
 from .hierarchy_merge import HierarchyMergeResult, merge_hierarchies, render_tokens
 from .matching import Correspondence, corr_attr_map
-from .model import (Cell, Dimension, Hierarchy, Row, cell_sort_key, cell_to_text,
-                    cells_equal, uniquify)
+from .model import (Cell, Dimension, Hierarchy, Row, cell_to_text, cells_equal, key_order,
+                    uniquify)
 
 
 @dataclass(frozen=True)
@@ -163,29 +168,32 @@ def _side_schema(dim: Dimension, other: Dimension, names: Mapping[str, str],
 # instance fusion
 # ---------------------------------------------------------------------------
 
-def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
-             ) -> list[tuple[str, Cell, Cell, Cell]]:
-    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
+def fuse_cells(pairs: Iterable[tuple[int, int]],
+               fuse: Sequence[tuple[Sequence[Cell], list[Cell], str]], conflict: str
+               ) -> Iterator[tuple[int, int, str, Cell, Cell, Cell]]:
+    """Fuse incoming rows into output rows, a cell at a time, in place.
 
-    ``names`` pairs each incoming column with its name in ``row``. A null in
-    ``row`` takes the incoming value; where both hold different values the
-    right one wins only under policy ``right``. Each clash is returned as
-    ``(name, left, right, chosen)``; under policy ``error`` the caller
-    raises on the first one.
+    ``pairs`` are ``(i, j)``: output row ``i`` takes incoming row ``j``.
+    ``fuse`` lists ``(source, target, name)``: an incoming column, the
+    output column it fuses into and that column's name. A null target cell
+    takes the incoming value; where both hold values that are not
+    :func:`cells_equal`, the incoming one wins only under policy ``right``.
+    Each clash is yielded after it is applied, as ``(i, j, name, left, right,
+    chosen)``, row by row and in ``fuse`` order; under policy ``error`` the
+    caller raises on the first one.
     """
-    clashes = []
-    for source, name in names:
-        v2 = incoming.get(source)
-        if v2 is None:
-            continue
-        v1 = row.get(name)
-        if v1 is None:
-            row[name] = v2
-        elif not cells_equal(v1, v2):
-            chosen = v2 if conflict == "right" else v1
-            row[name] = chosen
-            clashes.append((name, v1, v2, chosen))
-    return clashes
+    for i, j in pairs:
+        for source, target, name in fuse:
+            v2 = source[j]
+            if v2 is None:
+                continue
+            v1 = target[i]
+            if v1 is None:
+                target[i] = v2
+            elif not cells_equal(v1, v2):
+                chosen = v2 if conflict == "right" else v1
+                target[i] = chosen
+                yield i, j, name, v1, v2, chosen
 
 
 def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, str],
@@ -195,27 +203,27 @@ def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, s
 
     Attributes the absent side does not carry stay null. When both sides
     provide different non-null values for a cell the conflict policy decides
-    and the clash is logged; under policy ``error`` it raises.
+    and the clash is logged; under policy ``error`` it raises. Rows come out
+    in id order, their cells in ``attributes`` order, and every non-null
+    cell is an input cell object.
     """
+    ids = list(set(d1.rows) | set(d2.rows))
+    ids = [ids[i] for i in key_order([ids], len(ids))]
+    lefts = list(map(d1.rows.get, ids, repeat({})))
+    rights = list(map(d2.rows.get, ids, repeat({})))
+    columns = {a: list(map(dict.get, lefts, repeat(a))) if a in d1.attributes
+               else [None] * len(ids) for a in attributes}
+    fuse = [(list(map(dict.get, rights, repeat(b))), columns[right_name_map[b]],
+             right_name_map[b]) for b in d2.attributes]
+    pairs = [(i, i) for i, key in enumerate(ids) if key in d2.rows]
     conflicts: list[ValueConflict] = []
-    names = [(b, right_name_map[b]) for b in d2.attributes]
-    keys = sorted(set(d1.rows) | set(d2.rows), key=cell_sort_key)
-    rows: dict[Cell, Row] = {}
-    for key in keys:
-        row: Row = {a: None for a in attributes}
-        r1 = d1.rows.get(key)
-        r2 = d2.rows.get(key)
-        if r1 is not None:
-            for a in d1.attributes:
-                row[a] = r1.get(a)
-        if r2 is not None:
-            for name, v1, v2, chosen in fuse_row(row, r2, names, conflict):
-                if conflict == "error":
-                    raise ConflictError(
-                        f"conflicting values for {d1.name}[{cell_to_text(key)}].{name}: "
-                        f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
-                conflicts.append(ValueConflict(key, name, v1, v2, chosen))
-        rows[key] = row
+    for i, _, name, v1, v2, chosen in fuse_cells(pairs, fuse, conflict):
+        if conflict == "error":
+            raise ConflictError(
+                f"conflicting values for {d1.name}[{cell_to_text(ids[i])}].{name}: "
+                f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
+        conflicts.append(ValueConflict(ids[i], name, v1, v2, chosen))
+    rows = dict(zip(ids, map(dict, map(zip, repeat(attributes), zip(*columns.values())))))
     return rows, conflicts
 
 
@@ -259,14 +267,15 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
     """
     ordered = [h for h in sorted(hierarchies, key=lambda h: h.name) if len(h.parameters) >= 2]
     columns = {p for h in ordered for p in h.parameters}
-    pending = sorted((k for k, r in target_rows.items() if None in map(r.get, columns)),
-                     key=cell_sort_key)
+    pending = [k for k, r in target_rows.items() if None in map(r.get, columns)]
     fills: list[CompletionFill] = []
     if not pending:
         return fills
+    pending = [pending[i] for i in key_order([pending], len(pending))]
     work = [(h, list(pending)) for h in ordered]
 
-    donor_keys = sorted(donor_rows, key=cell_sort_key)
+    donor_keys = list(donor_rows)
+    donor_keys = [donor_keys[i] for i in key_order([donor_keys], len(donor_keys))]
     ranked = [donor_rows[k] for k in donor_keys]
     rank = {k: i for i, k in enumerate(donor_keys)}
     groups: dict[str, dict[Cell, list[int]]] = {}  # donor column -> value -> donor ranks

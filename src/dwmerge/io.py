@@ -69,8 +69,8 @@ from typing import Iterable, Sequence
 
 from .errors import LoadError
 from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, Violation, cell_sort_key, cell_to_text, dimension_faults,
-                    fact_faults, fact_key_faults, fact_links, name_faults, numeric_faults,
+                    StarSchema, Violation, cell_to_text, dimension_faults, fact_faults,
+                    fact_key_faults, fact_links, key_order, name_faults, numeric_faults,
                     star_map_faults, uniquify)
 from .report import MergeReport, report_to_dict
 
@@ -493,21 +493,6 @@ def _write_csv(path: Path, header: list[str], records: Iterable[Iterable[Cell]])
             block = list(islice(records, _WRITE_ROWS))
 
 
-def _key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
-    """Indices of the ``n`` rows sorted by their key cells' :func:`cell_sort_key`, stably.
-
-    One stable sort per key column, last column first. A column whose cells
-    are all text or all numbers sorts on the cells themselves, which order
-    as their sort keys do.
-    """
-    order = list(range(n))
-    for cells in reversed(key_columns):
-        if set(map(type, cells)) not in ({str}, {Decimal}):
-            cells = list(map(cell_sort_key, cells))
-        order.sort(key=cells.__getitem__)
-    return order
-
-
 def write_dw(schema: Schema, directory: str | Path) -> None:
     """Emit a warehouse directory: descriptor plus one CSV per table.
 
@@ -531,7 +516,8 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "hierarchies": [{"name": h.name, "parameters": list(h.parameters)}
                             for h in dim.hierarchies],
         })
-        ordered = (dim.rows[k] for k in dim.sorted_keys())
+        ids = list(dim.rows)
+        ordered = (dim.rows[ids[i]] for i in key_order([ids], len(ids)))
         _write_csv(directory / filename, list(dim.attributes),
                    (map(row.get, dim.attributes) for row in ordered))
 
@@ -546,7 +532,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "dimensionKeys": [{"dimension": d, "column": c}
                               for d, c in fact.dimension_keys],
         })
-        order = _key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows))
+        order = key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows))
         _write_csv(directory / filename, list(fact.column_names()),
                    zip(*(map(col.__getitem__, order) for col in fact.columns)))
 

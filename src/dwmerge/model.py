@@ -67,6 +67,21 @@ def cell_sort_key(c: Cell) -> tuple:
     return (2, c)
 
 
+def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
+    """Indices of the ``n`` rows sorted by their key cells' :func:`cell_sort_key`, stably.
+
+    One stable sort per key column, last column first. A column whose cells
+    are all text or all numbers sorts on the cells themselves, which order
+    as their sort keys do.
+    """
+    order = list(range(n))
+    for cells in reversed(key_columns):
+        if set(map(type, cells)) not in ({str}, {Decimal}):
+            cells = list(map(cell_sort_key, cells))
+        order.sort(key=cells.__getitem__)
+    return order
+
+
 def cell_to_text(c: Cell) -> str:
     """Render a cell the way the CSV writer does (null becomes the empty string)."""
     if c is None:
@@ -112,9 +127,6 @@ class Dimension:
             if h.name == name:
                 return h
         raise KeyError(name)
-
-    def sorted_keys(self) -> list[Cell]:
-        return sorted(self.rows, key=cell_sort_key)
 
 
 @dataclass(init=False)

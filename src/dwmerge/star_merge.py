@@ -15,13 +15,14 @@ from typing import Mapping, Sequence
 from . import __version__
 from .config import MergeSettings
 from .dimension_merge import (CompletionFill, DimensionMergeResult, ValueConflict,
-                              _right_name_map, check_column_kinds, merge_dimensions)
+                              _right_name_map, check_column_kinds, fuse_cells,
+                              merge_dimensions)
 from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, cell_to_text,
-                    cells_equal, conforms, uniquify, validate)
+                    conforms, uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -166,28 +167,15 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
             col = list(col)
         columns.append(col)
 
-    # Fusion (the rule of dimension_merge.fuse_row, a column at a time): an
-    # incoming non-null cell fills a null one; two cells that are not
-    # cells_equal clash, and the conflict policy picks the one kept.
+    # Fusion: each shared key's right row fuses into the output row holding it.
     conflicts: list[ValueConflict] = []
     position = {name: k for k, name in enumerate(key_cols + measures)}
     fuse = [(f2.cells(s), columns[position[t]], t) for s, t in names]
-    for i, j in common:
-        for src, dst, name in fuse:
-            v2 = src[j]
-            if v2 is None:
-                continue
-            v1 = dst[i]
-            if v1 is None:
-                dst[i] = v2
-            elif not cells_equal(v1, v2):
-                key = tuple(col[j] for col in right_keys)
-                if settings.conflict == "error":
-                    raise ConflictError(f"conflicting measure {name!r} for fact key {key!r}")
-                chosen = v2 if settings.conflict == "right" else v1
-                dst[i] = chosen
-                key_text = "(" + ", ".join(cell_to_text(c) for c in key) + ")"
-                conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
+    for _, j, name, v1, v2, chosen in fuse_cells(common, fuse, settings.conflict):
+        key_text = "(" + ", ".join(cell_to_text(col[j]) for col in right_keys) + ")"
+        if settings.conflict == "error":
+            raise ConflictError(f"conflicting measure {name!r} for fact key {key_text}")
+        conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
     merged = Fact.from_columns(f1.name, measures, f1.dimension_keys, columns, numeric)
     return merged, conflicts, len(common)

@@ -1,15 +1,17 @@
 import copy
 import random
 from decimal import Decimal
+from typing import Mapping, Sequence
 
 import pytest
 
 from dwmerge.config import MergeSettings
-from dwmerge.dimension_merge import (CompletionFill, _complete_rows, merge_dimensions,
-                                     merge_instances)
+from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_rows,
+                                     _right_name_map, merge_dimensions, merge_instances)
 from dwmerge.errors import ConflictError, MergeError
 from dwmerge.matching import MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Dimension, Fact, Hierarchy, cell_sort_key
+from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text,
+                           cells_equal)
 from dwmerge.star_merge import merge_facts
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
@@ -126,10 +128,11 @@ def conflict_pair():
     return a, b
 
 
-def merge_conflicting_facts(policy):
+def merge_conflicting_facts(policy, cid="c1"):
     keys = (("c", "cid"), ("p", "pid"))
+    numeric = frozenset({"price", "cid"} if isinstance(cid, Decimal) else {"price"})
     f1, f2 = (Fact("sales", ("price",), keys,
-                   [{"cid": "c1", "pid": "p1", "price": Decimal(price)}], frozenset({"price"}))
+                   [{"cid": cid, "pid": "p1", "price": Decimal(price)}], numeric)
               for price in (1, 2))
     return merge_facts(f1, f2, match_measures(f1, f2, MatcherConfig()),
                        {"c": "c", "p": "p"}, MergeSettings(conflict=policy))
@@ -153,10 +156,164 @@ def test_conflict_policy(policy, expected):
 
 def test_conflict_policy_error():
     a, b = conflict_pair()
-    with pytest.raises(ConflictError):
+    with pytest.raises(ConflictError) as err:
         merge_instances(a, b, {"K": "K", "X": "X"}, ("K", "X"), "error")
-    with pytest.raises(ConflictError, match="price"):
+    assert str(err.value) == "conflicting values for d[k1].X: 'left' vs 'right'"
+    with pytest.raises(ConflictError) as err:
         merge_conflicting_facts("error")
+    assert str(err.value) == "conflicting measure 'price' for fact key (c1, p1)"
+    # a numeric key is spelt as in the report's conflict entries
+    with pytest.raises(ConflictError) as err:
+        merge_conflicting_facts("error", cid=Decimal("1.0"))
+    assert str(err.value) == "conflicting measure 'price' for fact key (1.0, p1)"
+
+
+# merge_instances as it was when it built and fused one row dict at a time.
+# Kept verbatim as the reference, with its row helper, which the package no
+# longer has.
+def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
+             ) -> list[tuple[str, Cell, Cell, Cell]]:
+    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
+
+    ``names`` pairs each incoming column with its name in ``row``. A null in
+    ``row`` takes the incoming value; where both hold different values the
+    right one wins only under policy ``right``. Each clash is returned as
+    ``(name, left, right, chosen)``; under policy ``error`` the caller
+    raises on the first one.
+    """
+    clashes = []
+    for source, name in names:
+        v2 = incoming.get(source)
+        if v2 is None:
+            continue
+        v1 = row.get(name)
+        if v1 is None:
+            row[name] = v2
+        elif not cells_equal(v1, v2):
+            chosen = v2 if conflict == "right" else v1
+            row[name] = chosen
+            clashes.append((name, v1, v2, chosen))
+    return clashes
+
+
+
+def reference_merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, str],
+                              attributes: Sequence[str], conflict: str = "left"
+                              ) -> tuple[dict[Cell, Row], list[ValueConflict]]:
+    """Union the instance tables; rows sharing a root value fuse column-wise.
+
+    Attributes the absent side does not carry stay null. When both sides
+    provide different non-null values for a cell the conflict policy decides
+    and the clash is logged; under policy ``error`` it raises.
+    """
+    conflicts: list[ValueConflict] = []
+    names = [(b, right_name_map[b]) for b in d2.attributes]
+    keys = sorted(set(d1.rows) | set(d2.rows), key=cell_sort_key)
+    rows: dict[Cell, Row] = {}
+    for key in keys:
+        row: Row = {a: None for a in attributes}
+        r1 = d1.rows.get(key)
+        r2 = d2.rows.get(key)
+        if r1 is not None:
+            for a in d1.attributes:
+                row[a] = r1.get(a)
+        if r2 is not None:
+            for name, v1, v2, chosen in fuse_row(row, r2, names, conflict):
+                if conflict == "error":
+                    raise ConflictError(
+                        f"conflicting values for {d1.name}[{cell_to_text(key)}].{name}: "
+                        f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
+                conflicts.append(ValueConflict(key, name, v1, v2, chosen))
+        rows[key] = row
+    return rows, conflicts
+
+
+ID_POOLS = {"text": ["a", "b", "c", "d", "1", "B"],
+            "number": [Decimal(v) for v in ("1", "1.0", "2", "2.50", "3", "-1")],
+            "mixed": ["a", "b", "1", Decimal("1"), Decimal("2.0"), Decimal("3")]}
+CELLS = [None, None, "x", "y", "1", Decimal("1"), Decimal("1.0"), Decimal("2")]
+
+
+def random_dimension_pair(rng: random.Random):
+    """Two random dimensions, the right one's names mapped onto the left's.
+
+    Ids are text, numbers or both, and a side may share all, some or none
+    of them. Right columns are matched to left ones (crosswise too) or
+    gained, a gained one renamed when a left column holds its name. Cells
+    are null, text, or equal Decimals spelt differently; a few rows lack a
+    cell. Returns the pair, the right name map and the output attributes,
+    built as ``merge_dimensions`` builds them.
+    """
+    pool = ID_POOLS[rng.choice(list(ID_POOLS))]
+    left_attrs = ("K",) + tuple(rng.sample(["A", "B", "C"], rng.randint(0, 3)))
+    right_attrs = ("R",) + tuple(rng.sample(["A", "B", "C", "D", "E"], rng.randint(0, 4)))
+    matched = {"R": "K"}
+    free = list(left_attrs[1:])
+    for b in right_attrs[1:]:
+        if free and rng.random() < 0.6:
+            a = b if b in free and rng.random() < 0.7 else rng.choice(free)
+            free.remove(a)
+            matched[b] = a
+
+    def dimension(name, attrs):
+        rows = {}
+        for key in rng.sample(pool, rng.randint(0, len(pool))):
+            row = {attrs[0]: key}
+            for a in attrs[1:]:
+                if rng.random() >= 0.05:
+                    row[a] = rng.choice(CELLS)
+            rows[key] = row
+        return Dimension(name, attrs[0], attrs, (Hierarchy("H", attrs[:1]),), rows)
+
+    d1, d2 = dimension("d1", left_attrs), dimension("d2", right_attrs)
+    names = _right_name_map(d1.attributes, d2.attributes, d2.name, matched)
+    attributes = d1.attributes + tuple(n for n in names.values() if n not in d1.attributes)
+    return d1, d2, names, attributes
+
+
+def test_merge_instances_matches_reference():
+    rng = random.Random(4711)
+    seen = dict.fromkeys(["left_only", "right_only", "shared", "mixed_ids", "fill",
+                          "equal_spellings", "gained", "renamed", "conflict", "raised",
+                          "lacking"], 0)
+    for case in range(400):
+        d1, d2, names, attributes = random_dimension_pair(rng)
+        before = repr((d1.rows, d2.rows))
+        inputs = {id(c) for d in (d1, d2) for row in d.rows.values() for c in row.values()}
+        for policy in ("left", "right", "error"):
+            try:
+                want = reference_merge_instances(d1, d2, names, attributes, policy)
+            except ConflictError as exc:
+                with pytest.raises(ConflictError) as err:
+                    merge_instances(d1, d2, names, attributes, policy)
+                assert str(err.value) == str(exc), f"case {case}"
+                seen["raised"] += 1
+                continue
+            rows, conflicts = merge_instances(d1, d2, names, attributes, policy)
+            assert repr(rows) == repr(want[0]), f"case {case} {policy}"
+            assert repr(conflicts) == repr(want[1]), f"case {case} {policy}"
+            assert repr((d1.rows, d2.rows)) == before, f"case {case} {policy}"
+            assert all(id(c) in inputs for row in rows.values() for c in row.values()
+                       if c is not None), f"case {case} {policy}"
+            seen["conflict"] += len(conflicts)
+        shared = set(d1.rows) & set(d2.rows)
+        seen["left_only"] += bool(set(d1.rows) - shared)
+        seen["right_only"] += bool(set(d2.rows) - shared)
+        seen["shared"] += bool(shared)
+        seen["mixed_ids"] += len({type(k) for d in (d1, d2) for k in d.rows}) == 2
+        seen["gained"] += any(n not in d1.attributes for n in names.values())
+        seen["renamed"] += any(n != b and n not in d1.attributes for b, n in names.items())
+        seen["lacking"] += any(len(row) < len(d.attributes)
+                               for d in (d1, d2) for row in d.rows.values())
+        for key in shared:
+            r1, r2 = d1.rows[key], d2.rows[key]
+            for b, n in names.items():
+                v1, v2 = r1.get(n), r2.get(b)
+                seen["fill"] += v1 is None and v2 is not None
+                seen["equal_spellings"] += (isinstance(v1, Decimal) and v1 == v2
+                                            and str(v1) != str(v2))
+    # the cases reach every rule the union and fusion depend on
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
