@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--min-support", type=int, default=1, metavar="N",
                          help="joined rows required per functional dependency (default: 1)")
     p_merge.add_argument("--chain-cap", type=int, default=16, metavar="N",
-                         help="maximum merged chains per sub-hierarchy pair (default: 16)")
+                         help="maximum merged chains per hierarchy pair (default: 16)")
     p_merge.add_argument("--no-prune", action="store_true",
                          help="keep dead and subsumed hierarchies")
     p_merge.add_argument("--report", metavar="FILE",

@@ -12,7 +12,8 @@ class MergeSettings:
     """Knobs that influence merging; defaults match the documented CLI defaults.
 
     min_support: joined rows required before a functional dependency counts.
-    chain_cap: maximum merged chains a single sub-hierarchy pair may produce.
+    chain_cap: maximum merged chains one hierarchy pair may produce, over all
+        its segments together.
     conflict: what to do when fused rows disagree on a value.
     prune: whether to delete dead or subsumed hierarchies after merging.
     """

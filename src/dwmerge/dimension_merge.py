@@ -23,9 +23,9 @@ rows that share a key tuple through it too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import compress, repeat
+from operator import is_, itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import MergeSettings
 from .errors import ConflictError, MergeError
@@ -35,8 +35,7 @@ from .model import (Cell, Dimension, Hierarchy, Row, cell_to_text, cells_equal, 
                     uniquify)
 
 
-@dataclass(frozen=True)
-class CompletionFill:
+class CompletionFill(NamedTuple):
     """One filled cell: where it landed, what was copied, who donated it."""
 
     row_key: Cell
@@ -243,22 +242,31 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
     root-key order; they repeat until one adds no fill, so repeated
     invocation is a no-op. The first qualifying donor in root-key order
     wins, and the fill is flagged ambiguous when the qualifying donors of
-    all reference levels together hold more than one value tuple.
+    all reference levels together hold more than one value tuple. Every
+    target row holds a cell, maybe null, for every parameter of
+    ``hierarchies``, as the merged and enriched rows of both callers do.
 
     The work scales with the rows that still have nulls:
 
     * one pass before the sweeps skips the rows without a null. Each
       hierarchy keeps a worklist of the other rows in root-key order; a
-      visit that finds no null on its parameters drops the row, and a row
-      that is blocked (null second level, or no qualifying donor) stays.
+      visit reads the row's parameter values once, through one
+      ``itemgetter``, drops the row if none is null, and keeps it if it is
+      blocked (null second level, or no qualifying donor).
+    * a plan per null pattern: the missing parameters, their donor columns
+      and the reference levels with their index keys depend only on the
+      parameters and on which of them are null, so they are worked out once
+      per ``(parameters, null pattern)`` and shared by every hierarchy with
+      those parameters, in every sweep.
     * a donor index, keyed on (donor reference column, donor columns of the
       missing attributes), maps a reference value to the root-key rank of
       its first qualifying donor, that donor's values, and whether its
       qualifying donors hold several value tuples. Entries fill in lazily,
-      one reference value at a time. The chosen donor has the lowest rank
-      over the row's reference levels; the union of the levels' tuples has
-      more than one element exactly when some level holds several or two
-      levels' first donors disagree.
+      one reference value at a time; a visit reads a known value straight
+      from the index and builds an entry only on a miss. The chosen donor
+      has the lowest rank over the row's reference levels; the union of the
+      levels' tuples has more than one element exactly when some level
+      holds several or two levels' first donors disagree.
     * when the target is its own donor, a fill adds the filled row to every
       index entry that reads a column it gained. Cells only go from null to
       a value, so entries only grow. The root level is then no reference:
@@ -282,6 +290,9 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
     # (reference column, missing columns) -> reference value -> (rank, values, several)
     index: dict[tuple[str, tuple[str, ...]], dict[Cell, tuple | None]] = {}
     readers: dict[str, list[tuple[str, tuple[str, ...], dict]]] = {}  # column -> entries
+    # (parameters, null pattern) -> (missing parameters, reference (position, index key)s)
+    plans: dict[tuple, tuple[tuple[str, ...], tuple[tuple[int, tuple], ...]]] = {}
+    first_reference = 1 if donor_is_target else 0
 
     def donors(dcol: str, mcols: tuple[str, ...], value: Cell) -> tuple | None:
         entry = index.get((dcol, mcols))
@@ -289,13 +300,10 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
             entry = index[(dcol, mcols)] = {}
             for c in {dcol, *mcols}:
                 readers.setdefault(c, []).append((dcol, mcols, entry))
-        if value in entry:
-            return entry[value]
         group = groups.get(dcol)
         if group is None:
             group = groups[dcol] = {}
-            for k, r in rank.items():
-                v = donor_rows[k].get(dcol)
+            for r, v in enumerate(map(dict.get, ranked, repeat(dcol))):
                 if v is not None:
                     group.setdefault(v, []).append(r)
         hit = None
@@ -306,51 +314,64 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
         entry[value] = hit
         return hit
 
-    def gained(key: Cell, row: Row, cols: Sequence[str]) -> None:
-        for c in cols:
-            if c in groups:
-                groups[c].setdefault(row[c], []).append(rank[key])
-            for dcol, mcols, entry in readers.get(c, ()):
-                v = row.get(dcol)
-                if v is not None and v in entry:
-                    vals = tuple(map(row.get, mcols))
-                    if None not in vals:
-                        entry[v] = _add_donor(entry[v], rank[key], vals)
+    def plan(params: tuple[str, ...], nulls: tuple[bool, ...]
+             ) -> tuple[tuple[str, ...], tuple[tuple[int, tuple], ...]]:
+        missing = tuple(compress(params, nulls))
+        mcols = tuple(map(col_map.get, missing))
+        refs = () if None in mcols else tuple(
+            (i, (dcol, mcols))
+            for i, dcol in enumerate(map(col_map.get, params[:nulls.index(True)]))
+            if i >= first_reference and dcol is not None)
+        plans[(params, nulls)] = missing, refs
+        return missing, refs
 
-    first_reference = 1 if donor_is_target else 0
     while True:
         filled_before = len(fills)
         for h, keys in work:
             params = h.parameters
+            read = itemgetter(*params)
             blocked = []
             for key in keys:
                 row = target_rows[key]
-                if row.get(params[1]) is None:  # never completed under this hierarchy
+                vals = read(row)
+                if vals[1] is None:  # never completed under this hierarchy
                     blocked.append(key)
                     continue
-                nulls = [i for i, p in enumerate(params) if row.get(p) is None]
-                if not nulls:
+                if None not in vals:
                     continue
-                missing = [params[i] for i in nulls]
-                mcols = tuple(map(col_map.get, missing))
+                nulls = tuple(map(is_, vals, repeat(None)))
+                missing, refs = plans.get((params, nulls)) or plan(params, nulls)
                 hits = []
-                if None not in mcols:
-                    for p in params[first_reference:nulls[0]]:
-                        dcol = col_map.get(p)
-                        if dcol is not None:
-                            hit = donors(dcol, mcols, row[p])
-                            if hit is not None:
-                                hits.append(hit)
+                for i, ikey in refs:
+                    entry = index.get(ikey)
+                    value = vals[i]
+                    hit = entry[value] if entry is not None and value in entry \
+                        else donors(*ikey, value)
+                    if hit is not None:
+                        hits.append(hit)
                 if not hits:
                     blocked.append(key)
                     continue
-                best, values, _ = min(hits, key=itemgetter(0))
-                ambiguous = any(several or other != values for _, other, several in hits)
+                if len(hits) == 1:
+                    best, values, ambiguous = hits[0]
+                else:
+                    best, values, _ = min(hits, key=itemgetter(0))
+                    ambiguous = any(several or other != values for _, other, several in hits)
+                donor = donor_keys[best]
                 for q, v in zip(missing, values):
                     row[q] = v
-                    fills.append(CompletionFill(key, q, v, donor_keys[best], h.name, ambiguous))
-                if donor_is_target:
-                    gained(key, row, missing)
+                    fills.append(CompletionFill(key, q, v, donor, h.name, ambiguous))
+                if donor_is_target:  # the filled row now donates on what it gained
+                    r = rank[key]
+                    for c in missing:
+                        if c in groups:
+                            groups[c].setdefault(row[c], []).append(r)
+                        for dcol, mcols, entry in readers.get(c, ()):
+                            v = row.get(dcol)
+                            if v is not None and v in entry:
+                                got = tuple(map(row.get, mcols))
+                                if None not in got:
+                                    entry[v] = _add_donor(entry[v], r, got)
             keys[:] = blocked
         if len(fills) == filled_before:
             return fills

@@ -349,8 +349,10 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     ``pairs`` maps matched attributes of the first dimension to the second.
     ``rows1``/``rows2`` are the parent dimensions' instances; they feed FD
     discovery for segments whose parameters both sides contribute to.
-    Crossing matches raise :class:`MergeError`; with no match at all the
-    result is empty.
+    Crossing matches raise :class:`MergeError`, and so do segments whose
+    chains, the kept pairs of undiscoverable segments included, multiply to
+    more than ``settings.chain_cap``, before the product is built; with no
+    match at all the result is empty.
     """
     tok1 = tokenize(h1.parameters, "l", pairs)
     inverse = {v: k for k, v in pairs.items()}
@@ -372,14 +374,18 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
 
     # steps 2 and 3: slice between consecutive entries and merge each slice
     acc: list[TokenSeq] = []
-    for (s1, s2), (e1, e2) in zip(entries, entries[1:]):
+    segments = list(zip(entries, entries[1:]))
+    for n, ((s1, s2), (e1, e2)) in enumerate(segments, 1):
         seg1 = tok1[pos1[s1]:pos1[e1] + 1]
         seg2 = tok2[pos2[s2]:pos2[e2] + 1]
         pieces = merge_subhierarchy_pair(seg1, seg2, rows1, rows2, settings)
-        if not acc:
-            acc = list(pieces)
-        else:
-            acc = [extend(a, p) for a in acc for p in pieces]
+        count = len(acc) * len(pieces) if acc else len(pieces)
+        if count > settings.chain_cap:
+            raise MergeError(
+                f"hierarchies {h1.name} and {h2.name} merge into {count} chains over "
+                f"{n} of their {len(segments)} segments, over the cap of "
+                f"{settings.chain_cap}; raise --chain-cap or fix the correspondences")
+        acc = [extend(a, p) for a in acc for p in pieces] if acc else list(pieces)
 
     def extended(prefix: TokenSeq) -> tuple[TokenSeq, ...]:
         out: list[TokenSeq] = []

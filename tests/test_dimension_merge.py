@@ -5,14 +5,16 @@ from typing import Mapping, Sequence
 
 import pytest
 
+from dwmerge import dimension_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_rows,
                                      _right_name_map, merge_dimensions, merge_instances)
 from dwmerge.errors import ConflictError, MergeError
+from dwmerge.generator import generate_pair, preset_const22, preset_divergent
 from dwmerge.matching import MatcherConfig, match_attributes, match_measures
 from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text,
                            cells_equal)
-from dwmerge.star_merge import merge_facts
+from dwmerge.star_merge import merge_facts, merge_stars
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
                       make_dimension)
@@ -468,18 +470,31 @@ def reference_complete_rows(target_rows, hierarchies, donor_rows, col_map, donor
 # Equal Decimals with different spellings test that the first donor's own
 # cell is copied; small domains make donors share values and disagree.
 VALUES = ("a", "b", "c", Decimal("1"), Decimal("1.0"), Decimal("2"))
+# Only equal numbers in several spellings: reference values meet across them.
+SPELLINGS = (Decimal("1"), Decimal("1.0"), Decimal("1.00"), Decimal("2"), Decimal("2.0"))
+COMPLETION_KINDS = ("plain", "same-parameters", "unmapped-missing", "decimal-references")
 
 
-def random_completion_case(rng: random.Random, donor_is_target: bool):
-    attrs = ["K"] + [f"A{i}" for i in range(rng.randint(2, 5))]
+def random_completion_case(rng: random.Random, donor_is_target: bool, kind: str = "plain"):
+    """A small completion input; ``kind`` adds what a null-pattern plan must get right.
+
+    ``same-parameters`` gives a hierarchy a twin with the same parameters
+    under another name; ``unmapped-missing`` adds a hierarchy of three
+    levels whose rows often miss the top two, one of which has no donor
+    column; ``decimal-references`` draws every value from equal Decimals
+    spelt differently.
+    """
+    attrs = ["K"] + [f"A{i}" for i in range(rng.randint(3 if kind == "unmapped-missing" else 2,
+                                                          5))]
     make_key = (lambda i: f"k{i:02d}") if rng.random() < 0.5 else (lambda i: Decimal(i) / 4)
     keys = [make_key(i) for i in rng.sample(range(40), rng.randint(2, 12))]
     null_rate = rng.choice((0.2, 0.4, 0.6))
+    values = SPELLINGS if kind == "decimal-references" else VALUES
 
     def row(key, names):
         r = {names[0]: key}
         for a in names[1:]:
-            r[a] = None if rng.random() < null_rate else rng.choice(VALUES)
+            r[a] = None if rng.random() < null_rate else rng.choice(values)
         return r
 
     # Hierarchies draw from one small attribute pool, so they share levels
@@ -488,22 +503,59 @@ def random_completion_case(rng: random.Random, donor_is_target: bool):
     for _ in range(rng.randint(1, 4)):
         levels = rng.sample(attrs[1:], rng.randint(1, len(attrs) - 1))
         hierarchies.append(Hierarchy(f"h{rng.randint(0, 9)}", ("K", *levels)))
+    if kind == "same-parameters":
+        twin = rng.choice(hierarchies)
+        # "a" sorts before every other name and "z" after, so either twin may sweep first
+        hierarchies.append(Hierarchy(rng.choice("az") + twin.name, twin.parameters))
+    unmapped = None
+    if kind == "unmapped-missing":
+        levels = rng.sample(attrs[1:], 3)
+        hierarchies.append(Hierarchy(f"h{rng.randint(0, 9)}", ("K", *levels)))
+        unmapped = rng.choice(levels[1:])
     target = {k: row(k, attrs) for k in keys}
+    if unmapped is not None:
+        for r in target.values():
+            if rng.random() < 0.5:
+                r[levels[1]] = r[levels[2]] = None
     if donor_is_target:
-        return target, hierarchies, target, {a: a for a in attrs}
+        return target, hierarchies, target, {a: None if a == unmapped else a for a in attrs}
     donor_attrs = [f"d{a}" for a in attrs]
     donor_keys = keys[:1] + [make_key(i) for i in rng.sample(range(40), rng.randint(1, 12))]
     donors = {k: row(k, donor_attrs) for k in donor_keys}
-    col_map = {a: (None if rng.random() < 0.15 else d) for a, d in zip(attrs, donor_attrs)}
+    col_map = {a: (None if a == unmapped or rng.random() < 0.15 else d)
+               for a, d in zip(attrs, donor_attrs)}
     return target, hierarchies, donors, col_map
+
+
+def kind_reached(kind, fills, hierarchies, target, donors, col_map) -> bool:
+    """Whether a case of ``kind`` filled cells in the way its kind is there to test."""
+    if kind == "same-parameters":
+        twins = {h.name for h in hierarchies if h.parameters == hierarchies[-1].parameters}
+        return any(f.hierarchy in twins for f in fills)
+    if kind == "unmapped-missing":  # a row still misses both top levels, one unmapped
+        params = hierarchies[-1].parameters
+        return bool(fills) and any(r[params[1]] is not None and r[params[2]] is None
+                                   and r[params[3]] is None for r in target.values())
+    if kind == "decimal-references":  # a donor shares a reference value in another spelling
+        levels = {h.name: h.parameters for h in hierarchies}
+        return any(
+            target[f.row_key][p] == donors[f.donor_key][col_map[p]]
+            and str(target[f.row_key][p]) != str(donors[f.donor_key][col_map[p]])
+            for f in fills for p in levels[f.hierarchy][1:]
+            if col_map[p] is not None and target[f.row_key][p] is not None
+            and donors[f.donor_key][col_map[p]] is not None)
+    return bool(fills)
 
 
 @pytest.mark.parametrize("donor_is_target", [True, False])
 def test_completion_matches_reference_sweep(donor_is_target):
     rng = random.Random(20211 + donor_is_target)
-    seen = {"fills": 0, "ambiguous": 0, "second_sweep": 0, "blocked_second": 0}
-    for case in range(200):
-        target, hierarchies, donors, col_map = random_completion_case(rng, donor_is_target)
+    seen = {"fills": 0, "ambiguous": 0, "second_sweep": 0, "blocked_second": 0,
+            **{kind: 0 for kind in COMPLETION_KINDS}}
+    for case in range(400):
+        kind = COMPLETION_KINDS[case % len(COMPLETION_KINDS)]
+        target, hierarchies, donors, col_map = random_completion_case(rng, donor_is_target,
+                                                                      kind)
         ref_target = copy.deepcopy(target)
         ref_donors = ref_target if donor_is_target else copy.deepcopy(donors)
         expected = reference_complete_rows(ref_target, hierarchies, ref_donors, col_map,
@@ -518,5 +570,42 @@ def test_completion_matches_reference_sweep(donor_is_target):
         seen["blocked_second"] += any(
             r.get(h.parameters[1]) is None and any(r.get(p) is None for p in h.parameters[2:])
             for h in hierarchies if len(h.parameters) > 2 for r in target.values())
+        seen[kind] += kind_reached(kind, got, hierarchies, target, donors, col_map)
     # the cases reach every behaviour the sweep order and donor choice depend on
     assert all(seen.values()), seen
+
+
+def test_completion_fill_is_immutable_and_hashable():
+    fill = CompletionFill("k1", "B", "b2", "k2", "m")
+    with pytest.raises(AttributeError):
+        fill.value = "b3"
+    assert fill.ambiguous is False
+    assert len({fill, CompletionFill("k1", "B", "b2", "k2", "m", False)}) == 1
+    assert repr(fill) == ("CompletionFill(row_key='k1', attribute='B', value='b2', "
+                          "donor_key='k2', hierarchy='m', ambiguous=False)")
+
+
+# The matched path completes from the merged rows, enrichment from the other side.
+@pytest.mark.parametrize("spec, donor_is_target",
+                         [(preset_divergent(seed=3, rows=1200), True),
+                          (preset_const22(seed=3), False)], ids=["matched", "enrichment"])
+def test_pipeline_completion_matches_reference_sweep(spec, donor_is_target, monkeypatch):
+    # Donor keys reach the output only through ambiguous fills, so compare
+    # every completion call of a real merge with the reference sweep.
+    engine = dimension_merge._complete_rows
+    filled = {True: 0, False: 0}
+
+    def checked(target_rows, hierarchies, donor_rows, col_map, donor_is_target):
+        ref_target = copy.deepcopy(target_rows)
+        ref_donors = ref_target if donor_is_target else copy.deepcopy(donor_rows)
+        expected = reference_complete_rows(ref_target, hierarchies, ref_donors, col_map,
+                                           donor_is_target)
+        got = engine(target_rows, hierarchies, donor_rows, col_map, donor_is_target)
+        assert repr(got) == repr(expected)
+        assert repr(target_rows) == repr(ref_target)
+        filled[donor_is_target] += len(got)
+        return got
+
+    monkeypatch.setattr(dimension_merge, "_complete_rows", checked)
+    merge_stars(*generate_pair(spec)[:2])
+    assert filled[donor_is_target] > 0, filled

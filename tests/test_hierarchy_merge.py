@@ -399,6 +399,29 @@ def test_chain_cap_enforced():
         merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, settings)
 
 
+def test_chain_cap_bounds_the_hierarchy_pair():
+    # Matched on K and M: the segments <K..M> and <M..C|D> each merge into
+    # two spanning chains (A and B, C and D are incomparable), four in all.
+    h1 = Hierarchy("a", ("K", "A", "M", "C"))
+    h2 = Hierarchy("b", ("K", "B", "M", "D"))
+    rows1 = [{"K": f"k{i}", "A": f"a{i % 8}", "M": f"m{i % 4}", "C": f"c{i % 4 // 2}"}
+             for i in range(24)]
+    rows2 = [{"K": f"k{i}", "B": f"b{i % 12}", "M": f"m{i % 4}", "D": f"d{i % 2}"}
+             for i in range(24)]
+    pairs = {"K": "K", "M": "M"}
+    with pytest.raises(MergeError, match="merge into 4 chains over 2 of their 2 segments, over the cap of 2"):
+        merge_hierarchies(h1, h2, rows1, rows2, pairs, MergeSettings(chain_cap=2))
+    res = merge_hierarchies(h1, h2, rows1, rows2, pairs, MergeSettings(chain_cap=4))
+    assert rendered(res.merged_left) == {("K", "A", "M", "C"), ("K", "A", "M", "D"),
+                                         ("K", "B", "M", "C"), ("K", "B", "M", "D")}
+    # An undiscoverable segment keeps both sides' parameters: two chains,
+    # which the cap counts too.
+    h1, h2 = Hierarchy("a", ("K", "P")), Hierarchy("b", ("K", "Q"))
+    rows1, rows2 = [{"K": "k1", "P": "p"}], [{"K": "k9", "Q": "q"}]
+    with pytest.raises(MergeError, match="merge into 2 chains over 1 of their 1 segments"):
+        merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, MergeSettings(chain_cap=1))
+
+
 def random_hierarchy_pair(rng):
     depth1 = rng.randint(1, 4)
     depth2 = rng.randint(1, 4)
