@@ -18,7 +18,7 @@ from .config import CONFLICT_POLICIES, MergeSettings
 from .errors import (InternalInvariantError, LoadError, MergeError,
                      UserMapError)
 from .generator import PRESETS, generate_pair, load_spec
-from .matching import (MatcherConfig, load_user_map, match_attributes,
+from .matching import (MatcherConfig, check_user_map, load_user_map, match_attributes,
                        match_measures)
 from .model import StarSchema, validate
 from .star_merge import merge_stars
@@ -156,6 +156,7 @@ def cmd_match(args) -> int:
     matcher = _matcher_config(args.matcher, args.user_map)
     s1 = _load_star(args.dw1, args.strict)
     s2 = _load_star(args.dw2, args.strict)
+    check_user_map(matcher.user_map, s1, s2)
     for d1 in sorted(s1.dimensions, key=lambda d: d.name):
         for d2 in sorted(s2.dimensions, key=lambda d: d.name):
             for c in match_attributes(d1, d2, matcher):

@@ -231,8 +231,8 @@ def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, s
 # ---------------------------------------------------------------------------
 
 def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy],
-                   donor_rows: dict[Cell, Row], col_map: Mapping[str, str | None],
-                   donor_is_target: bool) -> list[CompletionFill]:
+                   donor_rows: dict[Cell, Row], col_map: Mapping[str, str | None]
+                   ) -> list[CompletionFill]:
     """Completion engine; mutates ``target_rows`` in place and returns the log.
 
     A row with nulls on a hierarchy's parameters takes the missing values
@@ -267,11 +267,11 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
       has the lowest rank over the row's reference levels; the union of the
       levels' tuples has more than one element exactly when some level
       holds several or two levels' first donors disagree.
-    * when the target is its own donor, a fill adds the filled row to every
-      index entry that reads a column it gained. Cells only go from null to
-      a value, so entries only grow. The root level is then no reference:
-      the only row that shares a root value is the row itself, which lacks
-      the missing values.
+    * when the target is its own donor (``target_rows is donor_rows``), a
+      fill adds the filled row to every index entry that reads a column it
+      gained. Cells only go from null to a value, so entries only grow. The
+      root level is then no reference: the only row that shares a root value
+      is the row itself, which lacks the missing values.
     """
     ordered = [h for h in sorted(hierarchies, key=lambda h: h.name) if len(h.parameters) >= 2]
     columns = {p for h in ordered for p in h.parameters}
@@ -292,6 +292,7 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
     readers: dict[str, list[tuple[str, tuple[str, ...], dict]]] = {}  # column -> entries
     # (parameters, null pattern) -> (missing parameters, reference (position, index key)s)
     plans: dict[tuple, tuple[tuple[str, ...], tuple[tuple[int, tuple], ...]]] = {}
+    donor_is_target = target_rows is donor_rows
     first_reference = 1 if donor_is_target else 0
 
     def donors(dcol: str, mcols: tuple[str, ...], value: Cell) -> tuple | None:
@@ -435,7 +436,7 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
         d1, d2, names, results, "l", adopted=d2.hierarchies)
     rows, conflicts = merge_instances(d1, d2, names, attributes, settings.conflict)
     col_map = {a: a for a in attributes}
-    fills = _complete_rows(rows, produced, rows, col_map, donor_is_target=True)
+    fills = _complete_rows(rows, produced, rows, col_map)
 
     dim = Dimension(d1.name, d1.root, attributes, hierarchies, rows, numeric)
     sources: dict[str, tuple[str | None, str | None]] = {}
@@ -450,15 +451,10 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
         shared_keys=len(set(d1.rows) & set(d2.rows)), attr_sources=sources)
 
 
-def _reached(results, side: str) -> list[str]:
-    """Columns of the other side that ``side``'s merged chains reach, sorted."""
-    return sorted({t[1] for _, _, res in results for chain in res.chains(side)
-                   for t in chain if t[0] not in ("p", side)})
-
-
 def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMergeResult:
-    gained_1 = _right_name_map(d1.attributes, _reached(results, "l"), d2.name, {})
-    gained_2 = _right_name_map(d2.attributes, _reached(results, "r"), d1.name, {})
+    reached = {s: sorted(set().union(*(res.reached(s) for _, _, res in results))) for s in "lr"}
+    gained_1 = _right_name_map(d1.attributes, reached["l"], d2.name, {})
+    gained_2 = _right_name_map(d2.attributes, reached["r"], d1.name, {})
     attrs_1, numeric_1, hierarchies_1, merged_1 = _side_schema(d1, d2, gained_1, results, "l")
     attrs_2, numeric_2, hierarchies_2, merged_2 = _side_schema(d2, d1, gained_2, results, "r")
 
@@ -472,9 +468,8 @@ def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMer
     # the other side is NOT in it: the matcher (or the user map) decided
     # they are distinct.
     same = {**l2r, **{n: b for b, n in gained_1.items()}, **gained_2}
-    fills_1 = _complete_rows(rows_1, merged_1, rows_2, same, donor_is_target=False)
-    fills_2 = _complete_rows(rows_2, merged_2, rows_1, {v: k for k, v in same.items()},
-                             donor_is_target=False)
+    fills_1 = _complete_rows(rows_1, merged_1, rows_2, same)
+    fills_2 = _complete_rows(rows_2, merged_2, rows_1, {v: k for k, v in same.items()})
 
     dim1 = Dimension(d1.name, d1.root, attrs_1, hierarchies_1, rows_1, numeric_1)
     dim2 = Dimension(d2.name, d2.root, attrs_2, hierarchies_2, rows_2, numeric_2)

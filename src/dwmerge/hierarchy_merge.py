@@ -35,10 +35,6 @@ Token = tuple
 TokenSeq = tuple[Token, ...]
 
 
-class FdUndiscoverable(MergeError):
-    """The instance join was empty, so no functional dependency can be observed."""
-
-
 # ---------------------------------------------------------------------------
 # tokens
 # ---------------------------------------------------------------------------
@@ -262,12 +258,12 @@ def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
                       min_support: int) -> list[tuple[Token, Token]]:
     """Reduced FD edges over the joined instances of a sub-hierarchy pair.
 
-    Raises :class:`FdUndiscoverable` when the join is empty (no shared
-    values on the first parameter).
+    An empty join (no shared values on the first parameter) shows no
+    dependency, so it gives no edges.
     """
     joined = join_segment_rows(tok1, tok2, rows1, rows2)
     if not joined:
-        raise FdUndiscoverable("no shared values on the first parameter of the pair")
+        return []
     attrs = list(tok1) + [t for t in tok2 if t not in tok1]
     raw = enumerate_fds(joined, attrs, min_support)
     dag = resolve_two_cycles(raw, joined)
@@ -276,35 +272,23 @@ def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
 
 def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
                             rows1: Collection[Row], rows2: Collection[Row],
-                            settings: MergeSettings) -> list[TokenSeq]:
+                            min_support: int) -> list[TokenSeq]:
     """Merge one sub-hierarchy pair into one or more parameter chains.
 
     Containment wins outright; otherwise FD discovery orders the parameters
     and only chains spanning the pair's shared first parameter and reaching
-    one of its last parameters survive. When nothing can be discovered the
-    pair is kept as-is.
+    one of its last parameters survive. Without a spanning chain both sides
+    are kept as they are. :func:`merge_hierarchies` bounds the chain count.
     """
     set1, set2 = set(tok1), set(tok2)
     if set1 <= set2:
         return [tok2]
     if set2 <= set1:
         return [tok1]
-    try:
-        edges = _segment_fd_edges(tok1, tok2, rows1, rows2, settings.min_support)
-    except FdUndiscoverable:
-        return [tok1, tok2]
-    if not edges:
-        return [tok1, tok2]
-    chains = merge_parameters([list(e) for e in sorted(edges)])
+    edges = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support)
     ends = {tok1[-1], tok2[-1]}
-    spanning = sorted(c for c in chains if c[0] == tok1[0] and c[-1] in ends)
-    if not spanning:
-        return [tok1, tok2]
-    if len(spanning) > settings.chain_cap:
-        raise MergeError(
-            f"sub-hierarchy merge produced {len(spanning)} chains, over the cap "
-            f"of {settings.chain_cap}; raise --chain-cap or fix the correspondences")
-    return spanning
+    spanning = sorted(c for c in merge_parameters(edges) if c[0] == tok1[0] and c[-1] in ends)
+    return spanning or [tok1, tok2]
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +323,13 @@ class HierarchyMergeResult:
         """The merged chains of side ``"l"`` or ``"r"``."""
         return self.merged_left if side == "l" else self.merged_right
 
+    def reached(self, side: str) -> set[str]:
+        """The other side's own attributes that ``side``'s merged chains reach."""
+        return {t[1] for chain in self.chains(side) for t in chain if t[0] not in ("p", side)}
+
 
 def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
-                      rows1: Iterable[Row], rows2: Iterable[Row],
+                      rows1: Collection[Row], rows2: Collection[Row],
                       pairs: Mapping[str, str],
                       settings: MergeSettings = MergeSettings()) -> HierarchyMergeResult:
     """Merge two hierarchies from different dimensions.
@@ -350,9 +338,9 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     ``rows1``/``rows2`` are the parent dimensions' instances; they feed FD
     discovery for segments whose parameters both sides contribute to.
     Crossing matches raise :class:`MergeError`, and so do segments whose
-    chains, the kept pairs of undiscoverable segments included, multiply to
-    more than ``settings.chain_cap``, before the product is built; with no
-    match at all the result is empty.
+    chains, the two kept by a segment without a spanning chain included,
+    multiply to more than ``settings.chain_cap``, before the product is
+    built; no other check reads the cap. With no match the result is empty.
     """
     tok1 = tokenize(h1.parameters, "l", pairs)
     inverse = {v: k for k, v in pairs.items()}
@@ -369,8 +357,6 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
 
     pos1 = {t: i for i, t in enumerate(tok1)}
     pos2 = {t: i for i, t in enumerate(tok2)}
-    rows1 = list(rows1)
-    rows2 = list(rows2)
 
     # steps 2 and 3: slice between consecutive entries and merge each slice
     acc: list[TokenSeq] = []
@@ -378,7 +364,7 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     for n, ((s1, s2), (e1, e2)) in enumerate(segments, 1):
         seg1 = tok1[pos1[s1]:pos1[e1] + 1]
         seg2 = tok2[pos2[s2]:pos2[e2] + 1]
-        pieces = merge_subhierarchy_pair(seg1, seg2, rows1, rows2, settings)
+        pieces = merge_subhierarchy_pair(seg1, seg2, rows1, rows2, settings.min_support)
         count = len(acc) * len(pieces) if acc else len(pieces)
         if count > settings.chain_cap:
             raise MergeError(
@@ -387,15 +373,7 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
                 f"{settings.chain_cap}; raise --chain-cap or fix the correspondences")
         acc = [extend(a, p) for a in acc for p in pieces] if acc else list(pieces)
 
-    def extended(prefix: TokenSeq) -> tuple[TokenSeq, ...]:
-        out: list[TokenSeq] = []
-        for c in acc:
-            s = extend(prefix, c)
-            if s not in out:
-                out.append(s)
-        return tuple(out)
-
-    # step 4: prefix each side's parameters up to its first matched one
+    # step 4: prefix each side's parameters below the first matched one, where acc starts
     first = entries[0][0]
-    return HierarchyMergeResult(merged_left=extended(tok1[:pos1[first] + 1]),
-                                merged_right=extended(tok2[:pos2[first] + 1]))
+    return HierarchyMergeResult(merged_left=tuple(tok1[:pos1[first]] + c for c in acc),
+                                merged_right=tuple(tok2[:pos2[first]] + c for c in acc))

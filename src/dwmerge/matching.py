@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import UserMapError
-from .model import Dimension, Fact, normalize_name
+from .model import Dimension, Fact, StarSchema, normalize_name
 
 SOURCE_EXACT = "exact"
 SOURCE_EDIT = "edit-distance"
@@ -93,6 +93,25 @@ def load_user_map(path: str | Path) -> UserMap:
     except (OSError, UnicodeDecodeError) as exc:
         raise UserMapError(f"cannot read user map {p}: {exc}") from exc
     return parse_user_map(text, source=str(p))
+
+
+def check_user_map(user_map: UserMap | None, s1: StarSchema, s2: StarSchema) -> None:
+    """Refuse a user-map entry that no table pair of ``s1`` and ``s2`` would read.
+
+    Its tables must be a dimension or the fact of their star, and of one kind.
+    """
+    tables = [{"dimension": {d.name for d in s.dimensions}, "fact": {s.fact.name}}
+              for s in (s1, s2)]
+    for e in user_map.entries if user_map else ():
+        kinds = []
+        for (table, attr), named, side in zip((e.left, e.right), tables, ("left", "right")):
+            kinds.append({kind for kind, names in named.items() if table in names})
+            if not kinds[-1]:
+                raise UserMapError(f"user map line {e.line}: {table}.{attr} names no "
+                                   f"dimension or fact of the {side} warehouse")
+        if not kinds[0] & kinds[1]:
+            raise UserMapError(f"user map line {e.line}: {e.left[0]}.{e.left[1]} and "
+                               f"{e.right[0]}.{e.right[1]} pair a dimension with a fact")
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -19,7 +19,7 @@ from .dimension_merge import (CompletionFill, DimensionMergeResult, ValueConflic
                               merge_dimensions)
 from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
-from .matching import (Correspondence, MatcherConfig, match_attributes,
+from .matching import (Correspondence, MatcherConfig, check_user_map, match_attributes,
                        match_measures, matched_root_parameters)
 from .model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, cell_to_text,
                     conforms, uniquify, validate)
@@ -331,6 +331,7 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
                 settings: MergeSettings = MergeSettings(),
                 config_echo: dict | None = None) -> StarMergeResult:
     """Merge two star schemas into a star or a constellation, with report."""
+    check_user_map(matcher.user_map, s1, s2)
     records, all_corrs = merge_all_dimensions(s1, s2, matcher, settings)
 
     report = MergeReport(result_kind="", schema_name="", tool_version=__version__,

@@ -160,6 +160,20 @@ def test_user_map_via_flag(tmp_path, capsys):
     umap.write_text("pair customer.nope customer.region\n", encoding="utf-8")
     assert main(["match", str(dw1), str(dw2), "--map", str(umap)]) == 2
 
+    # An entry that no table pair would read is refused by match and merge.
+    for entry, named in [
+            ("pair custmer.city customer.city",
+             "custmer.city names no dimension or fact of the left warehouse"),
+            ("forbid customer.city sale.quantity",
+             "sale.quantity names no dimension or fact of the right warehouse"),
+            ("pair customer.city sales.quantity",
+             "customer.city and sales.quantity pair a dimension with a fact")]:
+        umap.write_text(f"# a typo below\n{entry}\n", encoding="utf-8")
+        for command in (["match", dw1, dw2], ["merge", dw1, dw2, tmp_path / "out"]):
+            assert main([*map(str, command), "--map", str(umap)]) == 2
+            assert f"user map line 2: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("target", ["table", "descriptor", "map"])
 def test_non_utf8_input_is_exit_2(target, tmp_path, capsys):
@@ -312,11 +326,36 @@ def without(obj: dict, key: str) -> None:
      "fact lineorder: conflictFraction 0.5 needs a conflictMeasure"),
     (lambda doc: doc["dimensions"][0].update(rows=-5),
      "dimension customer: rows must be >= 0, not -5"),
+    (lambda doc: doc.update(overlap=1.5), "overlap must be within [0, 1]"),
+    (lambda doc: doc["dimensions"][0].update(overlap=-0.1),
+     "customer: overlap must be within [0, 1]"),
+    (lambda doc: doc["dimensions"][1].update(name="customer"), "dimension names repeat"),
+    (lambda doc: doc["dimensions"][0]["attrs"][0].update(divisor=2),
+     "customer: first attribute must be the id with divisor 1"),
+    (lambda doc: doc["dimensions"][0]["attrs"][1].update(divisor=0),
+     "customer.city: divisor must be >= 1"),
+    (lambda doc: doc["dimensions"][0]["chains"][1].update(name="c_geo_a"),
+     "customer: chain 'c_geo_a' repeats"),
+    (lambda doc: doc["dimensions"][0]["chains"][0].update(parameters=["city", "nation"]),
+     "customer.c_geo_a: chains must start at the id"),
+    (lambda doc: doc["dimensions"][0]["chains"][0].update(parameters=["customer_id", "town"]),
+     "customer.c_geo_a: unknown attribute 'town'"),
+    (lambda doc: doc["dimensions"][0].update(view1=["c_geo_z"]),
+     "customer: view references unknown chain 'c_geo_z'"),
+    (lambda doc: doc["facts"][0].update(view2=False), "side 2 must carry exactly one fact"),
+    (lambda doc: doc["facts"][0].update(dims=["customer", "store"]),
+     "fact lineorder: unknown dimension 'store'"),
+    (lambda doc: doc["dimensions"][0].update(view2=None),
+     "fact lineorder: side 2 lacks dimension 'customer'"),
 ], ids=["no-dimension-rows", "no-fact-measures", "no-seed", "unknown-view-measure",
         "empty-view", "no-chains", "repeated-fact-dimension", "repeated-view-measure",
         "top-level-list", "text-rows", "negative-fact-rows", "conflict-fraction-above-1",
         "unknown-fact-key", "unknown-top-level-key", "unknown-attr-key", "unknown-chain-key",
-        "conflict-fraction-without-measure", "negative-dimension-rows"])
+        "conflict-fraction-without-measure", "negative-dimension-rows", "overlap-above-1",
+        "dimension-overlap-below-0", "repeated-dimension-name", "id-divisor-not-1",
+        "divisor-below-1", "repeated-chain-name", "chain-not-from-id",
+        "unknown-chain-attribute", "view-unknown-chain", "side-without-fact",
+        "fact-unknown-dimension", "side-lacks-fact-dimension"])
 def test_gen_spec_errors_are_exit_5(edit, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = spec_to_dict(preset_star4(seed=1))

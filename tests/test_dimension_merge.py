@@ -367,8 +367,7 @@ def test_completion_never_overwrites(d_left, d_right):
 
 def complete_in_place(dim, merged):
     """Complete ``dim`` from its own rows, as a matched-root merge does."""
-    return _complete_rows(dim.rows, merged, dim.rows, {a: a for a in dim.attributes},
-                          donor_is_target=True)
+    return _complete_rows(dim.rows, merged, dim.rows, {a: a for a in dim.attributes})
 
 
 def test_completion_fixpoint():
@@ -560,7 +559,7 @@ def test_completion_matches_reference_sweep(donor_is_target):
         ref_donors = ref_target if donor_is_target else copy.deepcopy(donors)
         expected = reference_complete_rows(ref_target, hierarchies, ref_donors, col_map,
                                            donor_is_target)
-        got = _complete_rows(target, hierarchies, donors, col_map, donor_is_target)
+        got = _complete_rows(target, hierarchies, donors, col_map)
         assert repr(got) == repr(expected), f"case {case}"
         assert repr(target) == repr(ref_target), f"case {case}"
         names = [f.hierarchy for f in got]
@@ -595,12 +594,13 @@ def test_pipeline_completion_matches_reference_sweep(spec, donor_is_target, monk
     engine = dimension_merge._complete_rows
     filled = {True: 0, False: 0}
 
-    def checked(target_rows, hierarchies, donor_rows, col_map, donor_is_target):
+    def checked(target_rows, hierarchies, donor_rows, col_map):
+        donor_is_target = target_rows is donor_rows
         ref_target = copy.deepcopy(target_rows)
         ref_donors = ref_target if donor_is_target else copy.deepcopy(donor_rows)
         expected = reference_complete_rows(ref_target, hierarchies, ref_donors, col_map,
                                            donor_is_target)
-        got = engine(target_rows, hierarchies, donor_rows, col_map, donor_is_target)
+        got = engine(target_rows, hierarchies, donor_rows, col_map)
         assert repr(got) == repr(expected)
         assert repr(target_rows) == repr(ref_target)
         filled[donor_is_target] += len(got)

@@ -659,12 +659,19 @@ def _add_unkeyed_dimension(doc):
      "fact 'sales': textMeasures ['Quantty'] are not declared measures"),
     (lambda doc: {**doc, "star": {"sales": ["customer", "ghost"]}},
      "sales [ghost] star-map: star map references unknown dimension 'ghost'"),
+    (_set_field("facts", "dimensionKeys", [{"dimension": "store", "column": "Code"}]),
+     "fact 'sales': key references unknown dimension 'store'"),
+    (lambda doc: {**doc, "star": {"returns": ["customer"]}},
+     "star map references unknown fact 'returns'"),
+    (lambda doc: {**doc, "facts": doc["facts"] + [{**doc["facts"][0], "name": "sales_2"}]},
+     "a multi-fact descriptor needs a 'star' map"),
 ], ids=["no-parameters", "repeated-parameter", "numeric-not-list", "text-not-list",
         "star-entry-not-list", "top-level-list", "root-not-attribute",
         "repeated-attribute", "parameter-not-attribute", "hierarchy-not-from-id",
         "repeated-hierarchy-name", "repeated-measure", "repeated-key-column",
         "text-measure-is-key-column", "fact-not-keyed-on-linked", "text-measure-typo",
-        "star-map-unknown-dimension"])
+        "star-map-unknown-dimension", "key-unknown-dimension", "star-map-unknown-fact",
+        "multi-fact-without-star"])
 def test_malformed_descriptor_is_a_load_error(edit, message, tmp_path, capsys):
     write_minimal(tmp_path)
     descriptor = tmp_path / "schema.json"

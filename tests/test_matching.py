@@ -97,6 +97,12 @@ def test_user_map_pair_overrides_and_unknown_attr():
     bad = parse_user_map("pair customer.Nope customer.Area\n")
     with pytest.raises(UserMapError, match="Nope"):
         match_attributes(d1, d2, MatcherConfig(user_map=bad))
+    bad = parse_user_map("pair customer.Zone customer.Nope\n")
+    with pytest.raises(UserMapError, match="line 1: customer.Nope names an unknown attribute"):
+        match_attributes(d1, d2, MatcherConfig(user_map=bad))
+    twice = parse_user_map("pair customer.Zone customer.Area\npair customer.Zone customer.Code\n")
+    with pytest.raises(UserMapError, match="pairs customer.Zone / customer.Code more than once"):
+        match_attributes(d1, d2, MatcherConfig(user_map=twice))
 
 
 def test_user_map_parse_errors():
@@ -104,6 +110,8 @@ def test_user_map_parse_errors():
         parse_user_map("pair only.two\n", source="line")
     with pytest.raises(UserMapError):
         parse_user_map("link a.b c.d\n")
+    with pytest.raises(UserMapError, match="map:2: 'ab' is not of the form table.attribute"):
+        parse_user_map("# a comment\npair ab c.d\n", source="map")
 
 
 def test_matched_root_parameters():

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from dwmerge import star_merge
+from dwmerge import io, star_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import (ValueConflict, _right_name_map, check_column_kinds,
                                      merge_dimensions)
@@ -17,7 +17,8 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Constellation, Fact, Row, StarSchema, cell_to_text, cells_equal
+from dwmerge.model import (Cell, Constellation, Fact, Row, StarSchema, cell_to_text, cells_equal,
+                           validate)
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
@@ -458,6 +459,35 @@ def test_constellation_output_shape():
     assert facts["sales_dates"].rows == dw2.fact.rows
     assert set(res.schema.star["sales_parts"]) == {"customer", "supplier", "part"}
     assert set(res.schema.star["sales_dates"]) == {"customer", "supplier", "orderdate"}
+
+
+def test_unpaired_right_dimension_is_renamed_past_the_left_one(tmp_path):
+    # Both stars carry a date dimension whose roots do not match, so neither
+    # pairs: the right one leaves as date_2, and its fact is keyed on date_2.
+    def customer():
+        return make_dimension("customer", "Code", ("Code", "City"),
+                              [("geo", ("Code", "City"))], [("C1", "x"), ("C2", "y")])
+    date1 = make_dimension("date", "day", ("day", "month"), [("cal", ("day", "month"))],
+                           [("d1", "m1"), ("d2", "m1")])
+    date2 = make_dimension("date", "stamp", ("stamp", "month"),
+                           [("cal", ("stamp", "month"))], [("s1", "m1")])
+    f1 = Fact("sales", ("qty",), (("customer", "Code"), ("date", "day")),
+              [{"Code": "C1", "day": "d1", "qty": Decimal(1)}], frozenset({"qty"}))
+    f2 = Fact("sales", ("qty",), (("customer", "Code"), ("date", "stamp")),
+              [{"Code": "C2", "stamp": "s1", "qty": Decimal(2)}], frozenset({"qty"}))
+    res = merge_stars(StarSchema("s1", f1, (customer(), date1)),
+                      StarSchema("s2", f2, (customer(), date2)))
+    assert isinstance(res.schema, Constellation)
+    assert res.schema.star == {"sales": ("customer", "date"),
+                               "sales_2": ("customer", "date_2")}
+    facts = {f.name: f for f in res.schema.facts}
+    assert facts["sales_2"].dimension_keys == (("customer", "Code"), ("date_2", "stamp"))
+    assert res.schema.dimension("date_2").rows == date2.rows
+    counts = {(t.kind, t.table): (t.n_left, t.n_right, t.n_merged) for t in res.report.tables}
+    assert counts[("dimension", "date")] == (2, None, 2)
+    assert counts[("dimension", "date_2")] == (None, 1, 1)
+    io.write_dw(res.schema, tmp_path / "out")
+    assert validate(io.load_dw(tmp_path / "out", strict=True)) == []
 
 
 def test_star_self_merge_idempotent():
