@@ -28,6 +28,10 @@ descriptor is a JSON document::
 A single-fact document loads as a star schema, several facts load as a
 constellation.
 
+The loader checks the descriptor's format itself, and refuses a broken
+declaration through the rules ``model.validate`` states
+(``model.declaration_faults``) before it reads any table.
+
 CSV rules
 ---------
 UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
@@ -68,10 +72,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import LoadError
-from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Row, Schema,
-                    StarSchema, Violation, cell_to_text, dimension_faults, fact_faults,
-                    fact_key_faults, fact_links, key_order, name_faults, numeric_faults,
-                    star_map_faults, uniquify)
+from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Schema, StarSchema,
+                    cell_to_text, declaration_faults, fact_key_faults, key_order, uniquify)
 from .report import MergeReport, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -98,11 +100,8 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     numeric column. A byte that is not UTF-8 is a load error on the physical
     line that holds it.
 
-    Cells are appended as records arrive, and numbers are parsed a column
-    at a time once reading stops. The error raised is the one that checking
-    each record as it arrives would meet first: a bad number before any
-    failure in a later record, and of two bad numbers in a record the
-    leftmost in the file.
+    Each record is checked as it arrives: its field count, then its numbers
+    in file-column order, so of two bad numbers the leftmost is named.
     """
     where = str(path)
     try:
@@ -111,8 +110,6 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
         raise LoadError(f"cannot read table: {exc}", path=where) from exc
     cells: list[list[Cell]] = [[] for _ in columns]
     lines: list[int] = []
-    positions: list[int] = []
-    failure: Exception | None = None
     start = 1  # the line the record being read starts on
     with handle:
         if handle.seekable():  # a pipe could not be read again
@@ -137,36 +134,36 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
                                 path=where, line=1)
             width = len(header)
             positions = [header.index(c) for c in columns]
-            takes = [(col.append, i) for col, i in zip(cells, positions)]
+            numeric_at = sorted((j for j, c in enumerate(columns) if c in numeric),
+                                key=positions.__getitem__)
             # A record starts one line after the previous one (the header first) ends.
             start = reader.line_num + 1
             for record in reader:
                 if len(record) != width:
-                    failure = LoadError(f"row has {len(record)} fields, header has {width}",
-                                        path=where, line=start)
-                    break
-                for append, i in takes:
-                    append(record[i].strip() or None)
+                    raise LoadError(f"row has {len(record)} fields, header has {width}",
+                                    path=where, line=start)
+                values: list[Cell] = [record[i].strip() or None for i in positions]
+                for j in numeric_at:
+                    text = values[j]
+                    if text is not None:
+                        values[j] = _number(text)
+                        if values[j] is None:
+                            raise LoadError(f"{text!r} is not a number", path=where, line=start)
+                for col, value in zip(cells, values):
+                    col.append(value)
                 lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
-            failure = LoadError(f"malformed CSV: {exc}", path=where, line=start)
-        except UnicodeDecodeError as exc:
-            failure = exc
+            raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
+        except UnicodeDecodeError:
             # The reader decodes ahead in blocks, so place the bad byte in the file's bytes.
             data = path.read_bytes()
             try:
                 data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                failure = LoadError(f"cannot read table: {err}", path=where,
-                                    line=data.count(b"\n", 0, err.start) + 1)
-    bad = [(row, positions[j], cells[j][row]) for j, c in enumerate(columns) if c in numeric
-           for row in [_parse_numbers(cells[j])] if row is not None]
-    if bad:
-        row, _, value = min(bad)
-        raise LoadError(f"{value!r} is not a number", path=where, line=lines[row])
-    if failure is not None:
-        raise failure
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"cannot read table: {exc}", path=where,
+                                line=data.count(b"\n", 0, exc.start) + 1) from None
+            raise
     return cells, lines
 
 
@@ -236,15 +233,21 @@ def _parse_numbers(cells: list[Cell]) -> int | None:
             continue
         for i, text in enumerate(block, at):
             if text is not None:
-                try:
-                    number = Decimal(text)
-                except InvalidOperation:
-                    return i
-                # NaN differs from itself, so it could never match or fuse.
-                if number.is_nan():
+                number = _number(text)
+                if number is None:
                     return i
                 cells[i] = number
     return None
+
+
+def _number(text: str) -> Decimal | None:
+    """``text`` as a decimal; None if it is not a number or is a NaN, which
+    differs from itself and so could never match or fuse."""
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        return None
+    return None if number.is_nan() else number
 
 
 _REQUIRED = object()
@@ -278,18 +281,8 @@ def _names(obj: dict, key: str, *, path: str, where: str, default=_REQUIRED
     return tuple(value)
 
 
-def _refuse(faults: list[Violation], path: str, prefix: str | None = None) -> None:
-    """Raise the first of ``faults``, if any, as a load error on the descriptor.
-
-    The error reads as ``validate`` prints the fault, or, given a ``prefix``,
-    as the prefix followed by the fault's message.
-    """
-    if faults:
-        text = str(faults[0]) if prefix is None else prefix + faults[0].message
-        raise LoadError(text, path=path)
-
-
-def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Dimension:
+def _declared_dimension(entry: dict, path: str) -> tuple[Dimension, str]:
+    """A dimension entry of the descriptor as a dimension with no rows, and its table."""
     name = _descriptor_field(entry, "name", str, path=path, where="dimension")
     where = f"dimension {name!r}"
     table = _descriptor_field(entry, "table", str, path=path, where=where)
@@ -297,7 +290,6 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
     attributes = _names(entry, "attributes", path=path, where=where)
     numeric = frozenset(_names(entry, "numericAttributes", path=path, where=where,
                                default=()))
-    _refuse(numeric_faults(name, numeric, attributes), path, f"{where}: ")
     hierarchies = []
     for h in _descriptor_field(entry, "hierarchies", list, path=path, where=where,
                                default=()):
@@ -307,31 +299,14 @@ def _load_dimension(entry: dict, directory: Path, strict: bool, path: str) -> Di
             hierarchies.append(Hierarchy(hname, params))
         except ValueError as exc:  # no parameters, or a repeated one
             raise LoadError(f"{where}: {exc}", path=path) from None
-    rows: dict[Cell, Row] = {}
-    dimension = Dimension(name, root, attributes, tuple(hierarchies), rows, numeric)
-    _refuse(dimension_faults(dimension), path)
-
-    table_path = directory / table
-    where = str(table_path)
-    columns, lines = _read_csv(table_path, list(attributes), set(numeric))
-    for lineno, cells in zip(lines, zip(*columns)):
-        row = dict(zip(attributes, cells))
-        key = row[root]
-        if key is None:
-            raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
-        if key in rows:
-            if strict:
-                raise LoadError(f"dimension {name!r}: duplicate id {cell_to_text(key)!r}",
-                                path=where, line=lineno)
-            logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
-                           name, cell_to_text(key), table_path, lineno)
-            continue
-        rows[key] = row
-    return dimension
+    return Dimension(name, root, attributes, tuple(hierarchies), {}, numeric), table
 
 
-def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
-               strict: bool, path: str) -> Fact:
+def _declared_fact(entry: dict, dims: dict[str, Dimension], path: str) -> tuple[Fact, str]:
+    """A fact entry of the descriptor as a fact with no rows, and its table.
+
+    A key column is numeric when the id of its dimension in ``dims`` is.
+    """
     name = _descriptor_field(entry, "name", str, path=path, where="fact")
     where = f"fact {name!r}"
     table = _descriptor_field(entry, "table", str, path=path, where=where)
@@ -345,19 +320,40 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     for k in _descriptor_field(entry, "dimensionKeys", list, path=path, where=where):
         dim = _descriptor_field(k, "dimension", str, path=path, where=f"{where} key")
         col = _descriptor_field(k, "column", str, path=path, where=f"{where} key")
-        if dim not in dims:
-            raise LoadError(f"{where}: key references unknown dimension {dim!r}", path=path)
         keys.append((dim, col))
     numeric = {m for m in measures if m not in text_measures}
     for dim, col in keys:
-        if dims[dim].root in dims[dim].numeric:
+        d = dims.get(dim)
+        if d is not None and d.root in d.numeric:
             numeric.add(col)
-    fact = Fact(name, measures, tuple(keys), (), frozenset(numeric))
-    # The star map is read later, so load_dw checks the linked dimensions.
-    _refuse(fact_faults(fact, {dim for dim, _ in keys}), path)
-    table_path = directory / table
+    return Fact(name, measures, tuple(keys), (), frozenset(numeric)), table
+
+
+def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> None:
+    """Read the rows of ``dim`` from its table into ``dim.rows``."""
+    name, root, attributes, rows = dim.name, dim.root, dim.attributes, dim.rows
     where = str(table_path)
-    columns, lines = _read_csv(table_path, list(fact.column_names()), numeric)
+    columns, lines = _read_csv(table_path, list(attributes), set(dim.numeric))
+    for lineno, cells in zip(lines, zip(*columns)):
+        row = dict(zip(attributes, cells))
+        key = row[root]
+        if key is None:
+            raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
+        if key in rows:
+            if strict:
+                raise LoadError(f"dimension {name!r}: duplicate id {cell_to_text(key)!r}",
+                                path=where, line=lineno)
+            logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
+                           name, cell_to_text(key), table_path, lineno)
+            continue
+        rows[key] = row
+
+
+def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict: bool) -> None:
+    """Read the columns of ``fact`` from its table, whose keys name rows of ``dims``."""
+    name, keys, numeric = fact.name, fact.dimension_keys, fact.numeric
+    where = str(table_path)
+    columns, lines = _read_csv(table_path, list(fact.column_names()), set(numeric))
     # A text key cell that names a dimension row becomes that row's id object,
     # so the fact keeps no copy of it; a numeric one keeps its own spelling.
     for j, (dim, col) in enumerate(keys):
@@ -382,73 +378,67 @@ def _load_fact(entry: dict, directory: Path, dims: dict[str, Dimension],
     if dropped:
         kept = [i not in dropped for i in range(len(lines))]
         fact.columns = tuple(list(compress(col, kept)) for col in columns)
-    return fact
 
 
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     """Load a warehouse directory, refusing input that breaks a model rule.
 
     Returns a :class:`StarSchema` for a single-fact descriptor, otherwise a
-    :class:`Constellation`; ``model.validate`` of either is empty. A broken
-    declaration rule is a load error on the descriptor. ``strict`` turns
-    duplicate dimension ids and duplicate fact key tuples into errors
-    instead of keep-first-and-log. Fact keys are checked a column at a time,
-    by :func:`model.fact_key_faults`.
+    :class:`Constellation`; ``model.validate`` of either is empty. The
+    descriptor is read whole first, and the first of its
+    :func:`model.declaration_faults` is a load error on it, before any table
+    is read. ``strict`` turns duplicate dimension ids and duplicate fact key
+    tuples into errors instead of keep-first-and-log. Fact keys are checked a
+    column at a time, by :func:`model.fact_key_faults`.
     """
     directory = Path(directory)
     desc_path = directory / DESCRIPTOR_NAME
+    desc = str(desc_path)
     try:
         text = desc_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read descriptor: {exc}", path=str(desc_path)) from exc
+        raise LoadError(f"cannot read descriptor: {exc}", path=desc) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"descriptor is not valid JSON: {exc.msg}",
-                        path=str(desc_path), line=exc.lineno) from exc
-    version = _descriptor_field(doc, "formatVersion", object, path=str(desc_path),
+                        path=desc, line=exc.lineno) from exc
+    version = _descriptor_field(doc, "formatVersion", object, path=desc,
                                 where="descriptor", default=None)
     if version != FORMAT_VERSION:
         raise LoadError(f"unsupported formatVersion {version!r}, expected {FORMAT_VERSION}",
-                        path=str(desc_path))
-    name = _descriptor_field(doc, "name", str, path=str(desc_path), where="descriptor")
+                        path=desc)
+    name = _descriptor_field(doc, "name", str, path=desc, where="descriptor")
 
-    dims: dict[str, Dimension] = {}
-    for entry in _descriptor_field(doc, "dimensions", list, path=str(desc_path),
-                                   where="descriptor"):
-        dim = _load_dimension(entry, directory, strict, str(desc_path))
-        _refuse(name_faults("dimension", [*dims, dim.name]), str(desc_path), "")
-        dims[dim.name] = dim
-
-    fact_entries = _descriptor_field(doc, "facts", list, path=str(desc_path),
-                                     where="descriptor")
+    dim_tables = [_declared_dimension(entry, desc) for entry in
+                  _descriptor_field(doc, "dimensions", list, path=desc, where="descriptor")]
+    dimensions = tuple(dim for dim, _ in dim_tables)
+    dims = {dim.name: dim for dim in dimensions}
+    fact_entries = _descriptor_field(doc, "facts", list, path=desc, where="descriptor")
     if not fact_entries:
-        raise LoadError("descriptor declares no facts", path=str(desc_path))
-    facts = []
-    for entry in fact_entries:
-        fact = _load_fact(entry, directory, dims, strict, str(desc_path))
-        _refuse(name_faults("fact", [f.name for f in facts] + [fact.name]),
-                str(desc_path), "")
-        facts.append(fact)
-
-    star_doc = _descriptor_field(doc, "star", dict, path=str(desc_path),
-                                 where="descriptor", default=None)
-    star = {}
-    for fname in star_doc or {}:
-        dim_names = _names(star_doc, fname, path=str(desc_path), where="star map")
-        if fname not in {f.name for f in facts}:
-            raise LoadError(f"star map references unknown fact {fname!r}", path=str(desc_path))
-        star[fname] = dim_names
+        raise LoadError("descriptor declares no facts", path=desc)
+    fact_tables = [_declared_fact(entry, dims, desc) for entry in fact_entries]
+    facts = tuple(fact for fact, _ in fact_tables)
+    star_doc = _descriptor_field(doc, "star", dict, path=desc, where="descriptor",
+                                 default=None)
+    star = {fname: _names(star_doc, fname, path=desc, where="star map")
+            for fname in star_doc or {}}
     # One fact linked to a dimension subset is a degenerate constellation.
-    if len(facts) == 1 and set(star.get(facts[0].name, dims)) == set(dims):
-        schema: Schema = StarSchema(name, facts[0], tuple(dims.values()))
+    if (len(facts) == 1 and star.keys() <= {facts[0].name}
+            and set(star.get(facts[0].name, dims)) == set(dims)):
+        schema: Schema = StarSchema(name, facts[0], dimensions)
     elif star_doc is None:
-        raise LoadError("a multi-fact descriptor needs a 'star' map", path=str(desc_path))
+        raise LoadError("a multi-fact descriptor needs a 'star' map", path=desc)
     else:
-        schema = Constellation(name, tuple(facts), tuple(dims.values()), star)
-    _refuse(star_map_faults(schema), str(desc_path))
-    for fact, linked in fact_links(schema):
-        _refuse(fact_faults(fact, linked), str(desc_path))
+        schema = Constellation(name, facts, dimensions, star)
+    faults = declaration_faults(schema)
+    if faults:
+        raise LoadError(str(faults[0]), path=desc)
+
+    for dim, table in dim_tables:
+        _read_dimension(dim, directory / table, strict)
+    for fact, table in fact_tables:
+        _read_fact(fact, directory / table, dims, strict)
     return schema
 
 

@@ -98,20 +98,28 @@ def load_user_map(path: str | Path) -> UserMap:
 def check_user_map(user_map: UserMap | None, s1: StarSchema, s2: StarSchema) -> None:
     """Refuse a user-map entry that no table pair of ``s1`` and ``s2`` would read.
 
-    Its tables must be a dimension or the fact of their star, and of one kind.
+    Its tables must be a dimension or the fact of their star, and of one kind,
+    and each attribute must be one of its table's: a dimension's attributes,
+    or a fact's measures.
     """
-    tables = [{"dimension": {d.name for d in s.dimensions}, "fact": {s.fact.name}}
-              for s in (s1, s2)]
+    tables = [{"dimension": {d.name: d.attributes for d in s.dimensions},
+               "fact": {s.fact.name: s.fact.measures}} for s in (s1, s2)]
     for e in user_map.entries if user_map else ():
+        sides = list(zip((e.left, e.right), tables))
         kinds = []
-        for (table, attr), named, side in zip((e.left, e.right), tables, ("left", "right")):
+        for ((table, attr), named), side in zip(sides, ("left", "right")):
             kinds.append({kind for kind, names in named.items() if table in names})
             if not kinds[-1]:
                 raise UserMapError(f"user map line {e.line}: {table}.{attr} names no "
                                    f"dimension or fact of the {side} warehouse")
-        if not kinds[0] & kinds[1]:
+        shared = kinds[0] & kinds[1]
+        if not shared:
             raise UserMapError(f"user map line {e.line}: {e.left[0]}.{e.left[1]} and "
                                f"{e.right[0]}.{e.right[1]} pair a dimension with a fact")
+        for (table, attr), named in sides:
+            if any(attr not in named[kind][table] for kind in shared):
+                raise UserMapError(
+                    f"user map line {e.line}: {table}.{attr} names an unknown attribute")
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -129,33 +137,13 @@ def edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _apply_user_map(left_table: str, right_table: str,
-                    left_names: Sequence[str], right_names: Sequence[str],
-                    user_map: UserMap | None):
-    forced: list[tuple[str, str]] = []
-    forbidden: set[tuple[str, str]] = set()
-    if user_map is None:
-        return forced, forbidden
-    left_set, right_set = set(left_names), set(right_names)
-    for e in user_map.for_pair(left_table, right_table):
-        if e.left[1] not in left_set:
-            raise UserMapError(
-                f"user map line {e.line}: {e.left[0]}.{e.left[1]} names an unknown attribute")
-        if e.right[1] not in right_set:
-            raise UserMapError(
-                f"user map line {e.line}: {e.right[0]}.{e.right[1]} names an unknown attribute")
-        if e.action == "pair":
-            forced.append((e.left[1], e.right[1]))
-        else:
-            forbidden.add((e.left[1], e.right[1]))
-    return forced, forbidden
-
-
 def _match_names(left_table: str, right_table: str,
                  left_names: Sequence[str], right_names: Sequence[str],
                  cfg: MatcherConfig) -> list[Correspondence]:
-    forced, forbidden = _apply_user_map(left_table, right_table,
-                                        left_names, right_names, cfg.user_map)
+    # check_user_map has checked that each entry names attributes of its tables.
+    entries = cfg.user_map.for_pair(left_table, right_table) if cfg.user_map else []
+    forced = [(e.left[1], e.right[1]) for e in entries if e.action == "pair"]
+    forbidden = {(e.left[1], e.right[1]) for e in entries if e.action == "forbid"}
     out: list[Correspondence] = []
     used_left: set[str] = set()
     used_right: set[str] = set()

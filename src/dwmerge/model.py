@@ -284,13 +284,7 @@ def _repeated(names: Iterable[str]) -> list[str]:
     return [n for n, k in Counter(names).items() if k > 1]
 
 
-def name_faults(kind: str, names: Iterable[str]) -> list[Violation]:
-    """One violation per name that more than one ``kind`` table ("dimension", "fact") uses."""
-    return [Violation(n, "-", f"{kind}-name-unique", f"duplicate {kind} name {n!r}")
-            for n in _repeated(names)]
-
-
-def numeric_faults(table: str, numeric: Iterable[str], attributes: Iterable[str]
+def _numeric_faults(table: str, numeric: Iterable[str], attributes: Iterable[str]
                    ) -> list[Violation]:
     """A violation listing the ``numeric`` names that are not ``attributes``, if any."""
     extra = sorted(set(numeric) - set(attributes))
@@ -302,7 +296,7 @@ def numeric_faults(table: str, numeric: Iterable[str], attributes: Iterable[str]
 
 def dimension_faults(dim: Dimension) -> list[Violation]:
     """The rules on a dimension's declaration, which read none of its rows."""
-    out = numeric_faults(dim.name, dim.numeric, dim.attributes)
+    out = _numeric_faults(dim.name, dim.numeric, dim.attributes)
     attrs = dim.attribute_set()
     if dim.root not in attrs:
         out.append(Violation(dim.name, dim.root, "root-in-attributes",
@@ -325,12 +319,11 @@ def dimension_faults(dim: Dimension) -> list[Violation]:
 
 
 def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
-    """The declaration rules, then every row's key, root and columns.
+    """Every row's key, root and columns.
 
     The ids, the root cells and the row columns are checked whole first; the
     rows are walked, in order, only when one of those checks fails.
     """
-    out.extend(dimension_faults(dim))
     attrs = dim.attribute_set()
     root = dim.root
     keys = list(dim.rows)
@@ -401,7 +394,7 @@ def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
     and measures are distinct, and its ``numeric`` set names only them; two
     key columns may name one dimension.
     """
-    out = numeric_faults(fact.name, fact.numeric, fact.column_names())
+    out = _numeric_faults(fact.name, fact.numeric, fact.column_names())
     linked = set(linked)
     declared = {d for d, _ in fact.dimension_keys}
     if declared != linked:
@@ -414,9 +407,8 @@ def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
     return out
 
 
-def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str],
-                   out: list[Violation]) -> None:
-    out.extend(fact_faults(fact, linked))
+def _validate_fact(fact: Fact, dims: dict[str, Dimension], out: list[Violation]) -> None:
+    """Every dangling key cell and repeated key tuple of the fact's rows."""
     for i, key, value, first in fact_key_faults(fact, dims):
         if key is None:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
@@ -427,15 +419,6 @@ def _validate_fact(fact: Fact, dims: dict[str, Dimension], linked: Iterable[str]
                                  f"key {col}={cell_to_text(value)!r} has no row in dimension {dim_name!r}"))
 
 
-def star_map_faults(schema: Schema) -> list[Violation]:
-    """Every name in a constellation's star map that is not one of its dimensions."""
-    if isinstance(schema, StarSchema):
-        return []
-    known = {d.name for d in schema.dimensions}
-    return [Violation(fname, dn, "star-map", f"star map references unknown dimension {dn!r}")
-            for fname, dim_names in schema.star.items() for dn in dim_names if dn not in known]
-
-
 def fact_links(schema: Schema) -> list[tuple[Fact, tuple[str, ...]]]:
     """Each fact of ``schema`` with the names of the dimensions it links the fact to."""
     if isinstance(schema, StarSchema):
@@ -443,31 +426,58 @@ def fact_links(schema: Schema) -> list[tuple[Fact, tuple[str, ...]]]:
     return [(f, schema.star.get(f.name, ())) for f in schema.facts]
 
 
-def validate(schema: Schema) -> list[Violation]:
-    """Check every structural invariant; empty list means the schema is well formed.
+def declaration_faults(schema: Schema) -> list[Violation]:
+    """Every rule that reads no row: the star map, table names, each
+    dimension's and each fact's declaration, and the key columns' numeric flags.
 
-    The loader refuses input that breaks one, so this serves schemas built
-    in memory, ``merge``'s output and the ``validate`` command.
-    Deterministic and order-independent: shuffling row order never changes
-    the outcome (only the textual row locus of fact violations). Fact keys
-    are checked a column at a time (:func:`fact_key_faults`), and their
-    violations are listed in row order.
+    ``io.load_dw`` refuses the first of these before it reads any table.
     """
     links = fact_links(schema)
-    out = star_map_faults(schema)
-    out += name_faults("dimension", [d.name for d in schema.dimensions])
-    out += name_faults("fact", [f.name for f, _ in links])
+    dims = {d.name: d for d in schema.dimensions}
+    out = []
+    if isinstance(schema, Constellation):
+        facts = {f.name for f, _ in links}
+        for fname, dim_names in schema.star.items():
+            if fname not in facts:
+                out.append(Violation(fname, "-", "star-map",
+                                     f"star map references unknown fact {fname!r}"))
+            out += [Violation(fname, dn, "star-map",
+                              f"star map references unknown dimension {dn!r}")
+                    for dn in dim_names if dn not in dims]
+    for kind, names in (("dimension", [d.name for d in schema.dimensions]),
+                        ("fact", [f.name for f, _ in links])):
+        out += [Violation(n, "-", f"{kind}-name-unique", f"duplicate {kind} name {n!r}")
+                for n in _repeated(names)]
     if not links:
         out.append(Violation(schema.name, "-", "fact-present", "the schema has no fact"))
-    dims = {d.name: d for d in schema.dimensions}
     for dim in schema.dimensions:
-        _validate_dimension(dim, out)
+        out += dimension_faults(dim)
     for fact, linked in links:
-        _validate_fact(fact, dims, linked, out)
+        out += fact_faults(fact, linked)
         # The loader gives a key column the numeric flag of its dimension's root.
         out += [Violation(fact.name, col, "fact-key-numeric",
                           f"key column {col!r} must be numeric exactly when the root "
                           f"of dimension {dn!r} is")
                 for dn, col in fact.dimension_keys
                 if dn in dims and (col in fact.numeric) != (dims[dn].root in dims[dn].numeric)]
+    return out
+
+
+def validate(schema: Schema) -> list[Violation]:
+    """Check every structural invariant; empty list means the schema is well formed.
+
+    The loader refuses input that breaks one, so this serves schemas built
+    in memory, ``merge``'s output and the ``validate`` command. The
+    :func:`declaration_faults` come first, then the faults of the rows.
+    Deterministic and order-independent: shuffling row order never changes
+    the outcome (only the textual row locus of fact violations). Fact keys
+    are checked a column at a time (:func:`fact_key_faults`), and their
+    violations are listed in row order.
+    """
+    out = declaration_faults(schema)
+    dims = {d.name: d for d in schema.dimensions}
+    for dim in schema.dimensions:
+        _validate_dimension(dim, out)
+    for fact, _ in fact_links(schema):
+        _validate_fact(fact, dims, out)
     return out

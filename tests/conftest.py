@@ -18,9 +18,11 @@ The pair is built so that every merge stage has a known outcome:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 
-from dwmerge.model import Dimension, Hierarchy
+from dwmerge.model import Cell, Dimension, Hierarchy, Row, cells_equal
 
 H13_PARAMS = ("Code", "City", "Department", "Region", "Country", "Continent")
 H24_PARAMS = ("Code", "Profession", "Subcategory", "Category")
@@ -95,6 +97,58 @@ def location_dim() -> Dimension:
         "location", "City", attrs,
         [("H3", ("City", "Department", "Country", "Continent"))],
         rows)
+
+
+# Reference oracles shared by several test modules.
+
+def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
+             ) -> list[tuple[str, Cell, Cell, Cell]]:
+    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
+
+    ``names`` pairs each incoming column with its name in ``row``. A null in
+    ``row`` takes the incoming value; where both hold different values the
+    right one wins only under policy ``right``. Each clash is returned as
+    ``(name, left, right, chosen)``; under policy ``error`` the caller
+    raises on the first one.
+    """
+    clashes = []
+    for source, name in names:
+        v2 = incoming.get(source)
+        if v2 is None:
+            continue
+        v1 = row.get(name)
+        if v1 is None:
+            row[name] = v2
+        elif not cells_equal(v1, v2):
+            chosen = v2 if conflict == "right" else v1
+            row[name] = chosen
+            clashes.append((name, v1, v2, chosen))
+    return clashes
+
+
+def maximal_paths(edges) -> set[tuple]:
+    """Brute-force oracle: enumerate every maximal directed path edge by edge."""
+    succ, pred = {}, {}
+    nodes = set()
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+        pred.setdefault(b, set()).add(a)
+        nodes.update((a, b))
+    sources = [n for n in sorted(nodes) if not pred.get(n)]
+    sinks = {n for n in nodes if not succ.get(n)}
+    out = set()
+
+    def walk(path):
+        last = path[-1]
+        if last in sinks:
+            out.add(tuple(path))
+            return
+        for nxt in sorted(succ[last]):
+            walk(path + [nxt])
+
+    for s in sources:
+        walk([s])
+    return out
 
 
 @pytest.fixture

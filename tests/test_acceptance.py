@@ -20,7 +20,7 @@ from dwmerge.matching import MatcherConfig, match_attributes
 from dwmerge.model import Constellation, Hierarchy, StarSchema
 from dwmerge.star_merge import merge_stars, prune_hierarchies
 
-from conftest import H24_PARAMS, customer_left, customer_right, location_dim
+from conftest import H24_PARAMS, customer_left, customer_right, location_dim, maximal_paths
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
@@ -210,28 +210,6 @@ def _brute_force_fds(rows, attrs):
     return out
 
 
-def _maximal_paths(edges):
-    succ, pred, nodes = {}, {}, set()
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
-        nodes.update((a, b))
-    out = set()
-
-    def walk(path):
-        last = path[-1]
-        if not succ.get(last):
-            out.add(tuple(path))
-            return
-        for nxt in sorted(succ[last]):
-            walk(path + [nxt])
-
-    for n in sorted(nodes):
-        if not pred.get(n):
-            walk([n])
-    return out
-
-
 def test_accept_fd_and_chain_oracles():
     t = timed()
     rng = random.Random(777)
@@ -248,7 +226,7 @@ def test_accept_fd_and_chain_oracles():
                  if rng.random() < 0.45]
         if not edges:
             continue
-        assert merge_parameters(edges) == _maximal_paths(edges)
+        assert merge_parameters(edges) == maximal_paths(edges)
     elapsed = time.perf_counter() - t
     assert elapsed < 120
     report_pass("FD and maximal-chain oracle equivalence", t)

@@ -78,6 +78,20 @@ def test_merge_constellation_round_trips(tmp_path):
     assert report["result"] == "constellation"
 
 
+def test_constellation_merge_checks_a_map_measure_entry(tmp_path, capsys):
+    # The facts are not fused, so no measure matching reads the entry.
+    c1, c2, out = tmp_path / "c1", tmp_path / "c2", tmp_path / "out"
+    assert main(["gen", str(c1), str(c2), "--seed", "3", "--preset", "const22"]) == 0
+    capsys.readouterr()
+    umap = tmp_path / "map.txt"
+    umap.write_text("pair sales_parts.quantty sales_dates.quantity\n", encoding="utf-8")
+    named = "user map line 1: sales_parts.quantty names an unknown attribute"
+    for command in (["match", c1, c2], ["merge", c1, c2, out]):
+        assert main([*map(str, command), "--map", str(umap)]) == 2
+        assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_merge_self_preserves_counts(tmp_path):
     dw1, _ = gen(tmp_path)
     out = tmp_path / "self"

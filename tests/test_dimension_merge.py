@@ -12,11 +12,10 @@ from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_ro
 from dwmerge.errors import ConflictError, MergeError
 from dwmerge.generator import generate_pair, preset_const22, preset_divergent
 from dwmerge.matching import MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text,
-                           cells_equal)
+from dwmerge.model import Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text
 from dwmerge.star_merge import merge_facts, merge_stars
 
-from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
+from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
                       make_dimension)
 
 
@@ -171,34 +170,8 @@ def test_conflict_policy_error():
 
 
 # merge_instances as it was when it built and fused one row dict at a time.
-# Kept verbatim as the reference, with its row helper, which the package no
-# longer has.
-def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
-             ) -> list[tuple[str, Cell, Cell, Cell]]:
-    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
-
-    ``names`` pairs each incoming column with its name in ``row``. A null in
-    ``row`` takes the incoming value; where both hold different values the
-    right one wins only under policy ``right``. Each clash is returned as
-    ``(name, left, right, chosen)``; under policy ``error`` the caller
-    raises on the first one.
-    """
-    clashes = []
-    for source, name in names:
-        v2 = incoming.get(source)
-        if v2 is None:
-            continue
-        v1 = row.get(name)
-        if v1 is None:
-            row[name] = v2
-        elif not cells_equal(v1, v2):
-            chosen = v2 if conflict == "right" else v1
-            row[name] = chosen
-            clashes.append((name, v1, v2, chosen))
-    return clashes
-
-
-
+# Kept verbatim as the reference, with its row helper (conftest's fuse_row),
+# which the package no longer has.
 def reference_merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, str],
                               attributes: Sequence[str], conflict: str = "left"
                               ) -> tuple[dict[Cell, Row], list[ValueConflict]]:

@@ -1,6 +1,6 @@
 """The column-wise fact-key rules against the row loops they replaced.
 
-``model._validate_fact`` and ``io._load_fact`` both take their fact-key
+``model._validate_fact`` and ``io._read_fact`` both take their fact-key
 faults from ``model.fact_key_faults``, which reads each key column whole.
 The reference functions below are verbatim copies of the row loops both
 once ran on every table; over seeded random facts the two must report,
@@ -19,7 +19,8 @@ from decimal import Decimal
 
 from dwmerge import io
 from dwmerge.errors import LoadError
-from dwmerge.model import Dimension, Fact, Hierarchy, Violation, _validate_fact, cell_to_text
+from dwmerge.model import (Dimension, Fact, Hierarchy, Violation, _validate_fact, cell_to_text,
+                           fact_faults)
 
 logger = io.logger
 
@@ -130,8 +131,9 @@ def test_validate_fact_matches_reference_loop():
                 del row[rng.choice(keys)[1]]
         fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
         linked = {dim for dim, _ in keys} if rng.random() < 0.9 else set(dims)
-        got, expected = [], []
-        _validate_fact(fact, dims, linked, got)
+        # validate states the declaration rules first, then the rows' faults.
+        got, expected = fact_faults(fact, linked), []
+        _validate_fact(fact, dims, got)
         reference_validate_fact(fact, dims, linked, expected)
         assert got == expected, f"case {case}"
         rules = [v.rule for v in got if v.rule != "fact-dimensions"]
@@ -184,9 +186,12 @@ def test_load_fact_matches_reference_loop(tmp_path, caplog):
                  "dimensionKeys": [{"dimension": d, "column": c} for d, c in keys]}
         numeric = {"m"} | {col for dim, col in keys if dims[dim].root in dims[dim].numeric}
         for strict in (True, False):
-            got = load_outcome(
-                lambda: io._load_fact(entry, tmp_path, dims, strict, "schema.json").rows,
-                caplog)
+            def load():
+                fact, name = io._declared_fact(entry, dims, "schema.json")
+                io._read_fact(fact, tmp_path / name, dims, strict)
+                return fact.rows
+
+            got = load_outcome(load, caplog)
 
             def reference():
                 columns, lines = io._read_csv(table, [c for _, c in keys] + ["m"], numeric)

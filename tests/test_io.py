@@ -660,7 +660,8 @@ def _add_unkeyed_dimension(doc):
     (lambda doc: {**doc, "star": {"sales": ["customer", "ghost"]}},
      "sales [ghost] star-map: star map references unknown dimension 'ghost'"),
     (_set_field("facts", "dimensionKeys", [{"dimension": "store", "column": "Code"}]),
-     "fact 'sales': key references unknown dimension 'store'"),
+     "sales [-] fact-dimensions: fact keys reference ['store'] but the schema links "
+     "['customer']"),
     (lambda doc: {**doc, "star": {"returns": ["customer"]}},
      "star map references unknown fact 'returns'"),
     (lambda doc: {**doc, "facts": doc["facts"] + [{**doc["facts"][0], "name": "sales_2"}]},
@@ -684,6 +685,30 @@ def test_malformed_descriptor_is_a_load_error(edit, message, tmp_path, capsys):
     assert main(["merge", str(tmp_path), str(tmp_path), str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_field("facts", "measures", ["Quantity", "Quantity"]),
+     "sales [Quantity] fact-columns-unique: column 'Quantity' is named more than once"),
+    (_add_unkeyed_dimension,
+     "sales [-] fact-dimensions: fact keys reference ['customer'] but the schema links "
+     "['customer', 'region']"),
+    (lambda doc: {**doc, "star": {"returns": ["customer"]}},
+     "returns [-] star-map: star map references unknown fact 'returns'"),
+], ids=["repeated-measure", "fact-not-keyed-on-linked", "star-map-unknown-fact"])
+def test_declaration_fault_is_reported_before_any_table_is_read(edit, message, tmp_path):
+    write_minimal(tmp_path)
+    (tmp_path / "customer.csv").unlink()
+    descriptor = tmp_path / "schema.json"
+    descriptor.write_text(json.dumps(edit(json.loads(descriptor.read_text()))))
+    with pytest.raises(LoadError, match=re.escape(message)) as err:
+        io.load_dw(tmp_path)
+    assert err.value.path == str(descriptor)
+    # With the declaration mended, the missing table is what the loader names.
+    write_minimal(tmp_path)
+    (tmp_path / "customer.csv").unlink()
+    with pytest.raises(LoadError, match="cannot read table"):
+        io.load_dw(tmp_path)
 
 
 # What a load error names for each rule the mutations below can break.

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwmerge.errors import UserMapError
-from dwmerge.matching import (MatcherConfig, corr_attr_map, edit_distance,
+from dwmerge.matching import (MatcherConfig, check_user_map, corr_attr_map, edit_distance,
                               match_attributes, match_measures,
                               matched_root_parameters, parse_user_map)
-from dwmerge.model import Fact
+from dwmerge.model import Fact, StarSchema
 
 from conftest import customer_left, customer_right, location_dim, make_dimension
 
@@ -94,12 +94,13 @@ def test_user_map_pair_overrides_and_unknown_attr():
     assert ("Zone", "Area") in {(c.left[1], c.right[1]) for c in corrs}
     assert any(c.source == "user-map" for c in corrs)
 
+    s1, s2 = (StarSchema("s", Fact("sales", (), (("customer", "Code"),)), (d,)) for d in (d1, d2))
     bad = parse_user_map("pair customer.Nope customer.Area\n")
     with pytest.raises(UserMapError, match="Nope"):
-        match_attributes(d1, d2, MatcherConfig(user_map=bad))
+        check_user_map(bad, s1, s2)
     bad = parse_user_map("pair customer.Zone customer.Nope\n")
     with pytest.raises(UserMapError, match="line 1: customer.Nope names an unknown attribute"):
-        match_attributes(d1, d2, MatcherConfig(user_map=bad))
+        check_user_map(bad, s1, s2)
     twice = parse_user_map("pair customer.Zone customer.Area\npair customer.Zone customer.Code\n")
     with pytest.raises(UserMapError, match="pairs customer.Zone / customer.Code more than once"):
         match_attributes(d1, d2, MatcherConfig(user_map=twice))

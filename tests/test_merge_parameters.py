@@ -5,30 +5,7 @@ import pytest
 from dwmerge.errors import MergeError
 from dwmerge.hierarchy_merge import merge_parameters
 
-
-def maximal_paths(edges) -> set[tuple]:
-    """Brute-force oracle: enumerate every maximal directed path edge by edge."""
-    succ, pred = {}, {}
-    nodes = set()
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
-        nodes.update((a, b))
-    sources = [n for n in sorted(nodes) if not pred.get(n)]
-    sinks = {n for n in nodes if not succ.get(n)}
-    out = set()
-
-    def walk(path):
-        last = path[-1]
-        if last in sinks:
-            out.add(tuple(path))
-            return
-        for nxt in sorted(succ[last]):
-            walk(path + [nxt])
-
-    for s in sources:
-        walk([s])
-    return out
+from conftest import maximal_paths
 
 
 def random_dag(rng, max_nodes=7):

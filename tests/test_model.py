@@ -137,13 +137,16 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
         (StarSchema("s", fact("f"), (dim("d", frozenset({"ghost"})),)),
          Violation("d", "-", "numeric-attributes",
                    "numericAttributes ['ghost'] are not declared attributes"),
-         "dimension 'd': numericAttributes ['ghost'] are not declared attributes"),
+         "d [-] numeric-attributes: numericAttributes ['ghost'] are not declared attributes"),
         (Constellation("c", (fact("f"), fact("f")), (dim("d"),), {"f": ("d",)}),
          Violation("f", "-", "fact-name-unique", "duplicate fact name 'f'"),
          "duplicate fact name 'f'"),
         (Constellation("c", (), (dim("d"),), {}),
          Violation("c", "-", "fact-present", "the schema has no fact"),
          "descriptor declares no facts"),
+        (Constellation("c", (fact("f"),), (dim("d"),), {"f": ("d",), "ghost": ("d",)}),
+         Violation("ghost", "-", "star-map", "star map references unknown fact 'ghost'"),
+         "ghost [-] star-map: star map references unknown fact 'ghost'"),
     ]
     for k, (schema, violation, load_error) in enumerate(cases):
         assert validate(schema) == [violation]

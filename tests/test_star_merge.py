@@ -17,11 +17,10 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Cell, Constellation, Fact, Row, StarSchema, cell_to_text, cells_equal,
-                           validate)
+from dwmerge.model import Cell, Constellation, Fact, Row, StarSchema, cell_to_text, validate
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
-from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right,
+from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
                       make_dimension)
 from test_output_digests import conflict_spec
 
@@ -156,36 +155,10 @@ def records(columns, n: int):
     return zip(*columns) if columns else repeat((), n)
 
 
-def fuse_row(row: Row, incoming: Row, names: Sequence[tuple[str, str]], conflict: str
-             ) -> list[tuple[str, Cell, Cell, Cell]]:
-    """Copy the non-null cells of ``incoming`` into ``row`` under unified names.
-
-    ``names`` pairs each incoming column with its name in ``row``. A null in
-    ``row`` takes the incoming value; where both hold different values the
-    right one wins only under policy ``right``. Each clash is returned as
-    ``(name, left, right, chosen)``; under policy ``error`` the caller
-    raises on the first one.
-    """
-    clashes = []
-    for source, name in names:
-        v2 = incoming.get(source)
-        if v2 is None:
-            continue
-        v1 = row.get(name)
-        if v1 is None:
-            row[name] = v2
-        elif not cells_equal(v1, v2):
-            chosen = v2 if conflict == "right" else v1
-            row[name] = chosen
-            clashes.append((name, v1, v2, chosen))
-    return clashes
-
-
-
 # merge_facts as it was before it shared unchanged rows with its inputs: every
 # output row built anew, every shared row fused. Kept verbatim as the reference,
-# with the three helpers above, which the package no longer has, except that
-# its error text renders the key tuple as the report does.
+# with the two helpers above and conftest's fuse_row, which the package no
+# longer has, except that its error text renders the key tuple as the report does.
 def reference_merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
                           dim_pairing: Mapping[str, str], settings: MergeSettings = MergeSettings()
                           ) -> tuple[Fact, list[ValueConflict], int]:
