@@ -20,7 +20,7 @@ from .errors import (InternalInvariantError, LoadError, MergeError,
 from .generator import PRESETS, generate_pair, load_spec
 from .matching import (MatcherConfig, check_user_map, load_user_map, match_attributes,
                        match_measures)
-from .model import StarSchema, validate
+from .model import Schema, validate
 from .star_merge import merge_stars
 
 EXIT_OK = 0
@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_star(path: str, strict: bool) -> StarSchema:
+def _load_star(path: str, strict: bool) -> Schema:
     schema = io.load_dw(path, strict=strict)
-    if not isinstance(schema, StarSchema):
+    if schema.fact is None:
         raise LoadError("expected a star schema (single fact); constellation "
                         "inputs are not supported", path=path)
     # The loader has refused every schema fault already; this holds each

@@ -31,7 +31,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .model import Dimension, Fact, Hierarchy, StarSchema
+from .model import Dimension, Fact, Hierarchy, Schema, star_schema
 from .report import json_name, to_json
 
 MANIFEST_VERSION = 1
@@ -237,7 +237,7 @@ def _view_fact(f: GenFact, world: list[tuple], roots: tuple[str, ...],
                              columns, frozenset(view_measures))
 
 
-def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
+def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:
     """Generate the two warehouses and the ground-truth manifest.
 
     The same spec (seed included) always produces identical output, byte for
@@ -290,8 +290,8 @@ def generate_pair(spec: GenSpec) -> tuple[StarSchema, StarSchema, dict]:
             "sharedKeyTuples": sum(map(all, zip(member.get(1, ()), member.get(2, ())))),
         }
 
-    dw1 = StarSchema(f"{spec.name}1", facts_by_side[1], tuple(dims_by_side[1]))
-    dw2 = StarSchema(f"{spec.name}2", facts_by_side[2], tuple(dims_by_side[2]))
+    dw1 = star_schema(f"{spec.name}1", facts_by_side[1], tuple(dims_by_side[1]))
+    dw2 = star_schema(f"{spec.name}2", facts_by_side[2], tuple(dims_by_side[2]))
     manifest = {
         "formatVersion": MANIFEST_VERSION,
         "name": spec.name,

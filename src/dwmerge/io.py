@@ -24,9 +24,10 @@ descriptor is a JSON document::
       "star": {"sales": ["customer"]}
     }
 
-``star`` may be omitted for a single fact (it then links every dimension).
-A single-fact document loads as a star schema, several facts load as a
-constellation.
+``star`` may be omitted, or be empty, for a single fact: it then links every
+dimension. A document whose one fact links every dimension, in any order and
+with any repeats, loads as a star schema (``model.Schema.fact``), with its
+map in dimension declaration order; any other loads as a constellation.
 
 The loader checks the descriptor's format itself, and refuses a broken
 declaration through the rules ``model.validate`` states
@@ -72,8 +73,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import LoadError
-from .model import (Cell, Constellation, Dimension, Fact, Hierarchy, Schema, StarSchema,
-                    cell_to_text, declaration_faults, fact_key_faults, key_order, uniquify)
+from .model import (Cell, Dimension, Fact, Hierarchy, Schema, cell_to_text, declaration_faults,
+                    fact_key_faults, key_order, star_schema, uniquify)
 from .report import MergeReport, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -383,8 +384,8 @@ def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict:
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     """Load a warehouse directory, refusing input that breaks a model rule.
 
-    Returns a :class:`StarSchema` for a single-fact descriptor, otherwise a
-    :class:`Constellation`; ``model.validate`` of either is empty. The
+    ``model.validate`` of the schema is empty. A star schema's map is stored
+    as its fact linking every dimension in declaration order. The
     descriptor is read whole first, and the first of its
     :func:`model.declaration_faults` is a load error on it, before any table
     is read. ``strict`` turns duplicate dimension ids and duplicate fact key
@@ -423,14 +424,13 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
                                  default=None)
     star = {fname: _names(star_doc, fname, path=desc, where="star map")
             for fname in star_doc or {}}
-    # One fact linked to a dimension subset is a degenerate constellation.
-    if (len(facts) == 1 and star.keys() <= {facts[0].name}
-            and set(star.get(facts[0].name, dims)) == set(dims)):
-        schema: Schema = StarSchema(name, facts[0], dimensions)
+    if len(facts) == 1 and not star:
+        star = {facts[0].name: tuple(dims)}
     elif star_doc is None:
         raise LoadError("a multi-fact descriptor needs a 'star' map", path=desc)
-    else:
-        schema = Constellation(name, facts, dimensions, star)
+    schema = Schema(name, facts, dimensions, star)
+    if schema.fact is not None:
+        schema = star_schema(name, schema.fact, dimensions)
     faults = declaration_faults(schema)
     if faults:
         raise LoadError(str(faults[0]), path=desc)
@@ -493,7 +493,6 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     used_stems: set[str] = set()
 
-    facts = [schema.fact] if isinstance(schema, StarSchema) else list(schema.facts)
     dim_entries = []
     for dim in schema.dimensions:
         filename = _table_filename(dim.name, used_stems)
@@ -512,7 +511,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
                    (map(row.get, dim.attributes) for row in ordered))
 
     fact_entries = []
-    for fact in facts:
+    for fact in schema.facts:
         filename = _table_filename(fact.name, used_stems)
         fact_entries.append({
             "name": fact.name,
@@ -531,11 +530,8 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
         "name": schema.name,
         "facts": fact_entries,
         "dimensions": dim_entries,
+        "star": {f: list(dims) for f, dims in sorted(schema.star.items())},
     }
-    if isinstance(schema, Constellation):
-        doc["star"] = {f: list(dims) for f, dims in sorted(schema.star.items())}
-    else:
-        doc["star"] = {schema.fact.name: [d.name for d in schema.dimensions]}
     (directory / DESCRIPTOR_NAME).write_text(
         json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import UserMapError
-from .model import Dimension, Fact, StarSchema, normalize_name
+from .model import Dimension, Fact, Schema, normalize_name
 
 SOURCE_EXACT = "exact"
 SOURCE_EDIT = "edit-distance"
@@ -95,7 +95,7 @@ def load_user_map(path: str | Path) -> UserMap:
     return parse_user_map(text, source=str(p))
 
 
-def check_user_map(user_map: UserMap | None, s1: StarSchema, s2: StarSchema) -> None:
+def check_user_map(user_map: UserMap | None, s1: Schema, s2: Schema) -> None:
     """Refuse a user-map entry that no table pair of ``s1`` and ``s2`` would read.
 
     Its tables must be a dimension or the fact of their star, and of one kind,
@@ -140,14 +140,19 @@ def edit_distance(a: str, b: str) -> int:
 def _match_names(left_table: str, right_table: str,
                  left_names: Sequence[str], right_names: Sequence[str],
                  cfg: MatcherConfig) -> list[Correspondence]:
-    # check_user_map has checked that each entry names attributes of its tables.
     entries = cfg.user_map.for_pair(left_table, right_table) if cfg.user_map else []
-    forced = [(e.left[1], e.right[1]) for e in entries if e.action == "pair"]
     forbidden = {(e.left[1], e.right[1]) for e in entries if e.action == "forbid"}
     out: list[Correspondence] = []
     used_left: set[str] = set()
     used_right: set[str] = set()
-    for l, r in forced:
+    for e in entries:
+        if e.action != "pair":
+            continue
+        for (table, attr), names in ((e.left, left_names), (e.right, right_names)):
+            if attr not in names:
+                raise UserMapError(
+                    f"user map line {e.line}: {table}.{attr} names an unknown attribute")
+        l, r = e.left[1], e.right[1]
         if l in used_left or r in used_right:
             raise UserMapError(
                 f"user map pairs {left_table}.{l} / {right_table}.{r} more than once")

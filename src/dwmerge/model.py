@@ -7,7 +7,9 @@ checks and empty-value completion rely on, so use :func:`cells_equal` rather
 than ``==`` when comparing cells.
 
 A fact holds its cells as one list per column (:class:`Fact`); a dimension
-holds a dict per row, keyed by its id.
+holds a dict per row, keyed by its id. A :class:`Schema` is facts sharing
+dimensions, and its star map names the dimensions each fact links; a star
+schema is the case whose one fact links every dimension (:attr:`Schema.fact`).
 
 All model values are treated as immutable after construction. Merge
 operations build new instances instead of mutating loaded ones, so any
@@ -216,29 +218,27 @@ class FactRows(Sequence):
 
 
 @dataclass
-class StarSchema:
-    """One fact linked to its dimensions."""
+class Schema:
+    """Facts sharing a pool of dimensions; ``star`` maps fact -> dimension names.
 
-    name: str
-    fact: Fact
-    dimensions: tuple[Dimension, ...]
-
-    def dimension(self, name: str) -> Dimension:
-        for d in self.dimensions:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-
-@dataclass
-class Constellation:
-    """Several facts sharing a pool of dimensions; ``star`` maps fact -> dimension names."""
+    A star schema is one whose only fact links every dimension (:attr:`fact`);
+    any other schema is a constellation.
+    """
 
     name: str
     facts: tuple[Fact, ...]
     dimensions: tuple[Dimension, ...]
     star: dict[str, tuple[str, ...]]
 
+    @property
+    def fact(self) -> Fact | None:
+        """A star schema's fact: the only fact, when the star map links it alone
+        and to every dimension (compared as a set); None for a constellation."""
+        links = {f: set(dims) for f, dims in self.star.items()}
+        every = {d.name for d in self.dimensions}
+        star = len(self.facts) == 1 and links == {self.facts[0].name: every}
+        return self.facts[0] if star else None
+
     def dimension(self, name: str) -> Dimension:
         for d in self.dimensions:
             if d.name == name:
@@ -246,7 +246,9 @@ class Constellation:
         raise KeyError(name)
 
 
-Schema = Union[StarSchema, Constellation]
+def star_schema(name: str, fact: Fact, dimensions: tuple[Dimension, ...]) -> Schema:
+    """A star schema: ``fact`` linked to each of ``dimensions``, in their order."""
+    return Schema(name, (fact,), dimensions, {fact.name: tuple(d.name for d in dimensions)})
 
 
 @dataclass(frozen=True)
@@ -419,41 +421,34 @@ def _validate_fact(fact: Fact, dims: dict[str, Dimension], out: list[Violation])
                                  f"key {col}={cell_to_text(value)!r} has no row in dimension {dim_name!r}"))
 
 
-def fact_links(schema: Schema) -> list[tuple[Fact, tuple[str, ...]]]:
-    """Each fact of ``schema`` with the names of the dimensions it links the fact to."""
-    if isinstance(schema, StarSchema):
-        return [(schema.fact, tuple(d.name for d in schema.dimensions))]
-    return [(f, schema.star.get(f.name, ())) for f in schema.facts]
-
-
 def declaration_faults(schema: Schema) -> list[Violation]:
     """Every rule that reads no row: the star map, table names, each
     dimension's and each fact's declaration, and the key columns' numeric flags.
 
     ``io.load_dw`` refuses the first of these before it reads any table.
     """
-    links = fact_links(schema)
     dims = {d.name: d for d in schema.dimensions}
+    facts = [f.name for f in schema.facts]
     out = []
-    if isinstance(schema, Constellation):
-        facts = {f.name for f, _ in links}
-        for fname, dim_names in schema.star.items():
-            if fname not in facts:
-                out.append(Violation(fname, "-", "star-map",
-                                     f"star map references unknown fact {fname!r}"))
-            out += [Violation(fname, dn, "star-map",
-                              f"star map references unknown dimension {dn!r}")
-                    for dn in dim_names if dn not in dims]
-    for kind, names in (("dimension", [d.name for d in schema.dimensions]),
-                        ("fact", [f.name for f, _ in links])):
+    for fname, dim_names in schema.star.items():
+        if fname not in facts:
+            out.append(Violation(fname, "-", "star-map",
+                                 f"star map references unknown fact {fname!r}"))
+        out += [Violation(fname, dn, "star-map", f"star map references unknown dimension {dn!r}")
+                for dn in dim_names if dn not in dims]
+    # The loader links a lone fact with no entry to every dimension, so one
+    # without an entry would reload as another schema.
+    out += [Violation(f, "-", "star-map", f"star map has no entry for fact {f!r}")
+            for f in facts if f not in schema.star]
+    for kind, names in (("dimension", [d.name for d in schema.dimensions]), ("fact", facts)):
         out += [Violation(n, "-", f"{kind}-name-unique", f"duplicate {kind} name {n!r}")
                 for n in _repeated(names)]
-    if not links:
+    if not facts:
         out.append(Violation(schema.name, "-", "fact-present", "the schema has no fact"))
     for dim in schema.dimensions:
         out += dimension_faults(dim)
-    for fact, linked in links:
-        out += fact_faults(fact, linked)
+    for fact in schema.facts:
+        out += fact_faults(fact, schema.star.get(fact.name, ()))
         # The loader gives a key column the numeric flag of its dimension's root.
         out += [Violation(fact.name, col, "fact-key-numeric",
                           f"key column {col!r} must be numeric exactly when the root "
@@ -478,6 +473,6 @@ def validate(schema: Schema) -> list[Violation]:
     dims = {d.name: d for d in schema.dimensions}
     for dim in schema.dimensions:
         _validate_dimension(dim, out)
-    for fact, _ in fact_links(schema):
+    for fact in schema.facts:
         _validate_fact(fact, dims, out)
     return out

@@ -21,8 +21,8 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, check_user_map, match_attributes,
                        match_measures, matched_root_parameters)
-from .model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, cell_to_text,
-                    conforms, uniquify, validate)
+from .model import (Dimension, Fact, Hierarchy, Schema, cell_to_text, conforms, star_schema,
+                    uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -33,7 +33,7 @@ REASON_SUBSUMED = "subsumedByMerged"
 
 @dataclass
 class StarMergeResult:
-    schema: StarSchema | Constellation
+    schema: Schema
     report: MergeReport
 
 
@@ -249,7 +249,7 @@ def _merged_record(r1: OutputDimension, r2: OutputDimension,
         conflicts=res.conflict_log, shared=res.shared_keys)
 
 
-def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
+def merge_all_dimensions(s1: Schema, s2: Schema, matcher: MatcherConfig,
                          settings: MergeSettings = MergeSettings()
                          ) -> tuple[list[OutputDimension], list[Correspondence]]:
     """Enrich unmatched-root pairs, then merge every matched-root pair.
@@ -327,10 +327,14 @@ def merge_all_dimensions(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig,
     return out, all_corrs
 
 
-def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = MatcherConfig(),
+def merge_stars(s1: Schema, s2: Schema, matcher: MatcherConfig = MatcherConfig(),
                 settings: MergeSettings = MergeSettings(),
                 config_echo: dict | None = None) -> StarMergeResult:
     """Merge two star schemas into a star or a constellation, with report."""
+    for s in (s1, s2):
+        if s.fact is None:
+            raise MergeError(f"schema {s.name!r} is not a star schema: merging needs one "
+                             "fact that links every dimension")
     check_user_map(matcher.user_map, s1, s2)
     records, all_corrs = merge_all_dimensions(s1, s2, matcher, settings)
 
@@ -382,22 +386,19 @@ def merge_stars(s1: StarSchema, s2: StarSchema, matcher: MatcherConfig = Matcher
         n_counts[("fact", fact.name)] = TableCount(
             fact.name, "fact", len(s1.fact.rows), len(s2.fact.rows),
             n_common, len(fact.rows))
-        schema: StarSchema | Constellation = StarSchema(out_name, fact, tuple(final_dims))
+        schema = star_schema(out_name, fact, tuple(final_dims))
         report.result_kind = "star"
     else:
         fact_names: set[str] = set()
         f1 = _retarget_fact(s1.fact, {}, fact_names)
         remap2 = {rec.sources[1].name: rec.dimension.name for rec in records if rec.sources[1]}
         f2 = _retarget_fact(s2.fact, remap2, fact_names)
-        star_map = {
-            f1.name: tuple(dim for dim, _ in f1.dimension_keys),
-            f2.name: tuple(dim for dim, _ in f2.dimension_keys),
-        }
         n_counts[("fact", f1.name)] = TableCount(f1.name, "fact", len(f1.rows),
                                                  None, 0, len(f1.rows))
         n_counts[("fact", f2.name)] = TableCount(f2.name, "fact", None,
                                                  len(f2.rows), 0, len(f2.rows))
-        schema = Constellation(out_name, (f1, f2), tuple(final_dims), star_map)
+        schema = Schema(out_name, (f1, f2), tuple(final_dims),
+                        {f.name: tuple(dim for dim, _ in f.dimension_keys) for f in (f1, f2)})
         report.result_kind = "constellation"
 
     report.schema_name = out_name

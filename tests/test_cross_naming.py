@@ -11,7 +11,7 @@ from decimal import Decimal
 from dwmerge import io
 from dwmerge.dimension_merge import merge_dimensions
 from dwmerge.matching import MatcherConfig, match_attributes, parse_user_map
-from dwmerge.model import Dimension, Fact, Hierarchy, StarSchema, validate
+from dwmerge.model import Dimension, Fact, Hierarchy, star_schema, validate
 from dwmerge.star_merge import merge_stars
 
 from conftest import make_dimension
@@ -81,7 +81,7 @@ def numeric_star(name, codes):
     fact = Fact("sales", ("amount",), (("customer", "cid"),),
                 [{"cid": Decimal(c), "amount": Decimal(c) * 10} for c in codes],
                 frozenset({"amount", "cid"}))
-    return StarSchema(name, fact, (dim,))
+    return star_schema(name, fact, (dim,))
 
 
 def test_numeric_root_keys_merge_and_round_trip(tmp_path):
@@ -107,8 +107,8 @@ def test_cross_named_star_merge_via_user_map(tmp_path):
               [{"Code": "C1", "qty": Decimal(4)}], frozenset({"qty"}))
     f2 = Fact("sales", ("qty",), (("customer", "Kode"),),
               [{"Kode": "C4", "qty": Decimal(6)}], frozenset({"qty"}))
-    s1 = StarSchema("s1", f1, (d1,))
-    s2 = StarSchema("s2", f2, (d2,))
+    s1 = star_schema("s1", f1, (d1,))
+    s2 = star_schema("s2", f2, (d2,))
     result = merge_stars(s1, s2, MatcherConfig(user_map=cross_map()))
     assert result.report.result_kind == "star"
     fact = result.schema.fact

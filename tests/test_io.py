@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import tempfile
 import threading
 import tracemalloc
 from decimal import Decimal, InvalidOperation
@@ -11,12 +12,14 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwmerge import io
 from dwmerge.cli import main
 from dwmerge.errors import LoadError
 from dwmerge.generator import PRESETS, generate_pair, preset_basic, preset_divergent
-from dwmerge.model import Fact, StarSchema, cell_sort_key, cell_to_text, validate
+from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, cell_sort_key, cell_to_text,
+                           star_schema, validate)
 
 from conftest import make_dimension
 
@@ -41,7 +44,7 @@ def write_minimal(tmp_path, *, rows="C1,x\nC2,y\n", header="Code,Attr",
 
 def test_load_well_formed(tmp_path):
     schema = io.load_dw(write_minimal(tmp_path))
-    assert isinstance(schema, StarSchema)
+    assert schema.fact is not None
     assert validate(schema) == []
     assert schema.fact.rows[0]["Quantity"] == Decimal(3)
     assert schema.dimension("customer").rows["C1"]["Attr"] == "x"
@@ -327,7 +330,7 @@ def test_quoted_field_round_trip(tmp_path):
     fact = Fact("sales", ("Quantity",), (("customer", "Code"),),
                 [{"Code": "C1", "Quantity": Decimal("1.10")}],
                 frozenset({"Quantity"}))
-    schema = StarSchema("tricky", fact, (dim,))
+    schema = star_schema("tricky", fact, (dim,))
     out = tmp_path / "dw"
     io.write_dw(schema, out)
     loaded = io.load_dw(out)
@@ -521,7 +524,7 @@ def test_table_names_that_sanitise_alike_get_distinct_files(tmp_path):
             make_dimension("a_b", "J", ("J",), [("H", ("J",))], [("j1",)]))
     fact = Fact("a b", ("q",), (("a b", "K"), ("a_b", "J")),
                 [{"K": "k1", "J": "j1", "q": Decimal(1)}], frozenset({"q"}))
-    io.write_dw(StarSchema("collide", fact, dims), tmp_path)
+    io.write_dw(star_schema("collide", fact, dims), tmp_path)
     doc = json.loads((tmp_path / "schema.json").read_text(encoding="utf-8"))
     assert [d["table"] for d in doc["dimensions"]] == ["a_b.csv", "a_b_2.csv"]
     assert doc["facts"][0]["table"] == "a_b_3.csv"
@@ -565,7 +568,7 @@ def test_loaded_fact_keeps_few_bytes_per_row(tmp_path):
         schema = io.load_dw(tmp_path)
         n = len(schema.fact.rows)
         with_fact = tracemalloc.get_traced_memory()[0]
-        schema.fact = None
+        schema.facts = ()
         retained = with_fact - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -582,7 +585,7 @@ def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
             for i, k in enumerate(cells * 2)]
     fact = Fact("sales", ("q",), (("d", "K"), ("e", "L")), rows, frozenset({"q"}))
     dim = make_dimension("d", "K", ("K",), [("H", ("K",))], [])
-    io.write_dw(StarSchema("mixed", fact, (dim,)), tmp_path)
+    io.write_dw(star_schema("mixed", fact, (dim,)), tmp_path)
     expected = sorted(rows, key=lambda r: (cell_sort_key(r["K"]), cell_sort_key(r["L"])))
     lines = (tmp_path / "sales.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1:] == [",".join(map(cell_to_text, (r["K"], r["L"], r["q"])))
@@ -765,3 +768,107 @@ def test_loaded_warehouses_always_validate(tmp_path):
         loaded += 1
     assert loaded >= 20
     assert refused == set(RULES), refused
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _add_region(doc):
+    """A dimension the fact does not key, linked by no star entry."""
+    doc["dimensions"].append({"name": "region", "table": "customer.csv", "id": "customer_id",
+                              "attributes": ["customer_id"]})
+    return doc
+
+
+@pytest.mark.parametrize("edit, star, error", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "star"}, True, None),
+    (lambda doc: {**doc, "star": {}}, True, None),
+    (lambda doc: {**doc, "star": {"sales": ["product", "customer"]}}, True, None),
+    (lambda doc: {**doc, "star": {"sales": ["customer", "product", "customer"]}}, True, None),
+    (_add_region, False, None),
+    (lambda doc: {**doc, "star": {"returns": ["customer", "product"]}}, None,
+     "returns [-] star-map: star map references unknown fact 'returns'"),
+], ids=["no-map", "empty-map", "reordered", "repeated", "unlinked-dimension", "unknown-fact"])
+def test_loader_applies_the_one_star_rule(edit, star, error, tmp_path, capsys):
+    """A lone fact with no entry, or one naming every dimension in any order or with
+    repeats, is a star whose map is written in declaration order; other maps stay."""
+    base, _, _ = generate_pair(preset_basic(seed=1, rows=100, fact_rows=60))
+    given = tmp_path / "given"
+    io.write_dw(base, given)
+    descriptor = given / "schema.json"
+    descriptor.write_text(json.dumps(edit(json.loads(descriptor.read_text()))))
+    if error is not None:
+        with pytest.raises(LoadError, match=re.escape(error)):
+            io.load_dw(given)
+        return
+    schema = io.load_dw(given)
+    assert validate(schema) == []
+    assert (schema.fact is not None) == star
+    io.write_dw(schema, tmp_path / "once")
+    doc = json.loads((tmp_path / "once" / "schema.json").read_text())
+    assert doc["star"] == {"sales": ["customer", "product"]}
+    io.write_dw(io.load_dw(tmp_path / "once"), tmp_path / "twice")
+    assert _files(tmp_path / "once") == _files(tmp_path / "twice")
+    if not star:
+        for argv in (["merge", str(given), str(given), str(tmp_path / "out")],
+                     ["match", str(given), str(given)]):
+            assert main(argv) == 2
+            assert ("expected a star schema (single fact); constellation inputs are not "
+                    "supported") in capsys.readouterr().err
+
+
+# Cells the loader reads back as they are: stripped, non-empty text.
+_TEXTS = st.text(alphabet='ab ,"\n', min_size=1, max_size=3).map(str.strip).filter(bool)
+
+
+@st.composite
+def _small_schemas(draw):
+    """1-3 facts on up to 3 dimensions, each fact keyed on some of them, with
+    star maps that may omit a fact, permute or repeat its dimensions, or name
+    other ones; some dimensions no fact links. Key tuples are distinct."""
+    dims = []
+    for i in range(draw(st.integers(0, 3))):
+        ids = draw(st.lists(_TEXTS, min_size=1, max_size=3, unique=True))
+        rows = {k: {"id": k, "a": draw(st.none() | _TEXTS)} for k in ids}
+        dims.append(Dimension(f"d{i}", "id", ("id", "a"), (Hierarchy("h", ("id", "a")),), rows))
+    facts, star = [], {}
+    names = [d.name for d in dims]
+    for j in range(draw(st.integers(1, 3))):
+        keyed = draw(st.just(dims) | st.lists(st.sampled_from(dims), max_size=3)) if dims else []
+        keys = tuple((d.name, f"k{i}") for i, d in enumerate(keyed))
+        tuples = st.tuples(*(st.sampled_from(list(d.rows)) for d in keyed))
+        cells = draw(st.lists(tuples, max_size=3, unique=True))
+        rows = [{**dict(zip((c for _, c in keys), t)),
+                 "m": draw(st.none() | st.integers(-9, 9).map(Decimal))} for t in cells]
+        facts.append(Fact(f"f{j}", ("m",), keys, rows, frozenset({"m"})))
+        linked = [name for name, _ in keys]
+        # Mostly the keyed dimensions, which validate needs, in any order, with repeats.
+        entry = draw(st.sampled_from(["keyed", "keyed", "keyed", "none", "any"]))
+        if entry == "keyed":
+            extra = draw(st.lists(st.sampled_from(linked), max_size=2)) if linked else []
+            star[f"f{j}"] = (*draw(st.permutations(linked)), *extra)
+        elif entry == "any":
+            star[f"f{j}"] = tuple(draw(st.lists(st.sampled_from(names or ["d0"]), max_size=4)))
+    return Schema("s", tuple(facts), tuple(dims), star)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_schemas())
+def test_valid_schemas_round_trip_through_the_star_rule(schema):
+    """A schema ``validate`` accepts reloads valid, as a star exactly when it was
+    one, and writes the bytes its star rule implies: a star's map in dimension
+    declaration order, any other map as it is."""
+    if validate(schema) != []:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        io.write_dw(schema, out / "given")
+        back = io.load_dw(out / "given")
+        assert validate(back) == []
+        assert (back.fact is None) == (schema.fact is None)
+        io.write_dw(back, out / "again")
+        if schema.fact is not None:
+            schema = star_schema(schema.name, schema.fact, schema.dimensions)
+        io.write_dw(schema, out / "expected")
+        assert _files(out / "again") == _files(out / "expected")

@@ -7,7 +7,7 @@ from dwmerge.errors import UserMapError
 from dwmerge.matching import (MatcherConfig, check_user_map, corr_attr_map, edit_distance,
                               match_attributes, match_measures,
                               matched_root_parameters, parse_user_map)
-from dwmerge.model import Fact, StarSchema
+from dwmerge.model import Fact, star_schema
 
 from conftest import customer_left, customer_right, location_dim, make_dimension
 
@@ -94,13 +94,17 @@ def test_user_map_pair_overrides_and_unknown_attr():
     assert ("Zone", "Area") in {(c.left[1], c.right[1]) for c in corrs}
     assert any(c.source == "user-map" for c in corrs)
 
-    s1, s2 = (StarSchema("s", Fact("sales", (), (("customer", "Code"),)), (d,)) for d in (d1, d2))
-    bad = parse_user_map("pair customer.Nope customer.Area\n")
-    with pytest.raises(UserMapError, match="Nope"):
-        check_user_map(bad, s1, s2)
-    bad = parse_user_map("pair customer.Zone customer.Nope\n")
-    with pytest.raises(UserMapError, match="line 1: customer.Nope names an unknown attribute"):
-        check_user_map(bad, s1, s2)
+    s1, s2 = (star_schema("s", Fact("sales", (), (("customer", "Code"),)), (d,)) for d in (d1, d2))
+    # The matchers refuse such a pair themselves, for a call that skips check_user_map.
+    f1, f2 = Fact("customer", ("Zone",), (), []), Fact("customer", ("Area",), (), [])
+    for entry in ("pair customer.Nope customer.Area", "pair customer.Zone customer.Nope"):
+        bad = parse_user_map(f"# forced\n{entry}\n")
+        message = "line 2: customer.Nope names an unknown attribute"
+        for check in (lambda: check_user_map(bad, s1, s2),
+                      lambda: match_attributes(d1, d2, MatcherConfig(user_map=bad)),
+                      lambda: match_measures(f1, f2, MatcherConfig(user_map=bad))):
+            with pytest.raises(UserMapError, match=message):
+                check()
     twice = parse_user_map("pair customer.Zone customer.Area\npair customer.Zone customer.Code\n")
     with pytest.raises(UserMapError, match="pairs customer.Zone / customer.Code more than once"):
         match_attributes(d1, d2, MatcherConfig(user_map=twice))

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from dwmerge.errors import SchemaMismatchError
 from dwmerge import io
 from dwmerge.errors import LoadError
-from dwmerge.model import (Constellation, Dimension, Fact, Hierarchy, StarSchema, Violation,
-                           _validate_dimension, cell_to_text, cells_equal, conforms,
-                           dimension_faults, normalize_name, validate)
+from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, Violation, _validate_dimension,
+                           cell_to_text, cells_equal, conforms, dimension_faults,
+                           normalize_name, star_schema, validate)
 
 from conftest import customer_left, make_dimension
 
@@ -26,14 +26,14 @@ def two_dim_star():
                 [{"Code": "C01", "Pid": "P1", "Quantity": Decimal(3)},
                  {"Code": "C05", "Pid": "P2", "Quantity": Decimal(1)}],
                 frozenset({"Quantity"}))
-    return StarSchema("shop", fact, (customer, product))
+    return star_schema("shop", fact, (customer, product))
 
 
 def with_fact_rows(schema, rows, keep=True):
     """``schema`` with its fact's rows followed by ``rows``, or ``rows`` alone."""
     f = schema.fact
-    schema.fact = Fact(f.name, f.measures, f.dimension_keys,
-                       [*f.rows, *rows] if keep else rows, f.numeric)
+    schema.facts = (Fact(f.name, f.measures, f.dimension_keys,
+                         [*f.rows, *rows] if keep else rows, f.numeric),)
     return schema
 
 
@@ -80,13 +80,13 @@ def test_validate_hierarchy_rules():
     dim = make_dimension("d", "Id", ("Id", "A"), [("H", ("Id", "A"))], [("k1", "x")])
     bad = Dimension("d", "Id", ("Id", "A"),
                     (Hierarchy("H", ("A", "Id")),), dim.rows)
-    star = StarSchema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (bad,))
+    star = star_schema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (bad,))
     rules = {v.rule for v in validate(star)}
     assert "hierarchy-root" in rules
     # Pruning keys hierarchies by name, so a repeated name would drop a live one.
     twice = Dimension("d", "Id", ("Id", "A", "B"),
                       (Hierarchy("H", ("Id", "A")), Hierarchy("H", ("Id", "B"))), dim.rows)
-    star = StarSchema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (twice,))
+    star = star_schema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (twice,))
     assert [v.rule for v in validate(star)] == ["hierarchy-name-unique"]
 
 
@@ -131,20 +131,20 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
         return Fact(name, (), (("d", "Id"),), [{"Id": "k1"}])
 
     cases = [
-        (StarSchema("s", fact("f"), (dim("d"), dim("d"))),
+        (star_schema("s", fact("f"), (dim("d"), dim("d"))),
          Violation("d", "-", "dimension-name-unique", "duplicate dimension name 'd'"),
          "duplicate dimension name 'd'"),
-        (StarSchema("s", fact("f"), (dim("d", frozenset({"ghost"})),)),
+        (star_schema("s", fact("f"), (dim("d", frozenset({"ghost"})),)),
          Violation("d", "-", "numeric-attributes",
                    "numericAttributes ['ghost'] are not declared attributes"),
          "d [-] numeric-attributes: numericAttributes ['ghost'] are not declared attributes"),
-        (Constellation("c", (fact("f"), fact("f")), (dim("d"),), {"f": ("d",)}),
+        (Schema("c", (fact("f"), fact("f")), (dim("d"),), {"f": ("d",)}),
          Violation("f", "-", "fact-name-unique", "duplicate fact name 'f'"),
          "duplicate fact name 'f'"),
-        (Constellation("c", (), (dim("d"),), {}),
+        (Schema("c", (), (dim("d"),), {}),
          Violation("c", "-", "fact-present", "the schema has no fact"),
          "descriptor declares no facts"),
-        (Constellation("c", (fact("f"),), (dim("d"),), {"f": ("d",), "ghost": ("d",)}),
+        (Schema("c", (fact("f"),), (dim("d"),), {"f": ("d",), "ghost": ("d",)}),
          Violation("ghost", "-", "star-map", "star map references unknown fact 'ghost'"),
          "ghost [-] star-map: star map references unknown fact 'ghost'"),
     ]
@@ -168,8 +168,8 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
 def test_validate_names_a_fact_numeric_set_the_reload_changes(numeric, violation, tmp_path):
     schema = two_dim_star()
     f = schema.fact
-    schema.fact = Fact.from_columns(f.name, f.measures, f.dimension_keys, f.columns,
-                                    frozenset(numeric))
+    schema.facts = (Fact.from_columns(f.name, f.measures, f.dimension_keys, f.columns,
+                                      frozenset(numeric)),)
     assert validate(schema) == [violation]
     # The loader derives the set from the descriptor, so it cannot refuse it.
     io.write_dw(schema, tmp_path)

@@ -11,7 +11,7 @@ from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec
                                generate_pair)
 from dwmerge.hierarchy_merge import _segment_fd_edges, tokenize
 from dwmerge.matching import MatcherConfig
-from dwmerge.model import Dimension, Fact, Hierarchy, StarSchema, validate
+from dwmerge.model import Dimension, Fact, Hierarchy, star_schema, validate
 from dwmerge.star_merge import merge_stars
 
 from conftest import make_dimension
@@ -36,8 +36,8 @@ def test_enrichment_accumulates_from_two_partners():
               [{"hid": "h1", "aid": "x1", "m": Decimal(1)}], frozenset({"m"}))
     f2 = Fact("f2", ("m",), (("hub", "hid"), ("axis_b", "bid")),
               [{"hid": "h2", "bid": "y2", "m": Decimal(2)}], frozenset({"m"}))
-    s1 = StarSchema("s1", f1, (target, left_axis))
-    s2 = StarSchema("s2", f2, (target, right_axis))
+    s1 = star_schema("s1", f1, (target, left_axis))
+    s2 = star_schema("s2", f2, (target, right_axis))
     assert validate(s1) == [] and validate(s2) == []
     result = merge_stars(s1, s2)
     hub = result.schema.dimension("hub")
@@ -55,8 +55,8 @@ def test_fact_key_order_alignment():
     # the other fact declares its keys in the opposite order
     f2 = Fact("f", ("m",), (("p", "pid"), ("c", "cid")),
               [{"cid": "c1", "pid": "p1", "m": Decimal(1)}], frozenset({"m"}))
-    s1 = StarSchema("s1", f1, (c, p))
-    s2 = StarSchema("s2", f2, (c, p))
+    s1 = star_schema("s1", f1, (c, p))
+    s2 = star_schema("s2", f2, (c, p))
     result = merge_stars(s1, s2)
     fact = result.schema.fact
     assert fact.key_columns() == ("cid", "pid")

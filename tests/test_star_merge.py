@@ -17,7 +17,7 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Constellation, Fact, Row, StarSchema, cell_to_text, validate
+from dwmerge.model import Cell, Fact, Row, cell_to_text, star_schema, validate
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
@@ -414,7 +414,7 @@ def test_unchanged_fact_rows_are_shared_with_the_inputs():
 def test_star_output_shape():
     dw1, dw2, _ = generate_pair(preset_star4(seed=5))
     res = merge_stars(dw1, dw2)
-    assert isinstance(res.schema, StarSchema)
+    assert res.schema.fact is not None
     assert res.report.result_kind == "star"
     fact_count = next(t for t in res.report.tables if t.kind == "fact")
     assert fact_count.n_merged == fact_count.n_left + fact_count.n_right - fact_count.n_shared
@@ -425,13 +425,26 @@ def test_star_output_shape():
 def test_constellation_output_shape():
     dw1, dw2, _ = generate_pair(preset_const22(seed=5))
     res = merge_stars(dw1, dw2)
-    assert isinstance(res.schema, Constellation)
+    assert res.schema.fact is None
     assert res.report.result_kind == "constellation"
     facts = {f.name: f for f in res.schema.facts}
     assert facts["sales_parts"].rows == dw1.fact.rows
     assert facts["sales_dates"].rows == dw2.fact.rows
     assert set(res.schema.star["sales_parts"]) == {"customer", "supplier", "part"}
     assert set(res.schema.star["sales_dates"]) == {"customer", "supplier", "orderdate"}
+
+
+def test_merge_refuses_a_constellation_before_merging_any_dimension(monkeypatch):
+    dw1, dw2, _ = generate_pair(preset_const22(seed=3))
+    const = merge_stars(dw1, dw2).schema
+    assert const.fact is None
+    calls = []
+    monkeypatch.setattr(star_merge, "merge_dimensions",
+                        lambda *args, **kw: calls.append(args))
+    for s1, s2 in ((const, dw1), (dw1, const)):
+        with pytest.raises(MergeError, match=f"schema {const.name!r} is not a star schema"):
+            merge_stars(s1, s2)
+    assert calls == []
 
 
 def test_unpaired_right_dimension_is_renamed_past_the_left_one(tmp_path):
@@ -448,9 +461,9 @@ def test_unpaired_right_dimension_is_renamed_past_the_left_one(tmp_path):
               [{"Code": "C1", "day": "d1", "qty": Decimal(1)}], frozenset({"qty"}))
     f2 = Fact("sales", ("qty",), (("customer", "Code"), ("date", "stamp")),
               [{"Code": "C2", "stamp": "s1", "qty": Decimal(2)}], frozenset({"qty"}))
-    res = merge_stars(StarSchema("s1", f1, (customer(), date1)),
-                      StarSchema("s2", f2, (customer(), date2)))
-    assert isinstance(res.schema, Constellation)
+    res = merge_stars(star_schema("s1", f1, (customer(), date1)),
+                      star_schema("s2", f2, (customer(), date2)))
+    assert res.schema.fact is None
     assert res.schema.star == {"sales": ("customer", "date"),
                                "sales_2": ("customer", "date_2")}
     facts = {f.name: f for f in res.schema.facts}
@@ -479,8 +492,8 @@ def test_star_self_merge_idempotent():
 def test_unmergeable_stars():
     a = make_dimension("a", "X", ("X",), [("H", ("X",))], [("1",)])
     b = make_dimension("b", "Y", ("Y",), [("H", ("Y",))], [("2",)])
-    s1 = StarSchema("s1", Fact("f1", (), (("a", "X"),), [{"X": "1"}]), (a,))
-    s2 = StarSchema("s2", Fact("f2", (), (("b", "Y"),), [{"Y": "2"}]), (b,))
+    s1 = star_schema("s1", Fact("f1", (), (("a", "X"),), [{"X": "1"}]), (a,))
+    s2 = star_schema("s2", Fact("f2", (), (("b", "Y"),), [{"Y": "2"}]), (b,))
     with pytest.raises(UnmergeableError):
         merge_stars(s1, s2)
 
