@@ -14,6 +14,13 @@ dimensions with seeded integer measures; a side's fact keeps the world rows
 whose keys were all sampled by that side, so shared fact tuples carry
 identical measures unless a conflict plan says otherwise.
 
+Each dimension side and each fact draws from its own ``random.Random``,
+seeded from the spec's seed and name and the table's. A fact's draws come in
+this order: ``sample`` of the world rows' keys, then for each world row in
+key order its measures in declaration order, each ``randrange(1, 100000)``,
+then (with a conflict measure) one ``random()`` that decides whether side 2
+bumps it.
+
 The manifest records ground truth: per-table sampled and shared counts,
 the functional dependencies implied by the divisors, and (where the chain
 shapes make it predictable) the number of completable cells per attribute.
@@ -24,9 +31,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from decimal import Decimal
-from itertools import compress
+from itertools import chain, compress, islice, repeat
+from operator import add, floordiv, mod, rshift
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -35,6 +45,10 @@ from .model import Dimension, Fact, Hierarchy, Schema, star_schema
 from .report import json_name, to_json
 
 MANIFEST_VERSION = 1
+# Fact measures are draws of randrange(1, _MEASURE_STOP).
+_MEASURE_STOP = 100000
+# Generator outputs _draws reads per getrandbits call.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -187,10 +201,6 @@ def _view_chains(d: GenDimension, side: int) -> tuple[str, ...] | None:
 # generation
 # ---------------------------------------------------------------------------
 
-def _value(attr: str, divisor: int, idx: int) -> str:
-    return f"{attr}_{idx // divisor:05d}"
-
-
 def _view_attrs(d: GenDimension, chains: tuple[str, ...]) -> list[str]:
     """The attributes the chains carry, in first-seen order."""
     by_name = {c.name: c for c in d.chains}
@@ -204,35 +214,78 @@ def _view_dimension(d: GenDimension, chains: tuple[str, ...], indices: list[int]
     root = d.attrs[0].name
     by_name = {c.name: c for c in d.chains}
     hierarchies = tuple(Hierarchy(cn, by_name[cn].parameters) for cn in chains)
-    rows = ({a: _value(a, divisors[a], i) for a in attrs} for i in indices)
-    return Dimension(d.name, root, tuple(attrs), hierarchies, {r[root]: r for r in rows})
+    columns = []
+    for a in attrs:
+        # format each distinct group once
+        groups = list(map(floordiv, indices, repeat(divisors[a])))
+        text = {q: f"{a}_{q:05d}" for q in dict.fromkeys(groups)}
+        columns.append(list(map(text.__getitem__, groups)))
+    rows = map(dict, map(zip, repeat(attrs), zip(*columns)))
+    return Dimension(d.name, root, tuple(attrs), hierarchies,
+                     dict(zip(columns[attrs.index(root)], rows)))
 
 
-def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]) -> list[tuple]:
-    """World fact rows in key order: (index per dimension, measures, divergent)."""
+def _draws(rng: random.Random, count: int, stop: int) -> list[int]:
+    """What ``count`` calls of ``rng.randrange(1, stop)`` return, in draw order.
+
+    With ``width = stop - 1`` (below 2**32), a draw is 1 plus the top
+    ``width.bit_length()`` bits of one 32-bit Mersenne Twister output, an
+    output whose bits reach ``width`` being skipped. The outputs are read
+    ``_BLOCK`` at a time, so ``rng`` ends past the last one used and must not
+    be drawn from again.
+    """
+    def block() -> array:
+        # getrandbits puts the first output in the lowest 32 bits
+        words = array("I", rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+    width = stop - 1
+    shift = 32 - width.bit_length()
+    words = chain.from_iterable(iter(block, None))
+    kept = filter(width.__gt__, map(rshift, words, repeat(shift)))
+    return list(map(add, islice(kept, count), repeat(1)))
+
+
+def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]
+                ) -> tuple[list[list[int]], list[list[Decimal]], list[bool]]:
+    """The world fact in key order as columns: the world row index per
+    dimension, each measure, and whether side 2 bumps the conflict measure."""
     rng = random.Random(f"{spec.seed}:{spec.name}:fact:{f.name}")
     space = math.prod(sizes[dn] for dn in f.dims)
-    world = []
-    for v in sorted(rng.sample(range(space), f.rows)):
-        key = []
-        for dn in f.dims:
-            v, k = divmod(v, sizes[dn])
-            key.append(k)
-        measures = tuple(Decimal(rng.randrange(1, 100000)) for _ in f.measures)
-        divergent = f.conflict_measure is not None and rng.random() < f.conflict_fraction
-        world.append((tuple(key), measures, divergent))
-    return world
+    rest = sorted(rng.sample(range(space), f.rows))
+    keys = []
+    for dn in f.dims:
+        keys.append(list(map(mod, rest, repeat(sizes[dn]))))
+        rest = list(map(floordiv, rest, repeat(sizes[dn])))
+    n = len(f.measures)
+    if f.conflict_measure is None:
+        # rng is dropped after this call, so _draws may run it ahead
+        ints = _draws(rng, f.rows * n, _MEASURE_STOP)
+        divergent = [False] * f.rows
+    else:
+        ints, divergent = [], []
+        for _ in range(f.rows):
+            ints.extend(rng.randrange(1, _MEASURE_STOP) for _ in range(n))
+            divergent.append(rng.random() < f.conflict_fraction)
+    measures = [list(map(Decimal, ints[j::n])) for j in range(n)]
+    return keys, measures, divergent
 
 
-def _view_fact(f: GenFact, world: list[tuple], roots: tuple[str, ...],
-               side: int) -> Fact:
+def _view_fact(f: GenFact, world: tuple, member: list[bool], ids: list[dict[int, str]],
+               roots: tuple[str, ...], side: int) -> Fact:
+    """Side ``side``'s fact: the world rows ``member`` keeps, keyed by the
+    side's dimension ids (``ids`` maps world row index to id, per dimension)."""
+    keys, measures, divergent = world
     view_measures = (f.view1_measures if side == 1 else f.view2_measures) or f.measures
-    bumped = f.conflict_measure if side == 2 else None
-    columns = [[_value(col, 1, key[p]) for key, _, _ in world] for p, col in enumerate(roots)]
+    columns = [list(map(lookup.__getitem__, compress(col, member)))
+               for lookup, col in zip(ids, keys)]
     for m in view_measures:
-        pos = f.measures.index(m)
-        columns.append([ms[pos] + 1 if divergent and m == bumped else ms[pos]
-                        for _, ms, divergent in world])
+        column = list(compress(measures[f.measures.index(m)], member))
+        if side == 2 and m == f.conflict_measure:
+            column = [v + 1 if bumped else v
+                      for v, bumped in zip(column, compress(divergent, member))]
+        columns.append(column)
     return Fact.from_columns(f.name, tuple(view_measures), tuple(zip(f.dims, roots)),
                              columns, frozenset(view_measures))
 
@@ -248,6 +301,8 @@ def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:
     # side -> dimension -> sampled world row indices; a side that lacks the
     # dimension has no entry
     sampled: dict[int, dict[str, set[int]]] = {1: {}, 2: {}}
+    # side -> dimension -> world row index -> that row's id on the side
+    ids: dict[int, dict[str, dict[int, str]]] = {1: {}, 2: {}}
     dims_by_side: dict[int, list[Dimension]] = {1: [], 2: []}
     manifest_dims: dict[str, dict] = {}
 
@@ -260,7 +315,9 @@ def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:
             rng = random.Random(f"{spec.seed}:{spec.name}:dim:{d.name}:{side}")
             indices = sorted(rng.sample(range(d.rows), round(fraction * d.rows)))
             sampled[side][d.name] = set(indices)
-            dims_by_side[side].append(_view_dimension(d, chains, indices))
+            dim = _view_dimension(d, chains, indices)
+            ids[side][d.name] = dict(zip(indices, dim.rows))
+            dims_by_side[side].append(dim)
         kept = [sampled[side].get(d.name) for side in (1, 2)]
         manifest_dims[d.name] = {
             "worldRows": d.rows,
@@ -278,9 +335,11 @@ def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:
         for side in (1, 2):
             if not (f.view1 if side == 1 else f.view2):
                 continue
-            samples = [sampled[side][dn] for dn in f.dims]
-            member[side] = [all(map(set.__contains__, samples, key)) for key, _, _ in world]
-            facts_by_side[side] = _view_fact(f, list(compress(world, member[side])),
+            flags = [map(sampled[side][dn].__contains__, col)
+                     for dn, col in zip(f.dims, world[0])]
+            member[side] = list(map(all, zip(*flags))) if flags else [True] * f.rows
+            facts_by_side[side] = _view_fact(f, world, member[side],
+                                             [ids[side][dn] for dn in f.dims],
                                              tuple(roots[dn] for dn in f.dims), side)
         manifest_facts[f.name] = {
             "worldRows": f.rows,

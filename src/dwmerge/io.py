@@ -68,6 +68,7 @@ import json
 import logging
 import re
 from decimal import Decimal, InvalidOperation
+from io import StringIO
 from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -99,7 +100,8 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
     csv module cannot parse, such as one with a field over its size limit, is
     a load error on the line the record starts on, and so is a NaN in a
     numeric column. A byte that is not UTF-8 is a load error on the physical
-    line that holds it.
+    line that holds it, unless a record that ends before that line has a
+    fault: faults are reported in file order.
 
     Each record is checked as it arrives: its field count, then its numbers
     in file-column order, so of two bad numbers the leftmost is named.
@@ -109,9 +111,6 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read table: {exc}", path=where) from exc
-    cells: list[list[Cell]] = [[] for _ in columns]
-    lines: list[int] = []
-    start = 1  # the line the record being read starts on
     with handle:
         if handle.seekable():  # a pipe could not be read again
             try:
@@ -121,51 +120,75 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
             if split is not None:
                 return split[0], list(range(2, split[1] + 2))
             handle.seek(0)
-        reader = csv.reader(handle)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise LoadError("table file is empty, header expected", path=where, line=1)
-            repeated = [c for i, c in enumerate(header) if c in header[:i]]
-            if repeated:
-                raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise LoadError(f"header is missing declared columns {missing!r}",
-                                path=where, line=1)
-            width = len(header)
-            positions = [header.index(c) for c in columns]
-            numeric_at = sorted((j for j, c in enumerate(columns) if c in numeric),
-                                key=positions.__getitem__)
-            # A record starts one line after the previous one (the header first) ends.
-            start = reader.line_num + 1
-            for record in reader:
-                if len(record) != width:
-                    raise LoadError(f"row has {len(record)} fields, header has {width}",
-                                    path=where, line=start)
-                values: list[Cell] = [record[i].strip() or None for i in positions]
-                for j in numeric_at:
-                    text = values[j]
-                    if text is not None:
-                        values[j] = _number(text)
-                        if values[j] is None:
-                            raise LoadError(f"{text!r} is not a number", path=where, line=start)
-                for col, value in zip(cells, values):
-                    col.append(value)
-                lines.append(start)
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
+            return _read_records(handle, where, columns, numeric)
         except UnicodeDecodeError:
             # The reader decodes ahead in blocks, so place the bad byte in the file's bytes.
             data = path.read_bytes()
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise LoadError(f"cannot read table: {exc}", path=where,
-                                line=data.count(b"\n", 0, exc.start) + 1) from None
-            raise
-    return cells, lines
+                bad = exc
+            else:
+                raise
+    line_start = data.rfind(b"\n", 0, bad.start) + 1
+
+    def lines_before_the_bad_one():
+        yield from StringIO(data[:line_start].decode("utf-8"), newline="")
+        # Reading on meets the bad byte, also inside a quoted record that
+        # started earlier: that record is then cut by the error, not read short.
+        raise bad
+
+    try:
+        _read_records(lines_before_the_bad_one(), where, columns, numeric)
+    except UnicodeDecodeError:
+        pass
+    raise LoadError(f"cannot read table: {bad}", path=where,
+                    line=data.count(b"\n", 0, line_start) + 1) from None
+
+
+def _read_records(lines: Iterable[str], where: str, columns: list[str], numeric: set[str]
+                  ) -> tuple[list[list[Cell]], list[int]]:
+    """:func:`_read_csv`'s record reader over ``lines``, the table's lines with their ends."""
+    cells: list[list[Cell]] = [[] for _ in columns]
+    starts: list[int] = []
+    start = 1  # the line the record being read starts on
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise LoadError("table file is empty, header expected", path=where, line=1)
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
+        if repeated:
+            raise LoadError(f"header repeats column {repeated[0]!r}", path=where, line=1)
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise LoadError(f"header is missing declared columns {missing!r}",
+                            path=where, line=1)
+        width = len(header)
+        positions = [header.index(c) for c in columns]
+        numeric_at = sorted((j for j, c in enumerate(columns) if c in numeric),
+                            key=positions.__getitem__)
+        # A record starts one line after the previous one (the header first) ends.
+        start = reader.line_num + 1
+        for record in reader:
+            if len(record) != width:
+                raise LoadError(f"row has {len(record)} fields, header has {width}",
+                                path=where, line=start)
+            values: list[Cell] = [record[i].strip() or None for i in positions]
+            for j in numeric_at:
+                text = values[j]
+                if text is not None:
+                    values[j] = _number(text)
+                    if values[j] is None:
+                        raise LoadError(f"{text!r} is not a number", path=where, line=start)
+            for col, value in zip(cells, values):
+                col.append(value)
+            starts.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise LoadError(f"malformed CSV: {exc}", path=where, line=start) from None
+    return cells, starts
 
 
 def _split_csv(handle, columns: list[str], numeric: set[str]

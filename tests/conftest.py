@@ -18,6 +18,9 @@ The pair is built so that every merge stage has a known outcome:
 
 from __future__ import annotations
 
+import math
+import random
+from decimal import Decimal
 from typing import Sequence
 
 import pytest
@@ -149,6 +152,24 @@ def maximal_paths(edges) -> set[tuple]:
     for s in sources:
         walk([s])
     return out
+
+
+# generator._fact_world as it was when it drew each measure with
+# randrange and built one tuple per row: kept verbatim as the reference.
+def reference_fact_world(spec, f, sizes: dict[str, int]) -> list[tuple]:
+    """World fact rows in key order: (index per dimension, measures, divergent)."""
+    rng = random.Random(f"{spec.seed}:{spec.name}:fact:{f.name}")
+    space = math.prod(sizes[dn] for dn in f.dims)
+    world = []
+    for v in sorted(rng.sample(range(space), f.rows)):
+        key = []
+        for dn in f.dims:
+            v, k = divmod(v, sizes[dn])
+            key.append(k)
+        measures = tuple(Decimal(rng.randrange(1, 100000)) for _ in f.measures)
+        divergent = f.conflict_measure is not None and rng.random() < f.conflict_fraction
+        world.append((tuple(key), measures, divergent))
+    return world
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import json
+import math
+import random
 
 import pytest
 
+from dwmerge import generator
 from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec,
                                generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4, spec_from_dict,
@@ -9,6 +12,7 @@ from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec
 from dwmerge.hierarchy_merge import enumerate_fds
 from dwmerge.model import validate
 
+from conftest import reference_fact_world
 from test_output_digests import conflict_spec
 
 
@@ -161,3 +165,57 @@ def test_conflict_plan_produces_conflicts():
         if k in keys1 and keys1[k]["price"] != r["price"]:
             diverged += 1
     assert diverged > 0
+
+
+@pytest.mark.parametrize("block", [5, generator._BLOCK])
+def test_block_draws_match_random(block, monkeypatch):
+    # Draw counts at and across block boundaries; the small block crosses
+    # hundreds of them, the real one a few.
+    monkeypatch.setattr(generator, "_BLOCK", block)
+    counts = (0, 1, block - 1, block, 3 * block + 7)
+    seeds = range(250) if block < 100 else range(15)
+    stops = (100000, 2, 7, 1000, 3 ** 20)
+    for seed in seeds:
+        count, stop = counts[seed % 5], stops[seed // 5 % 5]
+        rng = random.Random(seed)
+        rng.random()  # start mid-stream, as after a fact's sample
+        want = random.Random(seed)
+        want.random()
+        assert generator._draws(rng, count, stop) == [
+            want.randrange(1, stop) for _ in range(count)], (seed, count, stop)
+
+
+def random_fact(rng: random.Random, case: int) -> tuple[GenSpec, GenFact, dict]:
+    """A fact over 1-4 dimensions with 0-3 measures, sometimes with a conflict plan."""
+    sizes = {f"d{i}": rng.randint(1, 9) for i in range(rng.randint(1, 4))}
+    if case % 10 == 9:  # past one block of draws
+        sizes["d0"] = 10000
+    space = math.prod(sizes.values())
+    rows = (0, 1, space, rng.randint(0, space))[case % 4]
+    if case % 10 == 9:
+        rows = rng.randint(generator._BLOCK // 2, generator._BLOCK)
+    measures = tuple(f"m{j}" for j in range(rng.randint(0, 3)))
+    conflict = rng.choice(measures) if measures and rng.random() < 0.5 else None
+    fact = GenFact(f"f{case}", rows, tuple(sizes), measures, conflict_measure=conflict,
+                   conflict_fraction=rng.choice([0.0, 0.3, 1.0]) if conflict else 0.0)
+    return GenSpec(f"s{case}", rng.randint(0, 10 ** 6), (), (fact,)), fact, sizes
+
+
+def test_fact_world_matches_reference():
+    rng = random.Random(2020)
+    seen = {"rows 0": 0, "full space": 0, "conflict": 0, "no measure": 0, "past a block": 0}
+    for case in range(320):
+        spec, fact, sizes = random_fact(rng, case)
+        keys, measures, divergent = generator._fact_world(spec, fact, sizes)
+        assert len(keys) == len(fact.dims) and len(measures) == len(fact.measures)
+        rows = [(tuple(c[i] for c in keys), tuple(c[i] for c in measures), divergent[i])
+                for i in range(len(divergent))]
+        assert rows == reference_fact_world(spec, fact, sizes), case
+        seen["rows 0"] += fact.rows == 0
+        seen["full space"] += fact.rows == math.prod(sizes.values()) > 1
+        seen["conflict"] += any(divergent) and not all(divergent)
+        seen["no measure"] += not fact.measures and fact.rows > 1
+        # only a fact without a conflict measure draws in blocks
+        seen["past a block"] += (fact.conflict_measure is None
+                                 and fact.rows * len(fact.measures) > generator._BLOCK)
+    assert all(seen.values()), seen

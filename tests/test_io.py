@@ -141,13 +141,20 @@ def test_errors_report_physical_lines_after_a_multiline_field(tmp_path, caplog):
 
 
 # io._read_csv as it was when it built a dict per record, checking each
-# record as it arrived: kept verbatim as the reference.
+# record as it arrived: kept verbatim as the reference, except that it
+# decodes a file that is not UTF-8 a byte at a time, so that it meets the
+# bad byte in file order rather than at the start of the 8 KB block that
+# holds it.
 def reference_read_csv(path: Path, columns: list[str], numeric: set[str]):
     where = str(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read table: {exc}", path=where) from exc
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        handle._CHUNK_SIZE = 1
     start = 1  # the line the record being read starts on
     with handle:
         reader = csv.reader(handle)
@@ -301,6 +308,28 @@ def test_read_csv_matches_reference_reader_in_small_chunks(chars, tmp_path, monk
     monkeypatch.setattr(io, "_split_csv", count_split)
     test_read_csv_matches_reference_reader(tmp_path)
     assert sum(split) > 100, sum(split)
+
+
+def test_read_csv_reports_faults_in_file_order(tmp_path):
+    # 3,200 rows of 8 bytes put the wrong field count on line 3,203 and the
+    # bad byte on line 4,800 in one 8 KB block, which the reader decodes
+    # before it splits line 3,203.
+    lines = ["a,b"] + ["€€,"] * 3200 + ["1,2", "1,2,3"] + ["1,2"] * 1596
+    data = "\n".join(lines).encode() + b"\n\xff,1\n"
+    assert data.index(b"1,2,3") // 8192 == data.index(b"\xff") // 8192
+    table = tmp_path / "t.csv"
+    table.write_bytes(data)
+    with pytest.raises(LoadError, match="row has 3 fields, header has 2") as err:
+        io._read_csv(table, ["a", "b"], set())
+    assert err.value.line == 3203
+    # With no earlier fault the bad byte is named on its own line, also when
+    # it comes in the header or inside a quoted record that started earlier.
+    for text, line in [(b"a,b\n1,2\n3,\xff\n", 3), (b"a,\xff\n1,2\n", 1),
+                       (b'a,b\n"x\ny\xff",1\n', 3)]:
+        table.write_bytes(text)
+        with pytest.raises(LoadError, match="cannot read table: 'utf-8' codec") as err:
+            io._read_csv(table, ["a", "b"], set())
+        assert err.value.line == line, text
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -19,8 +19,8 @@ from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, pr
                                preset_divergent, preset_star4, spec_to_dict)
 
 
-def conflict_spec() -> GenSpec:
-    spec = preset_basic(seed=8, rows=200, fact_rows=600)
+def conflict_spec(seed: int = 8, rows: int = 200, fact_rows: int = 600) -> GenSpec:
+    spec = preset_basic(seed=seed, rows=rows, fact_rows=fact_rows)
     f = spec.facts[0]
     return GenSpec(spec.name, spec.seed, spec.dimensions,
                    (GenFact(f.name, f.rows, f.dims, f.measures,
@@ -89,14 +89,22 @@ GEN_CASES = {
     # Side 2 adds 1 to the price of about half the shared fact tuples.
     "conflict-plan": (["--spec", "spec.json"],
                       "5c47ad022270f68b0ba91a128bfe041dd4efa3905e4df2912e7b74aa39871ff3"),
+    # 12,000 fact rows with a conflict plan: their measures and conflict
+    # draws take 14 blocks of generator output, the cases above 2 at most.
+    "conflict-plan-large": (["--spec", "large.json"],
+                            "a73170be5f1d3b62c9dd25b5fe8448a23e6b77e3fa0e8fab95cebe9ac8f3e99f"),
 }
+
+SPEC_FILES = {"spec.json": conflict_spec,
+              "large.json": lambda: conflict_spec(seed=9, rows=2000, fact_rows=12000)}
 
 
 @pytest.mark.parametrize("case", sorted(GEN_CASES))
 def test_gen_output_digest(case, tmp_path, monkeypatch, capsys):
     flags, want = GEN_CASES[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.json").write_text(json.dumps(spec_to_dict(conflict_spec())))
+    for name, spec in SPEC_FILES.items():
+        (tmp_path / name).write_text(json.dumps(spec_to_dict(spec())))
     assert cli.main(["gen", "out/dw1", "out/dw2", "--manifest", "out/manifest.json",
                      *flags]) == cli.EXIT_OK
     capsys.readouterr()
