@@ -1,10 +1,11 @@
 """Merging two star schemas end to end.
 
 Phases: cross-enrich dimension pairs with unmatched roots, pair and merge
-dimensions with matched roots, prune dead or subsumed hierarchies, then
-merge the facts into a star when every dimension found a matched-root
-partner, or assemble a constellation otherwise. The resulting report is
-checked against the count laws before anything is returned.
+dimensions with matched roots, prune hierarchies that no row conforms to or
+whose rows longer hierarchies cover, then merge the facts into a star when
+every dimension found a matched-root partner, or assemble a constellation
+otherwise. The resulting report is checked against the count laws before
+anything is returned.
 """
 
 from __future__ import annotations
@@ -41,41 +42,29 @@ class StarMergeResult:
 # hierarchy pruning
 # ---------------------------------------------------------------------------
 
-def prune_hierarchies(dim: Dimension, original_seqs: set[tuple[str, ...]],
-                      merged_seqs: set[tuple[str, ...]]
-                      ) -> tuple[Dimension, list[tuple[Hierarchy, str]]]:
-    """Delete hierarchies no instance conforms to, and originals whose
-    conforming instances all conform to a merged superset hierarchy.
+def prune_hierarchies(dim: Dimension) -> tuple[Dimension, list[tuple[Hierarchy, str]]]:
+    """Delete hierarchies no instance conforms to, and hierarchies whose
+    conforming instances all conform to ones over strictly more parameters,
+    whether the inputs carried them or the merge made them.
 
-    ``original_seqs`` are the parameter sequences of the hierarchies the raw
-    inputs carried; ``merged_seqs`` the merge-produced ones. A sequence can
-    be in both: a merge that reproduces an input hierarchy still counts as
-    merged for the subsumption rule. Decisions are evaluated against the
-    incoming hierarchy set and applied in one batch, so the outcome does not
-    depend on iteration order.
+    Strict containment keeps two hierarchies over the same parameters in
+    different orders from removing each other. Decisions are evaluated
+    against the incoming hierarchy set and applied in one batch, so the
+    outcome does not depend on iteration order, and every row on a
+    subsumed hierarchy stays on a surviving one.
     """
-    rows = list(dim.rows.values())
-    conformers = {h.name: [i for i, r in enumerate(rows) if conforms(r, h)]
-                  for h in dim.hierarchies}
-    merged = [h for h in dim.hierarchies if h.parameters in merged_seqs]
-
+    columns = {p for h in dim.hierarchies for p in h.parameters}
+    # Rows null in the same hierarchy columns conform to the same hierarchies.
+    kinds = {frozenset(c for c in columns if r.get(c) is None): r
+             for r in dim.rows.values()}.values()
     removed: list[tuple[Hierarchy, str]] = []
     for h in dim.hierarchies:
-        rows_on_h = conformers[h.name]
-        if not rows_on_h:
+        params = set(h.parameters)
+        longer = [m for m in dim.hierarchies if set(m.parameters) > params]
+        on_h = [r for r in kinds if conforms(r, h)]
+        if not on_h:
             removed.append((h, REASON_DEAD))
-            continue
-        if h.parameters not in original_seqs:
-            continue
-        supersets = [m for m in merged
-                     if set(m.parameters) >= set(h.parameters)
-                     and m.parameters != h.parameters]
-        if not supersets:
-            continue
-        covering = set()
-        for m in supersets:
-            covering.update(conformers[m.name])
-        if all(i in covering for i in rows_on_h):
+        elif all(any(conforms(r, m) for m in longer) for r in on_h):
             removed.append((h, REASON_SUBSUMED))
 
     gone = {h.name for h, _ in removed}
@@ -197,16 +186,13 @@ class OutputDimension:
     contributed nothing; a leftover dimension is a merged one whose other
     side is absent. ``attr_sources`` maps each attribute to its raw name on
     each side; attributes missing from it keep their name on both sides.
-    ``originals`` and ``produced`` are the parameter sequences of the input
-    hierarchies and of the merge-produced ones, and ``fills`` pairs every
-    completion fill with the attribute it landed on, all in output names.
+    ``fills`` pairs every completion fill with the attribute it landed on,
+    in output names.
     """
 
     dimension: Dimension
     sources: tuple[Dimension | None, Dimension | None]
     attr_sources: Mapping[str, tuple[str | None, str | None]] = field(default_factory=dict)
-    originals: set[tuple[str, ...]] = field(default_factory=set)
-    produced: set[tuple[str, ...]] = field(default_factory=set)
     fills: list[tuple[str, CompletionFill]] = field(default_factory=list)
     conflicts: list[ValueConflict] = field(default_factory=list)
     shared: int = 0
@@ -219,33 +205,32 @@ class OutputDimension:
                           self.shared, len(self.dimension.rows))
 
 
-def _input_record(dim: Dimension, sources: tuple[Dimension | None, Dimension | None]
-                  ) -> OutputDimension:
-    return OutputDimension(dim, sources, originals={h.parameters for h in dim.hierarchies})
-
-
-def _enrich(rec: OutputDimension, dim: Dimension, produced: Sequence[Hierarchy],
-            fills: Sequence[CompletionFill]) -> None:
+def _enrich(rec: OutputDimension, dim: Dimension, fills: Sequence[CompletionFill]) -> None:
     rec.dimension = dim
-    rec.produced.update(h.parameters for h in produced)
     rec.fills.extend((f.attribute, f) for f in fills)
 
 
 def _merged_record(r1: OutputDimension, r2: OutputDimension,
                    res: DimensionMergeResult) -> OutputDimension:
-    """Fold two input records into the record of their merged dimension."""
-    to_unified = {src[1]: a for a, src in res.attr_sources.items() if src[1] is not None}
+    """Fold two input records into the record of their merged dimension.
 
-    def unified(seq: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(to_unified.get(p, p) for p in seq)
-
+    An enrichment fill is kept only where neither input row, as loaded,
+    holds a value in its output cell, and once per cell: the fill whose
+    value (an input cell object) the cell holds, the left one first.
+    """
+    left, right = r1.sources[0], r2.sources[1]
+    to_output = {src[1]: a for a, src in res.attr_sources.items() if src[1] is not None}
+    rows = res.dimension.rows
+    enriched: dict[tuple, tuple[str, CompletionFill]] = {}
+    for attr, f in r1.fills + [(to_output.get(a, a), f) for a, f in r2.fills]:
+        raw = res.attr_sources.get(attr, (attr, attr))
+        if rows[f.row_key][attr] is f.value and not any(
+                d is not None and d.rows.get(f.row_key, {}).get(a) is not None
+                for d, a in zip((left, right), raw)):
+            enriched.setdefault((f.row_key, attr), (attr, f))
     return OutputDimension(
-        res.dimension, (r1.sources[0], r2.sources[1]), res.attr_sources,
-        originals=r1.originals | {unified(s) for s in r2.originals},
-        produced=({h.parameters for h in res.merged_only} | r1.produced
-                  | {unified(s) for s in r2.produced}),
-        fills=(r1.fills + [(to_unified.get(a, a), f) for a, f in r2.fills]
-               + [(f.attribute, f) for f in res.completion_log]),
+        res.dimension, (left, right), res.attr_sources,
+        fills=list(enriched.values()) + [(f.attribute, f) for f in res.completion_log],
         conflicts=res.conflict_log, shared=res.shared_keys)
 
 
@@ -258,8 +243,8 @@ def merge_all_dimensions(s1: Schema, s2: Schema, matcher: MatcherConfig,
     left and right leftovers by name, right ones renamed on a clash) and
     every correspondence used.
     """
-    recs1 = {d.name: _input_record(d, (d, None)) for d in s1.dimensions}
-    recs2 = {d.name: _input_record(d, (None, d)) for d in s2.dimensions}
+    recs1 = {d.name: OutputDimension(d, (d, None)) for d in s1.dimensions}
+    recs2 = {d.name: OutputDimension(d, (None, d)) for d in s2.dimensions}
     all_corrs: list[Correspondence] = []
     # Correspondences keyed on everything match_attributes reads, so phase 2
     # re-matches a pair only if phase 1 changed the attributes of one side.
@@ -279,8 +264,8 @@ def merge_all_dimensions(s1: Schema, s2: Schema, matcher: MatcherConfig,
             if not corrs or matched_root_parameters(r1.dimension, r2.dimension, corrs):
                 continue
             res = merge_dimensions(r1.dimension, r2.dimension, corrs, settings)
-            _enrich(r1, res.left, res.merged_only_left, res.completion_log_left)
-            _enrich(r2, res.right, res.merged_only_right, res.completion_log_right)
+            _enrich(r1, res.left, res.completion_log_left)
+            _enrich(r2, res.right, res.completion_log_right)
             all_corrs.extend(corrs)
 
     # Phase 2: pair matched-root dimensions (most correspondences first).
@@ -356,7 +341,7 @@ def merge_stars(s1: Schema, s2: Schema, matcher: MatcherConfig = MatcherConfig()
     if settings.prune:
         final_dims = []
         for rec in records:
-            pdim, removed = prune_hierarchies(rec.dimension, rec.originals, rec.produced)
+            pdim, removed = prune_hierarchies(rec.dimension)
             final_dims.append(pdim)
             for h, reason in removed:
                 report.pruned.append(PrunedHierarchy(pdim.name, h.name, reason))

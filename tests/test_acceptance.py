@@ -107,10 +107,7 @@ def test_accept_pruning():
     for stub, expect_kept in ((False, False), (True, True)):
         d1, d2 = customer_left(), customer_right(include_stub=stub)
         res = merge_dimensions(d1, d2, match_attributes(d1, d2, MatcherConfig()))
-        originals = ({h.parameters for h in d1.hierarchies}
-                     | {h.parameters for h in d2.hierarchies})
-        merged_seqs = {h.parameters for h in res.merged_only}
-        pruned, removed = prune_hierarchies(res.dimension, originals, merged_seqs)
+        pruned, removed = prune_hierarchies(res.dimension)
         kept = h4 in {h.parameters for h in pruned.hierarchies}
         assert kept == expect_kept
         if not stub:

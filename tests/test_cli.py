@@ -101,6 +101,33 @@ def test_merge_self_preserves_counts(tmp_path):
         assert t["rowsShared"] == t["rowsLeft"] == t["rowsMerged"]
 
 
+def test_remerging_a_star4_output_with_an_input(tmp_path, capsys):
+    # Enrichment fills region into every customer row of a, and each of those
+    # rows fuses with a row of ab that already holds region: no fill counts.
+    a, b, ab = tmp_path / "a", tmp_path / "b", tmp_path / "ab"
+    assert main(["gen", str(a), str(b), "--preset", "star4", "--seed", "3"]) == 0
+    assert main(["merge", str(a), str(b), str(ab)]) == 0
+    for left, right in ((ab, a), (a, ab)):
+        out = tmp_path / f"{left.name}_{right.name}"
+        assert main(["merge", str(left), str(right), str(out)]) == 0
+        assert main(["validate", "--strict", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["completedAttributes"] == []
+    names = [p.name for p in sorted(ab.glob("*.csv"))]
+    match, mismatch, errors = filecmp.cmpfiles(ab, tmp_path / "ab_a", names, shallow=False)
+    assert match == names
+
+
+def test_merging_a_const22_warehouse_with_itself(tmp_path, capsys):
+    # Both sides enrich the same 300 customer cells with region; each counts once.
+    c, d, out = tmp_path / "c", tmp_path / "d", tmp_path / "cc"
+    assert main(["gen", str(c), str(d), "--preset", "const22", "--seed", "3"]) == 0
+    assert main(["merge", str(c), str(c), str(out)]) == 0
+    assert main(["validate", "--strict", str(out)]) == 0
+    completed = json.loads((out / "report.json").read_text())["completedAttributes"]
+    assert [(e["table"], e["attribute"], e["filled"], e["nonNullMerged"])
+            for e in completed] == [("customer", "region", 300, 300)]
+
+
 def test_match_prints_correspondences(tmp_path, capsys):
     dw1, dw2 = gen(tmp_path)
     assert main(["match", str(dw1), str(dw2)]) == 0

@@ -35,6 +35,10 @@ CASES = {
     # enrichment that completes a right dimension.
     "const22": (lambda: preset_const22(seed=7), [],
                 "166ccae87e00168db54bcc2d3adefc288991bdc158c777bc575a8d94f42f4034"),
+    # Every row on the customer's merged chain (customer_id, nation, region)
+    # is on a longer merged chain too, so that chain is pruned.
+    "const22-covered-chain": (lambda: preset_const22(seed=1, overlap=1.0), [],
+                              "6e4c50b70ff82330275c7aa29728c4d6ff7c87f94cb7486c8ebed9c864fc7b1a"),
     "divergent": (lambda: preset_divergent(seed=7, rows=600), [],
                   "cb55ab695159ac83ad6e1cc1cd1381c6169614914182b9c82e3b00f86d0bfedd"),
     # Cross-enrichment adds an attribute, so merge_all_dimensions re-matches pairs.

@@ -2,12 +2,14 @@ import contextlib
 import copy
 import operator
 import random
+from dataclasses import replace
 from decimal import Decimal
-from itertools import repeat
+from itertools import permutations, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwmerge import io, star_merge
 from dwmerge.config import MergeSettings
@@ -17,7 +19,7 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Fact, Row, cell_to_text, star_schema, validate
+from dwmerge.model import Cell, Fact, Row, cell_to_text, conforms, star_schema, validate
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
@@ -32,19 +34,13 @@ def merged_customer_dim(include_stub=False):
     return merge_dimensions(d1, d2, corrs)
 
 
-def original_seqs():
-    return ({h.parameters for h in customer_left().hierarchies}
-            | {h.parameters for h in customer_right().hierarchies})
-
-
 # ---------------------------------------------------------------------------
 # pruning
 # ---------------------------------------------------------------------------
 
 def test_prune_subsumed_original():
     res = merged_customer_dim()
-    merged_seqs = {h.parameters for h in res.merged_only}
-    pruned, removed = prune_hierarchies(res.dimension, original_seqs(), merged_seqs)
+    pruned, removed = prune_hierarchies(res.dimension)
     gone = {(h.parameters, reason) for h, reason in removed}
     # every H4-conforming row also conforms to the merged superset
     assert (("Code", "Profession", "Subcategory"), "subsumedByMerged") in gone
@@ -56,8 +52,7 @@ def test_prune_subsumed_original():
 
 def test_prune_retains_uniquely_covering_original():
     res = merged_customer_dim(include_stub=True)
-    merged_seqs = {h.parameters for h in res.merged_only}
-    pruned, removed = prune_hierarchies(res.dimension, original_seqs(), merged_seqs)
+    pruned, removed = prune_hierarchies(res.dimension)
     survivors = {h.parameters for h in pruned.hierarchies}
     # the stub row is on H4 but not on the merged superset, so H4 stays
     assert ("Code", "Profession", "Subcategory") in survivors
@@ -67,15 +62,73 @@ def test_prune_retains_uniquely_covering_original():
 def test_prune_removes_dead_hierarchy():
     dim = make_dimension("d", "K", ("K", "A"), [("H", ("K", "A"))],
                          [("k1", None), ("k2", None)])
-    pruned, removed = prune_hierarchies(dim, {("K", "A")}, set())
+    pruned, removed = prune_hierarchies(dim)
     assert [(h.name, reason) for h, reason in removed] == [("H", "noConformingInstance")]
     assert pruned.hierarchies == ()
 
 
 def test_prune_keeps_single_conforming():
     dim = make_dimension("d", "K", ("K", "A"), [("H", ("K", "A"))], [("k1", "a")])
-    pruned, removed = prune_hierarchies(dim, {("K", "A")}, set())
+    pruned, removed = prune_hierarchies(dim)
     assert removed == [] and len(pruned.hierarchies) == 1
+
+
+def covered_dimension():
+    """KAC's rows all conform to KABC; KA keeps k3, which has no B or C; no row has a D."""
+    return make_dimension(
+        "d", "K", ("K", "A", "B", "C", "D"),
+        [("KA", ("K", "A")), ("KAC", ("K", "A", "C")), ("KABC", ("K", "A", "B", "C")),
+         ("KBD", ("K", "B", "D"))],
+        [("k1", "a1", "b1", "c1", None), ("k2", "a1", "b2", "c2", None),
+         ("k3", "a2", None, None, None)])
+
+
+def test_prune_covered_hierarchy_whatever_its_origin():
+    pruned, removed = prune_hierarchies(covered_dimension())
+    assert [(h.name, reason) for h, reason in removed] == [
+        ("KAC", "subsumedByMerged"), ("KBD", "noConformingInstance")]
+    assert [h.name for h in pruned.hierarchies] == ["KA", "KABC"]
+
+
+def test_prune_keeps_both_orders_of_one_parameter_set():
+    dim = make_dimension("d", "K", ("K", "A", "B"),
+                         [("KAB", ("K", "A", "B")), ("KBA", ("K", "B", "A"))],
+                         [("k1", "a", "b"), ("k2", "a", "c")])
+    pruned, removed = prune_hierarchies(dim)
+    assert removed == [] and pruned.hierarchies == dim.hierarchies
+
+
+def test_prune_decision_does_not_depend_on_hierarchy_order():
+    dim = covered_dimension()
+    want = {h.name for h, _ in prune_hierarchies(dim)[1]}
+    for order in permutations(dim.hierarchies):
+        assert {h.name for h, _ in prune_hierarchies(replace(dim, hierarchies=order))[1]} == want
+
+
+@st.composite
+def small_dimensions(draw):
+    """A root K over up to four nullable attributes, with random hierarchies."""
+    others = "ABCD"
+    rows = draw(st.lists(st.tuples(*[st.sampled_from([None, "x", "y"])] * len(others)),
+                         max_size=8))
+    params = draw(st.lists(st.lists(st.sampled_from(others), min_size=1, unique=True),
+                           min_size=1, max_size=6))
+    return make_dimension("d", "K", ("K", *others),
+                          [(f"h{i}", ("K", *p)) for i, p in enumerate(params)],
+                          [(f"k{i}", *r) for i, r in enumerate(rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dimensions())
+def test_prune_keeps_every_covered_row_on_a_survivor(dim):
+    pruned, removed = prune_hierarchies(dim)
+    for h, reason in removed:
+        on_h = [r for r in dim.rows.values() if conforms(r, h)]
+        if reason == "noConformingInstance":
+            assert on_h == []
+        for r in on_h:
+            assert any(conforms(r, s) for s in pruned.hierarchies)
+    assert prune_hierarchies(pruned)[1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +540,21 @@ def test_star_self_merge_idempotent():
         assert {h.parameters for h in d.hierarchies} == \
             {h.parameters for h in orig.hierarchies}
         assert d.rows == orig.rows
+
+
+def test_enrichment_fills_count_once_where_no_input_held_the_cell():
+    # Both sides of a const22 self-merge enrich the same 300 customer cells.
+    c, _, _ = generate_pair(preset_const22(seed=3))
+    res = merge_stars(c, copy.deepcopy(c))
+    assert [(e.table, e.attribute, e.n_left, e.n_right, e.n_filled, e.n_merged)
+            for e in res.report.completions] == [("customer", "region", None, None, 300, 300)]
+    # Each customer row of a that enrichment fills fuses with a row of ab holding region.
+    a, b, _ = generate_pair(preset_star4(seed=3))
+    res = merge_stars(a, b)
+    assert ("customer", 300) in {(e.table, e.n_filled) for e in res.report.completions}
+    ab = res.schema
+    for s1, s2 in ((ab, a), (a, ab)):
+        assert merge_stars(s1, s2).report.completions == []
 
 
 def test_unmergeable_stars():
