@@ -23,7 +23,7 @@ rows that share a key tuple through it too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import is_, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -31,8 +31,7 @@ from .config import MergeSettings
 from .errors import ConflictError, MergeError
 from .hierarchy_merge import HierarchyMergeResult, merge_hierarchies, render_tokens
 from .matching import Correspondence, corr_attr_map
-from .model import (Cell, Dimension, Hierarchy, Row, cell_to_text, cells_equal, key_order,
-                    uniquify)
+from .model import Cell, Dimension, Hierarchy, cell_to_text, cells_equal, key_order, uniquify
 
 
 class CompletionFill(NamedTuple):
@@ -63,9 +62,8 @@ class DimensionMergeResult:
 
     ``matched`` selects which fields are populated: one merged dimension, or
     one enriched dimension per side. ``merged_only`` hierarchies are the
-    merge-produced ones (never the re-added originals); they drive
-    completion before schema deduplication and are reported per side in the
-    unmatched case.
+    merge-produced ones (never the re-added originals) of the merged
+    dimension; they drive completion before schema deduplication.
     """
 
     matched: bool
@@ -73,8 +71,6 @@ class DimensionMergeResult:
     left: Dimension | None = None
     right: Dimension | None = None
     merged_only: tuple[Hierarchy, ...] = ()
-    merged_only_left: tuple[Hierarchy, ...] = ()
-    merged_only_right: tuple[Hierarchy, ...] = ()
     completion_log: list[CompletionFill] = field(default_factory=list)
     completion_log_left: list[CompletionFill] = field(default_factory=list)
     completion_log_right: list[CompletionFill] = field(default_factory=list)
@@ -197,24 +193,27 @@ def fuse_cells(pairs: Iterable[tuple[int, int]],
 
 def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, str],
                     attributes: Sequence[str], conflict: str = "left"
-                    ) -> tuple[dict[Cell, Row], list[ValueConflict]]:
+                    ) -> tuple[list[Cell], list[ValueConflict], list[list[Cell]]]:
     """Union the instance tables; rows sharing a root value fuse column-wise.
 
     Attributes the absent side does not carry stay null. When both sides
     provide different non-null values for a cell the conflict policy decides
-    and the clash is logged; under policy ``error`` it raises. Rows come out
-    in id order, their cells in ``attributes`` order, and every non-null
-    cell is an input cell object.
+    and the clash is logged; under policy ``error`` it raises. Returns the
+    ids in id order, the clashes, and a column per name of ``attributes``,
+    its rows in id order; every non-null cell is an input cell object.
     """
-    ids = list(set(d1.rows) | set(d2.rows))
+    ids = list(d1.index.keys() | d2.index.keys())
     ids = [ids[i] for i in key_order([ids], len(ids))]
-    lefts = list(map(d1.rows.get, ids, repeat({})))
-    rights = list(map(d2.rows.get, ids, repeat({})))
-    columns = {a: list(map(dict.get, lefts, repeat(a))) if a in d1.attributes
+    # Each side's row position per output row, -1 where it has none: a
+    # column read through its positions ends in a null, which -1 reads.
+    at1 = list(map(d1.index.get, ids, repeat(-1)))
+    at2 = list(map(d2.index.get, ids, repeat(-1)))
+    left = dict(zip(d1.attributes, d1.columns))
+    columns = {a: list(map((left[a] + [None]).__getitem__, at1)) if a in left
                else [None] * len(ids) for a in attributes}
-    fuse = [(list(map(dict.get, rights, repeat(b))), columns[right_name_map[b]],
-             right_name_map[b]) for b in d2.attributes]
-    pairs = [(i, i) for i, key in enumerate(ids) if key in d2.rows]
+    fuse = [(list(map((col + [None]).__getitem__, at2)), columns[right_name_map[b]],
+             right_name_map[b]) for b, col in zip(d2.attributes, d2.columns)]
+    pairs = [(i, i) for i, j in enumerate(at2) if j >= 0]
     conflicts: list[ValueConflict] = []
     for i, _, name, v1, v2, chosen in fuse_cells(pairs, fuse, conflict):
         if conflict == "error":
@@ -222,18 +221,16 @@ def merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapping[str, s
                 f"conflicting values for {d1.name}[{cell_to_text(ids[i])}].{name}: "
                 f"{cell_to_text(v1)!r} vs {cell_to_text(v2)!r}")
         conflicts.append(ValueConflict(ids[i], name, v1, v2, chosen))
-    rows = dict(zip(ids, map(dict, map(zip, repeat(attributes), zip(*columns.values())))))
-    return rows, conflicts
+    return ids, conflicts, list(columns.values())
 
 
 # ---------------------------------------------------------------------------
 # empty-value completion
 # ---------------------------------------------------------------------------
 
-def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy],
-                   donor_rows: dict[Cell, Row], col_map: Mapping[str, str | None]
-                   ) -> list[CompletionFill]:
-    """Completion engine; mutates ``target_rows`` in place and returns the log.
+def _complete_rows(target: Dimension, hierarchies: Sequence[Hierarchy], donor: Dimension,
+                   col_map: Mapping[str, str | None]) -> list[CompletionFill]:
+    """Completion engine; fills ``target``'s columns in place and returns the log.
 
     A row with nulls on a hierarchy's parameters takes the missing values
     (every null level) from a donor that shares its value on a reference
@@ -242,17 +239,18 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
     root-key order; they repeat until one adds no fill, so repeated
     invocation is a no-op. The first qualifying donor in root-key order
     wins, and the fill is flagged ambiguous when the qualifying donors of
-    all reference levels together hold more than one value tuple. Every
-    target row holds a cell, maybe null, for every parameter of
-    ``hierarchies``, as the merged and enriched rows of both callers do.
+    all reference levels together hold more than one value tuple. The
+    target has a column for every parameter of ``hierarchies``, and the
+    donor one for every column ``col_map`` names; rows are read and written
+    by position.
 
     The work scales with the rows that still have nulls:
 
     * one pass before the sweeps skips the rows without a null. Each
       hierarchy keeps a worklist of the other rows in root-key order; a
-      visit reads the row's parameter values once, through one
-      ``itemgetter``, drops the row if none is null, and keeps it if it is
-      blocked (null second level, or no qualifying donor).
+      visit reads the row's parameter values once, a column at a time,
+      drops the row if none is null, and keeps it if it is blocked (null
+      second level, or no qualifying donor).
     * a plan per null pattern: the missing parameters, their donor columns
       and the reference levels with their index keys depend only on the
       parameters and on which of them are null, so they are worked out once
@@ -267,32 +265,37 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
       has the lowest rank over the row's reference levels; the union of the
       levels' tuples has more than one element exactly when some level
       holds several or two levels' first donors disagree.
-    * when the target is its own donor (``target_rows is donor_rows``), a
-      fill adds the filled row to every index entry that reads a column it
-      gained. Cells only go from null to a value, so entries only grow. The
-      root level is then no reference: the only row that shares a root value
-      is the row itself, which lacks the missing values.
+    * when the target is its own donor (``target is donor``), a fill adds
+      the filled row to every index entry that reads a column it gained.
+      Cells only go from null to a value, so entries only grow. The root
+      level is then no reference: the only row that shares a root value is
+      the row itself, which lacks the missing values.
     """
     ordered = [h for h in sorted(hierarchies, key=lambda h: h.name) if len(h.parameters) >= 2]
-    columns = {p for h in ordered for p in h.parameters}
-    pending = [k for k, r in target_rows.items() if None in map(r.get, columns)]
+    cols = dict(zip(target.attributes, target.columns))
+    nulls: set[int] = set()
+    for p in {p for h in ordered for p in h.parameters}:
+        nulls.update(compress(count(), map(is_, cols[p], repeat(None))))
     fills: list[CompletionFill] = []
-    if not pending:
+    if not nulls:
         return fills
-    pending = [pending[i] for i in key_order([pending], len(pending))]
+    ids = target.cells(target.root)
+    pending = sorted(nulls)
+    pending = [pending[i] for i in key_order([list(map(ids.__getitem__, pending))],
+                                             len(pending))]
     work = [(h, list(pending)) for h in ordered]
 
-    donor_keys = list(donor_rows)
-    donor_keys = [donor_keys[i] for i in key_order([donor_keys], len(donor_keys))]
-    ranked = [donor_rows[k] for k in donor_keys]
-    rank = {k: i for i, k in enumerate(donor_keys)}
+    dcols = dict(zip(donor.attributes, donor.columns))
+    donor_ids = donor.cells(donor.root)
+    ranked = key_order([donor_ids], len(donor_ids))  # rank -> donor row
+    rank = dict(zip(ranked, count()))
     groups: dict[str, dict[Cell, list[int]]] = {}  # donor column -> value -> donor ranks
     # (reference column, missing columns) -> reference value -> (rank, values, several)
     index: dict[tuple[str, tuple[str, ...]], dict[Cell, tuple | None]] = {}
     readers: dict[str, list[tuple[str, tuple[str, ...], dict]]] = {}  # column -> entries
     # (parameters, null pattern) -> (missing parameters, reference (position, index key)s)
     plans: dict[tuple, tuple[tuple[str, ...], tuple[tuple[int, tuple], ...]]] = {}
-    donor_is_target = target_rows is donor_rows
+    donor_is_target = target is donor
     first_reference = 1 if donor_is_target else 0
 
     def donors(dcol: str, mcols: tuple[str, ...], value: Cell) -> tuple | None:
@@ -304,12 +307,13 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
         group = groups.get(dcol)
         if group is None:
             group = groups[dcol] = {}
-            for r, v in enumerate(map(dict.get, ranked, repeat(dcol))):
+            for r, v in enumerate(map(dcols[dcol].__getitem__, ranked)):
                 if v is not None:
                     group.setdefault(v, []).append(r)
         hit = None
+        mlists = [dcols[m] for m in mcols]
         for r in group.get(value, ()):
-            vals = tuple(map(ranked[r].get, mcols))
+            vals = tuple([col[ranked[r]] for col in mlists])
             if None not in vals:
                 hit = _add_donor(hit, r, vals)
         entry[value] = hit
@@ -328,15 +332,12 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
 
     while True:
         filled_before = len(fills)
-        for h, keys in work:
+        for h, rows in work:
             params = h.parameters
-            read = itemgetter(*params)
             blocked = []
-            for key in keys:
-                row = target_rows[key]
-                vals = read(row)
+            for row, vals in zip(rows, zip(*(map(cols[p].__getitem__, rows) for p in params))):
                 if vals[1] is None:  # never completed under this hierarchy
-                    blocked.append(key)
+                    blocked.append(row)
                     continue
                 if None not in vals:
                     continue
@@ -351,29 +352,29 @@ def _complete_rows(target_rows: dict[Cell, Row], hierarchies: Sequence[Hierarchy
                     if hit is not None:
                         hits.append(hit)
                 if not hits:
-                    blocked.append(key)
+                    blocked.append(row)
                     continue
                 if len(hits) == 1:
                     best, values, ambiguous = hits[0]
                 else:
                     best, values, _ = min(hits, key=itemgetter(0))
                     ambiguous = any(several or other != values for _, other, several in hits)
-                donor = donor_keys[best]
+                key, donor_key = ids[row], donor_ids[ranked[best]]
                 for q, v in zip(missing, values):
-                    row[q] = v
-                    fills.append(CompletionFill(key, q, v, donor, h.name, ambiguous))
+                    cols[q][row] = v
+                    fills.append(CompletionFill(key, q, v, donor_key, h.name, ambiguous))
                 if donor_is_target:  # the filled row now donates on what it gained
-                    r = rank[key]
+                    r = rank[row]
                     for c in missing:
                         if c in groups:
-                            groups[c].setdefault(row[c], []).append(r)
+                            groups[c].setdefault(cols[c][row], []).append(r)
                         for dcol, mcols, entry in readers.get(c, ()):
-                            v = row.get(dcol)
+                            v = dcols[dcol][row]
                             if v is not None and v in entry:
-                                got = tuple(map(row.get, mcols))
+                                got = tuple([dcols[m][row] for m in mcols])
                                 if None not in got:
                                     entry[v] = _add_donor(entry[v], r, got)
-            keys[:] = blocked
+            rows[:] = blocked
         if len(fills) == filled_before:
             return fills
 
@@ -415,12 +416,10 @@ def merge_dimensions(d1: Dimension, d2: Dimension, corrs: Sequence[Correspondenc
     check_column_kinds(corrs, d1.numeric, d2.numeric)
     l2r = corr_attr_map(corrs)
     roots_matched = l2r.get(d1.root) == d2.root
-    rows1 = list(d1.rows.values())
-    rows2 = list(d2.rows.values())
 
     results: list[tuple[Hierarchy, Hierarchy, HierarchyMergeResult]] = []
     for h1, h2 in _hierarchy_pairs(d1, d2):
-        res = merge_hierarchies(h1, h2, rows1, rows2, l2r, settings)
+        res = merge_hierarchies(h1, h2, d1.rows, d2.rows, l2r, settings)
         results.append((h1, h2, res))
 
     if roots_matched:
@@ -434,11 +433,10 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
     names = _right_name_map(d1.attributes, d2.attributes, d2.name, r2l)
     attributes, numeric, hierarchies, produced = _side_schema(
         d1, d2, names, results, "l", adopted=d2.hierarchies)
-    rows, conflicts = merge_instances(d1, d2, names, attributes, settings.conflict)
-    col_map = {a: a for a in attributes}
-    fills = _complete_rows(rows, produced, rows, col_map)
+    ids, conflicts, columns = merge_instances(d1, d2, names, attributes, settings.conflict)
+    dim = Dimension.from_columns(d1.name, d1.root, attributes, hierarchies, columns, numeric)
+    fills = _complete_rows(dim, produced, dim, {a: a for a in attributes})
 
-    dim = Dimension(d1.name, d1.root, attributes, hierarchies, rows, numeric)
     sources: dict[str, tuple[str | None, str | None]] = {}
     for a in d1.attributes:
         sources[a] = (a, l2r.get(a))
@@ -448,7 +446,17 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
     return DimensionMergeResult(
         matched=True, dimension=dim, merged_only=tuple(produced),
         completion_log=fills, conflict_log=conflicts,
-        shared_keys=len(set(d1.rows) & set(d2.rows)), attr_sources=sources)
+        shared_keys=len(d1.rows) + len(d2.rows) - len(ids), attr_sources=sources)
+
+
+def _widened(dim: Dimension, attributes: tuple[str, ...], hierarchies: tuple[Hierarchy, ...],
+             numeric: frozenset[str]) -> Dimension:
+    """``dim`` under ``attributes``, its own then gained ones: a copy of each
+    of its columns, for completion to fill, and a null column per gained one."""
+    n = len(dim.rows)
+    columns = [list(col) for col in dim.columns]
+    columns += [[None] * n for _ in attributes[len(columns):]]
+    return Dimension.from_columns(dim.name, dim.root, attributes, hierarchies, columns, numeric)
 
 
 def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMergeResult:
@@ -457,9 +465,8 @@ def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMer
     gained_2 = _right_name_map(d2.attributes, reached["r"], d1.name, {})
     attrs_1, numeric_1, hierarchies_1, merged_1 = _side_schema(d1, d2, gained_1, results, "l")
     attrs_2, numeric_2, hierarchies_2, merged_2 = _side_schema(d2, d1, gained_2, results, "r")
-
-    rows_1 = {k: {**{a: None for a in attrs_1}, **r} for k, r in d1.rows.items()}
-    rows_2 = {k: {**{a: None for a in attrs_2}, **r} for k, r in d2.rows.items()}
+    dim1 = _widened(d1, attrs_1, hierarchies_1, numeric_1)
+    dim2 = _widened(d2, attrs_2, hierarchies_2, numeric_2)
 
     # Donor lookup maps each left name to the right name of the same data:
     # matched attributes via the correspondences, gained ones to the column
@@ -468,12 +475,8 @@ def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMer
     # the other side is NOT in it: the matcher (or the user map) decided
     # they are distinct.
     same = {**l2r, **{n: b for b, n in gained_1.items()}, **gained_2}
-    fills_1 = _complete_rows(rows_1, merged_1, rows_2, same)
-    fills_2 = _complete_rows(rows_2, merged_2, rows_1, {v: k for k, v in same.items()})
-
-    dim1 = Dimension(d1.name, d1.root, attrs_1, hierarchies_1, rows_1, numeric_1)
-    dim2 = Dimension(d2.name, d2.root, attrs_2, hierarchies_2, rows_2, numeric_2)
+    fills_1 = _complete_rows(dim1, merged_1, dim2, same)
+    fills_2 = _complete_rows(dim2, merged_2, dim1, {v: k for k, v in same.items()})
     return DimensionMergeResult(
         matched=False, left=dim1, right=dim2,
-        merged_only_left=tuple(merged_1), merged_only_right=tuple(merged_2),
         completion_log_left=fills_1, completion_log_right=fills_2)

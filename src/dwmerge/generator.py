@@ -220,9 +220,7 @@ def _view_dimension(d: GenDimension, chains: tuple[str, ...], indices: list[int]
         groups = list(map(floordiv, indices, repeat(divisors[a])))
         text = {q: f"{a}_{q:05d}" for q in dict.fromkeys(groups)}
         columns.append(list(map(text.__getitem__, groups)))
-    rows = map(dict, map(zip, repeat(attrs), zip(*columns)))
-    return Dimension(d.name, root, tuple(attrs), hierarchies,
-                     dict(zip(columns[attrs.index(root)], rows)))
+    return Dimension.from_columns(d.name, root, tuple(attrs), hierarchies, columns)
 
 
 def _draws(rng: random.Random, count: int, stop: int) -> list[int]:

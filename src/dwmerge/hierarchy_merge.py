@@ -23,11 +23,11 @@ import logging
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
-from typing import Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import MergeError
-from .model import Cell, Hierarchy, Row
+from .model import Cell, Hierarchy, Rows
 
 logger = logging.getLogger(__name__)
 
@@ -211,16 +211,13 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
 # merging one sub-hierarchy pair
 # ---------------------------------------------------------------------------
 
-def _project(rows: Collection[Row], names: list[str]) -> list[tuple[Cell, ...]]:
-    """Distinct projections of ``rows`` on the columns ``names`` in first-seen order.
-
-    ``rows`` is read once per column. A column that a row lacks reads as null.
-    """
-    return list(dict.fromkeys(zip(*(map(dict.get, rows, repeat(name)) for name in names))))
+def _project(rows: Rows, names: list[str]) -> list[tuple[Cell, ...]]:
+    """Distinct projections of ``rows`` on the columns ``names`` in first-seen order."""
+    return list(dict.fromkeys(zip(*map(rows.cells, names))))
 
 
 def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Collection[Row], rows2: Collection[Row]
+                      rows1: Rows, rows2: Rows
                       ) -> list[dict[Token, Cell]]:
     """Inner-join the two projected instance sets on the shared first parameter.
 
@@ -254,24 +251,27 @@ def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
 
 
 def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Collection[Row], rows2: Collection[Row],
+                      rows1: Rows, rows2: Rows,
                       min_support: int) -> list[tuple[Token, Token]]:
     """Reduced FD edges over the joined instances of a sub-hierarchy pair.
 
     An empty join (no shared values on the first parameter) shows no
-    dependency, so it gives no edges.
+    dependency, so it gives no edges. An FD against a roll-up either side
+    declares is dropped, so a bijection on the joined rows keeps the
+    declared order rather than the tie-break's.
     """
     joined = join_segment_rows(tok1, tok2, rows1, rows2)
     if not joined:
         return []
     attrs = list(tok1) + [t for t in tok2 if t not in tok1]
     raw = enumerate_fds(joined, attrs, min_support)
+    raw -= {(b, a) for seq in (tok1, tok2) for i, a in enumerate(seq) for b in seq[i + 1:]}
     dag = resolve_two_cycles(raw, joined)
     return transitive_reduction(dag)
 
 
 def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
-                            rows1: Collection[Row], rows2: Collection[Row],
+                            rows1: Rows, rows2: Rows,
                             min_support: int) -> list[TokenSeq]:
     """Merge one sub-hierarchy pair into one or more parameter chains.
 
@@ -329,7 +329,7 @@ class HierarchyMergeResult:
 
 
 def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
-                      rows1: Collection[Row], rows2: Collection[Row],
+                      rows1: Rows, rows2: Rows,
                       pairs: Mapping[str, str],
                       settings: MergeSettings = MergeSettings()) -> HierarchyMergeResult:
     """Merge two hierarchies from different dimensions.

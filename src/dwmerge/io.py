@@ -41,10 +41,10 @@ allowed and dropped. A table is split at its newlines and commas, or if
 that finds it irregular read record by record by the csv module, with the
 same cells and errors. Rows are joined, or if they need quotes written by
 ``csv.writer``, with the same bytes; a row holding a carriage return has
-every cell quoted, as a reader ends a line there. Tables are read a column
-at a time: a fact keeps one list per declared column, and a text key cell
-that names a dimension row is that row's id object; dimension rows are
-dicts. An empty field is null; whitespace-only fields trim to empty and
+every cell quoted, as a reader ends a line there. Tables are read and
+written a column at a time: each keeps one list per declared column, and a
+fact's text key cell that names a dimension row is that row's id object. An
+empty field is null; whitespace-only fields trim to empty and
 are therefore null too; the literal text ``NULL`` is ordinary data. Values
 in columns tagged numeric (``numericAttributes``; measures unless listed
 in ``textMeasures``; fact key columns follow the referenced dimension id)
@@ -353,24 +353,26 @@ def _declared_fact(entry: dict, dims: dict[str, Dimension], path: str) -> tuple[
     return Fact(name, measures, tuple(keys), (), frozenset(numeric)), table
 
 
-def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> None:
-    """Read the rows of ``dim`` from its table into ``dim.rows``."""
-    name, root, attributes, rows = dim.name, dim.root, dim.attributes, dim.rows
-    where = str(table_path)
-    columns, lines = _read_csv(table_path, list(attributes), set(dim.numeric))
-    for lineno, cells in zip(lines, zip(*columns)):
-        row = dict(zip(attributes, cells))
-        key = row[root]
-        if key is None:
-            raise LoadError(f"dimension {name!r}: null id value", path=where, line=lineno)
-        if key in rows:
-            if strict:
-                raise LoadError(f"dimension {name!r}: duplicate id {cell_to_text(key)!r}",
-                                path=where, line=lineno)
-            logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
-                           name, cell_to_text(key), table_path, lineno)
-            continue
-        rows[key] = row
+def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> Dimension:
+    """``dim`` holding the rows of its table; a repeated id's row is dropped."""
+    columns, lines = _read_csv(table_path, list(dim.attributes), set(dim.numeric))
+    ids = columns[dim.attributes.index(dim.root)]
+    if len(set(ids) - {None}) != len(ids):  # a null or a repeated id
+        where = str(table_path)
+        first: dict[Cell, int] = {}
+        for i, (key, lineno) in enumerate(zip(ids, lines)):
+            if key is None:
+                raise LoadError(f"dimension {dim.name!r}: null id value", path=where,
+                                line=lineno)
+            if first.setdefault(key, i) != i:
+                if strict:
+                    raise LoadError(f"dimension {dim.name!r}: duplicate id "
+                                    f"{cell_to_text(key)!r}", path=where, line=lineno)
+                logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
+                               dim.name, cell_to_text(key), table_path, lineno)
+        columns = [list(map(col.__getitem__, first.values())) for col in columns]
+    return Dimension.from_columns(dim.name, dim.root, dim.attributes, dim.hierarchies, columns,
+                                  dim.numeric)
 
 
 def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict: bool) -> None:
@@ -458,8 +460,9 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     if faults:
         raise LoadError(str(faults[0]), path=desc)
 
-    for dim, table in dim_tables:
-        _read_dimension(dim, directory / table, strict)
+    schema.dimensions = tuple(_read_dimension(dim, directory / table, strict)
+                              for dim, table in dim_tables)
+    dims = {dim.name: dim for dim in schema.dimensions}
     for fact, table in fact_tables:
         _read_fact(fact, directory / table, dims, strict)
     return schema
@@ -506,6 +509,12 @@ def _write_csv(path: Path, header: list[str], records: Iterable[Iterable[Cell]])
             block = list(islice(records, _WRITE_ROWS))
 
 
+def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]],
+                 order: Iterable[int]) -> None:
+    """Write a table's columns, their cells at the positions ``order`` lists."""
+    _write_csv(path, list(names), zip(*(map(col.__getitem__, order) for col in columns)))
+
+
 def write_dw(schema: Schema, directory: str | Path) -> None:
     """Emit a warehouse directory: descriptor plus one CSV per table.
 
@@ -528,10 +537,8 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "hierarchies": [{"name": h.name, "parameters": list(h.parameters)}
                             for h in dim.hierarchies],
         })
-        ids = list(dim.rows)
-        ordered = (dim.rows[ids[i]] for i in key_order([ids], len(ids)))
-        _write_csv(directory / filename, list(dim.attributes),
-                   (map(row.get, dim.attributes) for row in ordered))
+        _write_table(directory / filename, dim.attributes, dim.columns,
+                     key_order([list(dim.index)], len(dim.index)))
 
     fact_entries = []
     for fact in schema.facts:
@@ -544,9 +551,8 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "dimensionKeys": [{"dimension": d, "column": c}
                               for d, c in fact.dimension_keys],
         })
-        order = key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows))
-        _write_csv(directory / filename, list(fact.column_names()),
-                   zip(*(map(col.__getitem__, order) for col in fact.columns)))
+        _write_table(directory / filename, fact.column_names(), fact.columns,
+                     key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows)))
 
     doc = {
         "formatVersion": FORMAT_VERSION,

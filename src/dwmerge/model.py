@@ -6,28 +6,31 @@ to nothing, including another null; that rule is what functional-dependency
 checks and empty-value completion rely on, so use :func:`cells_equal` rather
 than ``==`` when comparing cells.
 
-A fact holds its cells as one list per column (:class:`Fact`); a dimension
-holds a dict per row, keyed by its id. A :class:`Schema` is facts sharing
-dimensions, and its star map names the dimensions each fact links; a star
-schema is the case whose one fact links every dimension (:attr:`Schema.fact`).
+Facts and dimensions hold their cells as one list per column, and read them
+back as row dicts through views that build each row as it is read
+(:class:`Rows`); a dimension also maps each id to its row's position. A
+:class:`Schema` is facts sharing dimensions, and its star map names the
+dimensions each fact links; a star schema is the case whose one fact links
+every dimension (:attr:`Schema.fact`).
 
 All model values are treated as immutable after construction. Merge
 operations build new instances instead of mutating loaded ones, so any
 function in this package may be called concurrently. A merged schema shares
-cells and whole fact columns with its inputs (a fact that passes through
+cells and whole columns with its inputs (a table that passes through
 unchanged, or a column that fusion leaves as it is), so no function mutates
-a column or a row once it is in a schema.
+a column once it is in a schema; completion fills the columns of a
+dimension the merge has just built, before it returns it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import Iterable, Iterator, Union
 
 from .errors import SchemaMismatchError
 
@@ -105,30 +108,84 @@ class Hierarchy:
             raise ValueError(f"hierarchy {self.name!r} repeats a parameter")
 
 
-@dataclass
+def _columns(rows: Iterable[Row], names: Sequence[str]) -> list[list[Cell]]:
+    """The cells of ``rows`` as one list per name, a cell a row lacks being null."""
+    rows = list(rows)
+    return [[row.get(name) for row in rows] for name in names]
+
+
+@dataclass(init=False)
 class Dimension:
     """An analysis axis: attributes, a root identifier, hierarchies, keyed rows.
 
-    ``rows`` maps each root value to its row (attribute name -> cell). Root
-    values are unique and non-null; the loader enforces that and the rules
-    of :func:`dimension_faults`, and ``validate`` re-checks both.
+    The cells are stored one list per attribute, in declared order, as
+    ``columns``; ``index`` maps each id (root cell) to its row's position.
+    As ``Fact(...)`` does, ``Dimension(...)`` converts row dicts, here a
+    dict from id to row, :meth:`from_columns` takes the lists as they are,
+    and :attr:`rows` reads them back. Both refuse (``ValueError``) a
+    repeated id, and ``Dimension(...)`` a row whose key differs from its
+    root cell or that has an undeclared column. Ids are non-null: the
+    loader enforces that and :func:`dimension_faults`, and ``validate``
+    re-checks both.
     """
 
     name: str
     root: str
     attributes: tuple[str, ...]
     hierarchies: tuple[Hierarchy, ...]
-    rows: dict[Cell, Row] = field(default_factory=dict)
-    numeric: frozenset[str] = frozenset()
+    columns: tuple[list[Cell], ...]
+    numeric: frozenset[str]
+    index: dict[Cell, int]
 
-    def attribute_set(self) -> frozenset[str]:
-        return frozenset(self.attributes)
+    def __init__(self, name: str, root: str, attributes: tuple[str, ...],
+                 hierarchies: tuple[Hierarchy, ...], rows: Mapping[Cell, Row] = {},
+                 numeric: frozenset[str] = frozenset()):
+        self.name = name
+        self.root = root
+        self.attributes = attributes
+        self.hierarchies = hierarchies
+        self.numeric = numeric
+        declared = set(attributes)
+        for key, row in rows.items():
+            cell = row.get(root)
+            if not (cell is key or cells_equal(cell, key)):
+                raise ValueError(f"dimension {name!r}: row key {key!r} differs from its "
+                                 f"root cell {cell!r}")
+            if not row.keys() <= declared:
+                raise ValueError(f"dimension {name!r}: row {key!r} carries undeclared "
+                                 f"columns {sorted(set(row) - declared)!r}")
+        self._store(_columns(rows.values(), attributes))
+
+    @classmethod
+    def from_columns(cls, name: str, root: str, attributes: tuple[str, ...],
+                     hierarchies: tuple[Hierarchy, ...], columns: Iterable[list[Cell]],
+                     numeric: frozenset[str] = frozenset()) -> Dimension:
+        """A dimension over ``columns``, one equal-length list per attribute, not copied."""
+        dim = cls(name, root, attributes, hierarchies, {}, numeric)
+        dim._store(columns)
+        return dim
+
+    def _store(self, columns: Iterable[list[Cell]]) -> None:
+        self.columns = tuple(columns)
+        ids = self.cells(self.root) if self.root in self.attributes else []
+        self.index = dict(zip(ids, range(len(ids))))
+        if len(self.index) != len(ids):
+            raise ValueError(f"dimension {self.name!r} repeats an id")
 
     def hierarchy(self, name: str) -> Hierarchy:
         for h in self.hierarchies:
             if h.name == name:
                 return h
         raise KeyError(name)
+
+    def cells(self, name: str) -> list[Cell]:
+        """The cells of attribute ``name``."""
+        return self.columns[self.attributes.index(name)]
+
+    @property
+    def rows(self) -> DimensionRows:
+        """The rows as a mapping from id to row dict: a read-only view, built as read."""
+        return DimensionRows(self.attributes, self.columns, self.index)
 
 
 @dataclass(init=False)
@@ -154,8 +211,7 @@ class Fact:
         self.name = name
         self.measures = measures
         self.dimension_keys = dimension_keys
-        rows = list(rows)
-        self.columns = tuple([row.get(c) for row in rows] for c in self.column_names())
+        self.columns = tuple(_columns(rows, self.column_names()))
         self.numeric = numeric
 
     @classmethod
@@ -184,17 +240,27 @@ class Fact:
         return FactRows(self.column_names(), self.columns)
 
 
-class FactRows(Sequence):
-    """A read-only sequence of row dicts over a fact's columns.
-
-    Each row dict is built when read, so changing one changes no fact. The
-    length is the columns' length, the view equals a list of the same row
-    dicts, and its repr is that list's.
-    """
+class Rows:
+    """Row dicts read from a table's columns, each built when it is read, so
+    changing one changes no table. :meth:`cells` hands out a column itself,
+    to readers that work a column at a time."""
 
     def __init__(self, names: Sequence[str], columns: Sequence[list[Cell]]):
         self._names = names
         self._columns = columns
+
+    def cells(self, name: str) -> list[Cell]:
+        """The cells of column ``name``."""
+        return self._columns[self._names.index(name)]
+
+    def _row(self, i: int) -> Row:
+        return dict(zip(self._names, [col[i] for col in self._columns]))
+
+
+class FactRows(Rows, Sequence):
+    """A fact's rows as a read-only sequence of row dicts. The length is the
+    columns' length, the view equals a list of the same row dicts, and its
+    repr is that list's."""
 
     def __len__(self) -> int:
         return len(self._columns[0]) if self._columns else 0
@@ -202,11 +268,10 @@ class FactRows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
-        return dict(zip(self._names, [col[i] for col in self._columns]))
+        return self._row(i)
 
     def __iter__(self) -> Iterator[Row]:
-        names = self._names
-        return (dict(zip(names, cells)) for cells in zip(*self._columns))
+        return map(self._row, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, FactRows)):
@@ -215,6 +280,29 @@ class FactRows(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+class DimensionRows(Rows, Mapping):
+    """A dimension's rows as a read-only mapping from id to row dict, in the
+    order they are stored. The view equals a dict of the same rows, and its
+    repr is that dict's."""
+
+    def __init__(self, names: Sequence[str], columns: Sequence[list[Cell]],
+                 index: dict[Cell, int]):
+        super().__init__(names, columns)
+        self._index = index
+
+    def __getitem__(self, key: Cell) -> Row:
+        return self._row(self._index[key])
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass
@@ -299,7 +387,7 @@ def _numeric_faults(table: str, numeric: Iterable[str], attributes: Iterable[str
 def dimension_faults(dim: Dimension) -> list[Violation]:
     """The rules on a dimension's declaration, which read none of its rows."""
     out = _numeric_faults(dim.name, dim.numeric, dim.attributes)
-    attrs = dim.attribute_set()
+    attrs = set(dim.attributes)
     if dim.root not in attrs:
         out.append(Violation(dim.name, dim.root, "root-in-attributes",
                              f"root parameter {dim.root!r} is not a declared attribute"))
@@ -320,31 +408,51 @@ def dimension_faults(dim: Dimension) -> list[Violation]:
     return out
 
 
-def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
-    """Every row's key, root and columns.
+def _cell_faults(table: str, columns: Iterable[tuple[str, list[Cell]]],
+                 numeric: frozenset[str]) -> list[Violation]:
+    """The first cell of each column that would not reload as itself.
 
-    The ids, the root cells and the row columns are checked whole first; the
-    rows are walked, in order, only when one of those checks fails.
+    A cell reloads as itself when it is null, or, in a ``numeric`` column, a
+    Decimal that is not a NaN, or, in a text column, a non-empty str with
+    nothing to strip. A column's cell types are checked first; then a text
+    column's distinct cells, and a numeric column's cells through one map,
+    as hashing a Decimal costs more than asking whether it is a NaN. A
+    column is walked only when that check fails.
     """
-    attrs = dim.attribute_set()
-    root = dim.root
-    keys = list(dim.rows)
-    roots = list(map(dict.get, dim.rows.values(), repeat(root)))
-    # Equal cells that are all text or numbers are cells_equal, and none is null.
-    if (keys == roots and set(map(type, keys + roots)) <= {str, Decimal}
-            and attrs.issuperset(chain.from_iterable(dim.rows.values()))):
-        return
-    for key, row in dim.rows.items():
-        if key is None:
-            out.append(Violation(dim.name, "<null>", "root-non-null",
-                                 "a row has a null root value"))
-        elif not cells_equal(row.get(root), key):
-            out.append(Violation(dim.name, cell_to_text(key), "root-key-consistent",
-                                 "row key differs from its root attribute value"))
-        if not row.keys() <= attrs:
-            extra = set(row) - attrs
-            out.append(Violation(dim.name, cell_to_text(key), "row-columns",
-                                 f"row carries undeclared columns {sorted(extra)!r}"))
+    out = []
+    for name, cells in columns:
+        kind = Decimal if name in numeric else str
+        if not set(map(type, cells)) <= {kind, type(None)}:
+            ok = False
+        elif kind is Decimal:  # filter(None, ...) drops nulls and zeros, no zero is a NaN
+            ok = not any(map(Decimal.is_nan, filter(None, cells)))
+        else:
+            values = set(cells) - {None}
+            ok = "" not in values and all(map(eq, map(str.strip, values), values))
+        if ok:
+            continue
+        i, cell = next((i, c) for i, c in enumerate(cells) if not _reloads(c, kind))
+        holds = "Decimals that are not NaN" if kind is Decimal else "non-empty, stripped text"
+        out.append(Violation(table, name, "cell-reloads",
+                             f"row {i}: {cell!r} would not reload as itself; the column "
+                             f"holds {holds} or nulls"))
+    return out
+
+
+def _reloads(cell: Cell, kind: type) -> bool:
+    """Whether ``cell`` reloads as itself from a column of ``kind`` (:func:`_cell_faults`)."""
+    if cell is None:
+        return True
+    if type(cell) is not kind:
+        return False
+    return not cell.is_nan() if kind is Decimal else cell != "" and cell.strip() == cell
+
+
+def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+    """A null id, and every column's cells."""
+    if None in dim.index:
+        out.append(Violation(dim.name, "<null>", "root-non-null", "a row has a null root value"))
+    out += _cell_faults(dim.name, zip(dim.attributes, dim.columns), dim.numeric)
 
 
 def fact_key_faults(fact: Fact, dims: Mapping[str, Dimension]) -> list[tuple]:
@@ -370,9 +478,9 @@ def fact_key_faults(fact: Fact, dims: Mapping[str, Dimension]) -> list[tuple]:
         if dim is None:
             continue
         values = set(cells)
-        if None in values or not dim.rows.keys() >= values:
+        if None in values or not dim.index.keys() >= values:
             faults.extend((i, key, v, None) for i, v in enumerate(cells)
-                          if v is None or v not in dim.rows)
+                          if v is None or v not in dim.index)
     n = len(fact.rows)
 
     def tuples() -> Iterator[tuple]:
@@ -410,7 +518,13 @@ def fact_faults(fact: Fact, linked: Iterable[str]) -> list[Violation]:
 
 
 def _validate_fact(fact: Fact, dims: dict[str, Dimension], out: list[Violation]) -> None:
-    """Every dangling key cell and repeated key tuple of the fact's rows."""
+    """Every measure's cells, and every dangling key cell and repeated key tuple.
+
+    Key cells are not checked by :func:`_cell_faults`: one that is not
+    dangling equals an id of its dimension, whose cells are checked.
+    """
+    measures = fact.columns[len(fact.dimension_keys):]
+    out += _cell_faults(fact.name, zip(fact.measures, measures), fact.numeric)
     for i, key, value, first in fact_key_faults(fact, dims):
         if key is None:
             out.append(Violation(fact.name, f"row {i}", "fact-key-duplicate",
@@ -461,13 +575,14 @@ def declaration_faults(schema: Schema) -> list[Violation]:
 def validate(schema: Schema) -> list[Violation]:
     """Check every structural invariant; empty list means the schema is well formed.
 
-    The loader refuses input that breaks one, so this serves schemas built
-    in memory, ``merge``'s output and the ``validate`` command. The
-    :func:`declaration_faults` come first, then the faults of the rows.
-    Deterministic and order-independent: shuffling row order never changes
-    the outcome (only the textual row locus of fact violations). Fact keys
-    are checked a column at a time (:func:`fact_key_faults`), and their
-    violations are listed in row order.
+    The loader refuses input that breaks one, or changes it, so this serves
+    schemas built in memory, ``merge``'s output and the ``validate``
+    command. The :func:`declaration_faults` come first, then the faults of
+    the rows: null ids, cells that would not reload as themselves
+    (:func:`_cell_faults`) and fact keys. Deterministic and
+    order-independent: shuffling row order never changes the outcome (only
+    the row a violation names). Fact keys are checked a column at a time
+    (:func:`fact_key_faults`), and their violations are listed in row order.
     """
     out = declaration_faults(schema)
     dims = {d.name: d for d in schema.dimensions}

@@ -11,6 +11,8 @@ anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -22,8 +24,8 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, check_user_map, match_attributes,
                        match_measures, matched_root_parameters)
-from .model import (Dimension, Fact, Hierarchy, Schema, cell_to_text, conforms, star_schema,
-                    uniquify, validate)
+from .model import (Cell, Dimension, Fact, Hierarchy, Schema, cell_to_text, conforms,
+                    star_schema, uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -54,9 +56,11 @@ def prune_hierarchies(dim: Dimension) -> tuple[Dimension, list[tuple[Hierarchy, 
     subsumed hierarchy stays on a surviving one.
     """
     columns = {p for h in dim.hierarchies for p in h.parameters}
-    # Rows null in the same hierarchy columns conform to the same hierarchies.
-    kinds = {frozenset(c for c in columns if r.get(c) is None): r
-             for r in dim.rows.values()}.values()
+    # Rows null in the same hierarchy columns conform to the same hierarchies,
+    # so one row stands for each pattern of nulls in those columns.
+    nulls = zip(*(map(is_, dim.cells(c), repeat(None)) for c in columns))
+    rows = dim.rows
+    kinds = [rows[key] for key in dict(zip(nulls, rows)).values()]
     removed: list[tuple[Hierarchy, str]] = []
     for h in dim.hierarchies:
         params = set(h.parameters)
@@ -68,9 +72,9 @@ def prune_hierarchies(dim: Dimension) -> tuple[Dimension, list[tuple[Hierarchy, 
             removed.append((h, REASON_SUBSUMED))
 
     gone = {h.name for h, _ in removed}
-    pruned_dim = Dimension(dim.name, dim.root, dim.attributes,
-                           tuple(h for h in dim.hierarchies if h.name not in gone),
-                           dim.rows, dim.numeric)
+    pruned_dim = Dimension.from_columns(dim.name, dim.root, dim.attributes,
+                                        tuple(h for h in dim.hierarchies if h.name not in gone),
+                                        dim.columns, dim.numeric)
     return pruned_dim, removed
 
 
@@ -174,8 +178,14 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
 # star merging
 # ---------------------------------------------------------------------------
 
-def _non_null_count(rows, attr: str) -> int:
-    return sum(1 for r in rows if r.get(attr) is not None)
+def _non_null_count(dim: Dimension, attr: str) -> int:
+    return len(dim.rows) - dim.cells(attr).count(None)
+
+
+def _cell(dim: Dimension | None, key: Cell, attr: str | None) -> Cell:
+    """The cell of ``dim``'s row ``key`` in column ``attr``; null where any is absent."""
+    at = None if dim is None or attr not in dim.attributes else dim.index.get(key)
+    return None if at is None else dim.cells(attr)[at]
 
 
 @dataclass
@@ -220,13 +230,11 @@ def _merged_record(r1: OutputDimension, r2: OutputDimension,
     """
     left, right = r1.sources[0], r2.sources[1]
     to_output = {src[1]: a for a, src in res.attr_sources.items() if src[1] is not None}
-    rows = res.dimension.rows
     enriched: dict[tuple, tuple[str, CompletionFill]] = {}
     for attr, f in r1.fills + [(to_output.get(a, a), f) for a, f in r2.fills]:
         raw = res.attr_sources.get(attr, (attr, attr))
-        if rows[f.row_key][attr] is f.value and not any(
-                d is not None and d.rows.get(f.row_key, {}).get(a) is not None
-                for d, a in zip((left, right), raw)):
+        if _cell(res.dimension, f.row_key, attr) is f.value and not any(
+                _cell(d, f.row_key, a) is not None for d, a in zip((left, right), raw)):
             enriched.setdefault((f.row_key, attr), (attr, f))
     return OutputDimension(
         res.dimension, (left, right), res.attr_sources,
@@ -305,8 +313,9 @@ def merge_all_dimensions(s1: Schema, s2: Schema, matcher: MatcherConfig,
         rec = recs2[n]
         if n in taken:
             d = rec.dimension
-            rec.dimension = Dimension(uniquify(f"{n}_2", taken), d.root, d.attributes,
-                                      d.hierarchies, d.rows, d.numeric)
+            rec.dimension = Dimension.from_columns(uniquify(f"{n}_2", taken), d.root,
+                                                   d.attributes, d.hierarchies, d.columns,
+                                                   d.numeric)
         taken.add(rec.dimension.name)
         out.append(rec)
     return out, all_corrs
@@ -435,8 +444,7 @@ def _echo_completions(report: MergeReport, rec: OutputDimension) -> None:
         in2 = right is not None and right_raw in right.attributes
         if in1 and in2:
             continue
-        n1 = _non_null_count(left.rows.values(), left_raw) if in1 else None
-        n2 = _non_null_count(right.rows.values(), right_raw) if in2 else None
+        n1 = _non_null_count(left, left_raw) if in1 else None
+        n2 = _non_null_count(right, right_raw) if in2 else None
         report.completions.append(CompletedAttribute(
-            dim.name, attr, n1, n2, n_fill,
-            _non_null_count(dim.rows.values(), attr)))
+            dim.name, attr, n1, n2, n_fill, _non_null_count(dim, attr)))

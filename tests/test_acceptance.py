@@ -20,7 +20,8 @@ from dwmerge.matching import MatcherConfig, match_attributes
 from dwmerge.model import Hierarchy
 from dwmerge.star_merge import merge_stars, prune_hierarchies
 
-from conftest import H24_PARAMS, customer_left, customer_right, location_dim, maximal_paths
+from conftest import (H24_PARAMS, customer_left, customer_right, location_dim, maximal_paths,
+                      table)
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
@@ -52,7 +53,7 @@ def test_accept_parameter_merge_golden():
 def test_accept_hierarchy_merge_matched_roots():
     t = timed()
     d1, d2 = customer_left(), customer_right()
-    res = merge_hierarchies(H1, H2, d1.rows.values(), d2.rows.values(),
+    res = merge_hierarchies(H1, H2, d1.rows, d2.rows,
                             {"Code": "Code", "Department": "Department",
                              "Continent": "Continent"})
     assert res.merged_left == res.merged_right
@@ -70,7 +71,7 @@ def test_accept_hierarchy_merge_unmatched_roots():
     t = timed()
     d1, loc = customer_left(), location_dim()
     h3 = loc.hierarchy("H3")
-    res = merge_hierarchies(H1, h3, d1.rows.values(), loc.rows.values(),
+    res = merge_hierarchies(H1, h3, d1.rows, loc.rows,
                             {"Department": "Department", "Continent": "Continent"})
     left = {render_tokens(c, "l") for c in res.merged_left} | {H1.parameters}
     right = {render_tokens(c, "r") for c in res.merged_right} | {h3.parameters}
@@ -333,7 +334,7 @@ def test_accept_partial_order_preservation():
         for r in rows2:
             r[h2.parameters[0]] = f"k{rng.randint(0, 12)}"
         try:
-            res = merge_hierarchies(h1, h2, rows1, rows2, pairs)
+            res = merge_hierarchies(h1, h2, table(rows1), table(rows2), pairs)
         except MergeError:
             continue
         checked += 1

@@ -13,9 +13,16 @@ from dwmerge.hierarchy_merge import (Token, TokenSeq, _segment_fd_edges, enumera
                                      render_tokens, tokenize, transitive_reduction)
 from dwmerge.model import Cell, Hierarchy, Row, cells_equal
 
+from conftest import table
+
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
 PAIRS_FULL = {"Code": "Code", "Department": "Department", "Continent": "Continent"}
+
+
+def no_rows(h: Hierarchy):
+    """An empty table with the columns of ``h``."""
+    return table([], h.parameters)
 
 
 def rendered(result_seqs, side="l"):
@@ -46,7 +53,7 @@ def boundaries(segments):
 
 
 def test_record_matched_parameters_full(segments):
-    merge_hierarchies(H1, H2, [], [], PAIRS_FULL)
+    merge_hierarchies(H1, H2, no_rows(H1), no_rows(H2), PAIRS_FULL)
     assert boundaries(segments) == [
         ("Code", "Code"), ("Department", "Department"), ("Continent", "Continent")]
 
@@ -54,14 +61,14 @@ def test_record_matched_parameters_full(segments):
 def test_record_appends_last_pair(segments):
     h3 = Hierarchy("H3", ("City", "Department", "Country"))
     pairs = {"Department": "Department", "Continent": "Continent"}
-    merge_hierarchies(H1, h3, [], [], pairs)
+    merge_hierarchies(H1, h3, no_rows(H1), no_rows(h3), pairs)
     assert boundaries(segments) == [
         ("Department", "Department"), ("Continent", "Country")]
 
 
 def test_record_disjoint_is_empty(segments):
     h = Hierarchy("x", ("A", "B"))
-    res = merge_hierarchies(H1, h, [], [], {})
+    res = merge_hierarchies(H1, h, no_rows(H1), no_rows(h), {})
     assert segments == []
     assert res.merged_left == res.merged_right == ()
 
@@ -70,11 +77,11 @@ def test_record_rejects_crossing_matches():
     ha = Hierarchy("ha", ("A", "B"))
     hb = Hierarchy("hb", ("B2", "A2"))
     with pytest.raises(MergeError, match="cross"):
-        merge_hierarchies(ha, hb, [], [], {"A": "A2", "B": "B2"})
+        merge_hierarchies(ha, hb, no_rows(ha), no_rows(hb), {"A": "A2", "B": "B2"})
 
 
 def test_generate_subhierarchy_pairs(segments):
-    merge_hierarchies(H1, H2, [], [], PAIRS_FULL)
+    merge_hierarchies(H1, H2, no_rows(H1), no_rows(H2), PAIRS_FULL)
     assert segments == [
         (("Code", "Department"), ("Code", "City", "Department")),
         (("Department", "Region", "Continent"),
@@ -83,17 +90,17 @@ def test_generate_subhierarchy_pairs(segments):
 
 def test_generate_subhierarchy_pairs_appended_tail(segments):
     h3 = Hierarchy("H3", ("City", "Department", "Country"))
-    merge_hierarchies(H1, h3, [], [], {"Department": "Department"})
+    merge_hierarchies(H1, h3, no_rows(H1), no_rows(h3), {"Department": "Department"})
     assert segments[-1] == (
         ("Department", "Region", "Continent"), ("Department", "Country"))
     segments.clear()
-    merge_hierarchies(H1, h3, [], [], {})
+    merge_hierarchies(H1, h3, no_rows(H1), no_rows(h3), {})
     assert segments == []
 
 
 def test_identical_hierarchies_single_pair(segments):
     h = Hierarchy("h", ("Code", "Dept"))
-    merge_hierarchies(h, h, [], [], {"Code": "Code", "Dept": "Dept"})
+    merge_hierarchies(h, h, no_rows(h), no_rows(h), {"Code": "Code", "Dept": "Dept"})
     assert segments == [(("Code", "Dept"), ("Code", "Dept"))]
 
 
@@ -139,7 +146,7 @@ def fd_edges(params1, params2, rows1, rows2, pairs, min_support=1):
 def test_discover_fds_region_country(d_left, d_location):
     edges = fd_edges(("Department", "Region", "Continent"),
                      ("Department", "Country", "Continent"),
-                     d_left.rows.values(), d_location.rows.values(),
+                     d_left.rows, d_location.rows,
                      {"Department": "Department", "Continent": "Continent"})
     assert ("Region", "Country") in edges
     assert set(edges) == {("Department", "Region"), ("Region", "Country"),
@@ -149,7 +156,7 @@ def test_discover_fds_region_country(d_left, d_location):
 def test_discover_fds_single_row_leaves_chain():
     rows1 = [{"A": "a", "B": "b"}]
     rows2 = [{"A": "a", "C": "c"}]
-    edges = fd_edges(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"})
+    edges = fd_edges(("A", "B"), ("A", "C"), table(rows1), table(rows2), {"A": "A"})
     # every pair holds on one row; reduction plus tie-breaking leaves a chain
     nodes = {n for e in edges for n in e}
     assert len(edges) == len(nodes) - 1
@@ -157,10 +164,21 @@ def test_discover_fds_single_row_leaves_chain():
     assert len(starts) == 1
 
 
+def test_discover_fds_keep_a_declared_roll_up_in_a_bijection():
+    # mkt and grp are in bijection on the joined rows, where the tie-break
+    # alone would orient grp -> mkt; the right side declares mkt -> grp
+    rows1 = [{"id": "1", "city": "x"}, {"id": "2", "city": "y"}]
+    rows2 = [{"id": "1", "mkt": "m1", "grp": "g1"}, {"id": "2", "mkt": "m2", "grp": "g2"}]
+    edges = fd_edges(("id", "city"), ("id", "mkt", "grp"), table(rows1), table(rows2),
+                     {"id": "id"})
+    assert ("mkt", "grp") in edges
+    assert ("grp", "mkt") not in edges and ("city", "id") not in edges
+
+
 def test_discover_fds_empty_join_signals():
     rows1 = [{"A": "a1", "B": "b"}]
     rows2 = [{"A": "zz", "C": "c"}]
-    assert fd_edges(("A", "B"), ("A", "C"), rows1, rows2, {"A": "A"}) == []
+    assert fd_edges(("A", "B"), ("A", "C"), table(rows1), table(rows2), {"A": "A"}) == []
 
 
 def test_join_reads_a_missing_projected_column_as_null():
@@ -168,7 +186,7 @@ def test_join_reads_a_missing_projected_column_as_null():
     tok2 = tokenize(("A", "C"), "r", {"A": "A"})
     rows1 = [{"A": "a", "B": "b"}, {"A": "a2"}]  # the second row has no B
     rows2 = [{"A": "a", "C": "c"}, {"A": "a2", "C": "c2"}]
-    joined = join_segment_rows(tok1, tok2, rows1, rows2)
+    joined = join_segment_rows(tok1, tok2, table(rows1), table(rows2))
     assert joined == [{("p", "A", "A"): "a", ("l", "B"): "b", ("r", "C"): "c"},
                       {("p", "A", "A"): "a2", ("l", "B"): None, ("r", "C"): "c2"}]
 
@@ -262,7 +280,8 @@ def test_join_segment_rows_matches_reference():
         rows1 = random_segment_rows(rng, params1, rng.randint(0, 12))
         rows2 = [{spelling.get(k, k): v for k, v in r.items()}
                  for r in random_segment_rows(rng, params2, rng.randint(0, 12))]
-        assert (repr(join_segment_rows(tok1, tok2, rows1, rows2))
+        columns1, columns2 = table(rows1, params1), table(rows2, [t[-1] for t in tok2])
+        assert (repr(join_segment_rows(tok1, tok2, columns1, columns2))
                 == repr(reference_join_segment_rows(tok1, tok2, rows1, rows2))), case
 
 
@@ -283,7 +302,7 @@ def test_merge_hierarchies_hands_the_joined_rows_to_fd_discovery(monkeypatch, d_
     monkeypatch.setattr(hierarchy_merge, "join_segment_rows", join)
     monkeypatch.setattr(hierarchy_merge, "enumerate_fds", fds)
     merge_hierarchies(d_left.hierarchy("H1"), d_location.hierarchy("H3"),
-                      d_left.rows.values(), d_location.rows.values(),
+                      d_left.rows, d_location.rows,
                       {"Department": "Department", "Continent": "Continent"})
     assert joins and len(scans) == len(joins)
     assert all(rows is joined and len(rows) > 0 for rows, joined in zip(scans, joins))
@@ -293,7 +312,7 @@ def test_fd_soundness_re_scan(d_left, d_right):
     # every reduced edge must hold with zero counterexamples on a re-scan
     edges = fd_edges(("Department", "Region", "Continent"),
                      ("Department", "Country", "Continent"),
-                     d_left.rows.values(), d_right.rows.values(),
+                     d_left.rows, d_right.rows,
                      {"Department": "Department", "Continent": "Continent"})
     merged_rows = []
     for r1 in d_left.rows.values():
@@ -338,7 +357,7 @@ def test_extend():
 def test_merge_matched_roots_worked_example(d_left, d_right):
     h1 = d_left.hierarchy("H1")
     h3 = d_right.hierarchy("H3")
-    res = merge_hierarchies(h1, h3, d_left.rows.values(), d_right.rows.values(),
+    res = merge_hierarchies(h1, h3, d_left.rows, d_right.rows,
                             {"Code": "Code", "Department": "Department",
                              "Continent": "Continent"})
     assert res.merged_left == res.merged_right
@@ -349,7 +368,7 @@ def test_merge_matched_roots_worked_example(d_left, d_right):
 def test_merge_unmatched_roots_worked_example(d_left, d_location):
     h1 = d_left.hierarchy("H1")
     h3 = d_location.hierarchy("H3")
-    res = merge_hierarchies(h1, h3, d_left.rows.values(), d_location.rows.values(),
+    res = merge_hierarchies(h1, h3, d_left.rows, d_location.rows,
                             {"Department": "Department", "Continent": "Continent"})
     assert rendered(res.merged_left, "l") == {
         ("Code", "Department", "Region", "Country", "Continent")}
@@ -360,7 +379,7 @@ def test_merge_unmatched_roots_worked_example(d_left, d_location):
 def test_merge_disjoint_keeps_sides():
     ha = Hierarchy("ha", ("A", "B"))
     hb = Hierarchy("hb", ("X", "Y"))
-    res = merge_hierarchies(ha, hb, [], [], {})
+    res = merge_hierarchies(ha, hb, no_rows(ha), no_rows(hb), {})
     assert res.merged_left == () and res.merged_right == ()
 
 
@@ -368,7 +387,7 @@ def test_merge_containment_segment(d_left, d_right):
     # first segment of H1 x H3 is <Code, Department> vs <Code, City, Department>
     h1 = Hierarchy("a", ("Code", "Department"))
     h3 = Hierarchy("b", ("Code", "City", "Department"))
-    res = merge_hierarchies(h1, h3, d_left.rows.values(), d_right.rows.values(),
+    res = merge_hierarchies(h1, h3, d_left.rows, d_right.rows,
                             {"Code": "Code", "Department": "Department"})
     assert rendered(res.merged_left) == {("Code", "City", "Department")}
 
@@ -378,7 +397,7 @@ def test_merge_undiscoverable_keeps_both():
     h2 = Hierarchy("b", ("K", "Q"))
     rows1 = [{"K": "k1", "P": "p"}]
     rows2 = [{"K": "k9", "Q": "q"}]
-    res = merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"})
+    res = merge_hierarchies(h1, h2, table(rows1), table(rows2), {"K": "K"})
     assert rendered(res.merged_left) == {("K", "P"), ("K", "Q")}
 
 
@@ -395,7 +414,7 @@ def test_chain_cap_enforced():
     settings = MergeSettings(chain_cap=1)
     with pytest.raises(MergeError, match="merge into 2 chains over 1 of their 1 segments, "
                                          "over the cap of 1"):
-        merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, settings)
+        merge_hierarchies(h1, h2, table(rows1), table(rows2), {"K": "K"}, settings)
 
 
 def test_chain_cap_bounds_the_hierarchy_pair():
@@ -409,8 +428,8 @@ def test_chain_cap_bounds_the_hierarchy_pair():
              for i in range(24)]
     pairs = {"K": "K", "M": "M"}
     with pytest.raises(MergeError, match="merge into 4 chains over 2 of their 2 segments, over the cap of 2"):
-        merge_hierarchies(h1, h2, rows1, rows2, pairs, MergeSettings(chain_cap=2))
-    res = merge_hierarchies(h1, h2, rows1, rows2, pairs, MergeSettings(chain_cap=4))
+        merge_hierarchies(h1, h2, table(rows1), table(rows2), pairs, MergeSettings(chain_cap=2))
+    res = merge_hierarchies(h1, h2, table(rows1), table(rows2), pairs, MergeSettings(chain_cap=4))
     assert rendered(res.merged_left) == {("K", "A", "M", "C"), ("K", "A", "M", "D"),
                                          ("K", "B", "M", "C"), ("K", "B", "M", "D")}
     # An undiscoverable segment keeps both sides' parameters: two chains,
@@ -418,7 +437,8 @@ def test_chain_cap_bounds_the_hierarchy_pair():
     h1, h2 = Hierarchy("a", ("K", "P")), Hierarchy("b", ("K", "Q"))
     rows1, rows2 = [{"K": "k1", "P": "p"}], [{"K": "k9", "Q": "q"}]
     with pytest.raises(MergeError, match="merge into 2 chains over 1 of their 1 segments"):
-        merge_hierarchies(h1, h2, rows1, rows2, {"K": "K"}, MergeSettings(chain_cap=1))
+        merge_hierarchies(h1, h2, table(rows1), table(rows2), {"K": "K"},
+                          MergeSettings(chain_cap=1))
 
 
 def random_hierarchy_pair(rng):
@@ -464,7 +484,7 @@ def test_partial_order_preservation_random():
         for r in rows2:
             r[h2.parameters[0]] = f"k{rng.randint(0, 20)}"
         try:
-            res = merge_hierarchies(h1, h2, rows1, rows2, pairs)
+            res = merge_hierarchies(h1, h2, table(rows1), table(rows2), pairs)
         except MergeError:
             continue
         checked += 1

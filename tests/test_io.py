@@ -605,6 +605,26 @@ def test_loaded_fact_keeps_few_bytes_per_row(tmp_path):
     assert retained / n < 320, retained / n
 
 
+def test_loaded_dimension_keeps_few_bytes_per_row(tmp_path):
+    # One list per attribute and an id index: about 410 bytes per row of five
+    # cells, most of it the cells' own strings; a dict per row cost about 580.
+    dw1, _, _ = generate_pair(preset_basic(seed=1, rows=20000, fact_rows=100))
+    io.write_dw(dw1, tmp_path)
+    del dw1
+    tracemalloc.start()
+    try:
+        schema = io.load_dw(tmp_path)
+        schema.facts = ()  # their text key cells are the dimensions' ids
+        n = sum(len(d.rows) for d in schema.dimensions)
+        with_dimensions = tracemalloc.get_traced_memory()[0]
+        schema.dimensions = ()
+        retained = with_dimensions - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 20000
+    assert retained / n < 500, retained / n
+
+
 def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
     # K mixes null, numbers and text; equal numbers spelt differently tie
     # on K and L, so they must keep their input order.

@@ -57,10 +57,15 @@ def test_validate_well_formed():
 def test_validate_duplicate_root_and_dangling_key():
     schema = two_dim_star()
     customer = schema.dimension("customer")
-    # force a key/attribute inconsistency
-    customer.rows["C01"]["Code"] = "C99"
-    violations = validate(schema)
-    assert any(v.rule == "root-key-consistent" for v in violations)
+    # A key unlike its root cell, and a repeated id, cannot be stored.
+    rows = dict(customer.rows.items())
+    rows["C01"]["Code"] = "C99"
+    with pytest.raises(ValueError, match="row key 'C01' differs from its root cell 'C99'"):
+        Dimension(customer.name, customer.root, customer.attributes, customer.hierarchies, rows)
+    twice = [col + col[:1] for col in customer.columns]
+    with pytest.raises(ValueError, match="repeats an id"):
+        Dimension.from_columns(customer.name, customer.root, customer.attributes,
+                               customer.hierarchies, twice)
 
     schema2 = with_fact_rows(two_dim_star(),
                              [{"Code": "C99", "Pid": "P1", "Quantity": Decimal(2)}])
@@ -176,13 +181,51 @@ def test_validate_names_a_fact_numeric_set_the_reload_changes(numeric, violation
     assert io.load_dw(tmp_path).fact.numeric == {"Quantity"}
 
 
-# _validate_dimension as it was before it checked whole columns first: kept
-# verbatim as the reference.
-def reference_validate_dimension(dim: Dimension, out: list[Violation]) -> None:
+def one_row_star(table: str, column: str, cell) -> Schema:
+    """A star of one row whose ``column`` of ``table`` holds ``cell``; Number
+    and Amount are numeric, Text is not."""
+    row = {"Id": "k1", "Text": "t", "Number": Decimal(2), "Amount": Decimal(3)}
+    if table != "-":
+        row[column] = cell
+    dim = Dimension("d", "Id", ("Id", "Text", "Number"), (Hierarchy("h", ("Id", "Text")),),
+                    {"k1": {a: row[a] for a in ("Id", "Text", "Number")}}, frozenset({"Number"}))
+    fact = Fact("f", ("Amount",), (("d", "Id"),), [{"Id": "k1", "Amount": row["Amount"]}],
+                frozenset({"Amount"}))
+    return star_schema("s", fact, (dim,))
+
+
+@pytest.mark.parametrize("table, column, cell, reloaded", [
+    ("f", "Amount", Decimal("NaN"), "'NaN' is not a number"),
+    ("d", "Number", "abc", "'abc' is not a number"),
+    ("d", "Text", " padded ", "padded"),
+    ("d", "Text", "", None),
+    ("d", "Text", Decimal("1.0"), "1.0"),
+    ("-", "-", None, None),
+], ids=["nan-measure", "text-in-numeric", "padded", "empty", "decimal-in-text", "clean"])
+def test_validate_names_a_cell_the_reload_changes(table, column, cell, reloaded, tmp_path):
+    schema = one_row_star(table, column, cell)
+    rules = [(v.table, v.locus, v.rule) for v in validate(schema)]
+    assert rules == ([] if table == "-" else [(table, column, "cell-reloads")])
+    io.write_dw(schema, tmp_path)
+    if isinstance(reloaded, str) and reloaded.endswith("not a number"):
+        with pytest.raises(LoadError, match=reloaded):
+            io.load_dw(tmp_path)
+        return
+    back = io.load_dw(tmp_path)
+    if table == "-":
+        assert back == schema
+    else:
+        assert repr(back.dimension(table).cells(column)[0]) == repr(reloaded)
+
+
+# _validate_dimension as it was before it checked whole columns first, over
+# row dicts: kept as the reference, with the rows given beside the
+# dimension's declaration.
+def reference_validate_dimension(dim: Dimension, rows: dict, out: list[Violation]) -> None:
     out.extend(dimension_faults(dim))
-    attrs = dim.attribute_set()
+    attrs = set(dim.attributes)
     root = dim.root
-    for key, row in dim.rows.items():
+    for key, row in rows.items():
         if key is None:
             out.append(Violation(dim.name, "<null>", "root-non-null",
                                  "a row has a null root value"))
@@ -195,10 +238,11 @@ def reference_validate_dimension(dim: Dimension, out: list[Violation]) -> None:
                                  f"row carries undeclared columns {sorted(extra)!r}"))
 
 
-def random_dimension(rng: random.Random) -> Dimension:
-    """Up to six rows with text or numeric ids, some broken: a null key, a root
-    cell that differs, is null, is missing or is text for a number, an
-    undeclared column; ``1`` and ``1.0`` are equal ids spelt differently."""
+def random_dimension(rng: random.Random) -> tuple[Dimension, dict]:
+    """A declaration and up to six rows with text or numeric ids, some
+    broken: a null key, a root cell that differs, is null, is missing or is
+    text for a number, an undeclared column; ``1`` and ``1.0`` are equal ids
+    spelt differently."""
     numeric = rng.random() < 0.5
     pool = ([Decimal("1"), Decimal("1.0"), Decimal("2"), Decimal("2.50")] if numeric
             else ["a", "b", "c", "1"])
@@ -219,27 +263,41 @@ def random_dimension(rng: random.Random) -> Dimension:
         if rng.random() < 0.08:
             row[rng.choice(["Z", "Y"])] = "z"
         rows[key] = row
-    return Dimension("d", "Id", ("Id", "A"), (Hierarchy("h", ("Id", "A")),), rows,
-                     frozenset({"Id"}) if numeric else frozenset())
+    declared = Dimension("d", "Id", ("Id", "A"), (Hierarchy("h", ("Id", "A")),), {},
+                         frozenset({"Id"}) if numeric else frozenset())
+    return declared, rows
 
 
 def test_validate_dimension_matches_reference_loop():
+    # The constructor refuses the rows the loop found a key or column fault
+    # in, and a null key with a root cell; validate reports the rest as it did.
     rng = random.Random(4242)
     seen = dict.fromkeys(["clean", "root-non-null", "root-key-consistent", "row-columns",
-                          "equal-spellings", "missing-root"], 0)
+                          "equal-spellings", "missing-root", "refused"], 0)
     for case in range(400):
-        dim = random_dimension(rng)
-        got, expected = [], []
-        _validate_dimension(dim, got)
-        reference_validate_dimension(dim, expected)
-        assert got == expected, f"case {case}"
-        seen["clean"] += not got and bool(dim.rows)
-        for v in got:
+        declared, rows = random_dimension(rng)
+        expected = []
+        reference_validate_dimension(declared, rows, expected)
+        refused = (bool({"root-key-consistent", "row-columns"} & {v.rule for v in expected})
+                   or any(k is None and r.get("Id") is not None for k, r in rows.items()))
+        for v in expected:
             seen[v.rule] += 1
+        seen["missing-root"] += any("Id" not in r for r in rows.values())
+        try:
+            dim = Dimension(declared.name, declared.root, declared.attributes,
+                            declared.hierarchies, rows, declared.numeric)
+        except ValueError:
+            assert refused, f"case {case}"
+            seen["refused"] += 1
+            continue
+        assert not refused, f"case {case}"
+        got = dimension_faults(dim)
+        _validate_dimension(dim, got)
+        assert got == expected, f"case {case}"
+        seen["clean"] += not got and bool(rows)
         seen["equal-spellings"] += any(
             isinstance(k, Decimal) and cells_equal(r.get("Id"), k) and str(r["Id"]) != str(k)
-            for k, r in dim.rows.items())
-        seen["missing-root"] += any("Id" not in r for r in dim.rows.values())
+            for k, r in rows.items())
     assert all(seen.values()), seen
 
 

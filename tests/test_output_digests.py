@@ -113,3 +113,74 @@ def test_gen_output_digest(case, tmp_path, monkeypatch, capsys):
                      *flags]) == cli.EXIT_OK
     capsys.readouterr()
     assert tree_digest(tmp_path / "out") == want
+
+
+# Hand-written tables for load paths no generated pair reaches: a repeated
+# id, kept first under non-strict loading, in a text and in a numeric id
+# column (1 and 1.0 are one number), numeric ids spelt apart on the two
+# sides, and quoted text cells holding a comma, a newline and a quote. The
+# two customer hierarchies merge into cid -> city -> region -> country.
+HAND_WRITTEN = {
+    "dw1": {
+        "customer.csv": ('cid,city,region\n'
+                         '1,"Paris, ile\nde France",idf\n'
+                         '2,Lyon,ara\n'
+                         '1.0,Dup,dup\n'
+                         '4,,south\n'),
+        "product.csv": ('pid,label,family\n'
+                        'p1,"bolt, 6 mm",hardware\n'
+                        'p2,"nut ""M6""",hardware\n'
+                        'p1,repeat,ignored\n'),
+        "sales.csv": 'cid,pid,qty\n1,p1,3\n2,p2,4\n4,p1,1\n',
+        "schema.json": {
+            "formatVersion": 1, "name": "hand1",
+            "facts": [{"name": "sales", "table": "sales.csv", "measures": ["qty"],
+                       "dimensionKeys": [{"dimension": "customer", "column": "cid"},
+                                         {"dimension": "product", "column": "pid"}]}],
+            "dimensions": [
+                {"name": "customer", "table": "customer.csv", "id": "cid",
+                 "attributes": ["cid", "city", "region"], "numericAttributes": ["cid"],
+                 "hierarchies": [{"name": "geo", "parameters": ["cid", "city", "region"]}]},
+                {"name": "product", "table": "product.csv", "id": "pid",
+                 "attributes": ["pid", "label", "family"],
+                 "hierarchies": [{"name": "kind", "parameters": ["pid", "family"]}]}]},
+    },
+    "dw2": {
+        "customer.csv": ('cid,city,country\n'
+                         '1.0,"Paris, ile\nde France",fr\n'
+                         '3,Lyon,fr\n'
+                         '5,Nice,\n'
+                         '4.00,Nice,fr\n'),
+        "product.csv": 'pid,family\np1,hardware\np3,paint\n',
+        "sales.csv": 'cid,pid,qty\n1.0,p1,5\n3,p3,2\n5,p1,7\n',
+        "schema.json": {
+            "formatVersion": 1, "name": "hand2",
+            "facts": [{"name": "sales", "table": "sales.csv", "measures": ["qty"],
+                       "dimensionKeys": [{"dimension": "customer", "column": "cid"},
+                                         {"dimension": "product", "column": "pid"}]}],
+            "dimensions": [
+                {"name": "customer", "table": "customer.csv", "id": "cid",
+                 "attributes": ["cid", "city", "country"], "numericAttributes": ["cid"],
+                 "hierarchies": [{"name": "geo", "parameters": ["cid", "city", "country"]}]},
+                {"name": "product", "table": "product.csv", "id": "pid",
+                 "attributes": ["pid", "family"],
+                 "hierarchies": [{"name": "kind", "parameters": ["pid", "family"]}]}]},
+    },
+}
+
+
+def test_merge_output_digest_of_hand_written_tables(tmp_path, monkeypatch, capsys, caplog):
+    for side, files in HAND_WRITTEN.items():
+        (tmp_path / side).mkdir()
+        for name, body in files.items():
+            text = json.dumps(body) if name == "schema.json" else body
+            (tmp_path / side / name).write_text(text, encoding="utf-8", newline="")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["merge", "dw1", "dw2", "out"]) == cli.EXIT_OK
+    kept_first = [r.getMessage() for r in caplog.records if "keeping the first" in r.getMessage()]
+    assert len(kept_first) == 2, kept_first
+    capsys.readouterr()
+    assert cli.main(["validate", "--strict", "out"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "out: OK\n"
+    assert tree_digest(tmp_path / "out") == (
+        "e34fc589e5840c404095590d2248c6d28abdf5219a7a1c95fc2dc0341b7dbbf2")

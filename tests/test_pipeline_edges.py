@@ -14,7 +14,7 @@ from dwmerge.matching import MatcherConfig
 from dwmerge.model import Dimension, Fact, Hierarchy, star_schema, validate
 from dwmerge.star_merge import merge_stars
 
-from conftest import make_dimension
+from conftest import make_dimension, table
 
 
 def test_enrichment_accumulates_from_two_partners():
@@ -70,9 +70,9 @@ def test_min_support_filters_thin_evidence():
     rows2 = [{"K": "k1", "B": "b1"}, {"K": "k2", "B": "b2"}]
     tok1 = tokenize(("K", "A"), "l", {"K": "K"})
     tok2 = tokenize(("K", "B"), "r", {"K": "K"})
-    edges1 = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support=1)
+    edges1 = _segment_fd_edges(tok1, tok2, table(rows1), table(rows2), min_support=1)
     assert edges1  # two joined rows support something
-    edges3 = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support=3)
+    edges3 = _segment_fd_edges(tok1, tok2, table(rows1), table(rows2), min_support=3)
     assert edges3 == []
 
 

@@ -2,7 +2,6 @@ import contextlib
 import copy
 import operator
 import random
-from dataclasses import replace
 from decimal import Decimal
 from itertools import permutations, repeat
 from operator import itemgetter
@@ -19,7 +18,8 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Fact, Row, cell_to_text, conforms, star_schema, validate
+from dwmerge.model import (Cell, Dimension, Fact, Row, cell_to_text, conforms, star_schema,
+                           validate)
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
@@ -102,7 +102,9 @@ def test_prune_decision_does_not_depend_on_hierarchy_order():
     dim = covered_dimension()
     want = {h.name for h, _ in prune_hierarchies(dim)[1]}
     for order in permutations(dim.hierarchies):
-        assert {h.name for h, _ in prune_hierarchies(replace(dim, hierarchies=order))[1]} == want
+        reordered = Dimension.from_columns(dim.name, dim.root, dim.attributes, order,
+                                           dim.columns)
+        assert {h.name for h, _ in prune_hierarchies(reordered)[1]} == want
 
 
 @st.composite
@@ -427,19 +429,53 @@ def input_rows(*stars):
     return repr([(s.fact.rows, [d.rows for d in s.dimensions]) for s in stars])
 
 
-@pytest.mark.parametrize("policy", ["left", "right", "error"])
-def test_merge_never_mutates_its_inputs(policy):
+def generated(spec):
+    return lambda: generate_pair(spec())[:2]
+
+
+def enrichment_fills_an_input_column():
+    """A star pair whose enrichment fills a null in a column an input holds:
+    a's customer c2 lacks a nation, and b's shops in its city have one."""
+    geo, loc = ("cid", "city", "nation"), ("sid", "city", "nation")
+
+    def star(name, customers, shops, sales):
+        dims = (make_dimension("cust", "cid", geo, [("geo", geo)], customers),
+                make_dimension("shop", "sid", loc, [("loc", loc)], shops))
+        fact = Fact("sales", ("qty",), (("cust", "cid"), ("shop", "sid")),
+                    [{"cid": c, "sid": s, "qty": Decimal(q)} for c, s, q in sales],
+                    frozenset({"qty"}))
+        return star_schema(name, fact, dims)
+
+    return (star("a", [("c1", "Paris", "fr"), ("c2", "Lyon", None)], [("s1", "Paris", "fr")],
+                 [("c1", "s1", 1), ("c2", "s1", 2)]),
+            star("b", [("c1", "Paris", "fr")], [("s1", "Paris", "fr"), ("s2", "Lyon", "fr")],
+                 [("c1", "s2", 3)]))
+
+
+@pytest.mark.parametrize("make, policy", [
     # About half of the 184 shared fact tuples carry a conflicting price.
-    dw1, dw2, _ = generate_pair(conflict_spec())
+    pytest.param(generated(conflict_spec), "left", id="left"),
+    pytest.param(generated(conflict_spec), "right", id="right"),
+    pytest.param(generated(conflict_spec), "error", id="error"),
+    # Completion fills cells of a merged dimension and of enriched ones (see
+    # test_pipeline_completion_matches_reference_sweep), and of an enriched
+    # one in a column its input holds.
+    pytest.param(generated(lambda: preset_divergent(seed=3, rows=1200)), "left", id="divergent"),
+    pytest.param(generated(lambda: preset_const22(seed=3)), "left", id="const22"),
+    pytest.param(enrichment_fills_an_input_column, "left", id="enrichment-native"),
+])
+def test_merge_never_mutates_its_inputs(make, policy):
+    dw1, dw2 = make()
     before = copy.deepcopy((dw1, dw2))
     settings = MergeSettings(conflict=policy)
-    mcorrs = match_measures(dw1.fact, dw2.fact, MatcherConfig())
-    pairing = {"customer": "customer", "product": "product"}
     def raises():
         return pytest.raises(ConflictError) if policy == "error" else contextlib.nullcontext()
 
-    with raises():
-        merge_facts(dw1.fact, dw2.fact, mcorrs, pairing, settings)
+    mcorrs = match_measures(dw1.fact, dw2.fact, MatcherConfig())
+    pairing = {d.name: d.name for d in dw2.dimensions}
+    if {d.name for d in dw1.dimensions} == set(pairing):
+        with raises():
+            merge_facts(dw1.fact, dw2.fact, mcorrs, pairing, settings)
     with raises():
         merge_stars(dw1, dw2, settings=settings)
     assert input_rows(dw1, dw2) == input_rows(*before)
