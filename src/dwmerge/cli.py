@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 load or validation failure, 3 stars unmergeable, a
-numeric column matched with a text one, or merge aborted by policy, 4 internal
-invariant violation, 5 bad usage.
+Exit codes: 0 success, 2 load or validation failure, or an output that cannot
+be written, 3 stars unmergeable, a numeric column matched with a text one, or
+merge aborted by policy, 4 internal invariant violation, 5 bad usage.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, io
 from .config import CONFLICT_POLICIES, MergeSettings
-from .errors import (InternalInvariantError, LoadError, MergeError,
-                     UserMapError)
+from .errors import InternalInvariantError, LoadError, MergeError, UserMapError, WriteError
 from .generator import PRESETS, generate_pair, load_spec
 from .matching import (MatcherConfig, check_user_map, load_user_map, match_attributes,
                        match_measures)
@@ -109,6 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(what: str, path):
+    """Turn an OSError raised while writing ``path`` into a :class:`WriteError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _load_star(path: str, strict: bool) -> Schema:
     schema = io.load_dw(path, strict=strict)
     if schema.fact is None:
@@ -140,9 +149,11 @@ def cmd_merge(args) -> int:
         "right": args.dw2,
     }
     result = merge_stars(s1, s2, matcher, settings, config_echo)
-    io.write_dw(result.schema, args.out)
+    with _writing("warehouse", args.out):
+        io.write_dw(result.schema, args.out)
     report_path = Path(args.report) if args.report else Path(args.out) / "report.json"
-    io.write_report(result.report, report_path)
+    with _writing("report", report_path):
+        io.write_report(result.report, report_path)
     print(f"result: {result.report.result_kind}")
     for t in result.report.tables:
         print(f"  {t.kind} {t.table}: {t.n_left or 0} + {t.n_right or 0} "
@@ -194,11 +205,13 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to {target}")
     spec = make(**{"seed": 0, **given}) if make else load_spec(args.spec)
     dw1, dw2, manifest = generate_pair(spec)
-    io.write_dw(dw1, args.out1)
-    io.write_dw(dw2, args.out2)
+    for dw, out in ((dw1, args.out1), (dw2, args.out2)):
+        with _writing("warehouse", out):
+            io.write_dw(dw, out)
     manifest_path = Path(args.manifest) if args.manifest else Path(f"{args.out1}.manifest.json")
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with _writing("manifest", manifest_path):
+        manifest_path.parent.mkdir(parents=True, exist_ok=True)
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"generated {args.out1} and {args.out2}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
@@ -221,7 +234,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return cmd_gen(args)
         return EXIT_USAGE
-    except (LoadError, UserMapError) as exc:
+    except (LoadError, UserMapError, WriteError) as exc:
         print(f"dwmerge: {exc}", file=sys.stderr)
         return EXIT_LOAD
     except InternalInvariantError as exc:

@@ -61,16 +61,13 @@ class DimensionMergeResult:
     """Outcome of merging two dimensions.
 
     ``matched`` selects which fields are populated: one merged dimension, or
-    one enriched dimension per side. ``merged_only`` hierarchies are the
-    merge-produced ones (never the re-added originals) of the merged
-    dimension; they drive completion before schema deduplication.
+    one enriched dimension per side.
     """
 
     matched: bool
     dimension: Dimension | None = None
     left: Dimension | None = None
     right: Dimension | None = None
-    merged_only: tuple[Hierarchy, ...] = ()
     completion_log: list[CompletionFill] = field(default_factory=list)
     completion_log_left: list[CompletionFill] = field(default_factory=list)
     completion_log_right: list[CompletionFill] = field(default_factory=list)
@@ -444,8 +441,7 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
         if b not in r2l:
             sources[names[b]] = (None, b)
     return DimensionMergeResult(
-        matched=True, dimension=dim, merged_only=tuple(produced),
-        completion_log=fills, conflict_log=conflicts,
+        matched=True, dimension=dim, completion_log=fills, conflict_log=conflicts,
         shared_keys=len(d1.rows) + len(d2.rows) - len(ids), attr_sources=sources)
 
 

@@ -27,8 +27,8 @@ class UserMapError(DwMergeError):
     """A user correspondence file entry is malformed or references unknown names."""
 
 
-class SchemaMismatchError(DwMergeError):
-    """A hierarchy or operation referenced an attribute the schema does not have."""
+class WriteError(DwMergeError):
+    """An output warehouse, report or manifest could not be written."""
 
 
 class MergeError(DwMergeError):

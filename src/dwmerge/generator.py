@@ -314,7 +314,7 @@ def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:
             indices = sorted(rng.sample(range(d.rows), round(fraction * d.rows)))
             sampled[side][d.name] = set(indices)
             dim = _view_dimension(d, chains, indices)
-            ids[side][d.name] = dict(zip(indices, dim.rows))
+            ids[side][d.name] = dict(zip(indices, dim.cells(dim.root)))
             dims_by_side[side].append(dim)
         kept = [sampled[side].get(d.name) for side in (1, 2)]
         manifest_dims[d.name] = {

@@ -15,6 +15,9 @@ two dimensions unify without committing to either side's spelling:
 
 Callers render token chains back to attribute names once they know which
 dimension the chain will live in.
+
+Instances are read a column at a time (:meth:`model.Rows.cells`): the join of
+a sub-hierarchy pair builds a column per token, which FD discovery reads.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import MergeError
-from .model import Cell, Hierarchy, Rows
+from .model import Cell, Hierarchy, RowList, Rows
 
 logger = logging.getLogger(__name__)
 
@@ -94,16 +96,17 @@ def _matched_tokens(tok1: TokenSeq, tok2: TokenSeq) -> list[Token]:
 # functional dependencies
 # ---------------------------------------------------------------------------
 
-def enumerate_fds(rows: Sequence[dict[Hashable, Cell]], attrs: Sequence[Hashable],
+def enumerate_fds(rows: Rows, attrs: Sequence[Hashable],
                   min_support: int = 1) -> set[tuple[Hashable, Hashable]]:
     """All single-attribute FDs a -> b holding over the rows.
 
     Rows where either attribute is null are excluded from both support and
     violation counts; an edge needs at least ``min_support`` surviving rows.
-    Each attribute's column is read once; a scan stops at its first
-    violation. On two non-null cells ``!=`` is ``not model.cells_equal``.
+    The scans read the columns of ``rows`` (:meth:`model.Rows.cells`); a
+    scan stops at its first violation. On two non-null cells ``!=`` is
+    ``not model.cells_equal``.
     """
-    cols = {a: list(map(dict.get, rows, repeat(a))) for a in attrs}
+    cols = {a: rows.cells(a) for a in attrs}
     out = set()
     for a in attrs:
         for b in attrs:
@@ -124,7 +127,7 @@ def enumerate_fds(rows: Sequence[dict[Hashable, Cell]], attrs: Sequence[Hashable
     return out
 
 
-def resolve_two_cycles(edges: set[tuple], rows: Sequence[dict]) -> list[tuple]:
+def resolve_two_cycles(edges: set[tuple], rows: Rows) -> list[tuple]:
     """Break a<->b cycles: keep the edge from more distinct values to fewer.
 
     Ties break toward the lexicographically smaller determinant so the
@@ -132,19 +135,14 @@ def resolve_two_cycles(edges: set[tuple], rows: Sequence[dict]) -> list[tuple]:
     distinct counts only when they are in bijection, so orientation within
     such a group is consistent and the survivor set is acyclic.
     """
-    counts: dict[Hashable, int] = {}
-
-    def distinct(attr) -> int:
-        if attr not in counts:
-            counts[attr] = len(set(map(dict.get, rows, repeat(attr))) - {None})
-        return counts[attr]
-
+    cyclic = {a for a, b in edges if (b, a) in edges}
+    distinct = {a: len(set(rows.cells(a)) - {None}) for a in cyclic}
     kept = []
     for a, b in sorted(edges):
         if (b, a) not in edges:
             kept.append((a, b))
             continue
-        ca, cb = distinct(a), distinct(b)
+        ca, cb = distinct[a], distinct[b]
         if ca > cb or (ca == cb and a < b):
             kept.append((a, b))
             logger.debug("two-cycle %r <-> %r oriented %r -> %r", a, b, a, b)
@@ -217,14 +215,14 @@ def _project(rows: Rows, names: list[str]) -> list[tuple[Cell, ...]]:
 
 
 def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Rows, rows2: Rows
-                      ) -> list[dict[Token, Cell]]:
+                      rows1: Rows, rows2: Rows) -> RowList:
     """Inner-join the two projected instance sets on the shared first parameter.
 
     Projections are deduplicated first, so FD support counts distinct
-    projected row combinations. Each joined row holds the right side's
-    tokens, then the left side's own. Matched columns present on both sides
-    take the left value and fall back to the right one when the left is null.
+    projected row combinations. The join is built as one column per token:
+    the right side's tokens, then the left side's own. A matched column
+    takes the left value and falls back to the right one where the left is
+    null.
     """
     if tok1[0] != tok2[0]:
         raise MergeError("sub-hierarchy pair does not share its first parameter")
@@ -232,22 +230,20 @@ def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
     for t2 in _project(rows2, [t[2] if t[0] == "p" else t[1] for t in tok2]):
         if t2[0] is not None:
             idx2.setdefault(t2[0], []).append(t2)
-    joined = []
+    lefts, rights = [], []
     for t1 in _project(rows1, [t[1] for t in tok1]):
-        matches = idx2.get(t1[0])  # a null key is never indexed
-        if matches is None:
-            continue
-        whole = None not in t1
-        for t2 in matches:
-            row = dict(zip(tok2, t2))
-            if whole:
-                row.update(zip(tok1, t1))
-            else:
-                for tok, v in zip(tok1, t1):
-                    if v is not None or tok not in row:
-                        row[tok] = v
-            joined.append(row)
-    return joined
+        matches = idx2.get(t1[0], ())  # a null key is never indexed
+        lefts += [t1] * len(matches)
+        rights += matches
+    names = tok2 + tuple(t for t in tok1 if t not in tok2)
+    if not lefts:
+        return RowList(names, [[] for _ in names])
+    columns = dict(zip(tok1, map(list, zip(*lefts))))
+    for tok, right in zip(tok2, zip(*rights)):
+        mine = columns.get(tok)
+        columns[tok] = list(right) if mine is None else [r if v is None else v
+                                                         for v, r in zip(mine, right)]
+    return RowList(names, list(map(columns.get, names)))
 
 
 def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,

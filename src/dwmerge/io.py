@@ -384,7 +384,7 @@ def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict:
     # so the fact keeps no copy of it; a numeric one keeps its own spelling.
     for j, (dim, col) in enumerate(keys):
         if col not in numeric:
-            ids = dict(zip(dims[dim].rows, dims[dim].rows))
+            ids = dict(zip(dims[dim].index, dims[dim].index))
             shared = list(map(ids.get, columns[j]))
             if None not in shared:
                 columns[j] = shared

@@ -8,7 +8,9 @@ than ``==`` when comparing cells.
 
 Facts and dimensions hold their cells as one list per column, and read them
 back as row dicts through views that build each row as it is read
-(:class:`Rows`); a dimension also maps each id to its row's position. A
+(:class:`Rows`); a dimension also maps each id to its row's position. The
+merge reads the columns themselves, through :meth:`Rows.cells`, and builds
+no row dict; a joined segment is a :class:`RowList` over its columns. A
 :class:`Schema` is facts sharing dimensions, and its star map names the
 dimensions each fact links; a star schema is the case whose one fact links
 every dimension (:attr:`Schema.fact`).
@@ -31,8 +33,6 @@ from decimal import Decimal
 from itertools import repeat
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Union
-
-from .errors import SchemaMismatchError
 
 Cell = Union[None, str, Decimal]
 Row = dict[str, Cell]
@@ -235,9 +235,9 @@ class Fact:
         return self.columns[self.column_names().index(name)]
 
     @property
-    def rows(self) -> FactRows:
+    def rows(self) -> RowList:
         """The rows as dicts (column name -> cell): a read-only view, built as read."""
-        return FactRows(self.column_names(), self.columns)
+        return RowList(self.column_names(), self.columns)
 
 
 class Rows:
@@ -257,10 +257,10 @@ class Rows:
         return dict(zip(self._names, [col[i] for col in self._columns]))
 
 
-class FactRows(Rows, Sequence):
-    """A fact's rows as a read-only sequence of row dicts. The length is the
-    columns' length, the view equals a list of the same row dicts, and its
-    repr is that list's."""
+class RowList(Rows, Sequence):
+    """A table's rows as a read-only sequence of row dicts, as a fact's rows
+    and a joined segment are read. The length is the columns' length, the
+    view equals a list of the same row dicts, and its repr is that list's."""
 
     def __len__(self) -> int:
         return len(self._columns[0]) if self._columns else 0
@@ -274,7 +274,7 @@ class FactRows(Rows, Sequence):
         return map(self._row, range(len(self)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (list, FactRows)):
+        if isinstance(other, (list, RowList)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -350,23 +350,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.table} [{self.locus}] {self.rule}: {self.message}"
-
-
-def conforms(row: Mapping[str, Cell], hierarchy: Hierarchy) -> bool:
-    """True iff every parameter of the hierarchy is non-null in the row.
-
-    Raises :class:`SchemaMismatchError` when the hierarchy names an attribute
-    the row does not carry, which signals a schema/hierarchy mismatch rather
-    than a data condition.
-    """
-    for p in hierarchy.parameters:
-        if p not in row:
-            raise SchemaMismatchError(
-                f"hierarchy {hierarchy.name!r} parameter {p!r} is not an attribute of the row"
-            )
-        if row[p] is None:
-            return False
-    return True
 
 
 def _repeated(names: Iterable[str]) -> list[str]:

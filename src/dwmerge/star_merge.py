@@ -24,8 +24,8 @@ from .errors import (ConflictError, InternalInvariantError, MergeError,
                      UnmergeableError)
 from .matching import (Correspondence, MatcherConfig, check_user_map, match_attributes,
                        match_measures, matched_root_parameters)
-from .model import (Cell, Dimension, Fact, Hierarchy, Schema, cell_to_text, conforms,
-                    star_schema, uniquify, validate)
+from .model import (Cell, Dimension, Fact, Hierarchy, Schema, cell_to_text, star_schema,
+                    uniquify, validate)
 from .report import (AmbiguousFill, CompletedAttribute, ConflictEcho,
                      CorrespondenceEcho, DimensionPairEcho, MergeReport,
                      PrunedHierarchy, TableCount, assert_count_laws)
@@ -49,26 +49,25 @@ def prune_hierarchies(dim: Dimension) -> tuple[Dimension, list[tuple[Hierarchy, 
     conforming instances all conform to ones over strictly more parameters,
     whether the inputs carried them or the merge made them.
 
-    Strict containment keeps two hierarchies over the same parameters in
-    different orders from removing each other. Decisions are evaluated
-    against the incoming hierarchy set and applied in one batch, so the
-    outcome does not depend on iteration order, and every row on a
-    subsumed hierarchy stays on a surviving one.
+    A row conforms to a hierarchy none of whose parameters is null in it,
+    so the rules read each distinct pattern of nulls in the hierarchy
+    columns once, as its set of null columns. Strict containment keeps two
+    hierarchies over the same parameters in different orders from removing
+    each other. Decisions are evaluated against the incoming hierarchy set
+    and applied in one batch, so the outcome does not depend on iteration
+    order, and every row on a subsumed hierarchy stays on a surviving one.
     """
-    columns = {p for h in dim.hierarchies for p in h.parameters}
-    # Rows null in the same hierarchy columns conform to the same hierarchies,
-    # so one row stands for each pattern of nulls in those columns.
-    nulls = zip(*(map(is_, dim.cells(c), repeat(None)) for c in columns))
-    rows = dim.rows
-    kinds = [rows[key] for key in dict(zip(nulls, rows)).values()]
+    columns = list(dict.fromkeys(p for h in dim.hierarchies for p in h.parameters))
+    flags = set(zip(*(map(is_, dim.cells(c), repeat(None)) for c in columns)))
+    patterns = [{c for c, null in zip(columns, f) if null} for f in flags]
     removed: list[tuple[Hierarchy, str]] = []
     for h in dim.hierarchies:
         params = set(h.parameters)
-        longer = [m for m in dim.hierarchies if set(m.parameters) > params]
-        on_h = [r for r in kinds if conforms(r, h)]
+        longer = [m.parameters for m in dim.hierarchies if set(m.parameters) > params]
+        on_h = [nulls for nulls in patterns if nulls.isdisjoint(params)]
         if not on_h:
             removed.append((h, REASON_DEAD))
-        elif all(any(conforms(r, m) for m in longer) for r in on_h):
+        elif all(any(map(nulls.isdisjoint, longer)) for nulls in on_h):
             removed.append((h, REASON_SUBSUMED))
 
     gone = {h.name for h, _ in removed}

@@ -25,17 +25,17 @@ from typing import Sequence
 
 import pytest
 
-from dwmerge.model import Cell, Dimension, FactRows, Hierarchy, Row, cells_equal
+from dwmerge.model import Cell, Dimension, Hierarchy, Row, RowList, cells_equal
 
 H13_PARAMS = ("Code", "City", "Department", "Region", "Country", "Continent")
 H24_PARAMS = ("Code", "Profession", "Subcategory", "Category")
 
 
-def table(rows: Sequence[Row], names: Sequence[str] = ()) -> FactRows:
+def table(rows: Sequence[Row], names: Sequence[str] = ()) -> RowList:
     """Row dicts as the column view the hierarchy merge reads. Its columns are
     ``names`` and every key of a row; a cell a row lacks is null."""
     names = tuple(dict.fromkeys([*names, *(k for r in rows for k in r)]))
-    return FactRows(names, [[r.get(n) for r in rows] for n in names])
+    return RowList(names, [[r.get(n) for r in rows] for n in names])
 
 
 def make_dimension(name, root, attributes, hierarchies, rows) -> Dimension:

@@ -214,7 +214,7 @@ def test_accept_fd_and_chain_oracles():
         attrs = [f"a{i}" for i in range(rng.randint(2, 8))]
         rows = [{a: rng.choice([None, "u", "v", "w", "x"]) for a in attrs}
                 for _ in range(rng.randint(1, 50))]
-        assert enumerate_fds(rows, attrs) == _brute_force_fds(rows, attrs)
+        assert enumerate_fds(table(rows, attrs), attrs) == _brute_force_fds(rows, attrs)
     for _ in range(500):
         n = rng.randint(2, 7)
         labels = [f"n{i}" for i in range(n)]

@@ -148,6 +148,24 @@ def test_load_error_exit_code(tmp_path, capsys):
     assert main(["merge", str(dw1), str(dw2), str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, what", [
+    (["merge", "{dw1}", "{dw2}", "{file}"], "warehouse {file}"),
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{file}/r.json"], "report {file}/r.json"),
+    (["gen", "{file}", "{out}"], "warehouse {file}"),
+    (["gen", "{out}", "{out}2", "--manifest", "{file}/m.json"], "manifest {file}/m.json"),
+], ids=["merge-out", "merge-report", "gen-out", "gen-manifest"])
+def test_unwritable_output_is_exit_2(command, what, tmp_path, capsys):
+    # an existing file stands where a directory is to be made
+    dw1, dw2 = gen(tmp_path)
+    paths = {"dw1": dw1, "dw2": dw2, "file": tmp_path / "f", "out": tmp_path / "out"}
+    paths["file"].touch()
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dwmerge: cannot write {what.format(**paths)}: ")
+    assert err.count("\n") == 1
+
+
 def test_unmergeable_exit_code(tmp_path):
     spec1 = preset_basic(seed=1)
     dw1, _, _ = generate_pair(spec1)

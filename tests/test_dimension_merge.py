@@ -44,8 +44,6 @@ def test_matched_roots_schema(d_left, d_right):
                     H13_PARAMS, H24_PARAMS}
     # no two hierarchies share a parameter sequence
     assert len(seqs) == len(dim.hierarchies)
-    # merged-only set per the definition: produced chains, originals excluded
-    assert {h.parameters for h in res.merged_only} >= {H13_PARAMS, H24_PARAMS}
 
 
 def test_unmatched_roots_schema(d_left, d_location):
@@ -354,7 +352,7 @@ def test_completion_fixpoint():
     res = merged_customer()
     dim = res.dimension
     before = {k: dict(r) for k, r in dim.rows.items()}
-    assert complete_in_place(dim, res.merged_only) == []
+    assert complete_in_place(dim, dim.hierarchies) == []
     assert dim.rows == before
 
 

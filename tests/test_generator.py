@@ -12,7 +12,7 @@ from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec
 from dwmerge.hierarchy_merge import enumerate_fds
 from dwmerge.model import validate
 
-from conftest import reference_fact_world
+from conftest import reference_fact_world, table
 from test_output_digests import conflict_spec
 
 
@@ -75,7 +75,7 @@ def test_fd_ground_truth_holds_on_shared_rows():
     shared = sorted(set(c1.rows) & set(c2.rows))
     rows = [{**c2.rows[k], **c1.rows[k]} for k in shared]
     attrs = sorted(set(c1.attributes) | set(c2.attributes))
-    discovered = enumerate_fds(rows, attrs)
+    discovered = enumerate_fds(table(rows, attrs), attrs)
     certified = {(a, b) for a, b in m["fdGroundTruth"]["customer"]}
     assert certified <= discovered
 
@@ -89,7 +89,7 @@ def test_fd_ground_truth_exact_on_full_overlap():
     shared = sorted(set(c1.rows) & set(c2.rows))
     rows = [{**c2.rows[k], **c1.rows[k]} for k in shared]
     attrs = sorted(set(c1.attributes) | set(c2.attributes))
-    discovered = enumerate_fds(rows, attrs)
+    discovered = enumerate_fds(table(rows, attrs), attrs)
     certified = {(a, b) for a, b in m["fdGroundTruth"]["customer"]}
     assert discovered == certified
 

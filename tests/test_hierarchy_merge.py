@@ -131,7 +131,7 @@ def test_enumerate_fds_against_brute_force():
         rows = [{a: rng.choice(TYPED_CELLS) for a in attrs}
                 for _ in range(rng.randint(1, 25))]
         min_support = rng.choice([1, 2, 3])
-        assert (enumerate_fds(rows, attrs, min_support)
+        assert (enumerate_fds(table(rows, attrs), attrs, min_support)
                 == brute_force_fds(rows, attrs, min_support))
 
 

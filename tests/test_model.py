@@ -3,13 +3,11 @@ import re
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
 
-from dwmerge.errors import SchemaMismatchError
 from dwmerge import io
 from dwmerge.errors import LoadError
 from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, Violation, _validate_dimension,
-                           cell_to_text, cells_equal, conforms, dimension_faults,
+                           cell_to_text, cells_equal, dimension_faults,
                            normalize_name, star_schema, validate)
 
 from conftest import customer_left, make_dimension
@@ -299,33 +297,6 @@ def test_validate_dimension_matches_reference_loop():
             isinstance(k, Decimal) and cells_equal(r.get("Id"), k) and str(r["Id"]) != str(k)
             for k, r in rows.items())
     assert all(seen.values()), seen
-
-
-def test_conforms_basic():
-    h13 = Hierarchy("H13", ("Code", "City", "Department"))
-    row = {"Code": "C1", "City": "city_1", "Department": "dept_a"}
-    assert conforms(row, h13)
-    assert not conforms({**row, "City": None}, h13)
-    assert conforms({"Code": "C1"}, Hierarchy("root", ("Code",)))
-
-
-def test_conforms_unknown_parameter():
-    with pytest.raises(SchemaMismatchError):
-        conforms({"Code": "C1"}, Hierarchy("H", ("Code", "Missing")))
-
-
-@given(st.lists(st.sampled_from(["Code", "City", "Department", "Region"]),
-                min_size=1, max_size=4, unique=True),
-       st.dictionaries(st.sampled_from(["Code", "City", "Department", "Region"]),
-                       st.one_of(st.none(), st.text(min_size=1, max_size=3)),
-                       min_size=4, max_size=4))
-def test_conforms_subset_property(params, row):
-    # conforming to a hierarchy implies conforming to any one built from a
-    # subset of its parameters
-    big = Hierarchy("big", tuple(params))
-    if conforms(row, big):
-        for k in range(1, len(params) + 1):
-            assert conforms(row, Hierarchy("small", tuple(params[:k])))
 
 
 def test_hierarchy_invariants():

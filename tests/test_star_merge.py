@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwmerge import io, star_merge
+from dwmerge import io, model, star_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import (ValueConflict, _right_name_map, check_column_kinds,
                                      merge_dimensions)
@@ -18,7 +18,7 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Cell, Dimension, Fact, Row, cell_to_text, conforms, star_schema,
+from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_to_text, star_schema,
                            validate)
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
@@ -120,6 +120,11 @@ def small_dimensions(draw):
                           [(f"k{i}", *r) for i, r in enumerate(rows)])
 
 
+def conforms(row: Row, h: Hierarchy) -> bool:
+    """A row conforms to a hierarchy when none of its parameters is null in it."""
+    return all(row[p] is not None for p in h.parameters)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_dimensions())
 def test_prune_keeps_every_covered_row_on_a_survivor(dim):
@@ -131,6 +136,63 @@ def test_prune_keeps_every_covered_row_on_a_survivor(dim):
         for r in on_h:
             assert any(conforms(r, s) for s in pruned.hierarchies)
     assert prune_hierarchies(pruned)[1] == []
+
+
+# The pruning rules applied a row at a time, through row dicts: the
+# reference for the null patterns that prune_hierarchies reads.
+def reference_pruned(dim: Dimension) -> list[tuple[Hierarchy, str]]:
+    """The (hierarchy, reason) pairs prune_hierarchies removes from ``dim``."""
+    rows = list(dim.rows.values())
+    removed = []
+    for h in dim.hierarchies:
+        params = set(h.parameters)
+        longer = [m for m in dim.hierarchies if set(m.parameters) > params]
+        on_h = [r for r in rows if conforms(r, h)]
+        if not on_h:
+            removed.append((h, "noConformingInstance"))
+        elif all(any(conforms(r, m) for m in longer) for r in on_h):
+            removed.append((h, "subsumedByMerged"))
+    return removed
+
+
+def test_prune_by_null_pattern_matches_the_row_rule():
+    rng = random.Random(2323)
+    others = ("A", "B", "C", "D")
+    seen = dict.fromkeys(["no rows", "root only", "two orders", "dead", "subsumed",
+                          "kept"], 0)
+    for case in range(400):
+        rows = [(f"k{i}", *(rng.choice([None, None, "x", "y"]) for _ in others))
+                for i in range(rng.choice([0, 1, 2, 5, 9]))]
+        params = [tuple(rng.sample(others, rng.randint(0, 4)))
+                  for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # one parameter set in another order
+            params.append(tuple(reversed(rng.choice(params))))
+        hierarchies = [(f"h{i}", ("K", *p)) for i, p in enumerate(params)]
+        dim = make_dimension("d", "K", ("K", *others), hierarchies, rows)
+        want = reference_pruned(dim)
+        assert prune_hierarchies(dim)[1] == want, case
+        seen["no rows"] += not rows
+        seen["root only"] += () in params
+        seen["two orders"] += len(set(map(frozenset, params))) < len(set(params))
+        reasons = {r for _, r in want}
+        seen["dead"] += "noConformingInstance" in reasons
+        seen["subsumed"] += "subsumedByMerged" in reasons
+        seen["kept"] += len(want) < len(params)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("spec", [
+    preset_basic(3, rows=60, fact_rows=150), preset_divergent(3, fact_rows=300),
+    preset_star4(3, fact_rows=300), preset_const22(3)], ids=lambda s: s.name)
+def test_merge_builds_no_row_dict(spec, tmp_path, monkeypatch):
+    dw1, dw2, _ = generate_pair(spec)
+
+    def no_row(self, i):
+        raise AssertionError("the merge read a row dict")
+
+    monkeypatch.setattr(model.Rows, "_row", no_row)
+    result = merge_stars(dw1, dw2)
+    io.write_dw(result.schema, tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
