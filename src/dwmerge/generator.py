@@ -247,8 +247,11 @@ def _draws(rng: random.Random, count: int, stop: int) -> list[int]:
 
 def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]
                 ) -> tuple[list[list[int]], list[list[Decimal]], list[bool]]:
-    """The world fact in key order as columns: the world row index per
-    dimension, each measure, and whether side 2 bumps the conflict measure."""
+    """The world fact as columns: the world row index per dimension, each
+    measure, and whether side 2 bumps the conflict measure. Each sampled
+    value is a key in mixed radix with the first dimension as its least
+    significant digit, so the rows come ordered by the last dimension's
+    index first."""
     rng = random.Random(f"{spec.seed}:{spec.name}:fact:{f.name}")
     space = math.prod(sizes[dn] for dn in f.dims)
     rest = sorted(rng.sample(range(space), f.rows))

@@ -149,26 +149,30 @@ def resolve_two_cycles(edges: set[tuple], rows: Rows) -> list[tuple]:
     return kept
 
 
+def _descendants(n, succ: Mapping[Hashable, list], desc: dict[Hashable, set]) -> set:
+    """The nodes reachable from ``n``, memoised in ``desc``.
+
+    A module-level function, not a closure over ``desc``: a closure that
+    calls itself is a reference cycle only the cyclic collector frees.
+    """
+    if n not in desc:
+        desc[n] = set()  # guard against cycles; caller guarantees a DAG
+        acc = set()
+        for m in succ.get(n, ()):
+            acc.add(m)
+            acc |= _descendants(m, succ, desc)
+        desc[n] = acc
+    return desc[n]
+
+
 def transitive_reduction(edges: Sequence[tuple]) -> list[tuple]:
     """Drop edges implied by longer paths; input must be acyclic."""
     succ: dict[Hashable, list] = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
-
     desc: dict[Hashable, set] = {}
-
-    def descendants(n) -> set:
-        if n not in desc:
-            desc[n] = set()  # guard against cycles; caller guarantees a DAG
-            acc = set()
-            for m in succ.get(n, ()):
-                acc.add(m)
-                acc |= descendants(m)
-            desc[n] = acc
-        return desc[n]
-
     return [(a, b) for a, b in edges
-            if not any(b in descendants(c) for c in succ[a] if c != b)]
+            if not any(b in _descendants(c, succ, desc) for c in succ[a] if c != b)]
 
 
 def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:

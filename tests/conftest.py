@@ -18,6 +18,7 @@ The pair is built so that every merge stage has a known outcome:
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from decimal import Decimal
@@ -164,7 +165,9 @@ def maximal_paths(edges) -> set[tuple]:
 # generator._fact_world as it was when it drew each measure with
 # randrange and built one tuple per row: kept verbatim as the reference.
 def reference_fact_world(spec, f, sizes: dict[str, int]) -> list[tuple]:
-    """World fact rows in key order: (index per dimension, measures, divergent)."""
+    """World fact rows: (index per dimension, measures, divergent), ordered
+    by the last dimension's index first, the first dimension being the least
+    significant digit of each sampled value."""
     rng = random.Random(f"{spec.seed}:{spec.name}:fact:{f.name}")
     space = math.prod(sizes[dn] for dn in f.dims)
     world = []
@@ -192,3 +195,11 @@ def d_right() -> Dimension:
 @pytest.fixture
 def d_location() -> Dimension:
     return location_dim()
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as it was after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()

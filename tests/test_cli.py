@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import json
 import os
 import subprocess
@@ -148,14 +149,17 @@ def test_load_error_exit_code(tmp_path, capsys):
     assert main(["merge", str(dw1), str(dw2), str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("command, what", [
-    (["merge", "{dw1}", "{dw2}", "{file}"], "warehouse {file}"),
-    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{file}/r.json"], "report {file}/r.json"),
-    (["gen", "{file}", "{out}"], "warehouse {file}"),
-    (["gen", "{out}", "{out}2", "--manifest", "{file}/m.json"], "manifest {file}/m.json"),
+@pytest.mark.parametrize("command, what, unmade", [
+    (["merge", "{dw1}", "{dw2}", "{file}"], "warehouse {file}", []),
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{file}/r.json"], "report {file}/r.json",
+     ["{out}"]),
+    (["gen", "{file}", "{out}"], "warehouse {file}", []),
+    (["gen", "{out}", "{out}2", "--manifest", "{file}/m.json"], "manifest {file}/m.json",
+     ["{out}", "{out}2"]),
 ], ids=["merge-out", "merge-report", "gen-out", "gen-manifest"])
-def test_unwritable_output_is_exit_2(command, what, tmp_path, capsys):
-    # an existing file stands where a directory is to be made
+def test_unwritable_output_is_exit_2(command, what, unmade, tmp_path, capsys):
+    # an existing file stands where a directory is to be made; a report or
+    # manifest that cannot be written stops the command before any warehouse
     dw1, dw2 = gen(tmp_path)
     paths = {"dw1": dw1, "dw2": dw2, "file": tmp_path / "f", "out": tmp_path / "out"}
     paths["file"].touch()
@@ -164,6 +168,7 @@ def test_unwritable_output_is_exit_2(command, what, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"dwmerge: cannot write {what.format(**paths)}: ")
     assert err.count("\n") == 1
+    assert not [p for p in unmade if Path(p.format(**paths)).exists()]
 
 
 def test_unmergeable_exit_code(tmp_path):
@@ -329,6 +334,81 @@ def test_numeric_matched_with_text_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("cust.cust_id") == 2 and "numeric" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused while a command runs
+# ---------------------------------------------------------------------------
+
+def collections_during(argv):
+    """``main(argv)``'s exit code and the generation of each collection
+    that starts while it runs."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    unhook = gc.callbacks.remove  # bound now: nothing may allocate after main
+    gc.collect()  # zero the allocation counts, so no collection is due on entry
+    gc.callbacks.append(hook)
+    try:
+        code = main(argv)
+    finally:
+        unhook(hook)
+    return code, starts
+
+
+def test_commands_run_with_the_collector_paused(tmp_path, collector, capsys):
+    dw1, dw2 = gen(tmp_path)
+    out = str(tmp_path / "out")
+    gc.enable()
+    assert collections_during(["merge", str(dw1), str(dw2), out]) == (0, [])
+    assert collections_during(["validate", "--strict", out]) == (0, [])
+    assert gc.isenabled()
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{num}"], 0),
+    (["validate", "{missing}"], 2),
+    (["merge", "{num}", "{text}", "{out}"], 3),
+    (["--help"], 0),
+    (["validate", "--no-such-flag", "{num}"], 5),
+], ids=["ok", "load-error", "unmergeable", "help", "unknown-flag"])
+def test_main_restores_the_collector(argv, code, enabled, tmp_path, collector, capsys):
+    _two_row_warehouse(tmp_path / "num", numeric_id=True)
+    _two_row_warehouse(tmp_path / "text", numeric_id=False)
+    paths = {name: tmp_path / name for name in ("num", "text", "missing", "out")}
+    (gc.enable if enabled else gc.disable)()
+    assert exit_code([arg.format(**paths) for arg in argv]) == code
+    assert gc.isenabled() is enabled
+
+
+def cyclic_garbage_of_one_merge(tmp_path, rows):
+    dw1, dw2, _ = generate_pair(preset_basic(5, rows=rows))
+    io.write_dw(dw1, tmp_path / "dw1")
+    io.write_dw(dw2, tmp_path / "dw2")
+    gc.collect()
+    gc.disable()  # so main leaves it off and the count is all the merge's
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
+                 str(tmp_path / "out")]) == 0
+    return gc.collect()
+
+
+def test_a_merge_leaves_cyclic_garbage_of_a_fixed_size(tmp_path, collector, capsys):
+    # the parser and the report encoder, whatever the row count: a paused
+    # collector holds a fixed amount per command
+    small = cyclic_garbage_of_one_merge(tmp_path / "small", 300)
+    large = cyclic_garbage_of_one_merge(tmp_path / "large", 1200)
+    assert small == large
 
 
 @pytest.mark.parametrize("flags", [

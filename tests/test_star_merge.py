@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import operator
 import random
 from decimal import Decimal
@@ -193,6 +194,21 @@ def test_merge_builds_no_row_dict(spec, tmp_path, monkeypatch):
     monkeypatch.setattr(model.Rows, "_row", no_row)
     result = merge_stars(dw1, dw2)
     io.write_dw(result.schema, tmp_path / "out")
+
+
+@pytest.mark.parametrize("spec", [preset_basic(3), preset_divergent(3), preset_star4(3),
+                                  preset_const22(3)], ids=lambda s: s.name)
+def test_load_merge_and_validate_make_no_reference_cycle(spec, tmp_path, collector):
+    # so a caller that pauses the cyclic collector, as the command line
+    # does, holds no garbage that grows with the warehouses
+    for dw, name in zip(generate_pair(spec), ("dw1", "dw2")):
+        io.write_dw(dw, tmp_path / name)
+    gc.collect()
+    gc.disable()
+    s1, s2 = io.load_dw(tmp_path / "dw1"), io.load_dw(tmp_path / "dw2")
+    result = merge_stars(s1, s2)
+    assert validate(s1) == validate(s2) == validate(result.schema) == []
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
