@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 load or validation failure, or an output that cannot
 be written, 3 stars unmergeable, a numeric column matched with a text one, or
-merge aborted by policy, 4 internal invariant violation, 5 bad usage.
+merge aborted by policy, 4 internal invariant violation, 5 bad usage, such as
+a ``--report`` or ``--manifest`` path that would overwrite a warehouse file.
 """
 
 from __future__ import annotations
@@ -119,6 +120,16 @@ def _writing(what: str, path):
         raise WriteError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def _refuse_overwrite(flag: str, path: Path, warehouses: list[tuple[str, list[str]]]) -> None:
+    """Refuse (exit 5) a ``flag`` path that resolves to the descriptor or a table
+    file of a warehouse: ``warehouses`` pairs each directory with its table files."""
+    target = path.resolve()
+    for directory, tables in warehouses:
+        for name in (io.DESCRIPTOR_NAME, *tables):
+            if (Path(directory) / name).resolve() == target:
+                raise ValueError(f"{flag} {path} would overwrite {Path(directory) / name}")
+
+
 def _load_star(path: str, strict: bool) -> Schema:
     schema = io.load_dw(path, strict=strict)
     if schema.fact is None:
@@ -151,6 +162,9 @@ def cmd_merge(args) -> int:
     }
     result = merge_stars(s1, s2, matcher, settings, config_echo)
     report_path = Path(args.report) if args.report else Path(args.out) / "report.json"
+    _refuse_overwrite("--report", report_path, [
+        (args.dw1, io.descriptor_tables(args.dw1)), (args.dw2, io.descriptor_tables(args.dw2)),
+        (args.out, io.table_files(result.schema))])
     if args.report:  # fail before any warehouse file is written
         with _writing("report", report_path):
             report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,6 +224,8 @@ def cmd_gen(args) -> int:
     spec = make(**{"seed": 0, **given}) if make else load_spec(args.spec)
     dw1, dw2, manifest = generate_pair(spec)
     manifest_path = Path(args.manifest) if args.manifest else Path(f"{args.out1}.manifest.json")
+    _refuse_overwrite("--manifest", manifest_path,
+                      [(args.out1, io.table_files(dw1)), (args.out2, io.table_files(dw2))])
     with _writing("manifest", manifest_path):  # fail before any warehouse file is written
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
     for dw, out in ((dw1, args.out1), (dw2, args.out2)):

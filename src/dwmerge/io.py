@@ -69,7 +69,8 @@ import logging
 import re
 from decimal import Decimal, InvalidOperation
 from io import StringIO
-from itertools import compress, islice, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -472,9 +473,21 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
 # emission
 # ---------------------------------------------------------------------------
 
-def _table_filename(name: str, used: set[str]) -> str:
-    """A CSV name for table ``name`` whose stem is not in ``used``; the stem is marked used."""
-    return uniquify(re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "table", used) + ".csv"
+def table_files(schema: Schema) -> list[str]:
+    """The CSV names :func:`write_dw` gives the schema's dimensions, then its facts.
+
+    A name is the table's with each character outside ``[A-Za-z0-9_.-]``
+    made ``_``, its stem made unique by :func:`model.uniquify`.
+    """
+    used: set[str] = set()
+    return [uniquify(re.sub(r"[^A-Za-z0-9_.-]", "_", table.name) or "table", used) + ".csv"
+            for table in (*schema.dimensions, *schema.facts)]
+
+
+def descriptor_tables(directory: str | Path) -> list[str]:
+    """The table files that the descriptor of a warehouse :func:`load_dw` loaded names."""
+    doc = json.loads((Path(directory) / DESCRIPTOR_NAME).read_text(encoding="utf-8"))
+    return [entry["table"] for entry in (*doc["dimensions"], *doc["facts"])]
 
 
 def _texts(cells: Sequence[Cell]) -> list[str]:
@@ -484,35 +497,44 @@ def _texts(cells: Sequence[Cell]) -> list[str]:
     return texts if "None" not in texts else list(map(cell_to_text, cells))
 
 
-def _write_csv(path: Path, header: list[str], records: Iterable[Iterable[Cell]]) -> None:
-    """Write the rows as ``csv.writer(lineterminator="\\n")`` does, but quote every
-    cell of a row that holds a ``\\r``: that writer leaves it bare, and a reader
-    ends a line there. A block of rows none of whose texts needs quoting is
-    joined as it stands; any other goes to the writer."""
+def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]],
+                 order: Sequence[int]) -> None:
+    """Write a table's columns, their cells at the positions ``order`` lists.
+
+    Rows come out as ``csv.writer(lineterminator="\\n")`` writes them, but
+    every cell of a row that holds a ``\\r`` is quoted: that writer leaves it
+    bare, and a reader ends a line there. The rows are rendered a block at a
+    time, each column's cells gathered at the block's positions; a block none
+    of whose texts needs quoting is joined as it stands, any other goes to
+    the writer. A table of no columns writes its empty header line only.
+    """
     with path.open("w", encoding="utf-8", newline="") as handle:
         plain = csv.writer(handle, lineterminator="\n")
         quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        records = iter(records)
-        block: list = [header]
-        while block:
-            texts = list(map(_texts, zip(*block)))
+        if not columns:
+            plain.writerow(names)
+            return
+        width = len(columns)
+        blocks = (_block_texts(columns, order[at:at + _WRITE_ROWS])
+                  for at in range(0, len(order), _WRITE_ROWS))
+        for texts in chain([[[name] for name in names]], blocks):
+            rows = len(texts[0])
             body = "\n".join(map(",".join, zip(*texts)))
-            # A quote, comma or line break in a cell needs quoting, and so does the
-            # lone empty cell of a one-column row. A table of no columns has no texts.
-            if ('"' in body or "\r" in body or body.count("\n") != len(block) - 1
-                    or body.count(",") != len(block) * (len(header) - 1)
-                    or len(header) == 1 and "" in texts[0]):
-                for row in zip(*texts) if texts else block:
+            # A quote, comma or line break in a cell needs quoting, and so does
+            # the lone empty cell of a one-column row.
+            if ('"' in body or "\r" in body or body.count("\n") != rows - 1
+                    or body.count(",") != rows * (width - 1) or width == 1 and "" in texts[0]):
+                for row in zip(*texts):
                     (quoted if any("\r" in t for t in row) else plain).writerow(row)
             else:
                 handle.write(body + "\n")
-            block = list(islice(records, _WRITE_ROWS))
 
 
-def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]],
-                 order: Iterable[int]) -> None:
-    """Write a table's columns, their cells at the positions ``order`` lists."""
-    _write_csv(path, list(names), zip(*(map(col.__getitem__, order) for col in columns)))
+def _block_texts(columns: Sequence[list[Cell]], positions: Sequence[int]) -> list[list[str]]:
+    """The texts of each column's cells at ``positions``, which are at least one."""
+    if len(positions) == 1:  # an itemgetter of one position returns the cell itself
+        return [[cell_to_text(col[positions[0]])] for col in columns]
+    return list(map(_texts, map(itemgetter(*positions), columns)))
 
 
 def write_dw(schema: Schema, directory: str | Path) -> None:
@@ -523,11 +545,11 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    used_stems: set[str] = set()
+    filenames = iter(table_files(schema))
 
     dim_entries = []
     for dim in schema.dimensions:
-        filename = _table_filename(dim.name, used_stems)
+        filename = next(filenames)
         dim_entries.append({
             "name": dim.name,
             "table": filename,
@@ -542,7 +564,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
 
     fact_entries = []
     for fact in schema.facts:
-        filename = _table_filename(fact.name, used_stems)
+        filename = next(filenames)
         fact_entries.append({
             "name": fact.name,
             "table": filename,

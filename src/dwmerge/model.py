@@ -31,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Union
 
 Cell = Union[None, str, Decimal]
@@ -75,16 +75,27 @@ def cell_sort_key(c: Cell) -> tuple:
 def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
     """Indices of the ``n`` rows sorted by their key cells' :func:`cell_sort_key`, stably.
 
-    One stable sort per key column, last column first. A column whose cells
-    are all text or all numbers sorts on the cells themselves, which order
-    as their sort keys do.
+    One column whose cells are all text or all numbers sorts on the cells
+    themselves, which order as their sort keys do. Otherwise each column's
+    distinct cells are ranked, each rank scaled by the count of distinct
+    cells in the columns after it, and a row sorts on the sum of its ranks:
+    one integer, first column most significant. That is a single sort, and
+    rows already in key order stay runs in it (a merged fact is two runs).
     """
-    order = list(range(n))
-    for cells in reversed(key_columns):
+    if len(key_columns) == 1:
+        cells = key_columns[0]
         if set(map(type, cells)) not in ({str}, {Decimal}):
             cells = list(map(cell_sort_key, cells))
-        order.sort(key=cells.__getitem__)
-    return order
+        return sorted(range(n), key=cells.__getitem__)
+    key = [0] * n
+    scale = 1
+    for cells in reversed(key_columns):
+        distinct = list(set(cells))  # equal numbers spelt differently are one cell
+        ranked = map(distinct.__getitem__, key_order([distinct], len(distinct)))
+        rank = dict(zip(ranked, range(0, scale * len(distinct), scale)))
+        key = list(map(add, key, map(rank.__getitem__, cells)))
+        scale *= len(distinct) or 1  # a table of no rows has no distinct cells
+    return sorted(range(n), key=key.__getitem__)
 
 
 def cell_to_text(c: Cell) -> str:

@@ -171,6 +171,37 @@ def test_unwritable_output_is_exit_2(command, what, unmade, tmp_path, capsys):
     assert not [p for p in unmade if Path(p.format(**paths)).exists()]
 
 
+@pytest.mark.parametrize("command, flag, target", [
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{out}/schema.json"], "--report",
+     "{out}/schema.json"),
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{out}/sales.csv"], "--report",
+     "{out}/sales.csv"),
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{dw1}/schema.json"], "--report",
+     "{dw1}/schema.json"),
+    (["merge", "{dw1}", "{dw2}", "{out}", "--report", "{dw2}/../dw2/product.csv"], "--report",
+     "{dw2}/product.csv"),
+    (["gen", "{out}", "{out}2", "--manifest", "{out}/schema.json"], "--manifest",
+     "{out}/schema.json"),
+    (["gen", "{out}", "{out}2", "--manifest", "{out}2/customer.csv"], "--manifest",
+     "{out}2/customer.csv"),
+], ids=["merge-out-descriptor", "merge-out-table", "merge-input-descriptor",
+        "merge-input-table", "gen-descriptor", "gen-table"])
+def test_report_or_manifest_over_a_warehouse_file_is_exit_5(command, flag, target, tmp_path,
+                                                           capsys):
+    # Written, such a report or manifest leaves a warehouse that does not
+    # reload; it is refused before anything is written.
+    dw1, dw2 = gen(tmp_path)
+    inputs = {p: p.read_bytes() for p in sorted([*dw1.iterdir(), *dw2.iterdir()])}
+    paths = {"dw1": dw1, "dw2": dw2, "out": tmp_path / "out"}
+    argv = [arg.format(**paths) for arg in command]
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err == f"dwmerge: {flag} {argv[-1]} would overwrite {target.format(**paths)}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out2").exists()
+    assert {p: p.read_bytes() for p in sorted([*dw1.iterdir(), *dw2.iterdir()])} == inputs
+
+
 def test_unmergeable_exit_code(tmp_path):
     spec1 = preset_basic(seed=1)
     dw1, _, _ = generate_pair(spec1)

@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from dwmerge import io
 from dwmerge.cli import main
 from dwmerge.errors import LoadError
-from dwmerge.generator import PRESETS, generate_pair, preset_basic, preset_divergent
+from dwmerge.generator import (PRESETS, generate_pair, preset_basic, preset_const22,
+                               preset_divergent, preset_star4)
 from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, cell_sort_key, cell_to_text,
                            star_schema, validate)
+from dwmerge.star_merge import merge_stars
 
 from conftest import make_dimension
 
@@ -418,9 +420,10 @@ def random_cell(rng: random.Random):
 
 
 @pytest.mark.parametrize("rows", [2, 3])
-def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
+def test_write_table_matches_csv_writer(rows, tmp_path, monkeypatch):
     # Blocks of 2-3 rows, so joined blocks and the writer's interleave in one
     # file. Only rows holding a \r differ from csv.writer: they are quoted in full.
+    # The records are stored in a random row order, which the positions undo.
     monkeypatch.setattr(io, "_WRITE_ROWS", rows)
     rng = random.Random(rows)
     path = tmp_path / "t.csv"
@@ -431,7 +434,11 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
         records = [[rng.choice([None, "", "x", "y z", Decimal("2.50")]) if plain
                     else random_cell(rng) for _ in header]
                    for _ in range(rng.randint(0, 12))]
-        io._write_csv(path, header, iter(records))
+        order = rng.sample(range(len(records)), len(records))
+        stored = [None] * len(records)
+        for record, at in zip(records, order):
+            stored[at] = record
+        io._write_table(path, header, [[r[j] for r in stored] for j in range(width)], order)
         expected = StringIO()
         csv.writer(expected, lineterminator="\n").writerow(header)
         for record in records:
@@ -443,6 +450,44 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
             fresh = StringIO()
             csv.writer(fresh, lineterminator="\n").writerows([header, *records])
             assert path.read_bytes() == fresh.getvalue().encode(), f"case {case}"
+
+
+def _shuffled(schema: Schema, rng: random.Random) -> Schema:
+    """``schema`` rebuilt with the rows of each dimension and fact in a random order."""
+    def shuffle(columns):
+        order = list(range(len(columns[0]) if columns else 0))
+        rng.shuffle(order)
+        return [[col[i] for i in order] for col in columns]
+
+    dims = tuple(Dimension.from_columns(d.name, d.root, d.attributes, d.hierarchies,
+                                        shuffle(d.columns), d.numeric)
+                 for d in schema.dimensions)
+    facts = tuple(Fact.from_columns(f.name, f.measures, f.dimension_keys, shuffle(f.columns),
+                                    f.numeric) for f in schema.facts)
+    return Schema(schema.name, facts, dims, dict(schema.star))
+
+
+@pytest.mark.parametrize("preset", [
+    lambda: preset_basic(seed=4, rows=300, fact_rows=1500),
+    lambda: preset_divergent(seed=4, rows=600),
+    lambda: preset_star4(seed=4),
+    lambda: preset_const22(seed=4),
+], ids=["basic", "divergent", "star4", "const22"])
+def test_write_dw_bytes_do_not_depend_on_row_order(preset, tmp_path):
+    # Generated facts come product-major and merged ones as two runs in key
+    # order; any order of the same rows must write the same tables.
+    dw1, dw2, _ = generate_pair(preset())
+    rng = random.Random(25)
+    for label, schema in (("generated", dw1), ("merged", merge_stars(dw1, dw2).schema)):
+        io.write_dw(schema, tmp_path / label)
+        files = sorted(p.name for p in (tmp_path / label).iterdir())
+        for k in range(3):
+            again = tmp_path / f"{label}{k}"
+            io.write_dw(_shuffled(schema, rng), again)
+            assert sorted(p.name for p in again.iterdir()) == files
+            for name in files:
+                assert (again / name).read_bytes() == (tmp_path / label / name).read_bytes(), \
+                    (label, k, name)
 
 
 @pytest.mark.parametrize("preset", PRESETS.values(), ids=PRESETS)

@@ -7,7 +7,7 @@ import pytest
 from dwmerge import io
 from dwmerge.errors import LoadError
 from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, Violation, _validate_dimension,
-                           cell_to_text, cells_equal, dimension_faults,
+                           cell_sort_key, cell_to_text, cells_equal, dimension_faults, key_order,
                            normalize_name, star_schema, validate)
 
 from conftest import customer_left, make_dimension
@@ -297,6 +297,43 @@ def test_validate_dimension_matches_reference_loop():
             isinstance(k, Decimal) and cells_equal(r.get("Id"), k) and str(r["Id"]) != str(k)
             for k, r in rows.items())
     assert all(seen.values()), seen
+
+
+def two_pass_key_order(key_columns, n):
+    """The former ``key_order``: one stable sort per key column, last column first."""
+    order = list(range(n))
+    for cells in reversed(key_columns):
+        if set(map(type, cells)) not in ({str}, {Decimal}):
+            cells = list(map(cell_sort_key, cells))
+        order.sort(key=cells.__getitem__)
+    return order
+
+
+def test_key_order_matches_two_pass_reference():
+    # Equal numbers spelt differently (1, 1.0, 1.00) tie, so they keep their
+    # input order; few distinct cells per column make keys repeat.
+    rng = random.Random(25)
+    texts = ["a", "b", "B", "ab", "10", "9", "\u00e9", "z z"]
+    numbers = list(map(Decimal, ["1", "1.0", "1.00", "-0", "0", "2.5", "1E+1", "10", "-3"]))
+    pools = {"text": texts, "number": numbers, "mixed": [*texts, *numbers, None]}
+    layouts = {"runs": 0, "product-major": 0, "random": 0}
+    for case in range(2400):
+        width = case % 4
+        n = rng.choice([0, 1, 2, 7, 40, 300])
+        values = [rng.sample(pools[rng.choice(list(pools))], rng.randint(1, 6))
+                  for _ in range(width)]
+        rows = [tuple(rng.choice(v) for v in values) for _ in range(n)]
+        layout = list(layouts)[case // 4 % 3]
+        layouts[layout] += 1
+        if layout == "runs":  # two runs each in key order, as a merged fact is
+            cut = rng.randint(0, n)
+            rows = [*sorted(rows[:cut], key=lambda r: list(map(cell_sort_key, r))),
+                    *sorted(rows[cut:], key=lambda r: list(map(cell_sort_key, r)))]
+        elif layout == "product-major":  # the last column first, as a generated fact is
+            rows.sort(key=lambda r: list(map(cell_sort_key, reversed(r))))
+        columns = [[r[j] for r in rows] for j in range(width)]
+        assert key_order(columns, n) == two_pass_key_order(columns, n), f"case {case}"
+    assert min(layouts.values()) == 800
 
 
 def test_hierarchy_invariants():
