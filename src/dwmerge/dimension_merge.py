@@ -182,7 +182,7 @@ def fuse_cells(pairs: Iterable[tuple[int, int]],
             v1 = target[i]
             if v1 is None:
                 target[i] = v2
-            elif not cells_equal(v1, v2):
+            elif v1 != v2 and not cells_equal(v1, v2):  # equal cells are cells_equal
                 chosen = v2 if conflict == "right" else v1
                 target[i] = chosen
                 yield i, j, name, v1, v2, chosen

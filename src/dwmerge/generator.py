@@ -34,7 +34,6 @@ import random
 import sys
 from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from decimal import Decimal
 from itertools import chain, compress, islice, repeat
 from operator import add, floordiv, mod, rshift
 from pathlib import Path
@@ -246,7 +245,7 @@ def _draws(rng: random.Random, count: int, stop: int) -> list[int]:
 
 
 def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]
-                ) -> tuple[list[list[int]], list[list[Decimal]], list[bool]]:
+                ) -> tuple[list[list[int]], list[list[int]], list[bool]]:
     """The world fact as columns: the world row index per dimension, each
     measure, and whether side 2 bumps the conflict measure. Each sampled
     value is a key in mixed radix with the first dimension as its least
@@ -269,7 +268,7 @@ def _fact_world(spec: GenSpec, f: GenFact, sizes: dict[str, int]
         for _ in range(f.rows):
             ints.extend(rng.randrange(1, _MEASURE_STOP) for _ in range(n))
             divergent.append(rng.random() < f.conflict_fraction)
-    measures = [list(map(Decimal, ints[j::n])) for j in range(n)]
+    measures = [ints[j::n] for j in range(n)]
     return keys, measures, divergent
 
 

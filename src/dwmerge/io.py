@@ -48,7 +48,8 @@ empty field is null; whitespace-only fields trim to empty and
 are therefore null too; the literal text ``NULL`` is ordinary data. Values
 in columns tagged numeric (``numericAttributes``; measures unless listed
 in ``textMeasures``; fact key columns follow the referenced dimension id)
-are parsed as exact decimals, everything else stays text.
+are parsed as exact numbers, everything else stays text: a number int()
+takes is an ``int`` (but ``-0`` a ``Decimal``), any other a ``Decimal``.
 
 User correspondence files
 -------------------------
@@ -85,7 +86,7 @@ DESCRIPTOR_NAME = "schema.json"
 FORMAT_VERSION = 1
 
 
-# Characters read at a time, cells parsed by one map(Decimal), rows written at a time.
+# Characters read at a time, cells parsed by one map, rows written at a time.
 _CHUNK_CHARS = 1 << 15
 _NUMBER_BLOCK = 4096
 _WRITE_ROWS = 256
@@ -244,16 +245,25 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
 
 
 def _parse_numbers(cells: list[Cell]) -> int | None:
-    """Parse the texts of ``cells`` as decimals in place, up to the first that is
-    not a number; that one's index, or None. A block that holds a null, a bad
-    number or a NaN is parsed cell by cell."""
+    """Parse the texts of ``cells`` as :func:`_number` does, in place, up to the
+    first that is not a number; that one's index, or None. A block is parsed
+    by one map(Decimal) when each of its texts holds a point, which int()
+    refuses and no NaN has, else by one map(int) if int() takes it whole;
+    any other block is parsed cell by cell."""
     for at in range(0, len(cells), _NUMBER_BLOCK):
         block = cells[at:at + _NUMBER_BLOCK]
-        try:
-            numbers = list(map(Decimal, block))
-        except (InvalidOperation, TypeError):  # TypeError: a null
-            numbers = None
-        if numbers is not None and not any(map(Decimal.is_nan, numbers)):
+        try:  # TypeError: a null
+            # As many points as texts: one each, unless Decimal refuses one.
+            if "".join(block).count(".") == len(block):
+                numbers = list(map(Decimal, block))
+            else:
+                numbers = list(map(int, block))
+                if 0 in numbers:  # a zero spelt with a minus sign stays a Decimal
+                    numbers = [n if n or "-" not in t else Decimal(t)
+                               for n, t in zip(numbers, block)]
+        except (ValueError, TypeError, InvalidOperation):
+            pass
+        else:
             cells[at:at + _NUMBER_BLOCK] = numbers
             continue
         for i, text in enumerate(block, at):
@@ -265,9 +275,19 @@ def _parse_numbers(cells: list[Cell]) -> int | None:
     return None
 
 
-def _number(text: str) -> Decimal | None:
-    """``text`` as a decimal; None if it is not a number or is a NaN, which
-    differs from itself and so could never match or fuse."""
+def _number(text: str) -> int | Decimal | None:
+    """``text`` as the int it spells if int() takes it, else as a decimal; None
+    if it is not a number or is a NaN, which differs from itself and so could
+    never match or fuse. A zero spelt with a minus sign stays a decimal, which
+    writes back as ``-0``. Either way the cell writes back as ``str(Decimal(text))``."""
+    if "." not in text:  # int() refuses a point
+        try:
+            number = int(text)
+        except ValueError:
+            pass
+        else:
+            if number or "-" not in text:
+                return number
     try:
         number = Decimal(text)
     except InvalidOperation:
@@ -492,7 +512,10 @@ def descriptor_tables(directory: str | Path) -> list[str]:
 
 def _texts(cells: Sequence[Cell]) -> list[str]:
     """``cells`` as the CSV writer renders them, which is as :func:`cell_to_text` does."""
-    texts = list(map(str, cells))
+    try:
+        texts = list(map(str, cells))
+    except ValueError:  # an int past str()'s digit limit
+        return list(map(cell_to_text, cells))
     # str(None) is "None", so only a column holding that text can hold a null.
     return texts if "None" not in texts else list(map(cell_to_text, cells))
 

@@ -1,10 +1,12 @@
 """Core multidimensional model: cells, hierarchies, dimensions, facts, schemas.
 
 Cell values are plain Python values: ``None`` for null, ``str`` for text
-(trimmed at ingestion), ``decimal.Decimal`` for numbers. Null compares equal
-to nothing, including another null; that rule is what functional-dependency
-checks and empty-value completion rely on, so use :func:`cells_equal` rather
-than ``==`` when comparing cells.
+(trimmed at ingestion), ``int`` or ``decimal.Decimal`` for numbers (the
+loader gives an ``int`` where int() takes the text, unless it is ``-0``).
+An ``int`` and a ``Decimal`` of one value are equal, hash alike and are
+written alike. Null compares equal to nothing, including another null; that
+rule is what functional-dependency checks and empty-value completion rely
+on, so use :func:`cells_equal` rather than ``==`` when comparing cells.
 
 Facts and dimensions hold their cells as one list per column, and read them
 back as row dicts through views that build each row as it is read
@@ -34,7 +36,7 @@ from itertools import repeat
 from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Union
 
-Cell = Union[None, str, Decimal]
+Cell = Union[None, str, int, Decimal]
 Row = dict[str, Cell]
 
 
@@ -58,7 +60,7 @@ def cells_equal(a: Cell, b: Cell) -> bool:
     """Value equality with null semantics: null equals nothing, numbers and text are exact."""
     if a is None or b is None:
         return False
-    if isinstance(a, Decimal) != isinstance(b, Decimal):
+    if isinstance(a, str) != isinstance(b, str):
         return False
     return a == b
 
@@ -67,9 +69,9 @@ def cell_sort_key(c: Cell) -> tuple:
     """Total order over cells so row emission is deterministic (null < number < text)."""
     if c is None:
         return (0, "")
-    if isinstance(c, Decimal):
-        return (1, c)
-    return (2, c)
+    if isinstance(c, str):
+        return (2, c)
+    return (1, c)
 
 
 def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
@@ -84,7 +86,7 @@ def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
     """
     if len(key_columns) == 1:
         cells = key_columns[0]
-        if set(map(type, cells)) not in ({str}, {Decimal}):
+        if set(map(type, cells)) not in ({str}, {int}, {Decimal}, {int, Decimal}):
             cells = list(map(cell_sort_key, cells))
         return sorted(range(n), key=cells.__getitem__)
     key = [0] * n
@@ -102,7 +104,10 @@ def cell_to_text(c: Cell) -> str:
     """Render a cell the way the CSV writer does (null becomes the empty string)."""
     if c is None:
         return ""
-    return str(c)
+    try:
+        return str(c)
+    except ValueError:  # an int past str()'s digit limit, which a Decimal lacks
+        return str(Decimal(c))
 
 
 @dataclass(frozen=True)
@@ -406,40 +411,43 @@ def _cell_faults(table: str, columns: Iterable[tuple[str, list[Cell]]],
                  numeric: frozenset[str]) -> list[Violation]:
     """The first cell of each column that would not reload as itself.
 
-    A cell reloads as itself when it is null, or, in a ``numeric`` column, a
-    Decimal that is not a NaN, or, in a text column, a non-empty str with
-    nothing to strip. A column's cell types are checked first; then a text
-    column's distinct cells, and a numeric column's cells through one map,
-    as hashing a Decimal costs more than asking whether it is a NaN. A
-    column is walked only when that check fails.
+    A cell reloads as itself, or as an equal number, when it is null, or, in
+    a ``numeric`` column, an int (not a bool) or a Decimal that is not a
+    NaN, or, in a text column, a non-empty str with nothing to strip. A
+    column's cell types are checked first; then a text column's distinct
+    cells, and a numeric column's Decimals through one map, as hashing a
+    Decimal costs more than asking whether it is a NaN. A column is walked
+    only when that check fails.
     """
     out = []
     for name, cells in columns:
-        kind = Decimal if name in numeric else str
-        if not set(map(type, cells)) <= {kind, type(None)}:
+        is_numeric = name in numeric
+        kinds = set(map(type, cells)) - {type(None)}
+        if not kinds <= ({int, Decimal} if is_numeric else {str}):
             ok = False
-        elif kind is Decimal:  # filter(None, ...) drops nulls and zeros, no zero is a NaN
-            ok = not any(map(Decimal.is_nan, filter(None, cells)))
+        elif is_numeric:  # only a Decimal can be a NaN
+            decimals = filter(Decimal.__instancecheck__, cells) if Decimal in kinds else ()
+            ok = not any(map(Decimal.is_nan, decimals))
         else:
             values = set(cells) - {None}
             ok = "" not in values and all(map(eq, map(str.strip, values), values))
         if ok:
             continue
-        i, cell = next((i, c) for i, c in enumerate(cells) if not _reloads(c, kind))
-        holds = "Decimals that are not NaN" if kind is Decimal else "non-empty, stripped text"
+        i, cell = next((i, c) for i, c in enumerate(cells) if not _reloads(c, is_numeric))
+        holds = "ints, Decimals that are not NaN," if is_numeric else "non-empty, stripped text"
         out.append(Violation(table, name, "cell-reloads",
                              f"row {i}: {cell!r} would not reload as itself; the column "
                              f"holds {holds} or nulls"))
     return out
 
 
-def _reloads(cell: Cell, kind: type) -> bool:
-    """Whether ``cell`` reloads as itself from a column of ``kind`` (:func:`_cell_faults`)."""
+def _reloads(cell: Cell, is_numeric: bool) -> bool:
+    """Whether ``cell`` reloads as itself from its column (:func:`_cell_faults`)."""
     if cell is None:
         return True
-    if type(cell) is not kind:
-        return False
-    return not cell.is_nan() if kind is Decimal else cell != "" and cell.strip() == cell
+    if is_numeric:
+        return type(cell) is int or type(cell) is Decimal and not cell.is_nan()
+    return type(cell) is str and cell != "" and cell.strip() == cell
 
 
 def _validate_dimension(dim: Dimension, out: list[Violation]) -> None:

@@ -12,7 +12,8 @@ from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_ro
 from dwmerge.errors import ConflictError, MergeError
 from dwmerge.generator import generate_pair, preset_const22, preset_divergent
 from dwmerge.matching import MatcherConfig, match_attributes, match_measures
-from dwmerge.model import Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text
+from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text,
+                           cells_equal)
 from dwmerge.star_merge import merge_facts, merge_stars
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
@@ -175,6 +176,25 @@ def test_conflict_policy_error():
     with pytest.raises(ConflictError) as err:
         merge_conflicting_facts("error", cid=Decimal("1.0"))
     assert str(err.value) == "conflicting measure 'price' for fact key (1.0, p1)"
+
+
+def test_equal_cells_are_cells_equal():
+    # fuse_cells asks cells_equal only about cells that differ under ==, which
+    # is sound when == implies cells_equal for non-null cells of every type:
+    # text against a number never compares equal, an int and a Decimal of one
+    # value are cells_equal, and a NaN differs from itself.
+    rng = random.Random(61)
+    pool = ["5", "5.0", "a", "10", 5, 0, -3, 10, 10 ** 30,
+            *map(Decimal, ["5", "5.0", "-0", "0", "1E+1", "-3", "1E+30", "NaN", "-NaN"])]
+    seen = dict.fromkeys(["same type", "int and Decimal", "unequal", "NaN"], 0)
+    for _ in range(4000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        if a == b:
+            assert cells_equal(a, b), (a, b)
+            seen["same type" if type(a) is type(b) else "int and Decimal"] += 1
+        else:
+            seen["NaN" if a is b else "unequal"] += 1
+    assert all(seen.values()), seen
 
 
 # merge_instances as it was when it built and fused one row dict at a time.

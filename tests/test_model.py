@@ -48,6 +48,34 @@ def test_cells_equal_null_semantics():
     assert not cells_equal("1", Decimal(1))
 
 
+def test_cells_equal_across_int_and_decimal():
+    # The loader gives an int where the text spells one, a Decimal elsewhere.
+    assert cells_equal(5, Decimal("5.0"))
+    assert cells_equal(Decimal("-0"), 0)
+    assert not cells_equal(5, "5")
+    assert not cells_equal("5", 5)
+    assert not cells_equal(5, Decimal("5.1"))
+
+
+def test_key_order_sorts_mixed_int_and_decimal_by_value_stably():
+    cells = [Decimal("2.5"), 10, Decimal("1.0"), -3, 1, Decimal("1E+1"), Decimal("-0"), 0,
+             Decimal("1")]
+    order = key_order([cells], len(cells))
+    assert [cells[i] for i in order] == sorted(cells)
+    # Equal values keep their input order: 1.0 before 1 before Decimal 1, 10 before 1E+1.
+    assert order == [3, 6, 7, 2, 4, 8, 0, 1, 5]
+
+
+def test_validate_takes_int_but_not_bool_in_a_numeric_column():
+    assert validate(one_row_star("f", "Amount", 7)) == []
+    assert validate(one_row_star("d", "Number", -12)) == []
+    faults = validate(one_row_star("f", "Amount", True))
+    assert [(v.table, v.locus, v.rule) for v in faults] == [("f", "Amount", "cell-reloads")]
+    assert faults[0].message == ("row 0: True would not reload as itself; the column holds "
+                                 "ints, Decimals that are not NaN, or nulls")
+    assert [v.rule for v in validate(one_row_star("d", "Text", 7))] == ["cell-reloads"]
+
+
 def test_validate_well_formed():
     assert validate(two_dim_star()) == []
 
@@ -310,11 +338,13 @@ def two_pass_key_order(key_columns, n):
 
 
 def test_key_order_matches_two_pass_reference():
-    # Equal numbers spelt differently (1, 1.0, 1.00) tie, so they keep their
-    # input order; few distinct cells per column make keys repeat.
+    # Equal numbers spelt differently (1, 1.0, 1.00, and the int 1) tie, so
+    # they keep their input order; few distinct cells per column make keys
+    # repeat.
     rng = random.Random(25)
     texts = ["a", "b", "B", "ab", "10", "9", "\u00e9", "z z"]
-    numbers = list(map(Decimal, ["1", "1.0", "1.00", "-0", "0", "2.5", "1E+1", "10", "-3"]))
+    numbers = [*map(Decimal, ["1", "1.0", "1.00", "-0", "0", "2.5", "1E+1", "10", "-3"]),
+               1, 0, 10, -3, 7]
     pools = {"text": texts, "number": numbers, "mixed": [*texts, *numbers, None]}
     layouts = {"runs": 0, "product-major": 0, "random": 0}
     for case in range(2400):
