@@ -175,15 +175,11 @@ def transitive_reduction(edges: Sequence[tuple]) -> list[tuple]:
             if not any(b in _descendants(c, succ, desc) for c in succ[a] if c != b)]
 
 
-def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
-    """Every maximal chain of the roll-up graph the orderings describe.
-
-    Each ordering adds its consecutive pairs as roll-up edges. The result is
-    every path that starts at a parameter nothing rolls up into and ends at
-    one that rolls up into nothing. On two-element orderings, which is what
-    the pipeline passes, this equals the paper's recursive fusion of
-    orderings that overlap on all but one endpoint.
-    """
+def _roll_up_graph(ordered_sets: Sequence[Sequence[Hashable]]
+                   ) -> tuple[dict[Hashable, set], set[Hashable], list[Hashable]]:
+    """The roll-up graph the orderings describe, each adding its consecutive
+    pairs as edges: every parameter's successors, the parameters something
+    rolls up into, and every parameter listed after all it rolls up into."""
     seqs = [tuple(s) for s in ordered_sets]
     if any(len(s) < 2 for s in seqs):
         raise ValueError("orderings must have at least two elements")
@@ -194,9 +190,22 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
             succ.setdefault(a, set()).add(b)
             rolled_into.add(b)
     try:  # the sorter reads succ as predecessor sets; a cycle is one either way
-        TopologicalSorter(succ).prepare()
+        order = list(TopologicalSorter(succ).static_order())
     except CycleError:
         raise MergeError("cannot merge parameter orderings: the roll-up graph is cyclic") from None
+    return succ, rolled_into, order
+
+
+def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
+    """Every maximal chain of the roll-up graph the orderings describe.
+
+    Each ordering adds its consecutive pairs as roll-up edges. The result is
+    every path that starts at a parameter nothing rolls up into and ends at
+    one that rolls up into nothing. On two-element orderings, which is what
+    the pipeline passes, this equals the paper's recursive fusion of
+    orderings that overlap on all but one endpoint.
+    """
+    succ, rolled_into, _ = _roll_up_graph(ordered_sets)
     chains: set[tuple] = set()
     paths = [(n,) for n in succ if n not in rolled_into]
     while paths:
@@ -207,6 +216,27 @@ def merge_parameters(ordered_sets: Sequence[Sequence[Hashable]]) -> set[tuple]:
         else:
             chains.add(path)
     return chains
+
+
+def count_chains(ordered_sets: Sequence[Sequence[Hashable]], first: Hashable,
+                 ends: Iterable[Hashable]) -> int:
+    """How many chains of :func:`merge_parameters` start at ``first`` and end
+    in ``ends``, counted without listing them.
+
+    Each parameter's count of paths to a last parameter in ``ends`` is the
+    sum of its successors' counts, so the count takes time linear in the
+    graph, however many chains there are. A ``first`` that something rolls
+    up into starts no chain.
+    """
+    succ, rolled_into, order = _roll_up_graph(ordered_sets)
+    if first not in succ or first in rolled_into:
+        return 0
+    ends = set(ends)
+    paths: dict[Hashable, int] = {}
+    for n in order:  # each after its successors
+        nxt = succ.get(n)
+        paths[n] = sum(map(paths.__getitem__, nxt)) if nxt else int(n in ends)
+    return paths[first]
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +300,21 @@ def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,
     return transitive_reduction(dag)
 
 
+class _TooManyChains(Exception):
+    """A sub-hierarchy pair would merge into more chains than allowed; its
+    one argument is their count."""
+
+
 def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
                             rows1: Rows, rows2: Rows,
-                            min_support: int) -> list[TokenSeq]:
+                            min_support: int, most: int) -> list[TokenSeq]:
     """Merge one sub-hierarchy pair into one or more parameter chains.
 
     Containment wins outright; otherwise FD discovery orders the parameters
     and only chains spanning the pair's shared first parameter and reaching
     one of its last parameters survive. Without a spanning chain both sides
-    are kept as they are. :func:`merge_hierarchies` bounds the chain count.
+    are kept as they are. The chains are counted first (:func:`count_chains`):
+    more than ``most`` raise :class:`_TooManyChains` before any is listed.
     """
     set1, set2 = set(tok1), set(tok2)
     if set1 <= set2:
@@ -287,6 +323,9 @@ def merge_subhierarchy_pair(tok1: TokenSeq, tok2: TokenSeq,
         return [tok1]
     edges = _segment_fd_edges(tok1, tok2, rows1, rows2, min_support)
     ends = {tok1[-1], tok2[-1]}
+    count = count_chains(edges, tok1[0], ends) or 2  # none spans: both sides are kept
+    if count > most:
+        raise _TooManyChains(count)
     spanning = sorted(c for c in merge_parameters(edges) if c[0] == tok1[0] and c[-1] in ends)
     return spanning or [tok1, tok2]
 
@@ -339,8 +378,10 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     discovery for segments whose parameters both sides contribute to.
     Crossing matches raise :class:`MergeError`, and so do segments whose
     chains, the two kept by a segment without a spanning chain included,
-    multiply to more than ``settings.chain_cap``, before the product is
-    built; no other check reads the cap. With no match the result is empty.
+    multiply to more than ``settings.chain_cap``: each segment's chains are
+    counted before they or the product are listed, so the cap bounds the
+    work, not only the result. No other check reads the cap. With no match
+    the result is empty.
     """
     tok1 = tokenize(h1.parameters, "l", pairs)
     inverse = {v: k for k, v in pairs.items()}
@@ -364,13 +405,15 @@ def merge_hierarchies(h1: Hierarchy, h2: Hierarchy,
     for n, ((s1, s2), (e1, e2)) in enumerate(segments, 1):
         seg1 = tok1[pos1[s1]:pos1[e1] + 1]
         seg2 = tok2[pos2[s2]:pos2[e2] + 1]
-        pieces = merge_subhierarchy_pair(seg1, seg2, rows1, rows2, settings.min_support)
-        count = len(acc) * len(pieces) if acc else len(pieces)
-        if count > settings.chain_cap:
+        scale = len(acc) or 1  # at most the cap, so each segment may give one chain
+        try:
+            pieces = merge_subhierarchy_pair(seg1, seg2, rows1, rows2, settings.min_support,
+                                             settings.chain_cap // scale)
+        except _TooManyChains as over:
             raise MergeError(
-                f"hierarchies {h1.name} and {h2.name} merge into {count} chains over "
-                f"{n} of their {len(segments)} segments, over the cap of "
-                f"{settings.chain_cap}; raise --chain-cap or fix the correspondences")
+                f"hierarchies {h1.name} and {h2.name} merge into {scale * over.args[0]} chains "
+                f"over {n} of their {len(segments)} segments, over the cap of "
+                f"{settings.chain_cap}; raise --chain-cap or fix the correspondences") from None
         acc = [extend(a, p) for a in acc for p in pieces] if acc else list(pieces)
 
     # step 4: prefix each side's parameters below the first matched one, where acc starts

@@ -435,8 +435,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     descriptor is read whole first, and the first of its
     :func:`model.declaration_faults` is a load error on it, before any table
     is read. ``strict`` turns duplicate dimension ids and duplicate fact key
-    tuples into errors instead of keep-first-and-log. Fact keys are checked a
-    column at a time, by :func:`model.fact_key_faults`.
+    tuples into errors instead of keep-first-and-log. Fact keys are checked by
+    one sorted integer per row, by :func:`model.fact_key_faults`.
     """
     directory = Path(directory)
     desc_path = directory / DESCRIPTOR_NAME

@@ -32,8 +32,8 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat
-from operator import add, eq, itemgetter
+from itertools import islice, repeat
+from operator import add, eq, itemgetter, mul
 from typing import Iterable, Iterator, Union
 
 Cell = Union[None, str, int, Decimal]
@@ -465,35 +465,42 @@ def fact_key_faults(fact: Fact, dims: Mapping[str, Dimension]) -> list[tuple]:
     dimension, with ``first`` None. A repeat has ``key`` None, the row's key
     tuple as ``value`` and the row that used it first as ``first``. Faults
     come by row, then by key column, with a row's repeat after its dangling
-    keys.
+    keys. A null key cell dangles. A column whose dimension is not in
+    ``dims`` takes part in the repeat check only.
 
-    Each key column is checked whole with set operations, so a clean table
-    costs no Python work per row; a column is walked only when it holds a
-    dangling value, and the key tuples only when one repeats. A null key
-    cell dangles. A column whose dimension is not in ``dims`` takes part in
-    the repeat check only.
+    A row's key is coded as one integer, its cells' row positions in their
+    dimensions read as the digits of a mixed-radix number, and the codes
+    are sorted: no two equal means no repeat, and a cell with no position
+    dangles. So a clean table costs one integer per row and no Python work
+    per row; rows in key order, as a written table holds them, sort in
+    about linear time. Only a faulty table, or one the code cannot read (a
+    dimension not in ``dims``, a null id, no key columns), is walked row by
+    row to find and order its faults.
     """
+    keys = fact.dimension_keys
+    columns = fact.columns[:len(keys)]
+    indexes = [dims[d].index if d in dims else None for d, _ in keys]
+    if columns and all(ix is not None and None not in ix for ix in indexes):
+        codes: Iterable[int] = map(indexes[0].__getitem__, columns[0])
+        for index, cells in zip(indexes[1:], columns[1:]):
+            codes = map(add, map(mul, codes, repeat(len(index))), map(index.__getitem__, cells))
+        try:
+            codes = sorted(codes)
+        except KeyError:  # a dangling cell
+            pass
+        else:
+            if not any(map(eq, codes, islice(codes, 1, None))):
+                return []
     faults: list[tuple] = []
-    columns = fact.columns[:len(fact.dimension_keys)]
-    for key, cells in zip(fact.dimension_keys, columns):
-        dim = dims.get(key[0])
-        if dim is None:
-            continue
-        values = set(cells)
-        if None in values or not dim.index.keys() >= values:
+    for key, cells, index in zip(keys, columns, indexes):
+        if index is not None:
             faults.extend((i, key, v, None) for i, v in enumerate(cells)
-                          if v is None or v not in dim.index)
-    n = len(fact.rows)
-
-    def tuples() -> Iterator[tuple]:
-        return zip(*columns) if columns else repeat((), n)
-
-    if len(set(tuples())) != n:
-        seen: dict[tuple, int] = {}
-        for i, tup in enumerate(tuples()):
-            first = seen.setdefault(tup, i)
-            if first != i:
-                faults.append((i, None, tup, first))
+                          if v is None or v not in index)
+    seen: dict[tuple, int] = {}
+    for i, tup in enumerate(zip(*columns) if columns else repeat((), len(fact.rows))):
+        first = seen.setdefault(tup, i)
+        if first != i:
+            faults.append((i, None, tup, first))
     # Stable, so each row keeps its faults in key-column order, its repeat last.
     faults.sort(key=itemgetter(0))
     return faults
@@ -583,8 +590,9 @@ def validate(schema: Schema) -> list[Violation]:
     the rows: null ids, cells that would not reload as themselves
     (:func:`_cell_faults`) and fact keys. Deterministic and
     order-independent: shuffling row order never changes the outcome (only
-    the row a violation names). Fact keys are checked a column at a time
-    (:func:`fact_key_faults`), and their violations are listed in row order.
+    the row a violation names). Fact keys are checked by one sorted integer
+    per row (:func:`fact_key_faults`), and their violations are listed in
+    row order.
     """
     out = declaration_faults(schema)
     dims = {d.name: d for d in schema.dimensions}

@@ -136,20 +136,22 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     # Each right row starts a row of its own or fuses into the one holding its key.
     right_keys = [f2.cells(c) for c in aligned_right_cols]
     added: list[int] = []
-    common: list[tuple[int, int]] = []
+    common_i: list[int] = []  # the output row of each shared key
+    common_j: list[int] = []  # and the right row that fuses into it
     for j, key in enumerate(zip(*right_keys)):
         n = len(at)
         i = at.setdefault(key, n)
         if i == n:
             added.append(j)
         else:
-            common.append((i, j))
+            common_i.append(i)
+            common_j.append(j)
 
     # The added rows take their right cells; measures the right fact lacks are null.
     names = list(right_measure_names.items())
     source_of = {t: f2.cells(s) for s, t in names}
     extras = right_keys + [source_of.get(m) for m in measures]
-    fused = {t for _, t in names} if common else set()
+    fused = {t for _, t in names} if common_i else set()
     columns = []
     for name, col, extra in zip(key_cols + measures, left, extras):
         if added:
@@ -163,14 +165,14 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
     conflicts: list[ValueConflict] = []
     position = {name: k for k, name in enumerate(key_cols + measures)}
     fuse = [(f2.cells(s), columns[position[t]], t) for s, t in names]
-    for _, j, name, v1, v2, chosen in fuse_cells(common, fuse, settings.conflict):
+    for _, j, name, v1, v2, chosen in fuse_cells(zip(common_i, common_j), fuse, settings.conflict):
         key_text = "(" + ", ".join(cell_to_text(col[j]) for col in right_keys) + ")"
         if settings.conflict == "error":
             raise ConflictError(f"conflicting measure {name!r} for fact key {key_text}")
         conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
     merged = Fact.from_columns(f1.name, measures, f1.dimension_keys, columns, numeric)
-    return merged, conflicts, len(common)
+    return merged, conflicts, len(common_i)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from __future__ import annotations
 import gc
 import math
 import random
+import tracemalloc
 from decimal import Decimal
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import pytest
 
@@ -108,6 +109,26 @@ def location_dim() -> Dimension:
         "location", "City", attrs,
         [("H3", ("City", "Department", "Country", "Continent"))],
         rows)
+
+
+T = TypeVar("T")
+
+
+def traced(call: Callable[[], T]) -> tuple[T, int, int]:
+    """``call()``'s result, and the bytes it left allocated and the most it
+    held at once while it ran, as tracemalloc counts them.
+
+    Only blocks allocated during the call are counted, so the second figure
+    is the call's own high-water mark.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 # Reference oracles shared by several test modules.

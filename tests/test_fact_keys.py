@@ -1,12 +1,15 @@
-"""The column-wise fact-key rules against the row loops they replaced.
+"""The coded fact-key check against the row loops it replaced.
 
 ``model._validate_fact`` and ``io._read_fact`` both take their fact-key
-faults from ``model.fact_key_faults``, which reads each key column whole.
-The reference functions below are verbatim copies of the row loops both
-once ran on every table; over seeded random facts the two must report,
-raise and log the same things, in the same order. The cases include rows
-with dangling keys in two columns and rows whose dangling key also repeats
-an earlier tuple, so the order of faults within one row is pinned too.
+faults from ``model.fact_key_faults``, which codes each row's key as one
+integer and sorts the codes, and walks the rows only when that finds a
+fault or cannot be read. The reference functions below are verbatim copies
+of the row loops both once ran on every table; over seeded random facts,
+and over hand-built cases that take the check off its coded path, the two
+must report, raise and log the same things, in the same order. The cases
+include rows with dangling keys in two columns and rows whose dangling key
+also repeats an earlier tuple, so the order of faults within one row is
+pinned too. The check's memory is pinned per row.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ import random
 from collections import Counter
 from decimal import Decimal
 
+import pytest
+
 from dwmerge import io
 from dwmerge.errors import LoadError
+from dwmerge.generator import generate_pair, preset_basic
 from dwmerge.model import (Dimension, Fact, Hierarchy, Violation, _validate_fact, cell_to_text,
-                           fact_faults)
+                           fact_faults, fact_key_faults)
+
+from conftest import traced
 
 logger = io.logger
 
@@ -208,3 +216,94 @@ def test_load_fact_matches_reference_loop(tmp_path, caplog):
             seen["missing-column"] += "missing declared columns" in json.dumps(result)
             seen["no-key-columns"] += not keys and len(rows) > 1
     assert all(seen.values()), seen
+
+
+def one_column_dimension(name, ids, numeric=False) -> Dimension:
+    """A dimension of the one attribute ``id``, its rows in the order of ``ids``."""
+    return Dimension.from_columns(name, "id", ("id",), (Hierarchy("h", ("id",)),), [list(ids)],
+                                  frozenset({"id"}) if numeric else frozenset())
+
+
+def key_faults_by_reference(fact, dims) -> list[Violation]:
+    expected = []
+    reference_validate_fact(fact, dims, {d for d, _ in fact.dimension_keys}, expected)
+    return expected
+
+
+KEY_CASES = {
+    # Rows not in id order, so positions do not follow the ids' sort order.
+    "unordered-ids": (
+        {"d": one_column_dimension("d", ["k3", "k1", "k2"]),
+         "e": one_column_dimension("e", ["b", "c", "a"])},
+        (("d", "x"), ("e", "y")),
+        [{"x": "k2", "y": "a"}, {"x": "k1", "y": "c"}, {"x": "k3", "y": "a"},
+         {"x": "k1", "y": "b"}, {"x": "k2", "y": "a"}],
+        [(4, None, ("k2", "a"), 0)]),
+    "unordered-ids-clean": (
+        {"d": one_column_dimension("d", ["k3", "k1", "k2"]),
+         "e": one_column_dimension("e", ["b", "c", "a"])},
+        (("d", "x"), ("e", "y")),
+        [{"x": x, "y": y} for y in ("c", "a", "b") for x in ("k2", "k3", "k1")],
+        []),
+    # 1 and 1.0 name one id, so their tuples repeat.
+    "numeric-spellings": (
+        {"d": one_column_dimension("d", [Decimal("2"), 1, Decimal("-4")], numeric=True)},
+        (("d", "x"),),
+        [{"x": 1}, {"x": Decimal("-4")}, {"x": Decimal("1.0")}, {"x": 2}],
+        [(2, None, (Decimal("1.0"),), 0)]),
+    # The id index holds a null; a null key cell still dangles.
+    "null-id": (
+        {"d": one_column_dimension("d", ["k1", None])},
+        (("d", "x"),),
+        [{"x": "k1"}, {"x": None}],
+        [(1, ("d", "x"), None, None)]),
+    "absent-dimension": (
+        {"d": one_column_dimension("d", ["k1", "k2"])},
+        (("d", "x"), ("ghost", "y")),
+        [{"x": "k1", "y": "g"}, {"x": "k2", "y": "g"}, {"x": "k1", "y": "g"}],
+        [(2, None, ("k1", "g"), 0)]),
+    "absent-dimension-clean": (
+        {},
+        (("ghost", "y"),),
+        [{"y": "g"}, {"y": "h"}],
+        []),
+    "two-columns-one-dimension": (
+        {"d": one_column_dimension("d", ["k2", "k1"])},
+        (("d", "x"), ("d", "y")),
+        [{"x": "k1", "y": "k2"}, {"x": "k2", "y": "k1"}, {"x": "k1", "y": "k1"},
+         {"x": "k2", "y": "k1"}, {"x": "k1", "y": "k3"}],
+        [(3, None, ("k2", "k1"), 1), (4, ("d", "y"), "k3", None)]),
+    "empty-dimension": (
+        {"d": one_column_dimension("d", [])},
+        (("d", "x"),),
+        [{"x": "k1"}],
+        [(0, ("d", "x"), "k1", None)]),
+    "empty-dimension-no-rows": ({"d": one_column_dimension("d", [])}, (("d", "x"),), [], []),
+    "no-key-columns-0": ({}, (), [], []),
+    "no-key-columns-1": ({}, (), [{"m": 1}], []),
+    "no-key-columns-2": ({}, (), [{"m": 1}, {"m": 2}], [(1, None, (), 0)]),
+}
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_coded_key_check_matches_reference_loop(case):
+    dims, keys, rows, faults = KEY_CASES[case]
+    fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
+    assert fact_key_faults(fact, dims) == faults
+    got = []
+    _validate_fact(fact, dims, got)
+    assert got == key_faults_by_reference(fact, dims)
+
+
+def test_key_check_holds_one_integer_per_row(tmp_path):
+    # A sorted list of one int code per row: about 40 bytes a row. A set of
+    # key tuples took about 94.
+    dw1, _, _ = generate_pair(preset_basic(seed=1, fact_rows=20000))
+    io.write_dw(dw1, tmp_path)
+    del dw1
+    schema = io.load_dw(tmp_path)
+    dims = {d.name: d for d in schema.dimensions}
+    faults, _, peak = traced(lambda: fact_key_faults(schema.fact, dims))
+    n = len(schema.fact.rows)
+    assert faults == [] and n > 10000
+    assert peak / n <= 60, peak / n

@@ -8,8 +8,8 @@ import pytest
 from dwmerge import hierarchy_merge
 from dwmerge.config import MergeSettings
 from dwmerge.errors import MergeError
-from dwmerge.hierarchy_merge import (Token, TokenSeq, _segment_fd_edges, enumerate_fds,
-                                     extend, join_segment_rows, merge_hierarchies,
+from dwmerge.hierarchy_merge import (Token, TokenSeq, _segment_fd_edges, count_chains,
+                                     enumerate_fds, extend, join_segment_rows, merge_hierarchies,
                                      render_tokens, tokenize, transitive_reduction)
 from dwmerge.model import Cell, Hierarchy, Row, cells_equal
 
@@ -439,6 +439,25 @@ def test_chain_cap_bounds_the_hierarchy_pair():
     with pytest.raises(MergeError, match="merge into 2 chains over 1 of their 1 segments"):
         merge_hierarchies(h1, h2, table(rows1), table(rows2), {"K": "K"},
                           MergeSettings(chain_cap=1))
+
+
+def test_chain_cap_raises_before_chains_are_listed(monkeypatch):
+    # A segment whose reduced FD graph runs from K through 8 layers of 3
+    # parameters to P: 3 ** 8 = 6561 spanning chains, counted, never listed.
+    root, top = ("p", "K", "K"), ("l", "P")
+    levels = [[root], *([("l", f"a{i}{j}") for j in range(3)] for i in range(8)), [top]]
+    edges = [(a, b) for low, high in zip(levels, levels[1:]) for a in low for b in high]
+    assert count_chains(edges, root, {top, ("r", "Q")}) == 6561
+    monkeypatch.setattr(hierarchy_merge, "_segment_fd_edges", lambda *args: edges)
+
+    def listed(*args):
+        raise AssertionError("merge_parameters ran on a segment over the cap")
+
+    monkeypatch.setattr(hierarchy_merge, "merge_parameters", listed)
+    h1, h2 = Hierarchy("a", ("K", "P")), Hierarchy("b", ("K", "Q"))
+    with pytest.raises(MergeError, match="merge into 6561 chains over 1 of their 1 segments, "
+                                         "over the cap of 16"):
+        merge_hierarchies(h1, h2, table([]), table([]), {"K": "K"}, MergeSettings())
 
 
 def random_hierarchy_pair(rng):

@@ -7,7 +7,6 @@ import random
 import re
 import tempfile
 import threading
-import tracemalloc
 from decimal import Decimal, InvalidOperation
 from io import StringIO
 from pathlib import Path
@@ -24,7 +23,7 @@ from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, cell_sort_key, ce
                            star_schema, validate)
 from dwmerge.star_merge import merge_stars
 
-from conftest import make_dimension
+from conftest import make_dimension, traced
 
 
 def write_minimal(tmp_path, *, rows="C1,x\nC2,y\n", header="Code,Attr",
@@ -742,15 +741,12 @@ def test_loaded_fact_keeps_few_bytes_per_row(tmp_path):
     dw1, _, _ = generate_pair(preset_basic(seed=1, fact_rows=20000))
     io.write_dw(dw1, tmp_path)
     del dw1
-    tracemalloc.start()
-    try:
-        schema = io.load_dw(tmp_path)
-        n = len(schema.fact.rows)
-        with_fact = tracemalloc.get_traced_memory()[0]
-        schema.facts = ()
-        retained = with_fact - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    schema, with_fact, _ = traced(lambda: io.load_dw(tmp_path))
+    n = len(schema.fact.rows)
+    del schema
+    # The fact's text key cells are its dimensions' ids, counted with them.
+    _, without_fact, _ = traced(lambda: io.load_dw(tmp_path).dimensions)
+    retained = with_fact - without_fact
     assert n > 10000
     assert retained / n < 140, retained / n
 
@@ -761,16 +757,9 @@ def test_loaded_dimension_keeps_few_bytes_per_row(tmp_path):
     dw1, _, _ = generate_pair(preset_basic(seed=1, rows=20000, fact_rows=100))
     io.write_dw(dw1, tmp_path)
     del dw1
-    tracemalloc.start()
-    try:
-        schema = io.load_dw(tmp_path)
-        schema.facts = ()  # their text key cells are the dimensions' ids
-        n = sum(len(d.rows) for d in schema.dimensions)
-        with_dimensions = tracemalloc.get_traced_memory()[0]
-        schema.dimensions = ()
-        retained = with_dimensions - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    # The facts go with the schema; their text key cells are the dimensions' ids.
+    dims, retained, _ = traced(lambda: io.load_dw(tmp_path).dimensions)
+    n = sum(len(d.rows) for d in dims)
     assert n > 20000
     assert retained / n < 500, retained / n
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dwmerge.errors import MergeError
-from dwmerge.hierarchy_merge import merge_parameters
+from dwmerge.hierarchy_merge import count_chains, merge_parameters, transitive_reduction
 
 from conftest import maximal_paths
 
@@ -40,6 +40,29 @@ def test_matches_maximal_path_oracle():
         assert merge_parameters(edges) == maximal_paths(edges)
 
 
+def test_chain_count_matches_maximal_path_oracle():
+    # The count merge_subhierarchy_pair checks against the cap, before it
+    # lists anything: the chains from its first parameter to one of its ends.
+    rng = random.Random(4099)
+    spanned = 0
+    for case in range(400):
+        edges = random_dag(rng, max_nodes=8)
+        if case % 2:
+            edges = transitive_reduction(edges)
+        nodes = sorted({n for edge in edges for n in edge}) or ["n0"]
+        sources = [n for n in nodes if all(b != n for _, b in edges)]
+        sinks = [n for n in nodes if all(a != n for a, _ in edges)]
+        # Mostly a source and sinks, as a segment's first and last parameters
+        # are; sometimes any parameter, which may start or end no chain.
+        first = rng.choice(sources if rng.random() < 0.75 else nodes)
+        ends = set(rng.sample(sinks if rng.random() < 0.75 else nodes, min(2, len(sinks))))
+        listed = [c for c in merge_parameters(edges) if c[0] == first and c[-1] in ends]
+        oracle = [c for c in maximal_paths(edges) if c[0] == first and c[-1] in ends]
+        assert count_chains(edges, first, ends) == len(listed) == len(oracle), f"case {case}"
+        spanned += len(listed) > 1
+    assert spanned > 20
+
+
 def test_input_order_does_not_matter():
     rng = random.Random(9)
     edges = random_dag(rng)
@@ -66,7 +89,6 @@ def test_every_edge_appears_as_adjacency():
 
 def test_chains_are_pairwise_non_contained():
     # holds on transitively reduced inputs, which is what the pipeline feeds
-    from dwmerge.hierarchy_merge import transitive_reduction
     rng = random.Random(13)
     for _ in range(50):
         edges = transitive_reduction(random_dag(rng))
@@ -87,6 +109,8 @@ def _subsequence(small, big):
 def test_cyclic_input_rejected():
     with pytest.raises(MergeError):
         merge_parameters([("A", "B"), ("B", "A")])
+    with pytest.raises(MergeError):
+        count_chains([("A", "B"), ("B", "C"), ("C", "B")], "A", {"C"})
     with pytest.raises(MergeError):
         merge_parameters([("A", "A")])
     with pytest.raises(ValueError):

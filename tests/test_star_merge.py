@@ -24,7 +24,7 @@ from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_to_text, 
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
 from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
-                      make_dimension)
+                      make_dimension, traced)
 from test_output_digests import conflict_spec
 
 
@@ -260,6 +260,19 @@ def test_merge_facts_count_law_on_generated():
     keys2 = {tuple(r[c] for c in dw2.fact.key_columns()) for r in dw2.fact.rows}
     assert n_common == len(keys1 & keys2) == manifest["facts"]["sales"]["sharedKeyTuples"]
     assert len(merged.rows) == len(keys1) + len(keys2) - n_common
+
+
+def test_merge_facts_peak_bytes_per_merged_row(tmp_path):
+    # The shared rows are kept as two int lists, not a tuple per pair: about
+    # 184 bytes a merged row at most, against 197.
+    for side, dw in zip("ab", generate_pair(preset_basic(seed=1, fact_rows=20000))[:2]):
+        io.write_dw(dw, tmp_path / side)
+    f1, f2 = (io.load_dw(tmp_path / side).fact for side in "ab")
+    mcorrs = match_measures(f1, f2, MatcherConfig())
+    pairing = {"customer": "customer", "product": "product"}
+    (merged, _, _), _, peak = traced(lambda: merge_facts(f1, f2, mcorrs, pairing))
+    assert len(merged.rows) > 10000
+    assert peak / len(merged.rows) <= 190, peak / len(merged.rows)
 
 
 def test_merge_facts_misalignment_error():
