@@ -37,11 +37,14 @@ CSV rules
 ---------
 UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
 header names every declared column, each once; undeclared columns are
-allowed and dropped. A table is split at its newlines and commas, or if
-that finds it irregular read record by record by the csv module, with the
-same cells and errors. Rows are joined, or if they need quotes written by
-``csv.writer``, with the same bytes; a row holding a carriage return has
-every cell quoted, as a reader ends a line there. Tables are read and
+allowed and dropped. A table is split at its commas, a chunk of whole
+lines at a time with each newline kept as a field of its own, or if that
+finds it irregular read record by record by the csv module, with the same
+cells and errors. Split cells are stripped only in a chunk that is not
+ASCII or holds an ASCII whitespace character: no other cell has any. Rows
+are joined, or if they need quotes written by ``csv.writer``, with the
+same bytes; a row holding a carriage return has every cell quoted, as a
+reader ends a line there. Tables are read and
 written a column at a time: each keeps one list per declared column, and a
 fact's text key cell that names a dimension row is that row's id object. An
 empty field is null; whitespace-only fields trim to empty and
@@ -70,7 +73,7 @@ import logging
 import re
 from decimal import Decimal, InvalidOperation
 from io import StringIO
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -193,6 +196,10 @@ def _read_records(lines: Iterable[str], where: str, columns: list[str], numeric:
     return cells, starts
 
 
+# The ASCII characters str.strip() removes, less the line ends, which no split cell holds.
+_ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def _split_csv(handle, columns: list[str], numeric: set[str]
                ) -> tuple[list[list[Cell]], int] | None:
     """The cells of a table and its row count, split from whole lines of text.
@@ -202,9 +209,17 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
     line, a line with another field count than the header or longer than
     ``csv.field_size_limit()``, or a number that does not parse. On any
     other table the csv module would just split each line at its commas.
+
+    Each chunk of whole lines is split once, at its commas, with each
+    newline made a field of its own: the lines all have the header's width
+    when there are rows·(width+1)+1 fields and every (width+1)-th is a
+    newline. Cells are stripped (:func:`_stripped`) only in a chunk that is
+    not ASCII or holds an ASCII space; in any other, one test for an empty
+    field tells whether a column can hold a null.
     """
     cells: list[list[Cell]] = [[] for _ in columns]
     width = n = 0
+    limit = csv.field_size_limit()
     pending: list[str] = []  # a line that no chunk read so far ends
     while True:
         chunk = handle.read(_CHUNK_CHARS)
@@ -216,32 +231,50 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
         text = "".join(pending) + chunk[:cut]
         pending = [chunk[cut:]]
         if text:
+            if not chunk:  # the last line, which lacks its newline
+                text += "\n"
             # The csv module before Python 3.11 refuses a NUL.
             if '"' in text or "\r" in text or "\0" in text:
                 return None
-            lines = text.split("\n")[:-1] if chunk else [text]
-            if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+            if text[0] == "\n" or "\n\n" in text:  # a blank line
+                return None
+            if len(text) > limit and max(map(len, text.split("\n"))) > limit:
                 return None
             if not width:
-                header = lines.pop(0).split(",")
+                end = text.index("\n")
+                header = text[:end].split(",")
                 if len(set(header)) < len(header) or not set(columns) <= set(header):
                     return None
                 width = len(header)
                 positions = list(map(header.index, columns))
-            if lines:
-                if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                text = text[end + 1:]
+            if text:
+                rows = text.count("\n")
+                marked = text.replace("\n", ",\n,")
+                fields = marked.split(",")
+                if (len(fields) != rows * (width + 1) + 1
+                        or fields[width::width + 1].count("\n") != rows):
                     return None
-                fields = ",".join(lines).split(",")
+                fields.pop()  # the empty field after the last newline
+                strip = not text.isascii() or any(map(text.__contains__, _ASCII_SPACES))
+                empty = strip or not fields[0] or ",," in marked
                 for j, i in enumerate(positions):
-                    col: list[Cell] = list(map(str.strip, fields[i::width]))
-                    if "" in col:
+                    col: list[Cell] = fields[i::width + 1]
+                    if strip:
+                        col = _stripped(col)
+                    if empty and "" in col:
                         col = [c or None for c in col]
                     if columns[j] in numeric and _parse_numbers(col) is not None:
                         return None
                     cells[j] += col
-                n += len(lines)
+                n += rows
         if not chunk:
             return (cells, n) if width else None
+
+
+def _stripped(texts: list[str]) -> list[str]:
+    """``texts`` with their leading and trailing whitespace removed."""
+    return list(map(str.strip, texts))
 
 
 def _parse_numbers(cells: list[Cell]) -> int | None:

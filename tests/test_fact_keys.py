@@ -9,11 +9,13 @@ and over hand-built cases that take the check off its coded path, the two
 must report, raise and log the same things, in the same order. The cases
 include rows with dangling keys in two columns and rows whose dangling key
 also repeats an earlier tuple, so the order of faults within one row is
-pinned too. The check's memory is pinned per row.
+pinned too, and three-key facts with a 0-row or a 1-row dimension in each
+key position. The check's memory is pinned per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
@@ -293,6 +295,31 @@ def test_coded_key_check_matches_reference_loop(case):
     got = []
     _validate_fact(fact, dims, got)
     assert got == key_faults_by_reference(fact, dims)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_three_key_check_with_a_tiny_dimension_matches_reference_loop(at, size, faulty):
+    # Each key column but the last reads positions scaled by the sizes of
+    # the dimensions after it, which a 0-row dimension makes 0.
+    sizes = [3, 2, 4]
+    sizes[at] = size
+    dims = {f"d{k}": one_column_dimension(f"d{k}", [f"{k}:{i}" for i in range(n)])
+            for k, n in enumerate(sizes)}
+    keys = tuple((d, f"c{k}") for k, d in enumerate(dims))
+    tuples = list(itertools.product(*(list(d.index) for d in dims.values())))[::-1]
+    if faulty:
+        dangling = [next(iter(d.index), "zz") for d in dims.values()]
+        dangling[at] = "zz"
+        tuples += tuples[:1] + [tuple(dangling)]
+    rows = [dict(zip((c for _, c in keys), t), m=i) for i, t in enumerate(tuples)]
+    fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
+    got = []
+    _validate_fact(fact, dims, got)
+    assert got == key_faults_by_reference(fact, dims)
+    assert bool(got) == faulty
+    assert (fact_key_faults(fact, dims) == []) == (not faulty)
 
 
 def test_key_check_holds_one_integer_per_row(tmp_path):

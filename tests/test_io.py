@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import sys
 import tempfile
 import threading
 from decimal import Decimal, InvalidOperation
@@ -291,6 +292,10 @@ EDGE_TABLES = [
     "a,b\n1," + "9" * 131073 + "\n2,3\n", "a,b\n1," + "9" * 131072 + "\n",
     "a,b\n" + "1" * 70000 + "," + "2" * 70000 + "\n", "a,a\n1,2\n", "b\n1\n",
     "a,b\n1,2,3\n4,5\n", "a,b\n1\n", "a,b\n1,NaN\n", "a,b\n1, 2 \n\u3000,x\n",
+    # Field counts that cancel out over the lines, so only the newline
+    # positions show the table irregular.
+    "a,b\n1\n2,3,4\n",
+    "a,b\n\n1,2\n", "a,b\n,1\n2,\n", "a,b\n,1\n2,3\n", "a,b\n1,2\n 3 , 4 ",
 ]
 
 
@@ -302,6 +307,35 @@ def test_read_csv_edge_tables_match_reference_reader(text, tmp_path):
         for numeric in (set(), {"a"}, set(columns)):
             got = read_outcome(read_as_rows, table, columns, numeric)
             assert repr(got) == repr(read_outcome(reference_read_csv, table, columns, numeric))
+
+
+# The ASCII characters that str.strip() removes from a cell: no cell holds a line end.
+ASCII_SPACES = [c for c in map(chr, range(128)) if c.isspace() and c not in "\n\r"]
+
+
+def test_split_path_strips_exactly_the_ascii_whitespace():
+    # A chunk that is ASCII and holds none of io._ASCII_SPACES skips the
+    # strip, so those must be every ASCII character str.strip() removes but
+    # the line ends; every other whitespace character fails isascii().
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    assert {c for c in chars if c.isspace()} == {c for c in chars if not c.strip()}
+    assert sorted(io._ASCII_SPACES) == ASCII_SPACES
+
+
+@pytest.mark.parametrize("chars", [io._CHUNK_CHARS, 1, 5, 13])
+def test_read_csv_strips_each_ascii_space_as_the_reference_does(chars, tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chars)
+    table = tmp_path / "t.csv"
+    for space in ASCII_SPACES:
+        for other in ("x", "\u00e9"):  # an ASCII table, and one that is not
+            rows = [f"{space}1,{other}", f"2{space},{other}{space}", f"{space},{space}{other}",
+                    f"3,{space}"]
+            table.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+            for numeric in (set(), {"a"}):
+                got = read_outcome(read_as_rows, table, ["a", "b"], numeric)
+                assert repr(got) == repr(read_outcome(reference_read_csv, table, ["a", "b"],
+                                                      numeric)), (space, other, numeric)
+                assert got[0] != "LoadError" and len(got[0]) == 4, got
 
 
 @pytest.mark.parametrize("chars", [1, 5, 13])
@@ -502,17 +536,20 @@ def test_write_dw_bytes_do_not_depend_on_row_order(preset, tmp_path):
 @pytest.mark.parametrize("preset", PRESETS.values(), ids=PRESETS)
 def test_generated_tables_take_the_split_and_join_paths(preset, tmp_path, monkeypatch):
     # The record reader and csv.writer are the slow paths, kept for tables
-    # that need quoting; no generated table, input or merged, may reach them.
+    # that need quoting, and the strip is for tables holding whitespace; no
+    # generated table, input or merged, may reach them.
     dw1, dw2, _ = generate_pair(preset(seed=5))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a generated table took the csv module's path")
+        raise AssertionError("a generated table took a slow path")
 
     class Refusing:
         writerow = writerows = refuse
 
     monkeypatch.setattr(csv, "writer", lambda *args, **kwargs: Refusing())
     monkeypatch.setattr(csv, "reader", refuse)
+    # Generated texts are ASCII with no spaces, so no cell is stripped.
+    monkeypatch.setattr(io, "_stripped", refuse)
     io.write_dw(dw1, tmp_path / "dw1")
     io.write_dw(dw2, tmp_path / "dw2")
     assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
