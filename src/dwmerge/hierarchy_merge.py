@@ -253,30 +253,46 @@ def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
     """Inner-join the two projected instance sets on the shared first parameter.
 
     Projections are deduplicated first, so FD support counts distinct
-    projected row combinations. The join is built as one column per token:
-    the right side's tokens, then the left side's own. A matched column
-    takes the left value and falls back to the right one where the left is
-    null.
+    projected row combinations. When each side's first column holds each
+    value once, as a segment that starts at the root does, every row is its
+    own projection and matches at most one row: each column is gathered at
+    the matched row positions. Otherwise the distinct projections are joined.
+    The join is built as one column per token: the right side's tokens, then
+    the left side's own. A matched column takes the left value and falls back
+    to the right one where the left is null.
     """
     if tok1[0] != tok2[0]:
         raise MergeError("sub-hierarchy pair does not share its first parameter")
-    idx2: dict[Cell, list[tuple[Cell, ...]]] = {}
-    for t2 in _project(rows2, [t[2] if t[0] == "p" else t[1] for t in tok2]):
-        if t2[0] is not None:
-            idx2.setdefault(t2[0], []).append(t2)
-    lefts, rights = [], []
-    for t1 in _project(rows1, [t[1] for t in tok1]):
-        matches = idx2.get(t1[0], ())  # a null key is never indexed
-        lefts += [t1] * len(matches)
-        rights += matches
+    names1 = [t[1] for t in tok1]
+    names2 = [t[2] if t[0] == "p" else t[1] for t in tok2]
+    first1, first2 = rows1.cells(names1[0]), rows2.cells(names2[0])
+    row2 = dict(zip(first2, range(len(first2))))
+    if len(row2) == len(first2) and len(set(first1)) == len(first1):
+        row2.pop(None, None)  # a null key matches nothing
+        found = list(map(row2.get, first1))
+        at1 = [i for i, j in enumerate(found) if j is not None]
+        at2 = [j for j in found if j is not None]
+        lefts = [list(map(rows1.cells(name).__getitem__, at1)) for name in names1]
+        rights = [list(map(rows2.cells(name).__getitem__, at2)) for name in names2]
+    else:
+        idx2: dict[Cell, list[tuple[Cell, ...]]] = {}
+        for t2 in _project(rows2, names2):
+            if t2[0] is not None:
+                idx2.setdefault(t2[0], []).append(t2)
+        pairs1, pairs2 = [], []
+        for t1 in _project(rows1, names1):
+            matches = idx2.get(t1[0], ())  # a null key is never indexed
+            pairs1 += [t1] * len(matches)
+            pairs2 += matches
+        lefts, rights = list(map(list, zip(*pairs1))), list(map(list, zip(*pairs2)))
     names = tok2 + tuple(t for t in tok1 if t not in tok2)
-    if not lefts:
+    if not lefts or not lefts[0]:
         return RowList(names, [[] for _ in names])
-    columns = dict(zip(tok1, map(list, zip(*lefts))))
-    for tok, right in zip(tok2, zip(*rights)):
+    columns = dict(zip(tok1, lefts))
+    for tok, right in zip(tok2, rights):
         mine = columns.get(tok)
-        columns[tok] = list(right) if mine is None else [r if v is None else v
-                                                         for v, r in zip(mine, right)]
+        columns[tok] = right if mine is None else [r if v is None else v
+                                                   for v, r in zip(mine, right)]
     return RowList(names, list(map(columns.get, names)))
 
 

@@ -41,7 +41,8 @@ allowed and dropped. A table is split at its commas, a chunk of whole
 lines at a time with each newline kept as a field of its own, or if that
 finds it irregular read record by record by the csv module, with the same
 cells and errors. Split cells are stripped only in a chunk that is not
-ASCII or holds an ASCII whitespace character: no other cell has any. Rows
+ASCII or holds an ASCII whitespace character: no other cell has any. Text
+cells are written as they stand and numbers as str() renders them. Rows
 are joined, or if they need quotes written by ``csv.writer``, with the
 same bytes; a row holding a carriage return has every cell quoted, as a
 reader ends a line there. Tables are read and
@@ -543,14 +544,37 @@ def descriptor_tables(directory: str | Path) -> list[str]:
     return [entry["table"] for entry in (*doc["dimensions"], *doc["facts"])]
 
 
-def _texts(cells: Sequence[Cell]) -> list[str]:
-    """``cells`` as the CSV writer renders them, which is as :func:`cell_to_text` does."""
+_NULL_TEXT = {None: ""}
+_NUMBERS = {int, Decimal}
+_TEXT_OR_NULL = {str, type(None)}
+
+
+def _texts(cells: Sequence[Cell], kinds: set[type]) -> list[str]:
+    """``cells``, of the types ``kinds``, as :func:`cell_to_text` renders them:
+    numbers by one map(str), a block holding anything else a cell at a time."""
+    if kinds <= _NUMBERS:
+        try:
+            return list(map(str, cells))
+        except ValueError:  # an int past str()'s digit limit
+            pass
+    return list(map(cell_to_text, cells))
+
+
+def _column_texts(cells: tuple[Cell, ...]) -> Sequence[str]:
+    """A block of one column's cells as :func:`cell_to_text` renders them.
+
+    A block of texts is returned as it stands, with no str() call: csv.writer,
+    like str.join, writes a ``str`` subclass as its text. A block of texts and
+    nulls has its nulls made ``""`` by one map; any other goes to :func:`_texts`.
+    """
     try:
-        texts = list(map(str, cells))
-    except ValueError:  # an int past str()'s digit limit
-        return list(map(cell_to_text, cells))
-    # str(None) is "None", so only a column holding that text can hold a null.
-    return texts if "None" not in texts else list(map(cell_to_text, cells))
+        "".join(cells)  # TypeError: a cell that is not a text
+        return cells
+    except TypeError:
+        kinds = set(map(type, cells))
+    if kinds <= _TEXT_OR_NULL:
+        return tuple(map(_NULL_TEXT.get, cells, cells))
+    return _texts(cells, kinds)
 
 
 def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]],
@@ -560,9 +584,10 @@ def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]]
     Rows come out as ``csv.writer(lineterminator="\\n")`` writes them, but
     every cell of a row that holds a ``\\r`` is quoted: that writer leaves it
     bare, and a reader ends a line there. The rows are rendered a block at a
-    time, each column's cells gathered at the block's positions; a block none
-    of whose texts needs quoting is joined as it stands, any other goes to
-    the writer. A table of no columns writes its empty header line only.
+    time, each column's cells gathered at the block's positions and rendered
+    by :func:`_column_texts`, so text cells are written as they stand; a block
+    none of whose texts needs quoting is joined as it stands, any other goes
+    to the writer. A table of no columns writes its empty header line only.
     """
     with path.open("w", encoding="utf-8", newline="") as handle:
         plain = csv.writer(handle, lineterminator="\n")
@@ -586,24 +611,48 @@ def _write_table(path: Path, names: Sequence[str], columns: Sequence[list[Cell]]
                 handle.write(body + "\n")
 
 
-def _block_texts(columns: Sequence[list[Cell]], positions: Sequence[int]) -> list[list[str]]:
+def _block_texts(columns: Sequence[list[Cell]], positions: Sequence[int]) -> list[Sequence[str]]:
     """The texts of each column's cells at ``positions``, which are at least one."""
     if len(positions) == 1:  # an itemgetter of one position returns the cell itself
         return [[cell_to_text(col[positions[0]])] for col in columns]
-    return list(map(_texts, map(itemgetter(*positions), columns)))
+    return list(map(_column_texts, map(itemgetter(*positions), columns)))
+
+
+def _fact_order(fact: Fact, ranked: dict[str, list[Cell]]) -> list[int]:
+    """The positions of ``fact``'s rows in :func:`key_order` order of its key cells.
+
+    When the fact has at least as many rows as each of its key dimensions
+    has ids, each key cell is ranked among its dimension's ids as written
+    (``ranked``), which is cheaper than ranking the column's distinct cells.
+    A smaller fact, a key cell that is no id or a dimension not written
+    ranks the distinct cells.
+    """
+    keys = fact.columns[:len(fact.dimension_keys)]
+    n = len(fact.rows)
+    written = [ranked.get(d) for d, _ in fact.dimension_keys]
+    if None not in written and n >= max(map(len, written), default=0):
+        try:
+            return key_order(keys, n, written)
+        except KeyError:
+            pass
+    return key_order(keys, n)
 
 
 def write_dw(schema: Schema, directory: str | Path) -> None:
     """Emit a warehouse directory: descriptor plus one CSV per table.
 
     Output is byte-deterministic: columns follow declaration order,
-    dimension rows are sorted by id, fact rows by their key tuple.
+    dimension rows are sorted by id, fact rows by their key tuple
+    (:func:`_fact_order`, which ranks key cells among the sorted ids of the
+    dimensions written before the facts). Cells are rendered by
+    :func:`_write_table`, text cells as they stand.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     filenames = iter(table_files(schema))
 
     dim_entries = []
+    ranked: dict[str, list[Cell]] = {}
     for dim in schema.dimensions:
         filename = next(filenames)
         dim_entries.append({
@@ -615,8 +664,10 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
             "hierarchies": [{"name": h.name, "parameters": list(h.parameters)}
                             for h in dim.hierarchies],
         })
-        _write_table(directory / filename, dim.attributes, dim.columns,
-                     key_order([list(dim.index)], len(dim.index)))
+        ids = list(dim.index)
+        order = key_order([ids], len(ids))
+        ranked[dim.name] = list(map(ids.__getitem__, order))
+        _write_table(directory / filename, dim.attributes, dim.columns, order)
 
     fact_entries = []
     for fact in schema.facts:
@@ -630,7 +681,7 @@ def write_dw(schema: Schema, directory: str | Path) -> None:
                               for d, c in fact.dimension_keys],
         })
         _write_table(directory / filename, fact.column_names(), fact.columns,
-                     key_order(fact.columns[:len(fact.dimension_keys)], len(fact.rows)))
+                     _fact_order(fact, ranked))
 
     doc = {
         "formatVersion": FORMAT_VERSION,

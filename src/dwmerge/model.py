@@ -32,6 +32,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial, reduce
 from itertools import islice, repeat
 from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Union
@@ -74,7 +75,8 @@ def cell_sort_key(c: Cell) -> tuple:
     return (1, c)
 
 
-def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
+def key_order(key_columns: Sequence[list[Cell]], n: int,
+              ranked: Sequence[Sequence[Cell]] | None = None) -> list[int]:
     """Indices of the ``n`` rows sorted by their key cells' :func:`cell_sort_key`, stably.
 
     One column whose cells are all text or all numbers sorts on the cells
@@ -83,27 +85,41 @@ def key_order(key_columns: Sequence[list[Cell]], n: int) -> list[int]:
     cells in the columns after it, and a row sorts on the sum of its ranks:
     one integer, first column most significant. That is a single sort, and
     rows already in key order stay runs in it (a merged fact is two runs).
+    ``ranked``, when given, holds each column's distinct cells already in
+    sort order, or more cells than the column holds (a dimension's ids for
+    a fact's key column); a cell it lacks raises KeyError.
     """
-    if len(key_columns) == 1:
-        cells = key_columns[0]
-        if set(map(type, cells)) not in ({str}, {int}, {Decimal}, {int, Decimal}):
-            cells = list(map(cell_sort_key, cells))
-        return sorted(range(n), key=cells.__getitem__)
-    key = [0] * n
-    scale = 1
-    for cells in reversed(key_columns):
-        distinct = list(set(cells))  # equal numbers spelt differently are one cell
-        ranked = map(distinct.__getitem__, key_order([distinct], len(distinct)))
-        rank = dict(zip(ranked, range(0, scale * len(distinct), scale)))
-        key = list(map(add, key, map(rank.__getitem__, cells)))
+    if ranked is None:
+        if len(key_columns) == 1:
+            cells = key_columns[0]
+            if set(map(type, cells)) not in ({str}, {int}, {Decimal}, {int, Decimal}):
+                cells = list(map(cell_sort_key, cells))
+            return sorted(range(n), key=cells.__getitem__)
+        ranked = list(map(_sorted_distinct, key_columns))
+    if not key_columns:
+        return list(range(n))
+    ranks, scale = [], 1
+    for cells, distinct in zip(reversed(key_columns), reversed(ranked)):
+        rank = dict(zip(distinct, range(0, scale * len(distinct), scale)))
+        ranks.append(map(rank.__getitem__, cells))
         scale *= len(distinct) or 1  # a table of no rows has no distinct cells
+    key = list(reduce(partial(map, add), ranks))
     return sorted(range(n), key=key.__getitem__)
+
+
+def _sorted_distinct(cells: list[Cell]) -> list[Cell]:
+    """The distinct cells of a column in :func:`key_order` order; equal
+    numbers spelt differently are one cell."""
+    distinct = list(set(cells))
+    return list(map(distinct.__getitem__, key_order([distinct], len(distinct))))
 
 
 def cell_to_text(c: Cell) -> str:
     """Render a cell the way the CSV writer does (null becomes the empty string)."""
     if c is None:
         return ""
+    if isinstance(c, str):  # the writer takes a str subclass's text, not its __str__
+        return str.__str__(c)
     try:
         return str(c)
     except ValueError:  # an int past str()'s digit limit, which a Decimal lacks

@@ -5,7 +5,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from dwmerge import dimension_merge
+from dwmerge import dimension_merge, star_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_rows,
                                      _right_name_map, merge_dimensions, merge_instances)
@@ -176,6 +176,29 @@ def test_conflict_policy_error():
     with pytest.raises(ConflictError) as err:
         merge_conflicting_facts("error", cid=Decimal("1.0"))
     assert str(err.value) == "conflicting measure 'price' for fact key (1.0, p1)"
+
+
+class Shouted(str):
+    """A text whose str() is not its text."""
+
+    def __str__(self) -> str:
+        return self.upper() + "!"
+
+
+def test_conflict_texts_spell_a_str_subclass_as_its_text():
+    # Messages and report entries render a cell as the CSV writer does, and
+    # the writer writes a str subclass as its text, not as its __str__.
+    a = make_dimension("d", "K", ("K", "X"), [("H", ("K", "X"))], [(Shouted("k1"), Shouted("l"))])
+    b = make_dimension("d", "K", ("K", "X"), [("H", ("K", "X"))], [("k1", "r")])
+    with pytest.raises(ConflictError) as err:
+        merge_instances(a, b, {"K": "K", "X": "X"}, ("K", "X"), "error")
+    assert str(err.value) == "conflicting values for d[k1].X: 'l' vs 'r'"
+    _, conflicts, _ = merge_instances(a, b, {"K": "K", "X": "X"}, ("K", "X"), "left")
+    echo = star_merge._conflict_echo("d", conflicts[0])
+    assert (echo.key, echo.left, echo.right, echo.chosen) == ("k1", "l", "r", "l")
+    with pytest.raises(ConflictError) as err:
+        merge_conflicting_facts("error", cid=Shouted("c1"))
+    assert str(err.value) == "conflicting measure 'price' for fact key (c1, p1)"
 
 
 def test_equal_cells_are_cells_equal():

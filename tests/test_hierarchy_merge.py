@@ -250,23 +250,50 @@ def reference_join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
 
 # Join keys: equal numbers spelt three ways, a look-alike text, and null.
 JOIN_KEYS = [None, "k1", "k2", Decimal("1"), Decimal("1.0"), Decimal("1.00"), "1"]
+# Join keys distinct by value, so a column drawn from them without
+# repeats holds each value once, as a segment that starts at the root does.
+DISTINCT_KEYS = [None, "k1", "k2", "k3", "k4", "k5", "k6", "k7", Decimal("1"), "1", 2]
 
 
-def random_segment_rows(rng, params, n):
-    """Rows that may lack any non-first column, null-heavy, with repeats."""
+def random_segment_rows(rng, params, n, first="repeats"):
+    """Rows that may lack any non-first column, null-heavy. The first column
+    repeats values (``"repeats"``, and whole rows repeat too), holds each
+    value once (``"distinct"``), or does but for one number spelt a second
+    way (``"respelt"``)."""
+    if first == "repeats":
+        firsts = [rng.choice(JOIN_KEYS) for _ in range(n)]
+    else:
+        firsts = rng.sample(DISTINCT_KEYS, min(n, len(DISTINCT_KEYS)))
+        if first == "respelt":
+            firsts += [Decimal("1.0")]
+            rng.shuffle(firsts)
     rows = []
-    for _ in range(n):
-        row = {params[0]: rng.choice(JOIN_KEYS)}
+    for key in firsts:
+        row = {params[0]: key}
         for p in params[1:]:
             if rng.random() < 0.8:
                 row[p] = rng.choice([None, None, "u", "v", Decimal("2"), Decimal("2.0")])
         rows.append(row)
-    return rows + [dict(r) for r in rng.sample(rows, n // 3)]
+    if first == "repeats":
+        rows += [dict(r) for r in rng.sample(rows, len(rows) // 3)]
+    return rows
 
 
-def test_join_segment_rows_matches_reference():
+def test_join_segment_rows_matches_reference(monkeypatch):
+    # Each side's first column repeats values, holds each once, or holds each
+    # once but for a number spelt twice; the join gathers rows by position
+    # only when both hold each value once, and both ways must meet the reference.
     rng = random.Random(1414)
-    for case in range(400):
+    projections = []
+    real_project = hierarchy_merge._project
+
+    def project(rows, names):
+        projections.append(names)
+        return real_project(rows, names)
+
+    monkeypatch.setattr(hierarchy_merge, "_project", project)
+    gathered = 0
+    for case in range(600):
         shared = ["M0", "M1"][:rng.randint(0, 2)]
         rest1 = shared + ["L0", "L1"][:rng.randint(0, 2)]
         rest2 = shared + ["R0", "R1"][:rng.randint(0, 2)]
@@ -277,12 +304,18 @@ def test_join_segment_rows_matches_reference():
         tok1 = tokenize(params1, "l", pairs)
         tok2 = tokenize([spelling.get(p, p) for p in params2], "r",
                         {v: k for k, v in pairs.items()})
-        rows1 = random_segment_rows(rng, params1, rng.randint(0, 12))
+        first1, first2 = (rng.choice(["repeats", "distinct", "respelt"]) for _ in "12")
+        rows1 = random_segment_rows(rng, params1, rng.randint(0, 12), first1)
         rows2 = [{spelling.get(k, k): v for k, v in r.items()}
-                 for r in random_segment_rows(rng, params2, rng.randint(0, 12))]
+                 for r in random_segment_rows(rng, params2, rng.randint(0, 12), first2)]
         columns1, columns2 = table(rows1, params1), table(rows2, [t[-1] for t in tok2])
+        projections.clear()
         assert (repr(join_segment_rows(tok1, tok2, columns1, columns2))
                 == repr(reference_join_segment_rows(tok1, tok2, rows1, rows2))), case
+        unique = all(len({r["K"] for r in rows}) == len(rows) for rows in (rows1, rows2))
+        assert (not projections) == unique, case
+        gathered += unique
+    assert 0 < gathered < 600
 
 
 def test_merge_hierarchies_hands_the_joined_rows_to_fd_discovery(monkeypatch, d_left,

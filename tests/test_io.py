@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import threading
+from collections import Counter
 from decimal import Decimal, InvalidOperation
 from io import StringIO
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwmerge import io
+from dwmerge import hierarchy_merge, io
 from dwmerge.cli import main
 from dwmerge.errors import LoadError
 from dwmerge.generator import (PRESETS, generate_pair, preset_basic, preset_const22,
@@ -459,7 +460,33 @@ def test_write_is_byte_deterministic(tmp_path):
 def random_cell(rng: random.Random):
     return rng.choice([None, "", " ", "x", "a b", "None", "1,2", 'say "hi"', "two\nlines",
                        "cr\rin", "\r", "\x00", "é", Decimal("1.10"), Decimal("-0"),
-                       Decimal("1E+3"), Decimal("12345678901234567890.5"), Decimal(7)])
+                       Decimal("1E+3"), Decimal("12345678901234567890.5"), Decimal(7),
+                       7, -3, 0, Shouted("quiet"), Shouted("a,b")])
+
+
+class Shouted(str):
+    """A text whose str() is not its text; csv.writer writes the text."""
+
+    def __str__(self) -> str:
+        return self.upper() + "!"
+
+
+# The cells a column of each kind draws from: only texts, texts and nulls,
+# the text "None", str subclasses, numbers among texts, numbers only, and
+# any cell at all.
+COLUMN_KINDS = {
+    "text": ["", "x", "y z", "None2"],
+    "text and null": [None, "", "x", "y z"],
+    "the text None": [None, "None", "x"],
+    "str subclass": [Shouted("a"), Shouted(""), "x", None],
+    "numbers among texts": ["x", "y z", Decimal("2.50"), 3, None],
+    "numbers": [Decimal("2.50"), Decimal("-0"), 3, -1, None],
+}
+
+
+def random_column(rng: random.Random, kind: str, n: int) -> list:
+    pool = COLUMN_KINDS.get(kind)
+    return [rng.choice(pool) if pool else random_cell(rng) for _ in range(n)]
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -467,16 +494,16 @@ def test_write_table_matches_csv_writer(rows, tmp_path, monkeypatch):
     # Blocks of 2-3 rows, so joined blocks and the writer's interleave in one
     # file. Only rows holding a \r differ from csv.writer: they are quoted in full.
     # The records are stored in a random row order, which the positions undo.
+    # Each column is of one kind, so every way a block is rendered is met.
     monkeypatch.setattr(io, "_WRITE_ROWS", rows)
     rng = random.Random(rows)
     path = tmp_path / "t.csv"
-    for case in range(300):
+    for case in range(600):
         width = rng.choice([1, 1, 2, 4])
         header = [f"c{i}" for i in range(width)]
-        plain = rng.random() < 0.5  # plain texts only: whole blocks get joined
-        records = [[rng.choice([None, "", "x", "y z", Decimal("2.50")]) if plain
-                    else random_cell(rng) for _ in header]
-                   for _ in range(rng.randint(0, 12))]
+        n = rng.randint(0, 12)
+        kinds = [rng.choice([*COLUMN_KINDS, "any"]) for _ in header]
+        records = list(map(list, zip(*(random_column(rng, k, n) for k in kinds))))
         order = rng.sample(range(len(records)), len(records))
         stored = [None] * len(records)
         for record, at in zip(records, order):
@@ -555,6 +582,41 @@ def test_generated_tables_take_the_split_and_join_paths(preset, tmp_path, monkey
     assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
                  str(tmp_path / "out")]) == 0
     assert main(["validate", "--strict", str(tmp_path / "out")]) == 0
+
+
+def test_generated_basic_pair_takes_the_text_and_gather_paths(tmp_path, monkeypatch):
+    # Text columns are written as they stand, never through _texts, and the
+    # segments a basic merge joins start at the root, so they are gathered by
+    # row position, never projected.
+    dw1, dw2, _ = generate_pair(preset_basic(seed=5))
+    calls = Counter()
+    real_texts, real_join = io._texts, hierarchy_merge.join_segment_rows
+    real_project = hierarchy_merge._project
+
+    def texts(cells, kinds):
+        calls["texts with text" if str in kinds else "texts"] += 1
+        return real_texts(cells, kinds)
+
+    def join(*args):
+        calls["joins"] += 1
+        return real_join(*args)
+
+    def project(*args):
+        calls["projections"] += 1
+        return real_project(*args)
+
+    monkeypatch.setattr(io, "_texts", texts)
+    monkeypatch.setattr(hierarchy_merge, "join_segment_rows", join)
+    monkeypatch.setattr(hierarchy_merge, "_project", project)
+    io.write_dw(dw1, tmp_path / "dw1")
+    io.write_dw(dw2, tmp_path / "dw2")
+    assert main(["merge", str(tmp_path / "dw1"), str(tmp_path / "dw2"),
+                 str(tmp_path / "out")]) == 0
+    # The measures are numbers, which _texts renders; the joins ran.
+    assert calls["texts"] > 0 and calls["joins"] > 0
+    assert calls["texts with text"] == 0 and calls["projections"] == 0
+    block = ("a", "b,c")  # and a block of texts is not even copied
+    assert io._column_texts(block) is block
 
 
 def test_numeric_dimension_attribute(tmp_path):
@@ -816,6 +878,64 @@ def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
     assert lines[1:] == [",".join(map(cell_to_text, (r["K"], r["L"], r["q"])))
                          for r in expected]
     assert [line.split(",")[2] for line in lines[1:5]] == ["0", "15", "5", "10"]
+
+
+# Ids a dimension draws from, distinct by value; the spellings a fact may
+# give some of them instead; and key cells that are no id.
+ID_POOL = ["a", "b", "B", "c10", "c9", 1, 2, 10, Decimal("2.5"), Decimal("-3")]
+RESPELT = {1: Decimal("1.0"), 2: Decimal("2.00"), 10: Decimal("1E+1")}
+STRAYS = ["zz", 99, None]
+
+
+def test_fact_rows_are_written_in_key_order(tmp_path, monkeypatch):
+    # write_dw ranks a fact's key cells among the dimensions' written ids
+    # when the fact has at least as many rows as each key dimension has ids,
+    # and among each column's distinct cells otherwise or when a key cell is
+    # no id. Either way the rows must come out in key_order's order.
+    rng = random.Random(2929)
+    real_key_order = io.key_order
+    coded = []
+
+    def key_order(columns, n, ranked=None):
+        order = real_key_order(columns, n, ranked)  # KeyError: a cell that is no id
+        coded.append(ranked is not None)
+        return order
+
+    monkeypatch.setattr(io, "key_order", key_order)
+    paths = set()
+    for case in range(300):
+        dims = tuple(Dimension.from_columns(f"d{d}", "id", ("id",), (Hierarchy("H", ("id",)),),
+                                            [rng.sample(ID_POOL, rng.randint(0, len(ID_POOL)))])
+                     for d in range(rng.randint(1, 3)))
+        keyed = rng.choices(dims, k=rng.randint(0, 3))  # a dimension may key two columns
+        most = max((len(d.index) for d in keyed), default=0)
+        n = rng.choice([0, 1, rng.randint(0, most), most, most + rng.randint(1, 20)])
+        dangling = rng.random() < 0.25
+        rows = []
+        for i in range(n):
+            if rows and rng.random() < 0.2:  # a repeated key tuple
+                row = dict(rng.choice(rows))
+            else:
+                row = {}
+                for j, dim in enumerate(keyed):
+                    ids = list(dim.index)
+                    cell = rng.choice(ids) if ids and not (dangling and rng.random() < 0.3) \
+                        else rng.choice(STRAYS)
+                    row[f"k{j}"] = RESPELT.get(cell, cell) if rng.random() < 0.5 else cell
+            rows.append({**row, "q": i})
+        fact = Fact("sales", ("q",), tuple((d.name, f"k{j}") for j, d in enumerate(keyed)),
+                    rows, frozenset({"q"}))
+        keys = fact.columns[:len(keyed)]
+        coded.clear()
+        io.write_dw(star_schema("s", fact, dims), tmp_path / "out")
+        assert coded[-1] == (n >= most and all(
+            c in d.index for d, col in zip(keyed, keys) for c in col)), f"case {case}"
+        paths.add(coded[-1])
+        io._write_table(tmp_path / "expected.csv", fact.column_names(), fact.columns,
+                        real_key_order(keys, n))
+        assert (tmp_path / "out" / "sales.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes(), f"case {case}"
+    assert paths == {True, False}
 
 
 def _set_parameters(params):

@@ -363,6 +363,10 @@ def test_key_order_matches_two_pass_reference():
             rows.sort(key=lambda r: list(map(cell_sort_key, reversed(r))))
         columns = [[r[j] for r in rows] for j in range(width)]
         assert key_order(columns, n) == two_pass_key_order(columns, n), f"case {case}"
+        # Ranked among given sorted cells, distinct by value and more than
+        # the column holds, as a fact's key cells among a dimension's ids.
+        ranked = [sorted(dict.fromkeys(v), key=cell_sort_key) for v in values]
+        assert key_order(columns, n, ranked) == two_pass_key_order(columns, n), f"case {case}"
     assert min(layouts.values()) == 800
 
 
