@@ -431,7 +431,7 @@ def _merge_matched(d1: Dimension, d2: Dimension, l2r, results,
     attributes, numeric, hierarchies, produced = _side_schema(
         d1, d2, names, results, "l", adopted=d2.hierarchies)
     ids, conflicts, columns = merge_instances(d1, d2, names, attributes, settings.conflict)
-    dim = Dimension.from_columns(d1.name, d1.root, attributes, hierarchies, columns, numeric)
+    dim = Dimension(d1.name, d1.root, attributes, hierarchies, columns, numeric)
     fills = _complete_rows(dim, produced, dim, {a: a for a in attributes})
 
     sources: dict[str, tuple[str | None, str | None]] = {}
@@ -452,7 +452,7 @@ def _widened(dim: Dimension, attributes: tuple[str, ...], hierarchies: tuple[Hie
     n = len(dim.rows)
     columns = [list(col) for col in dim.columns]
     columns += [[None] * n for _ in attributes[len(columns):]]
-    return Dimension.from_columns(dim.name, dim.root, attributes, hierarchies, columns, numeric)
+    return Dimension(dim.name, dim.root, attributes, hierarchies, columns, numeric)
 
 
 def _merge_unmatched(d1: Dimension, d2: Dimension, l2r, results) -> DimensionMergeResult:

@@ -219,7 +219,7 @@ def _view_dimension(d: GenDimension, chains: tuple[str, ...], indices: list[int]
         groups = list(map(floordiv, indices, repeat(divisors[a])))
         text = {q: f"{a}_{q:05d}" for q in dict.fromkeys(groups)}
         columns.append(list(map(text.__getitem__, groups)))
-    return Dimension.from_columns(d.name, root, tuple(attrs), hierarchies, columns)
+    return Dimension(d.name, root, tuple(attrs), hierarchies, columns)
 
 
 def _draws(rng: random.Random, count: int, stop: int) -> list[int]:
@@ -286,8 +286,8 @@ def _view_fact(f: GenFact, world: tuple, member: list[bool], ids: list[dict[int,
             column = [v + 1 if bumped else v
                       for v, bumped in zip(column, compress(divergent, member))]
         columns.append(column)
-    return Fact.from_columns(f.name, tuple(view_measures), tuple(zip(f.dims, roots)),
-                             columns, frozenset(view_measures))
+    return Fact(f.name, tuple(view_measures), tuple(zip(f.dims, roots)), columns,
+                frozenset(view_measures))
 
 
 def generate_pair(spec: GenSpec) -> tuple[Schema, Schema, dict]:

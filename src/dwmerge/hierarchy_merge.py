@@ -16,8 +16,9 @@ two dimensions unify without committing to either side's spelling:
 Callers render token chains back to attribute names once they know which
 dimension the chain will live in.
 
-Instances are read a column at a time (:meth:`model.Rows.cells`): the join of
-a sub-hierarchy pair builds a column per token, which FD discovery reads.
+Instances are read a column at a time, through the column view
+:class:`model.Rows`: a dimension's rows, and the join of a sub-hierarchy
+pair, which holds a column per token for FD discovery to read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import MergeSettings
 from .errors import MergeError
-from .model import Cell, Hierarchy, RowList, Rows
+from .model import Cell, Hierarchy, Rows
 
 logger = logging.getLogger(__name__)
 
@@ -249,7 +250,7 @@ def _project(rows: Rows, names: list[str]) -> list[tuple[Cell, ...]]:
 
 
 def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
-                      rows1: Rows, rows2: Rows) -> RowList:
+                      rows1: Rows, rows2: Rows) -> Rows:
     """Inner-join the two projected instance sets on the shared first parameter.
 
     Projections are deduplicated first, so FD support counts distinct
@@ -287,13 +288,13 @@ def join_segment_rows(tok1: TokenSeq, tok2: TokenSeq,
         lefts, rights = list(map(list, zip(*pairs1))), list(map(list, zip(*pairs2)))
     names = tok2 + tuple(t for t in tok1 if t not in tok2)
     if not lefts or not lefts[0]:
-        return RowList(names, [[] for _ in names])
+        return Rows(names, [[] for _ in names])
     columns = dict(zip(tok1, lefts))
     for tok, right in zip(tok2, rights):
         mine = columns.get(tok)
         columns[tok] = right if mine is None else [r if v is None else v
                                                    for v, r in zip(mine, right)]
-    return RowList(names, list(map(columns.get, names)))
+    return Rows(names, list(map(columns.get, names)))
 
 
 def _segment_fd_edges(tok1: TokenSeq, tok2: TokenSeq,

@@ -280,24 +280,32 @@ def _stripped(texts: list[str]) -> list[str]:
 
 def _parse_numbers(cells: list[Cell]) -> int | None:
     """Parse the texts of ``cells`` as :func:`_number` does, in place, up to the
-    first that is not a number; that one's index, or None. A block is parsed
-    by one map(Decimal) when each of its texts holds a point, which int()
-    refuses and no NaN has, else by one map(int) if int() takes it whole;
-    any other block is parsed cell by cell."""
+    first that is not a number; that one's index, or None. The texts of a
+    block, its nulls left out, are parsed by one map(Decimal) when each holds
+    a point, which int() refuses and no NaN has, else by one map(int) if
+    int() takes them all; any other block is parsed cell by cell."""
     for at in range(0, len(cells), _NUMBER_BLOCK):
-        block = cells[at:at + _NUMBER_BLOCK]
-        try:  # TypeError: a null
+        block = texts = cells[at:at + _NUMBER_BLOCK]
+        try:
+            joined = "".join(block)
+        except TypeError:  # a null
+            texts = [t for t in block if t is not None]
+            joined = "".join(texts)
+        try:
             # As many points as texts: one each, unless Decimal refuses one.
-            if "".join(block).count(".") == len(block):
-                numbers = list(map(Decimal, block))
+            if joined.count(".") == len(texts):
+                numbers = list(map(Decimal, texts))
             else:
-                numbers = list(map(int, block))
+                numbers = list(map(int, texts))
                 if 0 in numbers:  # a zero spelt with a minus sign stays a Decimal
                     numbers = [n if n or "-" not in t else Decimal(t)
-                               for n, t in zip(numbers, block)]
-        except (ValueError, TypeError, InvalidOperation):
+                               for n, t in zip(numbers, texts)]
+        except (ValueError, InvalidOperation):
             pass
         else:
+            if texts is not block:  # each null back at its place
+                parsed = iter(numbers)
+                numbers = [None if t is None else next(parsed) for t in block]
             cells[at:at + _NUMBER_BLOCK] = numbers
             continue
         for i, text in enumerate(block, at):
@@ -378,7 +386,8 @@ def _declared_dimension(entry: dict, path: str) -> tuple[Dimension, str]:
             hierarchies.append(Hierarchy(hname, params))
         except ValueError as exc:  # no parameters, or a repeated one
             raise LoadError(f"{where}: {exc}", path=path) from None
-    return Dimension(name, root, attributes, tuple(hierarchies), {}, numeric), table
+    return Dimension(name, root, attributes, tuple(hierarchies), [[] for _ in attributes],
+                     numeric), table
 
 
 def _declared_fact(entry: dict, dims: dict[str, Dimension], path: str) -> tuple[Fact, str]:
@@ -405,7 +414,8 @@ def _declared_fact(entry: dict, dims: dict[str, Dimension], path: str) -> tuple[
         d = dims.get(dim)
         if d is not None and d.root in d.numeric:
             numeric.add(col)
-    return Fact(name, measures, tuple(keys), (), frozenset(numeric)), table
+    columns = [[] for _ in range(len(keys) + len(measures))]
+    return Fact(name, measures, tuple(keys), columns, frozenset(numeric)), table
 
 
 def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> Dimension:
@@ -426,12 +436,12 @@ def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> Dimension
                 logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
                                dim.name, cell_to_text(key), table_path, lineno)
         columns = [list(map(col.__getitem__, first.values())) for col in columns]
-    return Dimension.from_columns(dim.name, dim.root, dim.attributes, dim.hierarchies, columns,
-                                  dim.numeric)
+    return Dimension(dim.name, dim.root, dim.attributes, dim.hierarchies, columns, dim.numeric)
 
 
-def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict: bool) -> None:
-    """Read the columns of ``fact`` from its table, whose keys name rows of ``dims``."""
+def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict: bool) -> Fact:
+    """``fact`` holding the rows of its table, whose keys name rows of ``dims``; a
+    repeated key tuple's row is dropped."""
     name, keys, numeric = fact.name, fact.dimension_keys, fact.numeric
     where = str(table_path)
     columns, lines = _read_csv(table_path, list(fact.column_names()), set(numeric))
@@ -443,10 +453,9 @@ def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict:
             shared = list(map(ids.get, columns[j]))
             if None not in shared:
                 columns[j] = shared
-    fact.columns = tuple(columns)
 
     dropped: set[int] = set()
-    for i, key, value, _ in fact_key_faults(fact, dims):
+    for i, key, value, _ in fact_key_faults(Fact(name, fact.measures, keys, columns), dims):
         if key is not None:
             dim, col = key
             raise LoadError(f"fact {name!r}: key {col}={cell_to_text(value)!r} has no "
@@ -458,7 +467,8 @@ def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict:
         dropped.add(i)
     if dropped:
         kept = [i not in dropped for i in range(len(lines))]
-        fact.columns = tuple(list(compress(col, kept)) for col in columns)
+        columns = [list(compress(col, kept)) for col in columns]
+    return Fact(name, fact.measures, keys, columns, numeric)
 
 
 def load_dw(directory: str | Path, strict: bool = False) -> Schema:
@@ -518,8 +528,8 @@ def load_dw(directory: str | Path, strict: bool = False) -> Schema:
     schema.dimensions = tuple(_read_dimension(dim, directory / table, strict)
                               for dim, table in dim_tables)
     dims = {dim.name: dim for dim in schema.dimensions}
-    for fact, table in fact_tables:
-        _read_fact(fact, directory / table, dims, strict)
+    schema.facts = tuple(_read_fact(fact, directory / table, dims, strict)
+                         for fact, table in fact_tables)
     return schema
 
 

@@ -8,11 +8,10 @@ written alike. Null compares equal to nothing, including another null; that
 rule is what functional-dependency checks and empty-value completion rely
 on, so use :func:`cells_equal` rather than ``==`` when comparing cells.
 
-Facts and dimensions hold their cells as one list per column, and read them
-back as row dicts through views that build each row as it is read
-(:class:`Rows`); a dimension also maps each id to its row's position. The
-merge reads the columns themselves, through :meth:`Rows.cells`, and builds
-no row dict; a joined segment is a :class:`RowList` over its columns. A
+Facts and dimensions hold their cells as one list per column, with no
+row-shaped copy; a dimension also maps each id to its row's position. The
+merge reads a column at a time and builds no row dict: the hierarchy merge
+reads a table, or a joined segment, through the column view :class:`Rows`. A
 :class:`Schema` is facts sharing dimensions, and its star map names the
 dimensions each fact links; a star schema is the case whose one fact links
 every dimension (:attr:`Schema.fact`).
@@ -30,15 +29,14 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial, reduce
 from itertools import islice, repeat
 from operator import add, eq, itemgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 Cell = Union[None, str, int, Decimal]
-Row = dict[str, Cell]
 
 
 def normalize_name(raw: str) -> str:
@@ -140,25 +138,15 @@ class Hierarchy:
             raise ValueError(f"hierarchy {self.name!r} repeats a parameter")
 
 
-def _columns(rows: Iterable[Row], names: Sequence[str]) -> list[list[Cell]]:
-    """The cells of ``rows`` as one list per name, a cell a row lacks being null."""
-    rows = list(rows)
-    return [[row.get(name) for row in rows] for name in names]
-
-
-@dataclass(init=False)
+@dataclass
 class Dimension:
     """An analysis axis: attributes, a root identifier, hierarchies, keyed rows.
 
-    The cells are stored one list per attribute, in declared order, as
-    ``columns``; ``index`` maps each id (root cell) to its row's position.
-    As ``Fact(...)`` does, ``Dimension(...)`` converts row dicts, here a
-    dict from id to row, :meth:`from_columns` takes the lists as they are,
-    and :attr:`rows` reads them back. Both refuse (``ValueError``) a
-    repeated id, and ``Dimension(...)`` a row whose key differs from its
-    root cell or that has an undeclared column. Ids are non-null: the
-    loader enforces that and :func:`dimension_faults`, and ``validate``
-    re-checks both.
+    The cells are held one list per attribute, in declared order, as
+    ``columns``, which are taken as they are, not copied; ``index`` maps each
+    id (root cell) to its row's position. A repeated id is refused
+    (``ValueError``). Ids are non-null: the loader enforces that, and
+    :func:`validate` re-checks it.
     """
 
     name: str
@@ -166,39 +154,11 @@ class Dimension:
     attributes: tuple[str, ...]
     hierarchies: tuple[Hierarchy, ...]
     columns: tuple[list[Cell], ...]
-    numeric: frozenset[str]
-    index: dict[Cell, int]
+    numeric: frozenset[str] = frozenset()
+    index: dict[Cell, int] = field(init=False, repr=False)
 
-    def __init__(self, name: str, root: str, attributes: tuple[str, ...],
-                 hierarchies: tuple[Hierarchy, ...], rows: Mapping[Cell, Row] = {},
-                 numeric: frozenset[str] = frozenset()):
-        self.name = name
-        self.root = root
-        self.attributes = attributes
-        self.hierarchies = hierarchies
-        self.numeric = numeric
-        declared = set(attributes)
-        for key, row in rows.items():
-            cell = row.get(root)
-            if not (cell is key or cells_equal(cell, key)):
-                raise ValueError(f"dimension {name!r}: row key {key!r} differs from its "
-                                 f"root cell {cell!r}")
-            if not row.keys() <= declared:
-                raise ValueError(f"dimension {name!r}: row {key!r} carries undeclared "
-                                 f"columns {sorted(set(row) - declared)!r}")
-        self._store(_columns(rows.values(), attributes))
-
-    @classmethod
-    def from_columns(cls, name: str, root: str, attributes: tuple[str, ...],
-                     hierarchies: tuple[Hierarchy, ...], columns: Iterable[list[Cell]],
-                     numeric: frozenset[str] = frozenset()) -> Dimension:
-        """A dimension over ``columns``, one equal-length list per attribute, not copied."""
-        dim = cls(name, root, attributes, hierarchies, {}, numeric)
-        dim._store(columns)
-        return dim
-
-    def _store(self, columns: Iterable[list[Cell]]) -> None:
-        self.columns = tuple(columns)
+    def __post_init__(self):
+        self.columns = tuple(self.columns)
         ids = self.cells(self.root) if self.root in self.attributes else []
         self.index = dict(zip(ids, range(len(ids))))
         if len(self.index) != len(ids):
@@ -215,46 +175,28 @@ class Dimension:
         return self.columns[self.attributes.index(name)]
 
     @property
-    def rows(self) -> DimensionRows:
-        """The rows as a mapping from id to row dict: a read-only view, built as read."""
-        return DimensionRows(self.attributes, self.columns, self.index)
+    def rows(self) -> Rows:
+        """The columns by attribute name (:class:`Rows`)."""
+        return Rows(self.attributes, self.columns)
 
 
-@dataclass(init=False)
+@dataclass
 class Fact:
     """The analysis subject: measures plus the keys linking rows to dimensions.
 
-    The cells are stored one list per column, in :meth:`column_names` order
-    (key columns, then measures), as ``columns``. ``Fact(...)`` takes row
-    dicts and converts them, a cell a row lacks becoming null;
-    :meth:`from_columns` takes the lists as they are. :attr:`rows` reads the
-    columns back as row dicts.
+    The cells are held one list per column, in :meth:`column_names` order
+    (key columns, then measures), as ``columns``, which are taken as they
+    are, not copied.
     """
 
     name: str
     measures: tuple[str, ...]
     dimension_keys: tuple[tuple[str, str], ...]  # (dimension name, key column)
     columns: tuple[list[Cell], ...]
-    numeric: frozenset[str]
+    numeric: frozenset[str] = frozenset()
 
-    def __init__(self, name: str, measures: tuple[str, ...],
-                 dimension_keys: tuple[tuple[str, str], ...], rows: Iterable[Row] = (),
-                 numeric: frozenset[str] = frozenset()):
-        self.name = name
-        self.measures = measures
-        self.dimension_keys = dimension_keys
-        self.columns = tuple(_columns(rows, self.column_names()))
-        self.numeric = numeric
-
-    @classmethod
-    def from_columns(cls, name: str, measures: tuple[str, ...],
-                     dimension_keys: tuple[tuple[str, str], ...],
-                     columns: Iterable[list[Cell]], numeric: frozenset[str] = frozenset()
-                     ) -> Fact:
-        """A fact over ``columns``, one equal-length list per column name, not copied."""
-        fact = cls(name, measures, dimension_keys, (), numeric)
-        fact.columns = tuple(columns)
-        return fact
+    def __post_init__(self):
+        self.columns = tuple(self.columns)
 
     def key_columns(self) -> tuple[str, ...]:
         return tuple(col for _, col in self.dimension_keys)
@@ -267,74 +209,27 @@ class Fact:
         return self.columns[self.column_names().index(name)]
 
     @property
-    def rows(self) -> RowList:
-        """The rows as dicts (column name -> cell): a read-only view, built as read."""
-        return RowList(self.column_names(), self.columns)
+    def rows(self) -> Rows:
+        """The columns by column name (:class:`Rows`)."""
+        return Rows(self.column_names(), self.columns)
 
 
 class Rows:
-    """Row dicts read from a table's columns, each built when it is read, so
-    changing one changes no table. :meth:`cells` hands out a column itself,
-    to readers that work a column at a time."""
+    """A table's columns by name, as the hierarchy merge reads them: a
+    dimension's or a fact's, or a joined segment's, whose names are tokens.
+    Its length is the columns' length; a table has no ``__len__`` of its
+    own, which would make an empty one falsy."""
 
-    def __init__(self, names: Sequence[str], columns: Sequence[list[Cell]]):
-        self._names = names
-        self._columns = columns
+    def __init__(self, names: Sequence, columns: Sequence[list[Cell]]):
+        self.names = names
+        self.columns = columns
 
-    def cells(self, name: str) -> list[Cell]:
+    def cells(self, name) -> list[Cell]:
         """The cells of column ``name``."""
-        return self._columns[self._names.index(name)]
-
-    def _row(self, i: int) -> Row:
-        return dict(zip(self._names, [col[i] for col in self._columns]))
-
-
-class RowList(Rows, Sequence):
-    """A table's rows as a read-only sequence of row dicts, as a fact's rows
-    and a joined segment are read. The length is the columns' length, the
-    view equals a list of the same row dicts, and its repr is that list's."""
+        return self.columns[self.names.index(name)]
 
     def __len__(self) -> int:
-        return len(self._columns[0]) if self._columns else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        return self._row(i)
-
-    def __iter__(self) -> Iterator[Row]:
-        return map(self._row, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, RowList)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-class DimensionRows(Rows, Mapping):
-    """A dimension's rows as a read-only mapping from id to row dict, in the
-    order they are stored. The view equals a dict of the same rows, and its
-    repr is that dict's."""
-
-    def __init__(self, names: Sequence[str], columns: Sequence[list[Cell]],
-                 index: dict[Cell, int]):
-        super().__init__(names, columns)
-        self._index = index
-
-    def __getitem__(self, key: Cell) -> Row:
-        return self._row(self._index[key])
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return len(self.columns[0]) if self.columns else 0
 
 
 @dataclass

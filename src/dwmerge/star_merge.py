@@ -71,9 +71,9 @@ def prune_hierarchies(dim: Dimension) -> tuple[Dimension, list[tuple[Hierarchy, 
             removed.append((h, REASON_SUBSUMED))
 
     gone = {h.name for h, _ in removed}
-    pruned_dim = Dimension.from_columns(dim.name, dim.root, dim.attributes,
-                                        tuple(h for h in dim.hierarchies if h.name not in gone),
-                                        dim.columns, dim.numeric)
+    pruned_dim = Dimension(dim.name, dim.root, dim.attributes,
+                           tuple(h for h in dim.hierarchies if h.name not in gone),
+                           dim.columns, dim.numeric)
     return pruned_dim, removed
 
 
@@ -171,7 +171,7 @@ def merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspondence],
             raise ConflictError(f"conflicting measure {name!r} for fact key {key_text}")
         conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
-    merged = Fact.from_columns(f1.name, measures, f1.dimension_keys, columns, numeric)
+    merged = Fact(f1.name, measures, f1.dimension_keys, columns, numeric)
     return merged, conflicts, len(common_i)
 
 
@@ -314,9 +314,8 @@ def merge_all_dimensions(s1: Schema, s2: Schema, matcher: MatcherConfig,
         rec = recs2[n]
         if n in taken:
             d = rec.dimension
-            rec.dimension = Dimension.from_columns(uniquify(f"{n}_2", taken), d.root,
-                                                   d.attributes, d.hierarchies, d.columns,
-                                                   d.numeric)
+            rec.dimension = Dimension(uniquify(f"{n}_2", taken), d.root, d.attributes,
+                                      d.hierarchies, d.columns, d.numeric)
         taken.add(rec.dimension.name)
         out.append(rec)
     return out, all_corrs
@@ -411,7 +410,7 @@ def _retarget_fact(fact: Fact, dim_rename: Mapping[str, str], taken: set[str]) -
     """Point an untouched fact at the merged dimension names; its columns are shared."""
     name = uniquify(fact.name, taken)
     keys = tuple((dim_rename.get(d, d), c) for d, c in fact.dimension_keys)
-    return Fact.from_columns(name, fact.measures, keys, fact.columns, fact.numeric)
+    return Fact(name, fact.measures, keys, fact.columns, fact.numeric)
 
 
 def _corr_echo(c: Correspondence) -> CorrespondenceEcho:

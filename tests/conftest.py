@@ -1,4 +1,7 @@
-"""Shared fixtures: a hand-checked customer warehouse pair.
+"""Shared fixtures: a hand-checked customer warehouse pair, and the row work
+the package does not do. Tables hold columns only, so tests build them from
+row dicts with :func:`dimension_from_rows` and :func:`fact_from_rows`, and
+read rows back with :func:`rows_of`.
 
 The pair is built so that every merge stage has a known outcome:
 
@@ -23,21 +26,63 @@ import math
 import random
 import tracemalloc
 from decimal import Decimal
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import pytest
 
-from dwmerge.model import Cell, Dimension, Hierarchy, Row, RowList, cells_equal
+from dwmerge.model import Cell, Dimension, Fact, Hierarchy, Rows, cells_equal
 
 H13_PARAMS = ("Code", "City", "Department", "Region", "Country", "Continent")
 H24_PARAMS = ("Code", "Profession", "Subcategory", "Category")
 
+Row = dict[str, Cell]
 
-def table(rows: Sequence[Row], names: Sequence[str] = ()) -> RowList:
+
+def table(rows: Sequence[Row], names: Sequence[str] = ()) -> Rows:
     """Row dicts as the column view the hierarchy merge reads. Its columns are
     ``names`` and every key of a row; a cell a row lacks is null."""
     names = tuple(dict.fromkeys([*names, *(k for r in rows for k in r)]))
-    return RowList(names, [[r.get(n) for r in rows] for n in names])
+    return Rows(names, [[r.get(n) for r in rows] for n in names])
+
+
+def dimension_from_rows(name: str, root: str, attributes: tuple[str, ...],
+                        hierarchies: tuple[Hierarchy, ...], rows: Mapping[Cell, Row] = {},
+                        numeric: frozenset[str] = frozenset()) -> Dimension:
+    """A dimension holding ``rows``, a dict from id to row dict, in their
+    order; a cell a row lacks is null. A row whose key differs from its root
+    cell or that has an undeclared column is refused (``ValueError``), as
+    the dimension refuses a repeated id."""
+    for key, row in rows.items():
+        cell = row.get(root)
+        if not (cell is key or cells_equal(cell, key)):
+            raise ValueError(f"dimension {name!r}: row key {key!r} differs from its "
+                             f"root cell {cell!r}")
+        if not row.keys() <= set(attributes):
+            raise ValueError(f"dimension {name!r}: row {key!r} carries undeclared "
+                             f"columns {sorted(set(row) - set(attributes))!r}")
+    columns = [[row.get(a) for row in rows.values()] for a in attributes]
+    return Dimension(name, root, attributes, hierarchies, columns, numeric)
+
+
+def fact_from_rows(name: str, measures: tuple[str, ...],
+                   dimension_keys: tuple[tuple[str, str], ...], rows: Iterable[Row] = (),
+                   numeric: frozenset[str] = frozenset()) -> Fact:
+    """A fact holding the row dicts ``rows``, in order; a cell a row lacks is null."""
+    rows = list(rows)
+    names = [col for _, col in dimension_keys] + list(measures)
+    return Fact(name, measures, dimension_keys, [[row.get(n) for row in rows] for n in names],
+                numeric)
+
+
+def rows_of(table: Dimension | Fact | Rows) -> dict[Cell, Row] | list[Row]:
+    """The rows of ``table`` as row dicts: a dimension's as a dict from id to
+    row, in stored order; a fact's, or a column view's, as a list."""
+    if isinstance(table, Dimension):
+        return {key: dict(zip(table.attributes, [col[i] for col in table.columns]))
+                for key, i in table.index.items()}
+    if isinstance(table, Fact):
+        table = table.rows
+    return [dict(zip(table.names, cells)) for cells in zip(*table.columns)]
 
 
 def make_dimension(name, root, attributes, hierarchies, rows) -> Dimension:
@@ -45,8 +90,8 @@ def make_dimension(name, root, attributes, hierarchies, rows) -> Dimension:
     for values in rows:
         row = dict(zip(attributes, values))
         table[row[root]] = row
-    return Dimension(name, root, tuple(attributes),
-                     tuple(Hierarchy(n, tuple(p)) for n, p in hierarchies), table)
+    return dimension_from_rows(name, root, tuple(attributes),
+                               tuple(Hierarchy(n, tuple(p)) for n, p in hierarchies), table)
 
 
 def customer_left() -> Dimension:

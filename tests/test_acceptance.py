@@ -21,7 +21,7 @@ from dwmerge.model import Hierarchy
 from dwmerge.star_merge import merge_stars, prune_hierarchies
 
 from conftest import (H24_PARAMS, customer_left, customer_right, location_dim, maximal_paths,
-                      table)
+                      rows_of, table)
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
@@ -93,9 +93,9 @@ def test_accept_empty_value_completion():
     fill = next(f for f in res.completion_log
                 if f.row_key == "C09" and f.attribute == "Region")
     assert fill.value == "reg_2" and fill.donor_key == "C07"
-    assert dim.rows["C09"]["Region"] == "reg_2"
-    assert dim.rows["C03"]["City"] is None
-    assert dim.rows["C03"]["Country"] is None
+    assert rows_of(dim)["C09"]["Region"] == "reg_2"
+    assert rows_of(dim)["C03"]["City"] is None
+    assert rows_of(dim)["C03"]["Country"] is None
     assert time.perf_counter() - t < 1.0
     report_pass("empty-value completion golden", t)
 
@@ -168,14 +168,14 @@ def _check_counts_against_schema(dw1, dw2, result):
                 assert tc.n_right == len(in2[tc.table].rows)
             if tc.table in in1 and tc.table in in2 and tc.n_right is not None \
                     and tc.n_left is not None:
-                assert tc.n_shared == len(set(in1[tc.table].rows)
-                                          & set(in2[tc.table].rows))
+                assert tc.n_shared == len(set(rows_of(in1[tc.table]))
+                                          & set(rows_of(in2[tc.table])))
         else:
             assert tc.n_merged == len(facts_out[tc.table].rows)
     for ca in result.report.completions:
         assert ca.n_merged == (ca.n_left or 0) + (ca.n_right or 0) + ca.n_filled
         dim = dims_out[ca.table]
-        actual = sum(1 for r in dim.rows.values() if r.get(ca.attribute) is not None)
+        actual = sum(1 for r in rows_of(dim).values() if r.get(ca.attribute) is not None)
         assert actual == ca.n_merged
 
 
@@ -261,14 +261,14 @@ def _value_equal_to_input(schema, original):
         assert set(out.attributes) == set(d.attributes)
         assert {h.parameters for h in out.hierarchies} == \
             {h.parameters for h in d.hierarchies}
-        assert out.rows == d.rows
+        assert rows_of(out) == rows_of(d)
     key_cols = original.fact.key_columns()
 
     def canon(rows):
         return sorted(rows, key=lambda r: tuple(str(r[c]) for c in key_cols))
 
     assert set(schema.fact.measures) == set(original.fact.measures)
-    assert canon(schema.fact.rows) == canon(original.fact.rows)
+    assert canon(rows_of(schema.fact)) == canon(rows_of(original.fact))
 
 
 def test_accept_idempotence_and_determinism(tmp_path):

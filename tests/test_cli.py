@@ -13,7 +13,9 @@ from dwmerge import __version__, io
 from dwmerge.cli import main
 from dwmerge.generator import (GenFact, GenSpec, generate_pair, preset_basic, preset_star4,
                                spec_to_dict)
-from dwmerge.model import Dimension, Fact, Hierarchy, star_schema
+from dwmerge.model import Hierarchy, star_schema
+
+from conftest import dimension_from_rows, fact_from_rows, rows_of
 
 
 def gen(tmp_path, *extra):
@@ -209,14 +211,15 @@ def test_unmergeable_exit_code(tmp_path):
     dims = []
     for d in dw1.dimensions:
         ren = {a: f"z_{a}" for a in d.attributes}
-        rows = {k: {ren[a]: v for a, v in r.items()} for k, r in d.rows.items()}
-        dims.append(Dimension(d.name, ren[d.root], tuple(ren[a] for a in d.attributes),
-                              tuple(Hierarchy(h.name, tuple(ren[p] for p in h.parameters))
-                                    for h in d.hierarchies), rows, frozenset()))
-    fact = Fact(dw1.fact.name, dw1.fact.measures,
-                tuple((dn, f"z_{c}") for dn, c in dw1.fact.dimension_keys),
-                [{(f"z_{c}" if c in dict(dw1.fact.dimension_keys).values() else c): v
-                  for c, v in r.items()} for r in dw1.fact.rows], dw1.fact.numeric)
+        rows = {k: {ren[a]: v for a, v in r.items()} for k, r in rows_of(d).items()}
+        hierarchies = tuple(Hierarchy(h.name, tuple(ren[p] for p in h.parameters))
+                            for h in d.hierarchies)
+        dims.append(dimension_from_rows(d.name, ren[d.root], tuple(ren[a] for a in d.attributes),
+                                        hierarchies, rows, frozenset()))
+    fact = fact_from_rows(dw1.fact.name, dw1.fact.measures,
+                          tuple((dn, f"z_{c}") for dn, c in dw1.fact.dimension_keys),
+                          [{(f"z_{c}" if c in dict(dw1.fact.dimension_keys).values() else c): v
+                            for c, v in r.items()} for r in rows_of(dw1.fact)], dw1.fact.numeric)
     weird = star_schema("weird", fact, tuple(dims))
     io.write_dw(weird, tmp_path / "w1")
     dw1_dir = tmp_path / "plain"
@@ -322,12 +325,12 @@ def test_fact_conflicts_reported_and_fatal_under_error(tmp_path, capsys):
     dw1, dw2, _ = generate_pair(conflicted)
     io.write_dw(dw1, tmp_path / "dw1")
     io.write_dw(dw2, tmp_path / "dw2")
-    left = {(r["customer_id"], r["product_id"]): r["price"] for r in dw1.fact.rows}
+    left = {(r["customer_id"], r["product_id"]): r["price"] for r in rows_of(dw1.fact)}
     expected = [
         {"table": "sales", "key": f"({r['customer_id']}, {r['product_id']})",
          "attribute": "price", "left": str(left[k]), "right": str(r["price"]),
          "chosen": str(left[k])}
-        for r in dw2.fact.rows
+        for r in rows_of(dw2.fact)
         for k in [(r["customer_id"], r["product_id"])]
         if k in left and left[k] != r["price"]]
     assert expected
@@ -349,11 +352,11 @@ def test_fact_conflicts_reported_and_fatal_under_error(tmp_path, capsys):
 def _two_row_warehouse(path, numeric_id):
     ids = [Decimal(1), Decimal(2)] if numeric_id else ["1", "2"]
     numeric = frozenset({"cust_id"}) if numeric_id else frozenset()
-    cust = Dimension("cust", "cust_id", ("cust_id",), (Hierarchy("h", ("cust_id",)),),
-                     {k: {"cust_id": k} for k in ids}, numeric)
-    fact = Fact("sales", ("qty",), (("cust", "cust_id"),),
-                [{"cust_id": k, "qty": Decimal(5)} for k in ids],
-                frozenset({"qty"}) | numeric)
+    cust = dimension_from_rows("cust", "cust_id", ("cust_id",), (Hierarchy("h", ("cust_id",)),),
+                               {k: {"cust_id": k} for k in ids}, numeric)
+    fact = fact_from_rows("sales", ("qty",), (("cust", "cust_id"),),
+                          [{"cust_id": k, "qty": Decimal(5)} for k in ids],
+                          frozenset({"qty"}) | numeric)
     io.write_dw(star_schema(path.name, fact, (cust,)), path)
 
 

@@ -11,10 +11,10 @@ from decimal import Decimal
 from dwmerge import io
 from dwmerge.dimension_merge import merge_dimensions
 from dwmerge.matching import MatcherConfig, match_attributes, parse_user_map
-from dwmerge.model import Dimension, Fact, Hierarchy, star_schema, validate
+from dwmerge.model import Hierarchy, star_schema, validate
 from dwmerge.star_merge import merge_stars
 
-from conftest import make_dimension
+from conftest import dimension_from_rows, fact_from_rows, make_dimension, rows_of
 
 
 def left_dim():
@@ -49,11 +49,11 @@ def test_user_map_unifies_under_left_names():
     assert ("Code", "Stadt", "Dept", "Land") in seqs  # right original, renamed
     assert ("Code", "Dept", "Land") in seqs
     # fused rows carry the right side's values under left names
-    assert dim.rows["C1"] == {"Code": "C1", "Dept": "d_a", "Land": "fr",
+    assert rows_of(dim)["C1"] == {"Code": "C1", "Dept": "d_a", "Land": "fr",
                               "Stadt": "s_1"}
-    assert dim.rows["C4"]["Dept"] == "d_c"
+    assert rows_of(dim)["C4"]["Dept"] == "d_c"
     # C3 exists only on the left: Stadt is the second-lowest level, stays null
-    assert dim.rows["C3"]["Stadt"] is None
+    assert rows_of(dim)["C3"]["Stadt"] is None
     assert res.shared_keys == 2
     assert len(dim.rows) == 3 + 3 - 2
 
@@ -68,19 +68,19 @@ def test_unmatched_same_name_attribute_is_renamed():
     res = merge_dimensions(d1, d2, corrs)
     dim = res.dimension
     assert set(dim.attributes) == {"K", "Extra", "b_Extra"}
-    assert dim.rows["k1"]["Extra"] == "x"
-    assert dim.rows["k1"]["b_Extra"] == "y"
+    assert rows_of(dim)["k1"]["Extra"] == "x"
+    assert rows_of(dim)["k1"]["b_Extra"] == "y"
 
 
 def numeric_star(name, codes):
-    dim = Dimension(
+    dim = dimension_from_rows(
         "customer", "cid", ("cid", "grp"),
         (Hierarchy("h", ("cid", "grp")),),
         {Decimal(c): {"cid": Decimal(c), "grp": f"g{c % 2}"} for c in codes},
         frozenset({"cid"}))
-    fact = Fact("sales", ("amount",), (("customer", "cid"),),
-                [{"cid": Decimal(c), "amount": Decimal(c) * 10} for c in codes],
-                frozenset({"amount", "cid"}))
+    fact = fact_from_rows("sales", ("amount",), (("customer", "cid"),),
+                          [{"cid": Decimal(c), "amount": Decimal(c) * 10} for c in codes],
+                          frozenset({"amount", "cid"}))
     return star_schema(name, fact, (dim,))
 
 
@@ -90,7 +90,7 @@ def test_numeric_root_keys_merge_and_round_trip(tmp_path):
     assert validate(s1) == []
     result = merge_stars(s1, s2)
     dim = result.schema.dimension("customer")
-    assert set(dim.rows) == {Decimal(1), Decimal(2), Decimal(3), Decimal(10)}
+    assert set(rows_of(dim)) == {Decimal(1), Decimal(2), Decimal(3), Decimal(10)}
     out = tmp_path / "dw"
     io.write_dw(result.schema, out)
     # numeric sort: 1, 2, 3, 10 (not lexicographic)
@@ -98,22 +98,22 @@ def test_numeric_root_keys_merge_and_round_trip(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3", "10"]
     reloaded = io.load_dw(out)
     assert validate(reloaded) == []
-    assert reloaded.dimension("customer").rows == dim.rows
+    assert rows_of(reloaded.dimension("customer")) == rows_of(dim)
 
 
 def test_cross_named_star_merge_via_user_map(tmp_path):
     d1, d2 = left_dim(), right_dim()
-    f1 = Fact("sales", ("qty",), (("kunden", "Code"),),
-              [{"Code": "C1", "qty": Decimal(4)}], frozenset({"qty"}))
-    f2 = Fact("sales", ("qty",), (("customer", "Kode"),),
-              [{"Kode": "C4", "qty": Decimal(6)}], frozenset({"qty"}))
+    f1 = fact_from_rows("sales", ("qty",), (("kunden", "Code"),),
+                        [{"Code": "C1", "qty": Decimal(4)}], frozenset({"qty"}))
+    f2 = fact_from_rows("sales", ("qty",), (("customer", "Kode"),),
+                        [{"Kode": "C4", "qty": Decimal(6)}], frozenset({"qty"}))
     s1 = star_schema("s1", f1, (d1,))
     s2 = star_schema("s2", f2, (d2,))
     result = merge_stars(s1, s2, MatcherConfig(user_map=cross_map()))
     assert result.report.result_kind == "star"
     fact = result.schema.fact
     assert fact.key_columns() == ("Code",)
-    assert {r["Code"] for r in fact.rows} == {"C1", "C4"}
+    assert {r["Code"] for r in rows_of(fact)} == {"C1", "C4"}
     assert validate(result.schema) == []
 
 
@@ -142,6 +142,6 @@ def test_unpaired_same_name_attribute_never_donates_to_its_namesake():
     for side, log in logs.items():
         for f in log:
             assert f.value.startswith(own[(side, f.attribute)]), f
-    assert res.left.rows["s4"]["Zone"] is None
-    assert res.left.rows["s4"]["b_Zone"] == "rz2"
-    assert res.right.rows["d4"]["a_Zone"] == "lz2"
+    assert rows_of(res.left)["s4"]["Zone"] is None
+    assert rows_of(res.left)["s4"]["b_Zone"] == "rz2"
+    assert rows_of(res.right)["d4"]["a_Zone"] == "lz2"

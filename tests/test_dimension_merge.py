@@ -12,12 +12,11 @@ from dwmerge.dimension_merge import (CompletionFill, ValueConflict, _complete_ro
 from dwmerge.errors import ConflictError, MergeError
 from dwmerge.generator import generate_pair, preset_const22, preset_divergent
 from dwmerge.matching import MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_sort_key, cell_to_text,
-                           cells_equal)
+from dwmerge.model import Cell, Dimension, Hierarchy, cell_sort_key, cell_to_text, cells_equal
 from dwmerge.star_merge import merge_facts, merge_stars
 
-from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
-                      make_dimension)
+from conftest import (H13_PARAMS, H24_PARAMS, Row, customer_left, customer_right,
+                      dimension_from_rows, fact_from_rows, fuse_row, make_dimension, rows_of)
 
 
 def merged_customer(include_stub=False, settings=MergeSettings()):
@@ -64,8 +63,8 @@ def test_unmatched_roots_schema(d_left, d_location):
     assert set(left.attributes) == {"Code", "Department", "Region", "Country",
                                     "Continent", "Profession", "Category"}
     # cross-completion pulled donor values both ways
-    assert left.rows["C01"]["Country"] == "france"
-    assert right.rows["city_5"]["Region"] == "reg_3"
+    assert rows_of(left)["C01"]["Country"] == "france"
+    assert rows_of(right)["city_5"]["Region"] == "reg_3"
 
 
 def test_self_merge_is_idempotent(d_left):
@@ -76,7 +75,7 @@ def test_self_merge_is_idempotent(d_left):
     assert {h.parameters for h in dim.hierarchies} == \
         {h.parameters for h in d_left.hierarchies}
     assert dim.attributes == d_left.attributes
-    assert dim.rows == d_left.rows
+    assert rows_of(dim) == rows_of(d_left)
 
 
 def test_unrelated_dimensions_error(d_left):
@@ -91,7 +90,7 @@ def test_unrelated_dimensions_error(d_left):
 
 def test_tuple_count_law(d_left, d_right):
     res = merged_customer()
-    shared = set(d_left.rows) & set(d_right.rows)
+    shared = set(rows_of(d_left)) & set(rows_of(d_right))
     assert res.shared_keys == len(shared) == 7
     assert len(res.dimension.rows) == len(d_left.rows) + len(d_right.rows) - len(shared)
 
@@ -100,14 +99,15 @@ def test_value_preservation(d_left, d_right):
     res = merged_customer()
     dim = res.dimension
     overwritten = {(c.row_key, c.attribute) for c in res.conflict_log}
-    for key, row in d_left.rows.items():
+    merged = rows_of(dim)
+    for key, row in rows_of(d_left).items():
         for attr, value in row.items():
             if value is not None and (key, attr) not in overwritten:
-                assert dim.rows[key][attr] == value
-    for key, row in d_right.rows.items():
+                assert merged[key][attr] == value
+    for key, row in rows_of(d_right).items():
         for attr, value in row.items():
             if value is not None and (key, attr) not in overwritten:
-                assert dim.rows[key][attr] == value
+                assert merged[key][attr] == value
 
 
 def merged_rows(d1: Dimension, d2: Dimension, names: Mapping[str, str],
@@ -116,9 +116,9 @@ def merged_rows(d1: Dimension, d2: Dimension, names: Mapping[str, str],
     """merge_instances' columns read as rows, and its clashes; the ids it
     returns are its root column."""
     ids, conflicts, columns = merge_instances(d1, d2, names, attributes, policy)
-    dim = Dimension.from_columns(d1.name, d1.root, tuple(attributes), (), columns)
+    dim = Dimension(d1.name, d1.root, tuple(attributes), (), columns)
     assert ids == dim.cells(d1.root)
-    return dict(dim.rows.items()), conflicts
+    return dict(rows_of(dim).items()), conflicts
 
 
 def test_disjoint_keys_concatenate():
@@ -141,8 +141,8 @@ def conflict_pair():
 def merge_conflicting_facts(policy, cid="c1"):
     keys = (("c", "cid"), ("p", "pid"))
     numeric = frozenset({"price", "cid"} if isinstance(cid, Decimal) else {"price"})
-    f1, f2 = (Fact("sales", ("price",), keys,
-                   [{"cid": cid, "pid": "p1", "price": Decimal(price)}], numeric)
+    f1, f2 = (fact_from_rows("sales", ("price",), keys,
+                             [{"cid": cid, "pid": "p1", "price": Decimal(price)}], numeric)
               for price in (1, 2))
     return merge_facts(f1, f2, match_measures(f1, f2, MatcherConfig()),
                        {"c": "c", "p": "p"}, MergeSettings(conflict=policy))
@@ -159,7 +159,7 @@ def test_conflict_policy(policy, expected):
     fact, conflicts, n_common = merge_conflicting_facts(policy)
     price = Decimal(1) if policy == "left" else Decimal(2)
     assert n_common == 1
-    assert fact.rows == [{"cid": "c1", "pid": "p1", "price": price}]
+    assert rows_of(fact) == [{"cid": "c1", "pid": "p1", "price": price}]
     assert [(c.row_key, c.attribute, c.left, c.right, c.chosen) for c in conflicts] == [
         ("(c1, p1)", "price", Decimal(1), Decimal(2), price)]
 
@@ -234,12 +234,13 @@ def reference_merge_instances(d1: Dimension, d2: Dimension, right_name_map: Mapp
     """
     conflicts: list[ValueConflict] = []
     names = [(b, right_name_map[b]) for b in d2.attributes]
-    keys = sorted(set(d1.rows) | set(d2.rows), key=cell_sort_key)
+    rows1, rows2 = rows_of(d1), rows_of(d2)
+    keys = sorted(set(rows1) | set(rows2), key=cell_sort_key)
     rows: dict[Cell, Row] = {}
     for key in keys:
         row: Row = {a: None for a in attributes}
-        r1 = d1.rows.get(key)
-        r2 = d2.rows.get(key)
+        r1 = rows1.get(key)
+        r2 = rows2.get(key)
         if r1 is not None:
             for a in d1.attributes:
                 row[a] = r1.get(a)
@@ -289,7 +290,7 @@ def random_dimension_pair(rng: random.Random):
                 if rng.random() >= 0.05:
                     row[a] = rng.choice(CELLS)
             rows[key] = row
-        return Dimension(name, attrs[0], attrs, (Hierarchy("H", attrs[:1]),), rows)
+        return dimension_from_rows(name, attrs[0], attrs, (Hierarchy("H", attrs[:1]),), rows)
 
     d1, d2 = dimension("d1", left_attrs), dimension("d2", right_attrs)
     names = _right_name_map(d1.attributes, d2.attributes, d2.name, matched)
@@ -303,8 +304,8 @@ def test_merge_instances_matches_reference():
                           "equal_spellings", "gained", "renamed", "conflict", "raised"], 0)
     for case in range(400):
         d1, d2, names, attributes = random_dimension_pair(rng)
-        before = repr((d1.rows, d2.rows))
-        inputs = {id(c) for d in (d1, d2) for row in d.rows.values() for c in row.values()}
+        before = repr((rows_of(d1), rows_of(d2)))
+        inputs = {id(c) for d in (d1, d2) for row in rows_of(d).values() for c in row.values()}
         for policy in ("left", "right", "error"):
             try:
                 want = reference_merge_instances(d1, d2, names, attributes, policy)
@@ -317,19 +318,20 @@ def test_merge_instances_matches_reference():
             rows, conflicts = merged_rows(d1, d2, names, attributes, policy)
             assert repr(rows) == repr(want[0]), f"case {case} {policy}"
             assert repr(conflicts) == repr(want[1]), f"case {case} {policy}"
-            assert repr((d1.rows, d2.rows)) == before, f"case {case} {policy}"
+            assert repr((rows_of(d1), rows_of(d2))) == before, f"case {case} {policy}"
             assert all(id(c) in inputs for row in rows.values() for c in row.values()
                        if c is not None), f"case {case} {policy}"
             seen["conflict"] += len(conflicts)
-        shared = set(d1.rows) & set(d2.rows)
-        seen["left_only"] += bool(set(d1.rows) - shared)
-        seen["right_only"] += bool(set(d2.rows) - shared)
+        shared = set(rows_of(d1)) & set(rows_of(d2))
+        seen["left_only"] += bool(set(rows_of(d1)) - shared)
+        seen["right_only"] += bool(set(rows_of(d2)) - shared)
         seen["shared"] += bool(shared)
-        seen["mixed_ids"] += len({type(k) for d in (d1, d2) for k in d.rows}) == 2
+        seen["mixed_ids"] += len({type(k) for d in (d1, d2) for k in rows_of(d)}) == 2
         seen["gained"] += any(n not in d1.attributes for n in names.values())
         seen["renamed"] += any(n != b and n not in d1.attributes for b, n in names.items())
+        rows1, rows2 = rows_of(d1), rows_of(d2)
         for key in shared:
-            r1, r2 = d1.rows[key], d2.rows[key]
+            r1, r2 = rows1[key], rows2[key]
             for b, n in names.items():
                 v1, v2 = r1.get(n), r2.get(b)
                 seen["fill"] += v1 is None and v2 is not None
@@ -347,18 +349,18 @@ def test_completion_worked_example():
     res = merged_customer()
     dim = res.dimension
     # C09's Region comes from C07, which shares its Department
-    assert dim.rows["C09"]["Region"] == "reg_2"
+    assert rows_of(dim)["C09"]["Region"] == "reg_2"
     fill = next(f for f in res.completion_log
                 if f.row_key == "C09" and f.attribute == "Region")
     assert fill.donor_key == "C07" and fill.value == "reg_2" and not fill.ambiguous
     # C03 misses City, so neither City nor Country may be completed
-    assert dim.rows["C03"]["City"] is None
-    assert dim.rows["C03"]["Country"] is None
+    assert rows_of(dim)["C03"]["City"] is None
+    assert rows_of(dim)["C03"]["Country"] is None
     # the analogous fills on the other hierarchy
-    assert dim.rows["C08"]["Region"] == "reg_1"
-    assert dim.rows["C08"]["Category"] == "cat_a"
-    assert dim.rows["C09"]["Category"] == "cat_b"
-    assert dim.rows["C02"]["Subcategory"] == "sub_a"
+    assert rows_of(dim)["C08"]["Region"] == "reg_1"
+    assert rows_of(dim)["C08"]["Category"] == "cat_a"
+    assert rows_of(dim)["C09"]["Category"] == "cat_b"
+    assert rows_of(dim)["C02"]["Subcategory"] == "sub_a"
 
 
 def test_completion_count_law(d_left, d_right):
@@ -370,19 +372,20 @@ def test_completion_count_law(d_left, d_right):
     for attr, (n1_attr, n2_attr) in (("Region", ("Region", None)),
                                      ("Subcategory", (None, "Subcategory")),
                                      ("Category", ("Category", None))):
-        n1 = sum(1 for r in d_left.rows.values()
+        n1 = sum(1 for r in rows_of(d_left).values()
                  if n1_attr and r.get(n1_attr) is not None)
-        n2 = sum(1 for r in d_right.rows.values()
+        n2 = sum(1 for r in rows_of(d_right).values()
                  if n2_attr and r.get(n2_attr) is not None)
-        merged_nonnull = sum(1 for r in dim.rows.values() if r[attr] is not None)
+        merged_nonnull = sum(1 for r in rows_of(dim).values() if r[attr] is not None)
         assert merged_nonnull == n1 + n2 + by_attr.get(attr, 0), attr
 
 
 def test_completion_never_overwrites(d_left, d_right):
     res = merged_customer()
+    left, right = rows_of(d_left), rows_of(d_right)
     for f in res.completion_log:
-        left_val = d_left.rows.get(f.row_key, {}).get(f.attribute)
-        right_val = d_right.rows.get(f.row_key, {}).get(f.attribute)
+        left_val = left.get(f.row_key, {}).get(f.attribute)
+        right_val = right.get(f.row_key, {}).get(f.attribute)
         assert left_val is None and right_val is None
 
 
@@ -394,16 +397,16 @@ def complete_in_place(dim, merged):
 def test_completion_fixpoint():
     res = merged_customer()
     dim = res.dimension
-    before = {k: dict(r) for k, r in dim.rows.items()}
+    before = {k: dict(r) for k, r in rows_of(dim).items()}
     assert complete_in_place(dim, dim.hierarchies) == []
-    assert dim.rows == before
+    assert rows_of(dim) == before
 
 
 def test_no_nulls_no_fills():
     a = make_dimension("d", "K", ("K", "X"), [("H", ("K", "X"))], [("k1", "x")])
-    before = {k: dict(r) for k, r in a.rows.items()}
+    before = {k: dict(r) for k, r in rows_of(a).items()}
     assert complete_in_place(a, [Hierarchy("m", ("K", "X"))]) == []
-    assert a.rows == before
+    assert rows_of(a) == before
 
 
 def test_ambiguous_donor_first_key_wins():
@@ -412,10 +415,10 @@ def test_ambiguous_donor_first_key_wins():
         "k2": {"K": "k2", "A": "shared", "B": "b2"},
         "k3": {"K": "k3", "A": "shared", "B": "b3"},
     }
-    dim = Dimension("d", "K", ("K", "A", "B"),
-                    (Hierarchy("H", ("K", "A")),), rows)
+    dim = dimension_from_rows("d", "K", ("K", "A", "B"),
+                              (Hierarchy("H", ("K", "A")),), rows)
     log = complete_in_place(dim, [Hierarchy("m", ("K", "A", "B"))])
-    assert dim.rows["k1"]["B"] == "b2"
+    assert rows_of(dim)["k1"]["B"] == "b2"
     assert log[0].donor_key == "k2" and log[0].ambiguous
 
 
@@ -550,7 +553,7 @@ def random_completion_case(rng: random.Random, donor_is_target: bool, kind: str 
 def as_dimension(rows: dict[Cell, Row]) -> Dimension:
     """A dimension over ``rows``, its columns those of a row, the first the root."""
     names = tuple(next(iter(rows.values())))
-    return Dimension("d", names[0], names, (), rows)
+    return dimension_from_rows("d", names[0], names, (), rows)
 
 
 def kind_reached(kind, fills, hierarchies, target, donors, col_map) -> bool:
@@ -589,7 +592,7 @@ def test_completion_matches_reference_sweep(donor_is_target):
         dim = as_dimension(target)
         got = _complete_rows(dim, hierarchies, dim if donor_is_target else as_dimension(donors),
                              col_map)
-        target = dict(dim.rows.items())
+        target = dict(rows_of(dim).items())
         assert repr(got) == repr(expected), f"case {case}"
         assert repr(target) == repr(ref_target), f"case {case}"
         names = [f.hierarchy for f in got]
@@ -626,13 +629,13 @@ def test_pipeline_completion_matches_reference_sweep(spec, donor_is_target, monk
 
     def checked(target, hierarchies, donor, col_map):
         donor_is_target = target is donor
-        ref_target = dict(target.rows.items())
-        ref_donors = ref_target if donor_is_target else dict(donor.rows.items())
+        ref_target = dict(rows_of(target).items())
+        ref_donors = ref_target if donor_is_target else dict(rows_of(donor).items())
         expected = reference_complete_rows(ref_target, hierarchies, ref_donors, col_map,
                                            donor_is_target)
         got = engine(target, hierarchies, donor, col_map)
         assert repr(got) == repr(expected)
-        assert repr(target.rows) == repr(ref_target)
+        assert repr(rows_of(target)) == repr(ref_target)
         filled[donor_is_target] += len(got)
         return got
 

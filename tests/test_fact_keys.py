@@ -27,10 +27,10 @@ import pytest
 from dwmerge import io
 from dwmerge.errors import LoadError
 from dwmerge.generator import generate_pair, preset_basic
-from dwmerge.model import (Dimension, Fact, Hierarchy, Violation, _validate_fact, cell_to_text,
+from dwmerge.model import (Dimension, Hierarchy, Violation, _validate_fact, cell_to_text,
                            fact_faults, fact_key_faults)
 
-from conftest import traced
+from conftest import dimension_from_rows, fact_from_rows, rows_of, traced
 
 logger = io.logger
 
@@ -43,10 +43,10 @@ def reference_validate_fact(fact, dims, linked, out) -> None:
                              f"fact keys reference {sorted(declared)!r} but the schema links {sorted(linked)!r}"))
     # A missing key column reads as null, so it is reported as a dangling key.
     cols = fact.key_columns()
-    checks = [(j, col, dim_name, dims[dim_name].rows)
+    checks = [(j, col, dim_name, rows_of(dims[dim_name]))
               for j, (dim_name, col) in enumerate(fact.dimension_keys) if dim_name in dims]
     seen: dict[tuple, int] = {}
-    for i, row in enumerate(fact.rows):
+    for i, row in enumerate(rows_of(fact)):
         key = tuple(map(row.get, cols))
         for j, col, dim_name, dim_rows in checks:
             val = key[j]
@@ -63,7 +63,7 @@ def reference_load_fact_rows(name, keys, dims, raw_rows, lines, strict, table_pa
     key_cols = [col for _, col in keys]
     where = str(table_path)
     kept = []
-    checks = [(dim, col, dims[dim].rows) for dim, col in keys]
+    checks = [(dim, col, rows_of(dims[dim])) for dim, col in keys]
     seen: set[tuple] = set()
     for lineno, row in zip(lines, raw_rows):
         key = tuple(map(row.__getitem__, key_cols))
@@ -94,8 +94,8 @@ def random_dims(rng: random.Random, least: int) -> dict[str, Dimension]:
             keys = [Decimal(s) for s in rng.sample(["1", "2", "3.5", "-4", "7"], rng.randint(1, 4))]
             numeric = frozenset({f"id{d}"})
         rows = {k: {f"id{d}": k} for k in keys}
-        dims[f"d{d}"] = Dimension(f"d{d}", f"id{d}", (f"id{d}",),
-                                  (Hierarchy("h", (f"id{d}",)),), rows, numeric)
+        dims[f"d{d}"] = dimension_from_rows(f"d{d}", f"id{d}", (f"id{d}",),
+                                            (Hierarchy("h", (f"id{d}",)),), rows, numeric)
     return dims
 
 
@@ -107,7 +107,7 @@ def random_key_cell(rng: random.Random, dim: Dimension | None):
     numeric = dim is not None and dim.root in dim.numeric
     if roll < 0.12 or dim is None:
         return Decimal("99") if numeric else "zz"
-    key = rng.choice(list(dim.rows))
+    key = rng.choice(list(rows_of(dim)))
     if numeric and roll < 0.2:
         return Decimal(str(key.normalize())) + Decimal("0.0")  # equal, spelt differently
     return key
@@ -139,7 +139,7 @@ def test_validate_fact_matches_reference_loop():
         for row in rows:
             if keys and rng.random() < 0.05:
                 del row[rng.choice(keys)[1]]
-        fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
+        fact = fact_from_rows("f", ("m",), keys, rows, frozenset({"m"}))
         linked = {dim for dim, _ in keys} if rng.random() < 0.9 else set(dims)
         # validate states the declaration rules first, then the rows' faults.
         got, expected = fact_faults(fact, linked), []
@@ -198,8 +198,7 @@ def test_load_fact_matches_reference_loop(tmp_path, caplog):
         for strict in (True, False):
             def load():
                 fact, name = io._declared_fact(entry, dims, "schema.json")
-                io._read_fact(fact, tmp_path / name, dims, strict)
-                return fact.rows
+                return rows_of(io._read_fact(fact, tmp_path / name, dims, strict))
 
             got = load_outcome(load, caplog)
 
@@ -222,8 +221,8 @@ def test_load_fact_matches_reference_loop(tmp_path, caplog):
 
 def one_column_dimension(name, ids, numeric=False) -> Dimension:
     """A dimension of the one attribute ``id``, its rows in the order of ``ids``."""
-    return Dimension.from_columns(name, "id", ("id",), (Hierarchy("h", ("id",)),), [list(ids)],
-                                  frozenset({"id"}) if numeric else frozenset())
+    return Dimension(name, "id", ("id",), (Hierarchy("h", ("id",)),), [list(ids)],
+                     frozenset({"id"}) if numeric else frozenset())
 
 
 def key_faults_by_reference(fact, dims) -> list[Violation]:
@@ -290,7 +289,7 @@ KEY_CASES = {
 @pytest.mark.parametrize("case", KEY_CASES)
 def test_coded_key_check_matches_reference_loop(case):
     dims, keys, rows, faults = KEY_CASES[case]
-    fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
+    fact = fact_from_rows("f", ("m",), keys, rows, frozenset({"m"}))
     assert fact_key_faults(fact, dims) == faults
     got = []
     _validate_fact(fact, dims, got)
@@ -314,7 +313,7 @@ def test_three_key_check_with_a_tiny_dimension_matches_reference_loop(at, size, 
         dangling[at] = "zz"
         tuples += tuples[:1] + [tuple(dangling)]
     rows = [dict(zip((c for _, c in keys), t), m=i) for i, t in enumerate(tuples)]
-    fact = Fact("f", ("m",), keys, rows, frozenset({"m"}))
+    fact = fact_from_rows("f", ("m",), keys, rows, frozenset({"m"}))
     got = []
     _validate_fact(fact, dims, got)
     assert got == key_faults_by_reference(fact, dims)

@@ -12,7 +12,7 @@ from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec
 from dwmerge.hierarchy_merge import enumerate_fds
 from dwmerge.model import validate
 
-from conftest import reference_fact_world, table
+from conftest import reference_fact_world, rows_of, table
 from test_output_digests import conflict_spec
 
 
@@ -30,20 +30,20 @@ def test_same_seed_same_output():
     assert m_a == m_b
     for x, y in ((a1, b1), (a2, b2)):
         for dx in x.dimensions:
-            assert dx.rows == y.dimension(dx.name).rows
-        assert x.fact.rows == y.fact.rows
+            assert rows_of(dx) == rows_of(y.dimension(dx.name))
+        assert rows_of(x.fact) == rows_of(y.fact)
     c1, _, _ = generate_pair(preset_basic(seed=10))
-    assert c1.dimension("customer").rows != a1.dimension("customer").rows
+    assert rows_of(c1.dimension("customer")) != rows_of(a1.dimension("customer"))
 
 
 def test_overlap_extremes():
     full1, full2, m = generate_pair(preset_basic(seed=4, overlap=1.0))
     for d in full1.dimensions:
-        assert d.rows == full2.dimension(d.name).rows
+        assert rows_of(d) == rows_of(full2.dimension(d.name))
         assert m["dimensions"][d.name]["sharedKeys"] == len(d.rows)
     empty1, empty2, m0 = generate_pair(preset_basic(seed=4, overlap=0.0))
     for d in empty1.dimensions:
-        assert d.rows == {} == empty2.dimension(d.name).rows
+        assert rows_of(d) == {} == rows_of(empty2.dimension(d.name))
         assert m0["dimensions"][d.name]["sharedKeys"] == 0
 
 
@@ -53,7 +53,7 @@ def test_manifest_counts(tmp_path):
     assert cust["worldRows"] == 1000
     assert cust["dw1Rows"] == len(dw1.dimension("customer").rows) == 750
     assert cust["dw2Rows"] == 750
-    shared = set(dw1.dimension("customer").rows) & set(dw2.dimension("customer").rows)
+    shared = set(rows_of(dw1.dimension("customer"))) & set(rows_of(dw2.dimension("customer")))
     assert cust["sharedKeys"] == len(shared)
 
 
@@ -64,7 +64,7 @@ def test_rows_respect_declared_chains():
             for h in dim.hierarchies:
                 for a, b in zip(h.parameters, h.parameters[1:]):
                     mapping = {}
-                    for row in dim.rows.values():
+                    for row in rows_of(dim).values():
                         assert mapping.setdefault(row[a], row[b]) == row[b]
 
 
@@ -72,8 +72,8 @@ def test_fd_ground_truth_holds_on_shared_rows():
     dw1, dw2, m = generate_pair(preset_divergent(seed=6))
     c1 = dw1.dimension("customer")
     c2 = dw2.dimension("customer")
-    shared = sorted(set(c1.rows) & set(c2.rows))
-    rows = [{**c2.rows[k], **c1.rows[k]} for k in shared]
+    rows1, rows2 = rows_of(c1), rows_of(c2)
+    rows = [{**rows2[k], **rows1[k]} for k in sorted(rows1.keys() & rows2.keys())]
     attrs = sorted(set(c1.attributes) | set(c2.attributes))
     discovered = enumerate_fds(table(rows, attrs), attrs)
     certified = {(a, b) for a, b in m["fdGroundTruth"]["customer"]}
@@ -86,8 +86,8 @@ def test_fd_ground_truth_exact_on_full_overlap():
     dw1, dw2, m = generate_pair(preset_divergent(seed=6, overlap=1.0))
     c1 = dw1.dimension("customer")
     c2 = dw2.dimension("customer")
-    shared = sorted(set(c1.rows) & set(c2.rows))
-    rows = [{**c2.rows[k], **c1.rows[k]} for k in shared]
+    rows1, rows2 = rows_of(c1), rows_of(c2)
+    rows = [{**rows2[k], **rows1[k]} for k in sorted(rows1.keys() & rows2.keys())]
     attrs = sorted(set(c1.attributes) | set(c2.attributes))
     discovered = enumerate_fds(table(rows, attrs), attrs)
     certified = {(a, b) for a, b in m["fdGroundTruth"]["customer"]}
@@ -158,9 +158,9 @@ def test_conflict_plan_produces_conflicts():
                                   conflict_measure="price", conflict_fraction=0.5),),
                          spec.overlap)
     dw1, dw2, _ = generate_pair(conflicted)
-    keys1 = {tuple(r[c] for c in dw1.fact.key_columns()): r for r in dw1.fact.rows}
+    keys1 = {tuple(r[c] for c in dw1.fact.key_columns()): r for r in rows_of(dw1.fact)}
     diverged = 0
-    for r in dw2.fact.rows:
+    for r in rows_of(dw2.fact):
         k = tuple(r[c] for c in dw2.fact.key_columns())
         if k in keys1 and keys1[k]["price"] != r["price"]:
             diverged += 1

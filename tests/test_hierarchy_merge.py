@@ -11,9 +11,9 @@ from dwmerge.errors import MergeError
 from dwmerge.hierarchy_merge import (Token, TokenSeq, _segment_fd_edges, count_chains,
                                      enumerate_fds, extend, join_segment_rows, merge_hierarchies,
                                      render_tokens, tokenize, transitive_reduction)
-from dwmerge.model import Cell, Hierarchy, Row, cells_equal
+from dwmerge.model import Cell, Hierarchy, cells_equal
 
-from conftest import table
+from conftest import Row, rows_of, table
 
 H1 = Hierarchy("H1", ("Code", "Department", "Region", "Continent"))
 H2 = Hierarchy("H2", ("Code", "City", "Department", "Country", "Continent"))
@@ -187,7 +187,7 @@ def test_join_reads_a_missing_projected_column_as_null():
     rows1 = [{"A": "a", "B": "b"}, {"A": "a2"}]  # the second row has no B
     rows2 = [{"A": "a", "C": "c"}, {"A": "a2", "C": "c2"}]
     joined = join_segment_rows(tok1, tok2, table(rows1), table(rows2))
-    assert joined == [{("p", "A", "A"): "a", ("l", "B"): "b", ("r", "C"): "c"},
+    assert rows_of(joined) == [{("p", "A", "A"): "a", ("l", "B"): "b", ("r", "C"): "c"},
                       {("p", "A", "A"): "a2", ("l", "B"): None, ("r", "C"): "c2"}]
 
 
@@ -310,7 +310,7 @@ def test_join_segment_rows_matches_reference(monkeypatch):
                  for r in random_segment_rows(rng, params2, rng.randint(0, 12), first2)]
         columns1, columns2 = table(rows1, params1), table(rows2, [t[-1] for t in tok2])
         projections.clear()
-        assert (repr(join_segment_rows(tok1, tok2, columns1, columns2))
+        assert (repr(rows_of(join_segment_rows(tok1, tok2, columns1, columns2)))
                 == repr(reference_join_segment_rows(tok1, tok2, rows1, rows2))), case
         unique = all(len({r["K"] for r in rows}) == len(rows) for rows in (rows1, rows2))
         assert (not projections) == unique, case
@@ -348,8 +348,9 @@ def test_fd_soundness_re_scan(d_left, d_right):
                      d_left.rows, d_right.rows,
                      {"Department": "Department", "Continent": "Continent"})
     merged_rows = []
-    for r1 in d_left.rows.values():
-        for r2 in d_right.rows.values():
+    rows2 = rows_of(d_right).values()
+    for r1 in rows_of(d_left).values():
+        for r2 in rows2:
             if r1["Department"] == r2["Department"]:
                 merged_rows.append({**r2, **{k: v for k, v in r1.items()
                                              if v is not None}})

@@ -25,7 +25,7 @@ from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, cell_sort_key, ce
                            star_schema, validate)
 from dwmerge.star_merge import merge_stars
 
-from conftest import make_dimension, traced
+from conftest import dimension_from_rows, fact_from_rows, make_dimension, rows_of, traced
 
 
 def write_minimal(tmp_path, *, rows="C1,x\nC2,y\n", header="Code,Attr",
@@ -50,8 +50,8 @@ def test_load_well_formed(tmp_path):
     schema = io.load_dw(write_minimal(tmp_path))
     assert schema.fact is not None
     assert validate(schema) == []
-    assert schema.fact.rows[0]["Quantity"] == Decimal(3)
-    assert schema.dimension("customer").rows["C1"]["Attr"] == "x"
+    assert rows_of(schema.fact)[0]["Quantity"] == Decimal(3)
+    assert rows_of(schema.dimension("customer"))["C1"]["Attr"] == "x"
 
 
 def test_missing_header_column(tmp_path):
@@ -63,9 +63,9 @@ def test_missing_header_column(tmp_path):
 def test_null_and_whitespace_and_literal_null(tmp_path):
     write_minimal(tmp_path, rows='C1,\nC2,   \nC3,NULL\n')
     dim = io.load_dw(tmp_path).dimension("customer")
-    assert dim.rows["C1"]["Attr"] is None
-    assert dim.rows["C2"]["Attr"] is None
-    assert dim.rows["C3"]["Attr"] == "NULL"
+    assert rows_of(dim)["C1"]["Attr"] is None
+    assert rows_of(dim)["C2"]["Attr"] is None
+    assert rows_of(dim)["C3"]["Attr"] == "NULL"
 
 
 def test_duplicate_root_strict_vs_lenient(tmp_path):
@@ -73,7 +73,7 @@ def test_duplicate_root_strict_vs_lenient(tmp_path):
     with pytest.raises(LoadError, match="duplicate id"):
         io.load_dw(tmp_path, strict=True)
     dim = io.load_dw(tmp_path).dimension("customer")
-    assert dim.rows["C1"]["Attr"] == "x"  # first row wins
+    assert rows_of(dim)["C1"]["Attr"] == "x"  # first row wins
 
 
 def test_dangling_fact_key(tmp_path):
@@ -105,7 +105,7 @@ def test_header_order_and_undeclared_column(tmp_path):
     write_minimal(tmp_path, header="Attr,Extra,Code", rows="x,e1,C1\ny,e2,C2\n")
     schema = io.load_dw(tmp_path)
     dim = schema.dimension("customer")
-    assert [list(row.items()) for row in dim.rows.values()] == [
+    assert [list(row.items()) for row in rows_of(dim).values()] == [
         [("Code", "C1"), ("Attr", "x")], [("Code", "C2"), ("Attr", "y")]]
     io.write_dw(schema, tmp_path / "dw")
     assert (tmp_path / "dw" / "customer.csv").read_text(encoding="utf-8") == \
@@ -395,24 +395,24 @@ def test_read_csv_reads_a_pipe(tmp_path):
 def test_whitespace_only_number_is_null(tmp_path):
     write_minimal(tmp_path)
     (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,  \n", encoding="utf-8")
-    assert io.load_dw(tmp_path).fact.rows == [{"Code": "C1", "Quantity": None}]
+    assert rows_of(io.load_dw(tmp_path).fact) == [{"Code": "C1", "Quantity": None}]
 
 
 def test_quoted_field_round_trip(tmp_path):
     dim = make_dimension("customer", "Code", ("Code", "Attr"),
                          [("H", ("Code",))],
                          [("C1", 'comma, and "quote"'), ("C2", "line\nbreak")])
-    fact = Fact("sales", ("Quantity",), (("customer", "Code"),),
-                [{"Code": "C1", "Quantity": Decimal("1.10")}],
-                frozenset({"Quantity"}))
+    fact = fact_from_rows("sales", ("Quantity",), (("customer", "Code"),),
+                          [{"Code": "C1", "Quantity": Decimal("1.10")}],
+                          frozenset({"Quantity"}))
     schema = star_schema("tricky", fact, (dim,))
     out = tmp_path / "dw"
     io.write_dw(schema, out)
     loaded = io.load_dw(out)
     got = loaded.dimension("customer")
-    assert got.rows["C1"]["Attr"] == 'comma, and "quote"'
-    assert got.rows["C2"]["Attr"] == "line\nbreak"
-    assert loaded.fact.rows[0]["Quantity"] == Decimal("1.10")
+    assert rows_of(got)["C1"]["Attr"] == 'comma, and "quote"'
+    assert rows_of(got)["C2"]["Attr"] == "line\nbreak"
+    assert rows_of(loaded.fact)[0]["Quantity"] == Decimal("1.10")
     # and the decimal keeps its textual scale
     assert "1.10" in (out / "sales.csv").read_text(encoding="utf-8")
 
@@ -421,12 +421,12 @@ def test_carriage_return_cell_round_trips(tmp_path, capsys):
     # The csv writer leaves a lone \r unquoted, and a reader ends a line there.
     write_minimal(tmp_path, rows='C1,"a\rb"\nC2,x\n')
     schema = io.load_dw(tmp_path, strict=True)
-    assert schema.dimension("customer").rows["C1"]["Attr"] == "a\rb"
+    assert rows_of(schema.dimension("customer"))["C1"]["Attr"] == "a\rb"
     io.write_dw(schema, tmp_path / "out")
     assert (tmp_path / "out" / "customer.csv").read_bytes() == \
         b'Code,Attr\n"C1","a\rb"\nC2,x\n'
     back = io.load_dw(tmp_path / "out", strict=True)
-    assert back.dimension("customer").rows == schema.dimension("customer").rows
+    assert rows_of(back.dimension("customer")) == rows_of(schema.dimension("customer"))
     assert main(["merge", str(tmp_path), str(tmp_path), str(tmp_path / "merged")]) == 0
     assert main(["validate", "--strict", str(tmp_path / "merged")]) == 0
     assert capsys.readouterr().out.endswith("merged: OK\n")
@@ -444,9 +444,9 @@ def test_generated_round_trip(tmp_path, preset):
         assert got.attributes == dim.attributes
         assert {h.name: h.parameters for h in got.hierarchies} == \
             {h.name: h.parameters for h in dim.hierarchies}
-        assert got.rows == dim.rows
-    assert sorted(loaded.fact.rows, key=lambda r: sorted(map(str, r.values()))) == \
-        sorted(dw1.fact.rows, key=lambda r: sorted(map(str, r.values())))
+        assert rows_of(got) == rows_of(dim)
+    assert sorted(rows_of(loaded.fact), key=lambda r: sorted(map(str, r.values()))) == \
+        sorted(rows_of(dw1.fact), key=lambda r: sorted(map(str, r.values())))
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -529,11 +529,11 @@ def _shuffled(schema: Schema, rng: random.Random) -> Schema:
         rng.shuffle(order)
         return [[col[i] for i in order] for col in columns]
 
-    dims = tuple(Dimension.from_columns(d.name, d.root, d.attributes, d.hierarchies,
-                                        shuffle(d.columns), d.numeric)
+    dims = tuple(Dimension(d.name, d.root, d.attributes, d.hierarchies,
+                           shuffle(d.columns), d.numeric)
                  for d in schema.dimensions)
-    facts = tuple(Fact.from_columns(f.name, f.measures, f.dimension_keys, shuffle(f.columns),
-                                    f.numeric) for f in schema.facts)
+    facts = tuple(Fact(f.name, f.measures, f.dimension_keys, shuffle(f.columns),
+                       f.numeric) for f in schema.facts)
     return Schema(schema.name, facts, dims, dict(schema.star))
 
 
@@ -625,12 +625,12 @@ def test_numeric_dimension_attribute(tmp_path):
     doc["dimensions"][0]["numericAttributes"] = ["Attr"]
     (tmp_path / "schema.json").write_text(json.dumps(doc))
     dim = io.load_dw(tmp_path).dimension("customer")
-    assert dim.rows["C2"]["Attr"] == Decimal(10)
+    assert rows_of(dim)["C2"]["Attr"] == Decimal(10)
     assert dim.numeric == frozenset({"Attr"})
     out = tmp_path / "dw"
     io.write_dw(io.load_dw(tmp_path), out)
     reloaded = io.load_dw(out).dimension("customer")
-    assert reloaded.rows == dim.rows
+    assert rows_of(reloaded) == rows_of(dim)
 
 
 def test_unsupported_format_version(tmp_path):
@@ -704,17 +704,17 @@ def test_table_names_that_sanitise_alike_get_distinct_files(tmp_path):
     # "a b" and "a_b" both sanitise to the stem a_b, and so does the fact.
     dims = (make_dimension("a b", "K", ("K",), [("H", ("K",))], [("k1",)]),
             make_dimension("a_b", "J", ("J",), [("H", ("J",))], [("j1",)]))
-    fact = Fact("a b", ("q",), (("a b", "K"), ("a_b", "J")),
-                [{"K": "k1", "J": "j1", "q": Decimal(1)}], frozenset({"q"}))
+    fact = fact_from_rows("a b", ("q",), (("a b", "K"), ("a_b", "J")),
+                          [{"K": "k1", "J": "j1", "q": Decimal(1)}], frozenset({"q"}))
     io.write_dw(star_schema("collide", fact, dims), tmp_path)
     doc = json.loads((tmp_path / "schema.json").read_text(encoding="utf-8"))
     assert [d["table"] for d in doc["dimensions"]] == ["a_b.csv", "a_b_2.csv"]
     assert doc["facts"][0]["table"] == "a_b_3.csv"
     back = io.load_dw(tmp_path, strict=True)
     assert validate(back) == []
-    assert back.dimension("a b").rows == {"k1": {"K": "k1"}}
-    assert back.dimension("a_b").rows == {"j1": {"J": "j1"}}
-    assert back.fact.rows == fact.rows
+    assert rows_of(back.dimension("a b")) == {"k1": {"K": "k1"}}
+    assert rows_of(back.dimension("a_b")) == {"j1": {"J": "j1"}}
+    assert rows_of(back.fact) == rows_of(fact)
 
 
 def test_loaded_text_key_cells_are_the_dimension_ids(tmp_path):
@@ -723,7 +723,7 @@ def test_loaded_text_key_cells_are_the_dimension_ids(tmp_path):
     schema = io.load_dw(tmp_path)
     assert len(schema.fact.rows) > 0
     for dim_name, col in schema.fact.dimension_keys:
-        ids = {k: k for k in schema.dimension(dim_name).rows}
+        ids = {k: k for k in rows_of(schema.dimension(dim_name))}
         assert all(c is ids[c] for c in schema.fact.cells(col))
 
 
@@ -816,13 +816,45 @@ def test_parse_numbers_decides_each_cell_by_its_own_text(monkeypatch):
             assert repr(cells) == repr(expected), f"case {case}"
 
 
+@pytest.mark.parametrize("spelling", ["int", "pointed"])
+def test_a_numeric_column_with_nulls_is_parsed_a_block_at_a_time(tmp_path, monkeypatch,
+                                                                  spelling):
+    # Every 7th cell is null, so every block holds one; the other texts of a
+    # block still go through one whole-block map, never through _number, and
+    # get what _number gives each.
+    n = 2 * io._NUMBER_BLOCK + 5
+    texts = [None if i % 7 == 3 else f"{i - 20}.5" if spelling == "pointed" else str(i - 20)
+             for i in range(n)]
+    texts[10] = "-0" if spelling == "int" else "-0.0"
+    ids = [f"C{i}" for i in range(n)]
+    write_minimal(tmp_path, rows="".join(f"{k},x\n" for k in ids))
+    sales = tmp_path / "sales.csv"
+    sales.write_text("Code,Quantity\n" + "".join(f"{k},{t or ''}\n" for k, t in zip(ids, texts)),
+                     encoding="utf-8")
+    expected = [None if t is None else io._number(t) for t in texts]
+    parsed = []
+    real_number = io._number
+    monkeypatch.setattr(io, "_number", lambda text: parsed.append(text) or real_number(text))
+    got = io.load_dw(tmp_path, strict=True).fact.cells("Quantity")
+    assert repr(got) == repr(expected) and parsed == []
+    assert repr(got[10]) == repr(Decimal(texts[10]))  # a zero spelt with a minus sign
+
+    bad = next(i for i in range(io._NUMBER_BLOCK, n) if texts[i] is not None)
+    texts[bad] = "abc"
+    sales.write_text("Code,Quantity\n" + "".join(f"{k},{t or ''}\n" for k, t in zip(ids, texts)),
+                     encoding="utf-8")
+    with pytest.raises(LoadError, match="'abc' is not a number") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (str(sales), bad + 2)
+
+
 def test_int_past_the_digit_limit_writes_and_reloads_as_an_equal_decimal(tmp_path):
     # str() refuses an int of more digits than sys.get_int_max_str_digits();
     # such a cell is written as its Decimal is, and int() refuses it on reload.
     big = 10 ** 5000
     dim = make_dimension("d", "K", ("K",), [("H", ("K",))], [("k1",), ("k2",)])
-    fact = Fact("f", ("q",), (("d", "K"),), [{"K": "k1", "q": big}, {"K": "k2", "q": -big}],
-                frozenset({"q"}))
+    fact = fact_from_rows("f", ("q",), (("d", "K"),),
+                          [{"K": "k1", "q": big}, {"K": "k2", "q": -big}], frozenset({"q"}))
     schema = star_schema("s", fact, (dim,))
     assert validate(schema) == []
     io.write_dw(schema, tmp_path)
@@ -870,7 +902,7 @@ def test_fact_rows_are_written_in_cell_sort_key_order(tmp_path):
              Decimal("-3"), "B"]
     rows = [{"K": k, "L": "x" if i % 3 else Decimal(i), "q": Decimal(i)}
             for i, k in enumerate(cells * 2)]
-    fact = Fact("sales", ("q",), (("d", "K"), ("e", "L")), rows, frozenset({"q"}))
+    fact = fact_from_rows("sales", ("q",), (("d", "K"), ("e", "L")), rows, frozenset({"q"}))
     dim = make_dimension("d", "K", ("K",), [("H", ("K",))], [])
     io.write_dw(star_schema("mixed", fact, (dim,)), tmp_path)
     expected = sorted(rows, key=lambda r: (cell_sort_key(r["K"]), cell_sort_key(r["L"])))
@@ -904,8 +936,8 @@ def test_fact_rows_are_written_in_key_order(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "key_order", key_order)
     paths = set()
     for case in range(300):
-        dims = tuple(Dimension.from_columns(f"d{d}", "id", ("id",), (Hierarchy("H", ("id",)),),
-                                            [rng.sample(ID_POOL, rng.randint(0, len(ID_POOL)))])
+        dims = tuple(Dimension(f"d{d}", "id", ("id",), (Hierarchy("H", ("id",)),),
+                               [rng.sample(ID_POOL, rng.randint(0, len(ID_POOL)))])
                      for d in range(rng.randint(1, 3)))
         keyed = rng.choices(dims, k=rng.randint(0, 3))  # a dimension may key two columns
         most = max((len(d.index) for d in keyed), default=0)
@@ -923,8 +955,8 @@ def test_fact_rows_are_written_in_key_order(tmp_path, monkeypatch):
                         else rng.choice(STRAYS)
                     row[f"k{j}"] = RESPELT.get(cell, cell) if rng.random() < 0.5 else cell
             rows.append({**row, "q": i})
-        fact = Fact("sales", ("q",), tuple((d.name, f"k{j}") for j, d in enumerate(keyed)),
-                    rows, frozenset({"q"}))
+        dimension_keys = tuple((d.name, f"k{j}") for j, d in enumerate(keyed))
+        fact = fact_from_rows("sales", ("q",), dimension_keys, rows, frozenset({"q"}))
         keys = fact.columns[:len(keyed)]
         coded.clear()
         io.write_dw(star_schema("s", fact, dims), tmp_path / "out")
@@ -1176,17 +1208,18 @@ def _small_schemas(draw):
     for i in range(draw(st.integers(0, 3))):
         ids = draw(st.lists(_TEXTS, min_size=1, max_size=3, unique=True))
         rows = {k: {"id": k, "a": draw(st.none() | _TEXTS)} for k in ids}
-        dims.append(Dimension(f"d{i}", "id", ("id", "a"), (Hierarchy("h", ("id", "a")),), rows))
+        dims.append(dimension_from_rows(f"d{i}", "id", ("id", "a"),
+                                        (Hierarchy("h", ("id", "a")),), rows))
     facts, star = [], {}
     names = [d.name for d in dims]
     for j in range(draw(st.integers(1, 3))):
         keyed = draw(st.just(dims) | st.lists(st.sampled_from(dims), max_size=3)) if dims else []
         keys = tuple((d.name, f"k{i}") for i, d in enumerate(keyed))
-        tuples = st.tuples(*(st.sampled_from(list(d.rows)) for d in keyed))
+        tuples = st.tuples(*(st.sampled_from(list(rows_of(d))) for d in keyed))
         cells = draw(st.lists(tuples, max_size=3, unique=True))
         rows = [{**dict(zip((c for _, c in keys), t)),
                  "m": draw(st.none() | st.integers(-9, 9).map(Decimal))} for t in cells]
-        facts.append(Fact(f"f{j}", ("m",), keys, rows, frozenset({"m"})))
+        facts.append(fact_from_rows(f"f{j}", ("m",), keys, rows, frozenset({"m"})))
         linked = [name for name, _ in keys]
         # Mostly the keyed dimensions, which validate needs, in any order, with repeats.
         entry = draw(st.sampled_from(["keyed", "keyed", "keyed", "none", "any"]))

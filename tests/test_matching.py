@@ -7,9 +7,9 @@ from dwmerge.errors import UserMapError
 from dwmerge.matching import (MatcherConfig, check_user_map, corr_attr_map, edit_distance,
                               match_attributes, match_measures,
                               matched_root_parameters, parse_user_map)
-from dwmerge.model import Fact, star_schema
+from dwmerge.model import star_schema
 
-from conftest import customer_left, customer_right, location_dim, make_dimension
+from conftest import customer_left, customer_right, fact_from_rows, location_dim, make_dimension
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -71,15 +71,15 @@ def test_matching_symmetry_and_determinism():
 
 
 def test_match_measures_and_user_map_forbid():
-    f1 = Fact("sales", ("Quantity", "Price"), (), [])
-    f2 = Fact("sales", ("Quantity", "Tax"), (), [])
+    f1 = fact_from_rows("sales", ("Quantity", "Price"), (), [])
+    f2 = fact_from_rows("sales", ("Quantity", "Tax"), (), [])
     corrs = match_measures(f1, f2, MatcherConfig())
     assert [(c.left[1], c.right[1]) for c in corrs] == [("Quantity", "Quantity")]
 
     umap = parse_user_map("forbid sales.Quantity sales.Quantity\n")
     assert match_measures(f1, f2, MatcherConfig(user_map=umap)) == []
 
-    identical = Fact("f", ("A", "B"), (), [])
+    identical = fact_from_rows("f", ("A", "B"), (), [])
     full = match_measures(identical, identical, MatcherConfig())
     assert {(c.left[1], c.right[1]) for c in full} == {("A", "A"), ("B", "B")}
 
@@ -94,9 +94,11 @@ def test_user_map_pair_overrides_and_unknown_attr():
     assert ("Zone", "Area") in {(c.left[1], c.right[1]) for c in corrs}
     assert any(c.source == "user-map" for c in corrs)
 
-    s1, s2 = (star_schema("s", Fact("sales", (), (("customer", "Code"),)), (d,)) for d in (d1, d2))
+    s1, s2 = (star_schema("s", fact_from_rows("sales", (), (("customer", "Code"),)), (d,))
+              for d in (d1, d2))
     # The matchers refuse such a pair themselves, for a call that skips check_user_map.
-    f1, f2 = Fact("customer", ("Zone",), (), []), Fact("customer", ("Area",), (), [])
+    f1 = fact_from_rows("customer", ("Zone",), (), [])
+    f2 = fact_from_rows("customer", ("Area",), (), [])
     for entry in ("pair customer.Nope customer.Area", "pair customer.Zone customer.Nope"):
         bad = parse_user_map(f"# forced\n{entry}\n")
         message = "line 2: customer.Nope names an unknown attribute"

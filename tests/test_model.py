@@ -10,7 +10,8 @@ from dwmerge.model import (Dimension, Fact, Hierarchy, Schema, Violation, _valid
                            cell_sort_key, cell_to_text, cells_equal, dimension_faults, key_order,
                            normalize_name, star_schema, validate)
 
-from conftest import customer_left, make_dimension
+from conftest import (customer_left, dimension_from_rows, fact_from_rows, make_dimension,
+                      rows_of)
 
 
 def two_dim_star():
@@ -19,19 +20,19 @@ def two_dim_star():
         "product", "Pid", ("Pid", "Brand"),
         [("PH", ("Pid", "Brand"))],
         [("P1", "brand_x"), ("P2", "brand_y")])
-    fact = Fact("sales", ("Quantity",),
-                (("customer", "Code"), ("product", "Pid")),
-                [{"Code": "C01", "Pid": "P1", "Quantity": Decimal(3)},
-                 {"Code": "C05", "Pid": "P2", "Quantity": Decimal(1)}],
-                frozenset({"Quantity"}))
+    fact = fact_from_rows("sales", ("Quantity",),
+                          (("customer", "Code"), ("product", "Pid")),
+                          [{"Code": "C01", "Pid": "P1", "Quantity": Decimal(3)},
+                           {"Code": "C05", "Pid": "P2", "Quantity": Decimal(1)}],
+                          frozenset({"Quantity"}))
     return star_schema("shop", fact, (customer, product))
 
 
 def with_fact_rows(schema, rows, keep=True):
     """``schema`` with its fact's rows followed by ``rows``, or ``rows`` alone."""
     f = schema.fact
-    schema.facts = (Fact(f.name, f.measures, f.dimension_keys,
-                         [*f.rows, *rows] if keep else rows, f.numeric),)
+    schema.facts = (fact_from_rows(f.name, f.measures, f.dimension_keys,
+                                   [*rows_of(f), *rows] if keep else rows, f.numeric),)
     return schema
 
 
@@ -83,15 +84,10 @@ def test_validate_well_formed():
 def test_validate_duplicate_root_and_dangling_key():
     schema = two_dim_star()
     customer = schema.dimension("customer")
-    # A key unlike its root cell, and a repeated id, cannot be stored.
-    rows = dict(customer.rows.items())
-    rows["C01"]["Code"] = "C99"
-    with pytest.raises(ValueError, match="row key 'C01' differs from its root cell 'C99'"):
-        Dimension(customer.name, customer.root, customer.attributes, customer.hierarchies, rows)
+    # A repeated id cannot be stored.
     twice = [col + col[:1] for col in customer.columns]
     with pytest.raises(ValueError, match="repeats an id"):
-        Dimension.from_columns(customer.name, customer.root, customer.attributes,
-                               customer.hierarchies, twice)
+        Dimension(customer.name, customer.root, customer.attributes, customer.hierarchies, twice)
 
     schema2 = with_fact_rows(two_dim_star(),
                              [{"Code": "C99", "Pid": "P1", "Quantity": Decimal(2)}])
@@ -109,15 +105,15 @@ def test_validate_reports_missing_key_column():
 
 def test_validate_hierarchy_rules():
     dim = make_dimension("d", "Id", ("Id", "A"), [("H", ("Id", "A"))], [("k1", "x")])
-    bad = Dimension("d", "Id", ("Id", "A"),
-                    (Hierarchy("H", ("A", "Id")),), dim.rows)
-    star = star_schema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (bad,))
+    bad = Dimension("d", "Id", ("Id", "A"), (Hierarchy("H", ("A", "Id")),), dim.columns)
+    star = star_schema("s", fact_from_rows("f", (), (("d", "Id"),), [{"Id": "k1"}]), (bad,))
     rules = {v.rule for v in validate(star)}
     assert "hierarchy-root" in rules
     # Pruning keys hierarchies by name, so a repeated name would drop a live one.
-    twice = Dimension("d", "Id", ("Id", "A", "B"),
-                      (Hierarchy("H", ("Id", "A")), Hierarchy("H", ("Id", "B"))), dim.rows)
-    star = star_schema("s", Fact("f", (), (("d", "Id"),), [{"Id": "k1"}]), (twice,))
+    twice = dimension_from_rows("d", "Id", ("Id", "A", "B"),
+                                (Hierarchy("H", ("Id", "A")), Hierarchy("H", ("Id", "B"))),
+                                rows_of(dim))
+    star = star_schema("s", fact_from_rows("f", (), (("d", "Id"),), [{"Id": "k1"}]), (twice,))
     assert [v.rule for v in validate(star)] == ["hierarchy-name-unique"]
 
 
@@ -125,41 +121,19 @@ def test_validate_order_independent():
     schema = two_dim_star()
     base = {(v.table, v.rule) for v in validate(schema)}
     rng = random.Random(5)
-    rows = list(schema.fact.rows)
+    rows = list(rows_of(schema.fact))
     rng.shuffle(rows)
     schema = with_fact_rows(schema, rows, keep=False)
     assert {(v.table, v.rule) for v in validate(schema)} == base
 
 
-def test_fact_rows_is_a_read_only_view_of_the_columns():
-    rows = [{"Code": "C01", "Pid": "P1", "Quantity": Decimal(3)},
-            {"Code": "C05", "Pid": "P2", "Quantity": None}]
-    fact = Fact("sales", ("Quantity",), (("customer", "Code"), ("product", "Pid")), rows,
-                frozenset({"Quantity"}))
-    assert fact.columns == (["C01", "C05"], ["P1", "P2"], [Decimal(3), None])
-    view = fact.rows
-    assert view == rows and rows == view and view == fact.rows and view != rows[:1]
-    assert len(view) == 2 and repr(view) == repr(rows)
-    assert view[1] == rows[1] and view[-1] == rows[-1] and view[:1] == rows[:1]
-    with pytest.raises(AttributeError):
-        view.append(rows[0])
-    with pytest.raises(TypeError):
-        view[0] = rows[0]
-    with pytest.raises(TypeError):
-        del view[0]
-    view[0]["Code"] = "C99"  # a row dict is built as it is read
-    assert fact.rows == rows
-    # a cell a row lacks reads as null
-    assert Fact("f", ("q",), (("d", "K"),), [{"K": "k"}]).rows == [{"K": "k", "q": None}]
-
-
 def test_validate_names_the_rules_the_loader_applies(tmp_path):
     def dim(name, numeric=frozenset()):
         d = make_dimension(name, "Id", ("Id",), [("H", ("Id",))], [("k1",)])
-        return Dimension(d.name, d.root, d.attributes, d.hierarchies, d.rows, numeric)
+        return Dimension(d.name, d.root, d.attributes, d.hierarchies, d.columns, numeric)
 
     def fact(name):
-        return Fact(name, (), (("d", "Id"),), [{"Id": "k1"}])
+        return fact_from_rows(name, (), (("d", "Id"),), [{"Id": "k1"}])
 
     cases = [
         (star_schema("s", fact("f"), (dim("d"), dim("d"))),
@@ -199,8 +173,8 @@ def test_validate_names_the_rules_the_loader_applies(tmp_path):
 def test_validate_names_a_fact_numeric_set_the_reload_changes(numeric, violation, tmp_path):
     schema = two_dim_star()
     f = schema.fact
-    schema.facts = (Fact.from_columns(f.name, f.measures, f.dimension_keys, f.columns,
-                                      frozenset(numeric)),)
+    schema.facts = (Fact(f.name, f.measures, f.dimension_keys, f.columns,
+                         frozenset(numeric)),)
     assert validate(schema) == [violation]
     # The loader derives the set from the descriptor, so it cannot refuse it.
     io.write_dw(schema, tmp_path)
@@ -213,10 +187,12 @@ def one_row_star(table: str, column: str, cell) -> Schema:
     row = {"Id": "k1", "Text": "t", "Number": Decimal(2), "Amount": Decimal(3)}
     if table != "-":
         row[column] = cell
-    dim = Dimension("d", "Id", ("Id", "Text", "Number"), (Hierarchy("h", ("Id", "Text")),),
-                    {"k1": {a: row[a] for a in ("Id", "Text", "Number")}}, frozenset({"Number"}))
-    fact = Fact("f", ("Amount",), (("d", "Id"),), [{"Id": "k1", "Amount": row["Amount"]}],
-                frozenset({"Amount"}))
+    dim = dimension_from_rows("d", "Id", ("Id", "Text", "Number"),
+                              (Hierarchy("h", ("Id", "Text")),),
+                              {"k1": {a: row[a] for a in ("Id", "Text", "Number")}},
+                              frozenset({"Number"}))
+    fact = fact_from_rows("f", ("Amount",), (("d", "Id"),),
+                          [{"Id": "k1", "Amount": row["Amount"]}], frozenset({"Amount"}))
     return star_schema("s", fact, (dim,))
 
 
@@ -289,8 +265,8 @@ def random_dimension(rng: random.Random) -> tuple[Dimension, dict]:
         if rng.random() < 0.08:
             row[rng.choice(["Z", "Y"])] = "z"
         rows[key] = row
-    declared = Dimension("d", "Id", ("Id", "A"), (Hierarchy("h", ("Id", "A")),), {},
-                         frozenset({"Id"}) if numeric else frozenset())
+    declared = dimension_from_rows("d", "Id", ("Id", "A"), (Hierarchy("h", ("Id", "A")),), {},
+                                   frozenset({"Id"}) if numeric else frozenset())
     return declared, rows
 
 
@@ -310,8 +286,8 @@ def test_validate_dimension_matches_reference_loop():
             seen[v.rule] += 1
         seen["missing-root"] += any("Id" not in r for r in rows.values())
         try:
-            dim = Dimension(declared.name, declared.root, declared.attributes,
-                            declared.hierarchies, rows, declared.numeric)
+            dim = dimension_from_rows(declared.name, declared.root, declared.attributes,
+                                      declared.hierarchies, rows, declared.numeric)
         except ValueError:
             assert refused, f"case {case}"
             seen["refused"] += 1

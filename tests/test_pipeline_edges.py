@@ -6,15 +6,17 @@ from decimal import Decimal
 
 import pytest
 
+from dwmerge import io
 from dwmerge.config import MergeSettings
 from dwmerge.generator import (GenAttr, GenChain, GenDimension, GenFact, GenSpec,
-                               generate_pair)
+                               generate_pair, preset_basic)
 from dwmerge.hierarchy_merge import _segment_fd_edges, tokenize
 from dwmerge.matching import MatcherConfig
-from dwmerge.model import Dimension, Fact, Hierarchy, star_schema, validate
+from dwmerge.model import star_schema, validate
+from dwmerge.report import TableCount
 from dwmerge.star_merge import merge_stars
 
-from conftest import make_dimension, table
+from conftest import fact_from_rows, make_dimension, rows_of, table
 
 
 def test_enrichment_accumulates_from_two_partners():
@@ -32,10 +34,10 @@ def test_enrichment_accumulates_from_two_partners():
         [("gb", ("bid", "beta", "beta_up"))],
         [("y1", "b1", "up_b"), ("y2", "b2", "up_b")])
 
-    f1 = Fact("f1", ("m",), (("hub", "hid"), ("axis_a", "aid")),
-              [{"hid": "h1", "aid": "x1", "m": Decimal(1)}], frozenset({"m"}))
-    f2 = Fact("f2", ("m",), (("hub", "hid"), ("axis_b", "bid")),
-              [{"hid": "h2", "bid": "y2", "m": Decimal(2)}], frozenset({"m"}))
+    f1 = fact_from_rows("f1", ("m",), (("hub", "hid"), ("axis_a", "aid")),
+                        [{"hid": "h1", "aid": "x1", "m": Decimal(1)}], frozenset({"m"}))
+    f2 = fact_from_rows("f2", ("m",), (("hub", "hid"), ("axis_b", "bid")),
+                        [{"hid": "h2", "bid": "y2", "m": Decimal(2)}], frozenset({"m"}))
     s1 = star_schema("s1", f1, (target, left_axis))
     s2 = star_schema("s2", f2, (target, right_axis))
     assert validate(s1) == [] and validate(s2) == []
@@ -43,18 +45,18 @@ def test_enrichment_accumulates_from_two_partners():
     hub = result.schema.dimension("hub")
     # enrichment against axis_a and axis_b both landed
     assert {"alpha_up", "beta_up"} <= set(hub.attributes)
-    assert hub.rows["h1"]["alpha_up"] == "up_a"
-    assert hub.rows["h1"]["beta_up"] == "up_b"
+    assert rows_of(hub)["h1"]["alpha_up"] == "up_a"
+    assert rows_of(hub)["h1"]["beta_up"] == "up_b"
 
 
 def test_fact_key_order_alignment():
     c = make_dimension("c", "cid", ("cid",), [("h", ("cid",))], [("c1",)])
     p = make_dimension("p", "pid", ("pid",), [("h", ("pid",))], [("p1",)])
-    f1 = Fact("f", ("m",), (("c", "cid"), ("p", "pid")),
-              [{"cid": "c1", "pid": "p1", "m": Decimal(1)}], frozenset({"m"}))
+    f1 = fact_from_rows("f", ("m",), (("c", "cid"), ("p", "pid")),
+                        [{"cid": "c1", "pid": "p1", "m": Decimal(1)}], frozenset({"m"}))
     # the other fact declares its keys in the opposite order
-    f2 = Fact("f", ("m",), (("p", "pid"), ("c", "cid")),
-              [{"cid": "c1", "pid": "p1", "m": Decimal(1)}], frozenset({"m"}))
+    f2 = fact_from_rows("f", ("m",), (("p", "pid"), ("c", "cid")),
+                        [{"cid": "c1", "pid": "p1", "m": Decimal(1)}], frozenset({"m"}))
     s1 = star_schema("s1", f1, (c, p))
     s2 = star_schema("s2", f2, (c, p))
     result = merge_stars(s1, s2)
@@ -132,8 +134,23 @@ def test_fuzzed_specs_respect_laws_and_validate():
                 assert tc.n_merged == len(dims_out[tc.table].rows)
         for ca in result.report.completions:
             assert ca.n_merged == (ca.n_left or 0) + (ca.n_right or 0) + ca.n_filled
-            actual = sum(1 for r in dims_out[ca.table].rows.values()
+            actual = sum(1 for r in rows_of(dims_out[ca.table]).values()
                          if r.get(ca.attribute) is not None)
             assert actual == ca.n_merged
         done += 1
     assert done == 50
+
+
+def test_two_empty_warehouses_merge_to_an_empty_star(tmp_path):
+    # Tables of no rows: every count is 0, not null, and a dimension of no
+    # rows still counts as present.
+    for dw, name in zip(generate_pair(preset_basic(seed=4, overlap=0.0)), ("dw1", "dw2")):
+        assert not any(len(table.rows) for table in (*dw.dimensions, *dw.facts))
+        io.write_dw(dw, tmp_path / name)
+    s1, s2 = io.load_dw(tmp_path / "dw1", strict=True), io.load_dw(tmp_path / "dw2", strict=True)
+    result = merge_stars(s1, s2)
+    assert result.report.result_kind == "star"
+    assert result.report.tables == [TableCount(t, kind, 0, 0, 0, 0) for t, kind in (
+        ("customer", "dimension"), ("product", "dimension"), ("sales", "fact"))]
+    io.write_dw(result.schema, tmp_path / "out")
+    assert validate(io.load_dw(tmp_path / "out", strict=True)) == []

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwmerge import io, model, star_merge
+from dwmerge import io, star_merge
 from dwmerge.config import MergeSettings
 from dwmerge.dimension_merge import (ValueConflict, _right_name_map, check_column_kinds,
                                      merge_dimensions)
@@ -19,12 +19,11 @@ from dwmerge.errors import ConflictError, MergeError, UnmergeableError
 from dwmerge.generator import (generate_pair, preset_basic, preset_const22,
                                preset_divergent, preset_star4)
 from dwmerge.matching import Correspondence, MatcherConfig, match_attributes, match_measures
-from dwmerge.model import (Cell, Dimension, Fact, Hierarchy, Row, cell_to_text, star_schema,
-                           validate)
+from dwmerge.model import Cell, Dimension, Fact, Hierarchy, cell_to_text, star_schema, validate
 from dwmerge.star_merge import merge_facts, merge_stars, prune_hierarchies
 
-from conftest import (H13_PARAMS, H24_PARAMS, customer_left, customer_right, fuse_row,
-                      make_dimension, traced)
+from conftest import (H13_PARAMS, H24_PARAMS, Row, customer_left, customer_right, fact_from_rows,
+                      fuse_row, make_dimension, rows_of, traced)
 from test_output_digests import conflict_spec
 
 
@@ -57,7 +56,7 @@ def test_prune_retains_uniquely_covering_original():
     survivors = {h.parameters for h in pruned.hierarchies}
     # the stub row is on H4 but not on the merged superset, so H4 stays
     assert ("Code", "Profession", "Subcategory") in survivors
-    assert res.dimension.rows["C13"]["Category"] is None
+    assert rows_of(res.dimension)["C13"]["Category"] is None
 
 
 def test_prune_removes_dead_hierarchy():
@@ -103,8 +102,8 @@ def test_prune_decision_does_not_depend_on_hierarchy_order():
     dim = covered_dimension()
     want = {h.name for h, _ in prune_hierarchies(dim)[1]}
     for order in permutations(dim.hierarchies):
-        reordered = Dimension.from_columns(dim.name, dim.root, dim.attributes, order,
-                                           dim.columns)
+        reordered = Dimension(dim.name, dim.root, dim.attributes, order,
+                              dim.columns)
         assert {h.name for h, _ in prune_hierarchies(reordered)[1]} == want
 
 
@@ -131,7 +130,7 @@ def conforms(row: Row, h: Hierarchy) -> bool:
 def test_prune_keeps_every_covered_row_on_a_survivor(dim):
     pruned, removed = prune_hierarchies(dim)
     for h, reason in removed:
-        on_h = [r for r in dim.rows.values() if conforms(r, h)]
+        on_h = [r for r in rows_of(dim).values() if conforms(r, h)]
         if reason == "noConformingInstance":
             assert on_h == []
         for r in on_h:
@@ -143,7 +142,7 @@ def test_prune_keeps_every_covered_row_on_a_survivor(dim):
 # reference for the null patterns that prune_hierarchies reads.
 def reference_pruned(dim: Dimension) -> list[tuple[Hierarchy, str]]:
     """The (hierarchy, reason) pairs prune_hierarchies removes from ``dim``."""
-    rows = list(dim.rows.values())
+    rows = list(rows_of(dim).values())
     removed = []
     for h in dim.hierarchies:
         params = set(h.parameters)
@@ -182,20 +181,6 @@ def test_prune_by_null_pattern_matches_the_row_rule():
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("spec", [
-    preset_basic(3, rows=60, fact_rows=150), preset_divergent(3, fact_rows=300),
-    preset_star4(3, fact_rows=300), preset_const22(3)], ids=lambda s: s.name)
-def test_merge_builds_no_row_dict(spec, tmp_path, monkeypatch):
-    dw1, dw2, _ = generate_pair(spec)
-
-    def no_row(self, i):
-        raise AssertionError("the merge read a row dict")
-
-    monkeypatch.setattr(model.Rows, "_row", no_row)
-    result = merge_stars(dw1, dw2)
-    io.write_dw(result.schema, tmp_path / "out")
-
-
 @pytest.mark.parametrize("spec", [preset_basic(3), preset_divergent(3), preset_star4(3),
                                   preset_const22(3)], ids=lambda s: s.name)
 def test_load_merge_and_validate_make_no_reference_cycle(spec, tmp_path, collector):
@@ -216,23 +201,23 @@ def test_load_merge_and_validate_make_no_reference_cycle(spec, tmp_path, collect
 # ---------------------------------------------------------------------------
 
 def small_fact(name, rows, measures=("Quantity",)):
-    return Fact(name, measures, (("customer", "Code"),),
-                rows, frozenset(measures))
+    return fact_from_rows(name, measures, (("customer", "Code"),),
+                          rows, frozenset(measures))
 
 
 def test_merge_facts_fuses_common_keys():
     f1 = small_fact("sales", [{"Code": "C01", "Quantity": Decimal(1)},
                               {"Code": "C02", "Quantity": Decimal(2)}])
-    f2 = Fact("sales", ("Quantity", "Tax"), (("customer", "Code"),),
-              [{"Code": "C01", "Quantity": Decimal(1), "Tax": Decimal(5)},
-               {"Code": "C03", "Quantity": Decimal(9), "Tax": Decimal(6)}],
-              frozenset({"Quantity", "Tax"}))
+    f2 = fact_from_rows("sales", ("Quantity", "Tax"), (("customer", "Code"),),
+                        [{"Code": "C01", "Quantity": Decimal(1), "Tax": Decimal(5)},
+                         {"Code": "C03", "Quantity": Decimal(9), "Tax": Decimal(6)}],
+                        frozenset({"Quantity", "Tax"}))
     from dwmerge.matching import match_measures
     mcorrs = match_measures(f1, f2, MatcherConfig())
     merged, conflicts, n_common = merge_facts(f1, f2, mcorrs, {"customer": "customer"})
     assert n_common == 1
     assert len(merged.rows) == 2 + 2 - 1
-    by_key = {r["Code"]: r for r in merged.rows}
+    by_key = {r["Code"]: r for r in rows_of(merged)}
     assert by_key["C01"] == {"Code": "C01", "Quantity": Decimal(1), "Tax": Decimal(5)}
     assert by_key["C02"]["Tax"] is None
     assert conflicts == []
@@ -245,7 +230,7 @@ def test_merge_fact_with_itself_unchanged():
     mcorrs = match_measures(f1, f1, MatcherConfig())
     merged, conflicts, n_common = merge_facts(f1, f1, mcorrs, {"customer": "customer"})
     assert n_common == 2 and conflicts == []
-    assert sorted(r["Code"] for r in merged.rows) == ["C01", "C02"]
+    assert sorted(r["Code"] for r in rows_of(merged)) == ["C01", "C02"]
     assert merged.measures == f1.measures
 
 
@@ -256,8 +241,8 @@ def test_merge_facts_count_law_on_generated():
     merged, _, n_common = merge_facts(dw1.fact, dw2.fact, mcorrs,
                                       {"customer": "customer", "product": "product"})
     # oracle: intersect the key-tuple sets independently
-    keys1 = {tuple(r[c] for c in dw1.fact.key_columns()) for r in dw1.fact.rows}
-    keys2 = {tuple(r[c] for c in dw2.fact.key_columns()) for r in dw2.fact.rows}
+    keys1 = {tuple(r[c] for c in dw1.fact.key_columns()) for r in rows_of(dw1.fact)}
+    keys2 = {tuple(r[c] for c in dw2.fact.key_columns()) for r in rows_of(dw2.fact)}
     assert n_common == len(keys1 & keys2) == manifest["facts"]["sales"]["sharedKeyTuples"]
     assert len(merged.rows) == len(keys1) + len(keys2) - n_common
 
@@ -277,12 +262,12 @@ def test_merge_facts_peak_bytes_per_merged_row(tmp_path):
 
 def test_merge_facts_misalignment_error():
     f1 = small_fact("sales", [])
-    f2 = Fact("sales", ("Quantity",), (("supplier", "Sid"),), [], frozenset())
+    f2 = fact_from_rows("sales", ("Quantity",), (("supplier", "Sid"),), [], frozenset())
     with pytest.raises(MergeError, match="misalignment"):
         merge_facts(f1, f2, [], {})
     # Every row of a fact with no key column has the empty key tuple.
-    keyless = Fact("sales", ("Quantity",), (), [{"Quantity": Decimal(1)}] * 2,
-                   frozenset({"Quantity"}))
+    keyless = fact_from_rows("sales", ("Quantity",), (), [{"Quantity": Decimal(1)}] * 2,
+                             frozenset({"Quantity"}))
     with pytest.raises(MergeError, match="no key columns"):
         merge_facts(keyless, keyless, [], {})
 
@@ -345,17 +330,18 @@ def reference_merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspond
     # The left rows are built a column at a time; the measures only the right
     # fact has start null.
     n1 = len(f1.rows)
-    cells = [column(f1.rows, c) for c in key_cols + f1.measures]
+    rows1, rows2 = rows_of(f1), rows_of(f2)
+    cells = [column(rows1, c) for c in key_cols + f1.measures]
     cells += [[None] * n1] * len(new_measures)
     left_rows = map(dict, map(zip, repeat(key_cols + measures), records(cells, n1)))
     rows: dict[tuple, Row] = dict(zip(records(cells[:len(key_cols)], n1), left_rows))
-    right_keys = records([list(map(itemgetter(c), f2.rows)) for c in aligned_right_cols],
+    right_keys = records([list(map(itemgetter(c), rows2)) for c in aligned_right_cols],
                          len(f2.rows))
     sources, targets = [s for s, _ in names], [t for _, t in names]
     all_nulls = dict.fromkeys(measures)
     conflicts: list[ValueConflict] = []
     n_common = 0
-    for key, r in zip(right_keys, f2.rows):
+    for key, r in zip(right_keys, rows2):
         row = rows.get(key)
         if row is None:
             # Every measure of a new row is null and the right measures land
@@ -373,7 +359,7 @@ def reference_merge_facts(f1: Fact, f2: Fact, measure_corrs: Sequence[Correspond
                     f"conflicting measure {name!r} for fact key {key_text}")
             conflicts.append(ValueConflict(key_text, name, v1, v2, chosen))
 
-    merged = Fact(f1.name, measures, f1.dimension_keys, list(rows.values()), numeric)
+    merged = fact_from_rows(f1.name, measures, f1.dimension_keys, list(rows.values()), numeric)
     return merged, conflicts, n_common
 
 
@@ -443,16 +429,16 @@ def random_fact_pair(rng):
             out.append(row)
         return out
 
-    f1 = Fact("f1", tuple(left_measures), left_keys, rows(left_keys, left_measures),
-              numeric(left_measures, left_keys))
-    f2 = Fact("f2", tuple(right_measures), tuple(right_keys),
-              rows(right_keys, right_measures), numeric(right_measures, right_keys))
+    f1 = fact_from_rows("f1", tuple(left_measures), left_keys, rows(left_keys, left_measures),
+                        numeric(left_measures, left_keys))
+    f2 = fact_from_rows("f2", tuple(right_measures), tuple(right_keys),
+                        rows(right_keys, right_measures), numeric(right_measures, right_keys))
     return f1, f2, corrs, pairing
 
 
 def cells_by_column(fact):
     cols = fact.key_columns() + fact.measures
-    return repr([[row.get(c) for c in cols] for row in fact.rows])
+    return repr([[row.get(c) for c in cols] for row in rows_of(fact)])
 
 
 def test_merge_facts_matches_reference():
@@ -462,7 +448,7 @@ def test_merge_facts_matches_reference():
                           "crossed", "left_kept", "right_kept", "new", "raised"], 0)
     for case in range(400):
         f1, f2, corrs, pairing = random_fact_pair(rng)
-        before = repr((f1.rows, f2.rows))
+        before = repr((rows_of(f1), rows_of(f2)))
         for policy in ("left", "right", "error"):
             settings = MergeSettings(conflict=policy)
             try:
@@ -480,7 +466,7 @@ def test_merge_facts_matches_reference():
             assert cells_by_column(merged) == cells_by_column(want), f"case {case} {policy}"
             assert repr(conflicts) == repr(want_conflicts), f"case {case} {policy}"
             assert n_common == want_common, f"case {case} {policy}"
-            assert repr((f1.rows, f2.rows)) == before, f"case {case} {policy}"
+            assert repr((rows_of(f1), rows_of(f2))) == before, f"case {case} {policy}"
             # Every non-null merged cell is an input cell object, a left one
             # where both sides hold it; the nulls count as new.
             left_ids = {id(c) for col in f1.columns for c in col}
@@ -501,8 +487,8 @@ def test_merge_facts_matches_reference():
                             and any(c.left[1] != c.right[1] for c in corrs))
         aligned = [c for d, _ in f1.dimension_keys for rd, c in f2.dimension_keys
                    if pairing[rd] == d]
-        for r1 in f1.rows:
-            for r2 in f2.rows:
+        for r1 in rows_of(f1):
+            for r2 in rows_of(f2):
                 if [r1[c] for c in f1.key_columns()] != [r2[c] for c in aligned]:
                     continue
                 for c in corrs:
@@ -517,7 +503,7 @@ def test_merge_facts_matches_reference():
 
 def input_rows(*stars):
     """Every fact and dimension row of ``stars``, as text that shows Decimal spellings."""
-    return repr([(s.fact.rows, [d.rows for d in s.dimensions]) for s in stars])
+    return repr([(rows_of(s.fact), [rows_of(d) for d in s.dimensions]) for s in stars])
 
 
 def generated(spec):
@@ -532,9 +518,9 @@ def enrichment_fills_an_input_column():
     def star(name, customers, shops, sales):
         dims = (make_dimension("cust", "cid", geo, [("geo", geo)], customers),
                 make_dimension("shop", "sid", loc, [("loc", loc)], shops))
-        fact = Fact("sales", ("qty",), (("cust", "cid"), ("shop", "sid")),
-                    [{"cid": c, "sid": s, "qty": Decimal(q)} for c, s, q in sales],
-                    frozenset({"qty"}))
+        fact = fact_from_rows("sales", ("qty",), (("cust", "cid"), ("shop", "sid")),
+                              [{"cid": c, "sid": s, "qty": Decimal(q)} for c, s, q in sales],
+                              frozenset({"qty"}))
         return star_schema(name, fact, dims)
 
     return (star("a", [("c1", "Paris", "fr"), ("c2", "Lyon", None)], [("s1", "Paris", "fr")],
@@ -608,8 +594,8 @@ def test_constellation_output_shape():
     assert res.schema.fact is None
     assert res.report.result_kind == "constellation"
     facts = {f.name: f for f in res.schema.facts}
-    assert facts["sales_parts"].rows == dw1.fact.rows
-    assert facts["sales_dates"].rows == dw2.fact.rows
+    assert rows_of(facts["sales_parts"]) == rows_of(dw1.fact)
+    assert rows_of(facts["sales_dates"]) == rows_of(dw2.fact)
     assert set(res.schema.star["sales_parts"]) == {"customer", "supplier", "part"}
     assert set(res.schema.star["sales_dates"]) == {"customer", "supplier", "orderdate"}
 
@@ -637,10 +623,10 @@ def test_unpaired_right_dimension_is_renamed_past_the_left_one(tmp_path):
                            [("d1", "m1"), ("d2", "m1")])
     date2 = make_dimension("date", "stamp", ("stamp", "month"),
                            [("cal", ("stamp", "month"))], [("s1", "m1")])
-    f1 = Fact("sales", ("qty",), (("customer", "Code"), ("date", "day")),
-              [{"Code": "C1", "day": "d1", "qty": Decimal(1)}], frozenset({"qty"}))
-    f2 = Fact("sales", ("qty",), (("customer", "Code"), ("date", "stamp")),
-              [{"Code": "C2", "stamp": "s1", "qty": Decimal(2)}], frozenset({"qty"}))
+    f1 = fact_from_rows("sales", ("qty",), (("customer", "Code"), ("date", "day")),
+                        [{"Code": "C1", "day": "d1", "qty": Decimal(1)}], frozenset({"qty"}))
+    f2 = fact_from_rows("sales", ("qty",), (("customer", "Code"), ("date", "stamp")),
+                        [{"Code": "C2", "stamp": "s1", "qty": Decimal(2)}], frozenset({"qty"}))
     res = merge_stars(star_schema("s1", f1, (customer(), date1)),
                       star_schema("s2", f2, (customer(), date2)))
     assert res.schema.fact is None
@@ -648,7 +634,7 @@ def test_unpaired_right_dimension_is_renamed_past_the_left_one(tmp_path):
                                "sales_2": ("customer", "date_2")}
     facts = {f.name: f for f in res.schema.facts}
     assert facts["sales_2"].dimension_keys == (("customer", "Code"), ("date_2", "stamp"))
-    assert res.schema.dimension("date_2").rows == date2.rows
+    assert rows_of(res.schema.dimension("date_2")) == rows_of(date2)
     counts = {(t.kind, t.table): (t.n_left, t.n_right, t.n_merged) for t in res.report.tables}
     assert counts[("dimension", "date")] == (2, None, 2)
     assert counts[("dimension", "date_2")] == (None, 1, 1)
@@ -666,7 +652,7 @@ def test_star_self_merge_idempotent():
         orig = dw1.dimension(d.name)
         assert {h.parameters for h in d.hierarchies} == \
             {h.parameters for h in orig.hierarchies}
-        assert d.rows == orig.rows
+        assert rows_of(d) == rows_of(orig)
 
 
 def test_enrichment_fills_count_once_where_no_input_held_the_cell():
@@ -687,8 +673,8 @@ def test_enrichment_fills_count_once_where_no_input_held_the_cell():
 def test_unmergeable_stars():
     a = make_dimension("a", "X", ("X",), [("H", ("X",))], [("1",)])
     b = make_dimension("b", "Y", ("Y",), [("H", ("Y",))], [("2",)])
-    s1 = star_schema("s1", Fact("f1", (), (("a", "X"),), [{"X": "1"}]), (a,))
-    s2 = star_schema("s2", Fact("f2", (), (("b", "Y"),), [{"Y": "2"}]), (b,))
+    s1 = star_schema("s1", fact_from_rows("f1", (), (("a", "X"),), [{"X": "1"}]), (a,))
+    s2 = star_schema("s2", fact_from_rows("f2", (), (("b", "Y"),), [{"Y": "2"}]), (b,))
     with pytest.raises(UnmergeableError):
         merge_stars(s1, s2)
 
