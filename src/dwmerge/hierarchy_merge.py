@@ -105,11 +105,28 @@ def enumerate_fds(rows: Rows, attrs: Sequence[Hashable],
     violation counts; an edge needs at least ``min_support`` surviving rows.
     The scans read the columns of ``rows`` (:meth:`model.Rows.cells`); a
     scan stops at its first violation. On two non-null cells ``!=`` is
-    ``not model.cells_equal``.
+    ``not model.cells_equal``. A column whose non-null cells are all
+    distinct, such as the join key of a segment that starts at the root,
+    determines every other: its edges need only their support, not a scan.
     """
     cols = {a: rows.cells(a) for a in attrs}
+    values = {a: set(cols[a]) for a in attrs}
+    nulls = {a: cols[a].count(None) if None in values[a] else 0 for a in attrs}
     out = set()
     for a in attrs:
+        n = len(cols[a])
+        if len(values[a]) - (nulls[a] > 0) == n - nulls[a]:
+            for b in attrs:
+                if b == a:
+                    continue
+                if nulls[a] and nulls[b]:
+                    support = sum(va is not None and vb is not None
+                                  for va, vb in zip(cols[a], cols[b]))
+                else:  # one column has no null, so no row is null in both
+                    support = n - nulls[a] - nulls[b]
+                if support >= min_support:
+                    out.add((a, b))
+            continue
         for b in attrs:
             if a == b:
                 continue

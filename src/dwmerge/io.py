@@ -37,23 +37,26 @@ CSV rules
 ---------
 UTF-8, comma separated, RFC 4180 quoting, first line is the header. The
 header names every declared column, each once; undeclared columns are
-allowed and dropped. A table is split at its commas, a chunk of whole
-lines at a time with each newline kept as a field of its own, or if that
-finds it irregular read record by record by the csv module, with the same
-cells and errors. Split cells are stripped only in a chunk that is not
-ASCII or holds an ASCII whitespace character: no other cell has any. Text
-cells are written as they stand and numbers as str() renders them. Rows
-are joined, or if they need quotes written by ``csv.writer``, with the
-same bytes; a row holding a carriage return has every cell quoted, as a
-reader ends a line there. Tables are read and
+allowed and dropped. A table is split at its commas, a chunk of whole lines
+at a time with each newline kept as a field of its own, or if that finds it
+irregular read record by record by the csv module, with the same cells and
+errors. A blank line, which the csv module reads as a record of no fields,
+makes the split irregular: it is one field, against the two or more of a
+row, and in a one-column table it is searched for. Split cells are stripped
+only in a chunk that is not ASCII or holds an ASCII whitespace character:
+no other cell has any. Each column's empty fields are found by one pass
+over the column. Text cells are written as they stand and numbers as str()
+renders them. Rows are joined, or if they need quotes written by
+``csv.writer``, with the same bytes; a row holding a carriage return has
+every cell quoted, as a reader ends a line there. Tables are read and
 written a column at a time: each keeps one list per declared column, and a
 fact's text key cell that names a dimension row is that row's id object. An
-empty field is null; whitespace-only fields trim to empty and
-are therefore null too; the literal text ``NULL`` is ordinary data. Values
-in columns tagged numeric (``numericAttributes``; measures unless listed
-in ``textMeasures``; fact key columns follow the referenced dimension id)
-are parsed as exact numbers, everything else stays text: a number int()
-takes is an ``int`` (but ``-0`` a ``Decimal``), any other a ``Decimal``.
+empty field is null; whitespace-only fields trim to empty and are therefore
+null too; the literal text ``NULL`` is ordinary data. Values in columns
+tagged numeric (``numericAttributes``; measures unless listed in
+``textMeasures``; fact key columns follow the referenced dimension id) are
+parsed as exact numbers, everything else stays text: a number int() takes
+is an ``int`` (but ``-0`` a ``Decimal``), any other a ``Decimal``.
 
 User correspondence files
 -------------------------
@@ -97,17 +100,17 @@ _WRITE_ROWS = 256
 
 
 def _read_csv(path: Path, columns: list[str], numeric: set[str]
-              ) -> tuple[list[list[Cell]], list[int]]:
+              ) -> tuple[list[list[Cell]], Sequence[int]]:
     """The cells of one table as one list per name in ``columns``, and the lines rows start on.
 
     Other columns are dropped. A table that :func:`_split_csv` reads has its
-    rows on lines 2 to n+1; any other is read again, a record at a time, and
-    there line numbers count the newlines inside quoted fields. A record the
-    csv module cannot parse, such as one with a field over its size limit, is
-    a load error on the line the record starts on, and so is a NaN in a
-    numeric column. A byte that is not UTF-8 is a load error on the physical
-    line that holds it, unless a record that ends before that line has a
-    fault: faults are reported in file order.
+    rows on lines 2 to n+1, given as a range; any other is read again, a
+    record at a time, and there line numbers count the newlines inside quoted
+    fields. A record the csv module cannot parse, such as one with a field
+    over its size limit, is a load error on the line the record starts on, and
+    so is a NaN in a numeric column. A byte that is not UTF-8 is a load error
+    on the physical line that holds it, unless a record that ends before that
+    line has a fault: faults are reported in file order.
 
     Each record is checked as it arrives: its field count, then its numbers
     in file-column order, so of two bad numbers the leftmost is named.
@@ -124,7 +127,7 @@ def _read_csv(path: Path, columns: list[str], numeric: set[str]
             except UnicodeDecodeError:
                 split = None
             if split is not None:
-                return split[0], list(range(2, split[1] + 2))
+                return split[0], range(2, split[1] + 2)
             handle.seek(0)
         try:
             return _read_records(handle, where, columns, numeric)
@@ -214,9 +217,11 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
     Each chunk of whole lines is split once, at its commas, with each
     newline made a field of its own: the lines all have the header's width
     when there are rows·(width+1)+1 fields and every (width+1)-th is a
-    newline. Cells are stripped (:func:`_stripped`) only in a chunk that is
-    not ASCII or holds an ASCII space; in any other, one test for an empty
-    field tells whether a column can hold a null.
+    newline. A blank line is one field, so that check refuses it when the
+    header has two or more columns; only a one-column table is searched for
+    one. Cells are stripped (:func:`_stripped`) only in a chunk that is not
+    ASCII or holds an ASCII space. Each column's empty fields are found by
+    one all() over its cells, and made null only when there is one.
     """
     cells: list[list[Cell]] = [[] for _ in columns]
     width = n = 0
@@ -237,7 +242,7 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
             # The csv module before Python 3.11 refuses a NUL.
             if '"' in text or "\r" in text or "\0" in text:
                 return None
-            if text[0] == "\n" or "\n\n" in text:  # a blank line
+            if text[0] == "\n":  # a blank line, the header too
                 return None
             if len(text) > limit and max(map(len, text.split("\n"))) > limit:
                 return None
@@ -250,20 +255,22 @@ def _split_csv(handle, columns: list[str], numeric: set[str]
                 positions = list(map(header.index, columns))
                 text = text[end + 1:]
             if text:
+                # A blank line is one field: the check below refuses it in a
+                # table of two or more columns, where a row has more.
+                if width == 1 and (text[0] == "\n" or "\n\n" in text):
+                    return None
                 rows = text.count("\n")
-                marked = text.replace("\n", ",\n,")
-                fields = marked.split(",")
+                fields = text.replace("\n", ",\n,").split(",")
                 if (len(fields) != rows * (width + 1) + 1
                         or fields[width::width + 1].count("\n") != rows):
                     return None
                 fields.pop()  # the empty field after the last newline
                 strip = not text.isascii() or any(map(text.__contains__, _ASCII_SPACES))
-                empty = strip or not fields[0] or ",," in marked
                 for j, i in enumerate(positions):
                     col: list[Cell] = fields[i::width + 1]
                     if strip:
                         col = _stripped(col)
-                    if empty and "" in col:
+                    if not all(col):  # an empty field
                         col = [c or None for c in col]
                     if columns[j] in numeric and _parse_numbers(col) is not None:
                         return None
@@ -297,7 +304,8 @@ def _parse_numbers(cells: list[Cell]) -> int | None:
                 numbers = list(map(Decimal, texts))
             else:
                 numbers = list(map(int, texts))
-                if 0 in numbers:  # a zero spelt with a minus sign stays a Decimal
+                # A zero spelt with a minus sign stays a Decimal.
+                if "-" in joined and 0 in numbers:
                     numbers = [n if n or "-" not in t else Decimal(t)
                                for n, t in zip(numbers, texts)]
         except (ValueError, InvalidOperation):
@@ -421,21 +429,28 @@ def _declared_fact(entry: dict, dims: dict[str, Dimension], path: str) -> tuple[
 def _read_dimension(dim: Dimension, table_path: Path, strict: bool) -> Dimension:
     """``dim`` holding the rows of its table; a repeated id's row is dropped."""
     columns, lines = _read_csv(table_path, list(dim.attributes), set(dim.numeric))
+    try:
+        read = Dimension(dim.name, dim.root, dim.attributes, dim.hierarchies, columns,
+                         dim.numeric)
+        if None not in read.index:
+            return read
+    except ValueError:  # a repeated id
+        pass
+    # A null or a repeated id: find the first fault in file order.
+    where = str(table_path)
     ids = columns[dim.attributes.index(dim.root)]
-    if len(set(ids) - {None}) != len(ids):  # a null or a repeated id
-        where = str(table_path)
-        first: dict[Cell, int] = {}
-        for i, (key, lineno) in enumerate(zip(ids, lines)):
-            if key is None:
-                raise LoadError(f"dimension {dim.name!r}: null id value", path=where,
-                                line=lineno)
-            if first.setdefault(key, i) != i:
-                if strict:
-                    raise LoadError(f"dimension {dim.name!r}: duplicate id "
-                                    f"{cell_to_text(key)!r}", path=where, line=lineno)
-                logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
-                               dim.name, cell_to_text(key), table_path, lineno)
-        columns = [list(map(col.__getitem__, first.values())) for col in columns]
+    first: dict[Cell, int] = {}
+    for i, (key, lineno) in enumerate(zip(ids, lines)):
+        if key is None:
+            raise LoadError(f"dimension {dim.name!r}: null id value", path=where,
+                            line=lineno)
+        if first.setdefault(key, i) != i:
+            if strict:
+                raise LoadError(f"dimension {dim.name!r}: duplicate id "
+                                f"{cell_to_text(key)!r}", path=where, line=lineno)
+            logger.warning("dimension %s: duplicate id %s at %s:%d, keeping the first row",
+                           dim.name, cell_to_text(key), table_path, lineno)
+    columns = [list(map(col.__getitem__, first.values())) for col in columns]
     return Dimension(dim.name, dim.root, dim.attributes, dim.hierarchies, columns, dim.numeric)
 
 
@@ -450,9 +465,10 @@ def _read_fact(fact: Fact, table_path: Path, dims: dict[str, Dimension], strict:
     for j, (dim, col) in enumerate(keys):
         if col not in numeric:
             ids = dict(zip(dims[dim].index, dims[dim].index))
-            shared = list(map(ids.get, columns[j]))
-            if None not in shared:
-                columns[j] = shared
+            try:
+                columns[j] = list(map(ids.__getitem__, columns[j]))
+            except KeyError:  # a null or dangling cell: the key check names it
+                pass
 
     dropped: set[int] = set()
     for i, key, value, _ in fact_key_faults(Fact(name, fact.measures, keys, columns), dims):

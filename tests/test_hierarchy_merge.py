@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from decimal import Decimal
 from typing import Iterable
 
@@ -124,15 +125,35 @@ def brute_force_fds(rows, attrs, min_support=1):
 TYPED_CELLS = [None, "x", "y", "z", Decimal("1"), Decimal("1.0"), Decimal("2"), "1"]
 
 
+# Pairwise distinct cells: Decimal("1.0"), which equals Decimal("1"), is not one.
+DISTINCT_CELLS = ["x", "y", Decimal("1"), Decimal("2"), "1", *(f"k{i}" for i in range(25))]
+
+
 def test_enumerate_fds_against_brute_force():
     rng = random.Random(4242)
-    for _ in range(300):
+    distinct = Counter()
+    for _ in range(400):
         attrs = [f"a{i}" for i in range(rng.randint(2, 6))]
         rows = [{a: rng.choice(TYPED_CELLS) for a in attrs}
                 for _ in range(rng.randint(1, 25))]
+        if rng.random() < 0.5:
+            # One column of distinct cells, at times with nulls or with one
+            # cell equal to another, and others with nulls of their own.
+            a = rng.choice(attrs)
+            cells = rng.sample(DISTINCT_CELLS, len(rows))
+            if len(rows) > 1 and rng.random() < 0.2:
+                cells[0] = Decimal("1.0")
+                cells[1] = Decimal("1")
+            nulls = rng.choice([0, 0.2, 0.5])
+            for row, cell in zip(rows, cells):
+                row[a] = None if rng.random() < nulls else cell
+            column = [row[a] for row in rows if row[a] is not None]
+            distinct[len(set(column)) == len(column), len(column) < len(rows)] += 1
         min_support = rng.choice([1, 2, 3])
         assert (enumerate_fds(table(rows, attrs), attrs, min_support)
                 == brute_force_fds(rows, attrs, min_support))
+    # Columns distinct or with an equal pair, each with nulls and without.
+    assert min(distinct.values()) > 10 and len(distinct) == 4, distinct
 
 
 def fd_edges(params1, params2, rows1, rows2, pairs, min_support=1):

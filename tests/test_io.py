@@ -76,6 +76,51 @@ def test_duplicate_root_strict_vs_lenient(tmp_path):
     assert rows_of(dim)["C1"]["Attr"] == "x"  # first row wins
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("rows, line", [
+    ("C1,x\n,y\nC2,z\n", 3),
+    ("C1,x\n   ,y\n", 3),
+    (",x\nC1,y\n", 2),
+    ("C1,x\n,y\n,z\n", 3),  # two, which the dimension's index also refuses as a repeat
+], ids=["one", "whitespace-only", "first-row", "two"])
+def test_null_id_is_refused_on_its_line(tmp_path, rows, line, strict):
+    write_minimal(tmp_path, rows=rows)
+    with pytest.raises(LoadError, match="dimension 'customer': null id value") as err:
+        io.load_dw(tmp_path, strict=strict)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "customer.csv"), line)
+
+
+def test_null_and_repeated_ids_report_the_first_fault_in_file_order(tmp_path, caplog):
+    customer = str(tmp_path / "customer.csv")
+    # A repeated id after a null one: the null is named, strict or not.
+    write_minimal(tmp_path, rows="C1,x\n,y\nC1,z\n")
+    for strict in (True, False):
+        with pytest.raises(LoadError, match="null id value") as err:
+            io.load_dw(tmp_path, strict=strict)
+        assert (err.value.path, err.value.line) == (customer, 3)
+    assert "duplicate id" not in caplog.text
+    # A null id after a repeated one: a strict load names the repeat, a
+    # lenient one warns of it and then names the null.
+    write_minimal(tmp_path, rows="C1,x\nC1,y\n,z\n")
+    with pytest.raises(LoadError, match="duplicate id 'C1'") as err:
+        io.load_dw(tmp_path, strict=True)
+    assert (err.value.path, err.value.line) == (customer, 3)
+    with pytest.raises(LoadError, match="null id value") as err:
+        io.load_dw(tmp_path)
+    assert (err.value.path, err.value.line) == (customer, 4)
+    assert f"{customer}:3, keeping the first row" in caplog.text
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_null_fact_key_is_refused_on_its_line(tmp_path, strict):
+    write_minimal(tmp_path)
+    (tmp_path / "sales.csv").write_text("Code,Quantity\nC1,3\n  ,4\nC2,5\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=re.escape(
+            "fact 'sales': key Code='' has no row in dimension 'customer'")) as err:
+        io.load_dw(tmp_path, strict=strict)
+    assert (err.value.path, err.value.line) == (str(tmp_path / "sales.csv"), 3)
+
+
 def test_dangling_fact_key(tmp_path):
     write_minimal(tmp_path)
     (tmp_path / "sales.csv").write_text("Code,Quantity\nC9,3\n", encoding="utf-8")
@@ -225,29 +270,35 @@ def reference_read_csv(path: Path, columns: list[str], numeric: set[str]):
         return rows, lines
 
 
-def random_table(rng: random.Random) -> bytes:
-    """A CSV table over columns a-d whose records may hold bad numbers, NaNs,
-    blanks, quoted newlines, a wrong width, an over-long field or a bad byte."""
-    header = rng.sample(["a", "b", "c", "d", "x"], 5)
+def random_table(rng: random.Random) -> tuple[bytes, list[str]]:
+    """A CSV table over one, two or five of the columns a-d and x, and its
+    header. Its records may hold bad numbers, NaNs, blanks, quoted newlines,
+    a wrong width, an over-long field or a bad byte; a table of one or two
+    columns also blank lines. In a one-column table an empty cell is one."""
+    header = rng.sample(["a", "b", "c", "d", "x"], rng.choice([1, 2, 5, 5, 5]))
     cells = ["1", "2.50", "-3", " 4 ", "", "   ", "abc", "NaN", "sNaN", "1e3", "Inf",
              '"x\ny"', "z", "1_0"]
     records = []
     for _ in range(rng.randint(0, 8)):
-        width = 5 if rng.random() < 0.9 else rng.choice([4, 6])
+        if len(header) < 5 and rng.random() < 0.1:
+            records.append("")
+            continue
+        width = len(header) + (0 if rng.random() < 0.9 else rng.choice([-1, 1]))
         records.append(",".join(rng.choice(cells[:6] if rng.random() < 0.7 else cells)
                                 for _ in range(width)))
     if records and rng.random() < 0.05:
-        records.insert(rng.randrange(len(records)), "1," + "9" * 131073 + ",1,1,1")
+        records.insert(rng.randrange(len(records)),
+                       ",".join(["9" * 131073] + ["1"] * (len(header) - 1)))
     data = "\n".join([",".join(header)] + records).encode() + b"\n"
     if rng.random() < 0.05:
         at = rng.randrange(len(data))
         data = data[:at] + b"\xff" + data[at:]
-    return data
+    return data, header
 
 
 def read_as_rows(path: Path, columns: list[str], numeric: set[str]):
     cells, lines = io._read_csv(path, columns, numeric)
-    return [dict(zip(columns, record)) for record in zip(*cells)], lines
+    return [dict(zip(columns, record)) for record in zip(*cells)], list(lines)
 
 
 def read_outcome(read, table: Path, columns: list[str], numeric: set[str]):
@@ -261,10 +312,13 @@ def test_read_csv_matches_reference_reader(tmp_path):
     rng = random.Random(8080)
     table = tmp_path / "t.csv"
     seen = dict.fromkeys(["rows", "not a number", "fields, header", "malformed CSV",
-                          "cannot read table"], 0)
+                          "cannot read table", "row has 0 fields, header has 1",
+                          "row has 0 fields, header has 2"], 0)
     for case in range(400):
-        table.write_bytes(random_table(rng))
-        columns = rng.sample(["a", "b", "c", "d"], rng.randint(1, 4))
+        data, header = random_table(rng)
+        table.write_bytes(data)
+        names = [c for c in header if c != "x"] or header
+        columns = rng.sample(names, rng.randint(1, len(names)))
         numeric = set(rng.sample(columns, rng.randint(0, len(columns))))
         got = read_outcome(read_as_rows, table, columns, numeric)
         assert repr(got) == repr(read_outcome(reference_read_csv, table, columns, numeric)), \
